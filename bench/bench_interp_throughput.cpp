@@ -1,4 +1,4 @@
-// Interpreter throughput: superblock vs predecoded vs reference engines.
+// Interpreter throughput: superblock vs reference engines.
 //
 // Two workloads, each executed per engine on otherwise-identical machines.
 // At full size each engine leg is the best (minimum) wall time of three
@@ -17,10 +17,9 @@
 // per engine, each with a speedup_vs_reference field) so CI can archive
 // the perf trajectory across PRs (BENCH_interp.json artifact).
 //
-// Two regression bars, enforced (non-zero exit) at full size:
-//   - predecoded >= 2x reference on spin-loop (decode-once win);
-//   - superblock >= 2x predecoded on oltp (span-fusion win on the
-//     realistic mix, the PR-6 acceptance bar).
+// One regression bar, enforced (non-zero exit) at full size: superblock
+// >= 4x reference on oltp (decode-once plus span fusion on the realistic
+// mix).
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -147,10 +146,9 @@ void Merge(EngineRun* best, const EngineRun& next) {
   if (next.seconds < best->seconds) *best = next;
 }
 
-/// All three engine runs of one workload, reference last (the baseline).
+/// Both engine runs of one workload, reference last (the baseline).
 struct WorkloadRuns {
   EngineRun superblock;
-  EngineRun predecoded;
   EngineRun reference;
 };
 
@@ -170,14 +168,11 @@ void AppendJson(std::string* out, const char* name, const WorkloadRuns& w) {
   *out += "  \"" + std::string(name) + "\": {\n";
   AppendEngineJson(out, "superblock", w.superblock, w.reference);
   *out += ",\n";
-  AppendEngineJson(out, "predecoded", w.predecoded, w.reference);
-  *out += ",\n";
   AppendEngineJson(out, "reference", w.reference, w.reference);
   *out += ",\n";
   char buf[128];
-  // Kept from the two-engine era so archived trajectories stay comparable.
   std::snprintf(buf, sizeof(buf), "    \"speedup\": %.2f\n  }",
-                Speedup(w.predecoded, w.reference));
+                Speedup(w.superblock, w.reference));
   *out += buf;
 }
 
@@ -204,10 +199,8 @@ int PrintThroughput() {
   WorkloadRuns oltp;
   for (int rep = 0; rep < repeats; ++rep) {
     Merge(&spin.superblock, RunSpin(vm::ExecMode::Superblock, spin_iters));
-    Merge(&spin.predecoded, RunSpin(vm::ExecMode::Predecoded, spin_iters));
     Merge(&spin.reference, RunSpin(vm::ExecMode::Reference, spin_iters));
     Merge(&oltp.superblock, RunOltp(vm::ExecMode::Superblock, oltp_txns));
-    Merge(&oltp.predecoded, RunOltp(vm::ExecMode::Predecoded, oltp_txns));
     Merge(&oltp.reference, RunOltp(vm::ExecMode::Reference, oltp_txns));
   }
 
@@ -236,30 +229,21 @@ int PrintThroughput() {
   };
 
   bench::PrintTable(
-      "Interpreter throughput: superblock vs predecoded vs reference",
+      "Interpreter throughput: superblock vs reference",
       {{"workload", "engine", "instructions", "seconds", "Minstr/s",
         "ns/instr", "vs reference"},
        fmt("spin-loop", "reference", spin.reference, spin.reference),
-       fmt("spin-loop", "predecoded", spin.predecoded, spin.reference),
        fmt("spin-loop", "superblock", spin.superblock, spin.reference),
        fmt("oltp", "reference", oltp.reference, oltp.reference),
-       fmt("oltp", "predecoded", oltp.predecoded, oltp.reference),
        fmt("oltp", "superblock", oltp.superblock, oltp.reference)});
-  // The bars are enforced (non-zero exit) at full size; smoke workloads
-  // are too small for stable timing, so there they only warn. Ratios are
-  // robust to absolute machine speed, so this is safe on shared CI.
+  // The bar is enforced (non-zero exit) at full size; smoke workloads are
+  // too small for stable timing, so there it only warns. Ratios are robust
+  // to absolute machine speed, so this is safe on shared CI.
   int rc = 0;
-  double spin_pre = Speedup(spin.predecoded, spin.reference);
-  if (spin_pre < 2.0) {
-    std::printf("%s: spin-loop predecoded speedup %.2fx below the 2x bar\n",
-                bench::SmokeMode() ? "WARNING" : "FAIL", spin_pre);
-    if (!bench::SmokeMode()) rc = 1;
-  }
-  double oltp_sb = Speedup(oltp.superblock, oltp.predecoded);
-  if (oltp_sb < 2.0) {
-    std::printf(
-        "%s: oltp superblock-vs-predecoded speedup %.2fx below the 2x bar\n",
-        bench::SmokeMode() ? "WARNING" : "FAIL", oltp_sb);
+  double oltp_sb = Speedup(oltp.superblock, oltp.reference);
+  if (oltp_sb < 4.0) {
+    std::printf("%s: oltp superblock speedup %.2fx below the 4x bar\n",
+                bench::SmokeMode() ? "WARNING" : "FAIL", oltp_sb);
     if (!bench::SmokeMode()) rc = 1;
   }
 
@@ -294,20 +278,16 @@ void BM_Interp(benchmark::State& state, vm::ExecMode mode) {
 void BM_InterpSuperblock(benchmark::State& state) {
   BM_Interp(state, vm::ExecMode::Superblock);
 }
-void BM_InterpPredecoded(benchmark::State& state) {
-  BM_Interp(state, vm::ExecMode::Predecoded);
-}
 void BM_InterpReference(benchmark::State& state) {
   BM_Interp(state, vm::ExecMode::Reference);
 }
 BENCHMARK(BM_InterpSuperblock);
-BENCHMARK(BM_InterpPredecoded);
 BENCHMARK(BM_InterpReference);
 
 }  // namespace
 }  // namespace lfi
 
-// Not LFI_BENCH_MAIN: the table pass returns an exit code (the 2x bars).
+// Not LFI_BENCH_MAIN: the table pass returns an exit code (the 4x bar).
 int main(int argc, char** argv) {
   int rc = lfi::PrintThroughput();
   benchmark::Initialize(&argc, argv);

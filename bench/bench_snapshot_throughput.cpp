@@ -5,10 +5,22 @@
 // campaign reports — that is asserted here, and test_snapshot enforces it
 // field by field — so the speedup is free: same results, fewer microjoules.
 //
-// The 2x bar on the snapshot speedup is enforced (non-zero exit) at full
-// size; smoke workloads are too small for stable timing, so there it only
-// warns. LFI_BENCH_JSON names a file, writes the same numbers as JSON so
-// CI can archive the perf trajectory (BENCH_snapshot.json).
+// Three fault-window configurations per target:
+//   - entry: the window opens at the entry point (warmup 0);
+//   - mid-run: at half a clean run — the setup prefix is restored, not
+//     re-executed;
+//   - deep: the shared snapshot stays at 25% of a clean run while the
+//     scenarios spread round-robin over per-scenario windows at
+//     80/85/90/95%. Each window's first scenario runs the gap once and
+//     captures a tree node; every later scenario restores that node
+//     directly instead of re-running up to 70% of the program.
+//
+// Report identity and zero snapshot fallbacks are enforced for every
+// configuration; the 2x bar on the mid-run snapshot speedup is enforced
+// (non-zero exit) at full size; smoke workloads are too small for stable
+// timing, so there it only warns. LFI_BENCH_JSON names a file, writes the
+// same numbers as JSON so CI can archive the perf trajectory
+// (BENCH_snapshot.json).
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
@@ -47,14 +59,15 @@ struct CampaignRun {
 
 /// Jobs-invariant digest of a report: enough to catch any divergence the
 /// differential test would (statuses, instruction counts, injection
-/// counts, coverage popcounts, crash hashes).
+/// counts, first-injection instants, coverage popcounts, crash hashes).
 std::string Fingerprint(const campaign::CampaignReport& report) {
   std::string out;
-  char buf[128];
+  char buf[160];
   for (const campaign::ScenarioResult& r : report.results) {
-    std::snprintf(buf, sizeof(buf), "%d:%lld:%llu:%zu:%zu:%016llx\n",
+    std::snprintf(buf, sizeof(buf), "%d:%lld:%llu:%zu:%llu:%zu:%016llx\n",
                   static_cast<int>(r.status), (long long)r.exit_code,
                   (unsigned long long)r.instructions, r.injections,
+                  (unsigned long long)r.first_injection_instructions,
                   r.covered_offsets, (unsigned long long)r.crash_hash);
     out += buf;
   }
@@ -111,8 +124,12 @@ uint64_t CleanRunInstructions(const campaign::MachineSetup& setup,
   return runner.Run(one).results[0].instructions;
 }
 
-std::vector<campaign::Scenario> MakeScenarios(size_t count, double probability,
-                                              uint64_t seed) {
+/// `windows` non-empty: scenario i's fault window is windows[i % n] —
+/// round-robin, so the tree builds its deeper nodes incrementally (each
+/// new window restores the nearest existing node below it).
+std::vector<campaign::Scenario> MakeScenarios(
+    size_t count, double probability, uint64_t seed,
+    const std::vector<uint64_t>& windows = {}) {
   const auto& profiles = apps::LibcProfiles();
   std::vector<campaign::Scenario> scenarios;
   for (size_t i = 0; i < count; ++i) {
@@ -120,13 +137,16 @@ std::vector<campaign::Scenario> MakeScenarios(size_t count, double probability,
     s.name = "scn-" + std::to_string(i);
     s.plan = core::GenerateRandom(profiles, probability,
                                   campaign::DeriveSeed(seed, i));
+    if (!windows.empty()) s.warmup_instructions = windows[i % windows.size()];
     scenarios.push_back(std::move(s));
   }
   return scenarios;
 }
 
 struct ModeResult {
+  const char* config;  // entry / mid-run / deep
   uint64_t warmup = 0;
+  size_t windows = 0;  // per-scenario fault windows (deep only)
   CampaignRun cold;
   CampaignRun snap;
   double speedup() const {
@@ -142,7 +162,17 @@ struct TargetResult {
   ModeResult entry;   // fault window at the entry point (warmup 0)
   ModeResult window;  // fault window mid-run: setup prefix restored, not
                       // re-executed — the paper's snapshot pitch
+  ModeResult deep;    // per-scenario windows deep past the shared snapshot
 };
+
+ModeResult RunMode(const char* config, const campaign::MachineSetup& setup,
+                   const std::string& entry,
+                   const std::vector<campaign::Scenario>& scenarios,
+                   uint64_t warmup, size_t windows) {
+  return {config, warmup, windows,
+          RunCampaign(setup, entry, scenarios, false, warmup),
+          RunCampaign(setup, entry, scenarios, true, warmup)};
+}
 
 TargetResult RunTarget(const char* name, const campaign::MachineSetup& setup,
                        const std::string& entry, size_t count,
@@ -155,27 +185,29 @@ TargetResult RunTarget(const char* name, const campaign::MachineSetup& setup,
   // Fault window at half of a clean run: the first half is the scenario-
   // invariant setup prefix every cold run re-executes and every snapshot
   // run restores in O(dirty pages).
-  uint64_t warmup = CleanRunInstructions(setup, entry) / 2;
-  TargetResult r{
-      name,
-      {0, RunCampaign(setup, entry, scenarios, false, 0),
-       RunCampaign(setup, entry, scenarios, true, 0)},
-      {warmup, RunCampaign(setup, entry, scenarios, false, warmup),
-       RunCampaign(setup, entry, scenarios, true, warmup)}};
-  return r;
+  const uint64_t clean = CleanRunInstructions(setup, entry);
+  const std::vector<uint64_t> deep_windows = {
+      clean * 80 / 100, clean * 85 / 100, clean * 90 / 100, clean * 95 / 100};
+  return {name,
+          RunMode("entry", setup, entry, scenarios, 0, 0),
+          RunMode("mid-run", setup, entry, scenarios, clean / 2, 0),
+          RunMode("deep", setup, entry,
+                  MakeScenarios(count, probability, seed, deep_windows),
+                  clean / 4, deep_windows.size())};
 }
 
 void AppendJson(std::string* json, const char* target, const char* mode,
                 const ModeResult& r) {
-  char buf[448];
+  char buf[480];
   std::snprintf(
       buf, sizeof(buf),
       "  \"%s_%s\": {\"scenarios\": %zu, \"warmup_instructions\": %llu, "
+      "\"windows\": %zu, "
       "\"cold_seconds\": %.6f, \"snapshot_seconds\": %.6f, "
       "\"cold_scenarios_per_sec\": %.1f, \"snapshot_scenarios_per_sec\": "
       "%.1f, \"speedup\": %.3f, \"restore_pages_mean\": %.1f, "
       "\"restore_pages_max\": %llu, \"fallbacks\": %zu, \"identical\": %s}",
-      target, mode, r.cold.scenarios, (unsigned long long)r.warmup,
+      target, mode, r.cold.scenarios, (unsigned long long)r.warmup, r.windows,
       r.cold.seconds, r.snap.seconds, r.cold.scenarios_per_sec(),
       r.snap.scenarios_per_sec(), r.speedup(), r.snap.restore_pages_mean,
       (unsigned long long)r.snap.restore_pages_max, r.snap.fallbacks,
@@ -194,10 +226,14 @@ int PrintThroughput() {
       {"target", "fault window", "mode", "scenarios", "seconds",
        "scenarios/s", "speedup"}};
   auto add = [&rows](const char* target, const ModeResult& r) {
-    char window[48];
-    std::snprintf(window, sizeof(window), "%s (warmup %llu)",
-                  r.warmup == 0 ? "entry" : "mid-run",
-                  (unsigned long long)r.warmup);
+    char window[64];
+    if (r.windows > 0) {
+      std::snprintf(window, sizeof(window), "%s (warmup %llu, %zu windows)",
+                    r.config, (unsigned long long)r.warmup, r.windows);
+    } else {
+      std::snprintf(window, sizeof(window), "%s (warmup %llu)", r.config,
+                    (unsigned long long)r.warmup);
+    }
     for (bool snap : {false, true}) {
       const CampaignRun& run = snap ? r.snap : r.cold;
       std::vector<std::string> row;
@@ -220,25 +256,33 @@ int PrintThroughput() {
       rows.push_back(std::move(row));
     }
   };
-  add(db.name, db.entry);
-  add(db.name, db.window);
-  add(pidgin.name, pidgin.entry);
-  add(pidgin.name, pidgin.window);
+  for (const TargetResult* t : {&db, &pidgin}) {
+    for (const ModeResult* r : {&t->entry, &t->window, &t->deep}) {
+      add(t->name, *r);
+    }
+  }
   bench::PrintTable(
       "Campaign throughput: snapshot restore vs cold reset per scenario",
       rows);
 
-  // Identity is enforced for every configuration; the 2x scenarios/sec bar
-  // is enforced on the mid-run fault window — the configuration the
-  // snapshot subsystem exists for (setup restored, not re-executed). At
-  // smoke sizes timing is unstable, so the bar only warns there.
+  // Identity and zero fallbacks are enforced for every configuration; the
+  // 2x scenarios/sec bar is enforced on the mid-run fault window — the
+  // configuration the snapshot subsystem exists for (setup restored, not
+  // re-executed). At smoke sizes timing is unstable, so the bar only warns
+  // there.
   int rc = 0;
   for (const TargetResult* t : {&db, &pidgin}) {
-    for (const ModeResult* r : {&t->entry, &t->window}) {
+    for (const ModeResult* r : {&t->entry, &t->window, &t->deep}) {
       if (!r->identical()) {
-        std::printf("FAIL: %s (warmup %llu) snapshot report diverges from "
-                    "the cold path\n",
-                    t->name, (unsigned long long)r->warmup);
+        std::printf("FAIL: %s %s snapshot report diverges from the cold "
+                    "path\n",
+                    t->name, r->config);
+        rc = 1;
+      }
+      if (r->snap.fallbacks != 0) {
+        std::printf("FAIL: %s %s: %zu unexpected snapshot fallbacks — the "
+                    "fast path did not run\n",
+                    t->name, r->config, r->snap.fallbacks);
         rc = 1;
       }
     }
@@ -257,9 +301,13 @@ int PrintThroughput() {
     json += ",\n";
     AppendJson(&json, "db_suite", "window", db.window);
     json += ",\n";
+    AppendJson(&json, "db_suite", "deep", db.deep);
+    json += ",\n";
     AppendJson(&json, "pidgin", "entry", pidgin.entry);
     json += ",\n";
     AppendJson(&json, "pidgin", "window", pidgin.window);
+    json += ",\n";
+    AppendJson(&json, "pidgin", "deep", pidgin.deep);
     json += "\n}\n";
     if (std::FILE* f = std::fopen(path, "w")) {
       std::fwrite(json.data(), 1, json.size(), f);
@@ -293,8 +341,8 @@ BENCHMARK(BM_CampaignSnapshot);
 }  // namespace
 }  // namespace lfi
 
-// Not LFI_BENCH_MAIN: the table pass returns an exit code (identity + the
-// 2x snapshot bar).
+// Not LFI_BENCH_MAIN: the table pass returns an exit code (identity, zero
+// fallbacks, and the 2x snapshot bar).
 int main(int argc, char** argv) {
   int rc = lfi::PrintThroughput();
   benchmark::Initialize(&argc, argv);

@@ -31,10 +31,9 @@ struct Scenario {
   uint64_t heap_cap_bytes = 0;  // 0 = CampaignOptions::default_heap_cap
   /// Per-scenario fault-window override (instructions of fault-free prefix
   /// before the plan installs); unset = CampaignOptions::warmup_instructions.
-  /// Honored identically by cold, flat-snapshot (restore + replay the
-  /// suffix), and snapshot-tree (restore a window-local node) execution.
-  /// Values below the campaign-wide warmup run cold: the shared snapshot
-  /// was taken past that point.
+  /// Honored identically by cold and snapshot (restore a window-local
+  /// tree node) execution. Values below the campaign-wide warmup run cold:
+  /// the tree's root was taken past that point.
   std::optional<uint64_t> warmup_instructions;
   /// Cost estimate for size-balanced sharding; 0 = use trigger count.
   uint64_t weight = 0;
@@ -118,7 +117,7 @@ struct CampaignReport {
   size_t deadlocks = 0;
   size_t budget_spent = 0;
   size_t setup_errors = 0;
-  /// Scenarios that fell back to cold execution under --snapshot[-tree]
+  /// Scenarios that fell back to cold execution under --snapshot
   /// (always 0 otherwise). Printed in the summary when snapshot execution
   /// was requested: a misconfigured fast-path run should not look fast.
   size_t snapshot_fallbacks = 0;
@@ -166,26 +165,21 @@ struct CampaignOptions {
   /// Hash final machine state into ScenarioResult::state_digest (costs a
   /// pass over every segment per scenario; SEU classification needs it).
   bool collect_state_digest = false;
-  /// Snapshot/restore scenario execution: each worker warms its machine
-  /// once (creates the entry process and runs `warmup_instructions` of
-  /// fault-free prefix), takes a vm::Machine::Snapshot at the fault-window
-  /// entry point, and restores per scenario — O(dirty pages) — instead of
-  /// resetting and rebuilding the process. Reports are bit-identical to
-  /// the cold path (test-enforced); scenarios that override the entry or
-  /// heap cap, or whose plan names the entry symbol itself, fall back to
-  /// cold execution automatically.
+  /// Snapshot tree scenario execution: each worker warms its machine once
+  /// (creates the entry process and runs `warmup_instructions` of
+  /// fault-free prefix), takes the root snapshot at the fault-window entry
+  /// point, and restores per scenario — O(dirty pages) — instead of
+  /// resetting and rebuilding the process. The worker keeps a *tree* of
+  /// snapshot nodes keyed by fault window, so a scenario whose
+  /// (per-scenario) window sits past the campaign-wide warmup restores a
+  /// window-local node in O(pages dirtied since that window): the first
+  /// scenario at a new window pays restore-to-nearest + run-the-gap +
+  /// capture once; everyone after restores directly. Reports are
+  /// bit-identical to the cold path (test-enforced); scenarios that
+  /// override the entry or heap cap, whose plan names the entry symbol
+  /// itself, or whose window opens before the root, fall back to cold
+  /// execution automatically.
   bool snapshot = false;
-  /// Snapshot-tree scenario execution: like `snapshot`, but the worker
-  /// machines keep a *tree* of snapshot nodes keyed by fault window, so a
-  /// scenario whose (per-scenario) window sits past the campaign-wide
-  /// warmup restores a window-local node in O(pages dirtied since that
-  /// window) instead of replaying the warmup suffix from the flat
-  /// snapshot. First scenario at a new window pays restore-to-nearest +
-  /// run-the-gap + capture once; everyone after restores directly.
-  /// Reports stay bit-identical to cold and flat-snapshot execution
-  /// (test-enforced). Implies warm-once semantics; `snapshot` is ignored
-  /// when set.
-  bool snapshot_tree = false;
   /// Instructions of fault-free prefix executed before the fault window
   /// opens (quantum granularity). Applies to cold execution too, so
   /// snapshot and cold runs of the same scenario stay bit-identical: the

@@ -74,8 +74,7 @@ PlanRunner::PlanRunner(
   }
   controller_ =
       std::make_unique<core::Controller>(machine_, options_.controller);
-  PrepareMachineSnapshot(machine_, options_,
-                         options_.snapshot_tree ? &tree_state_ : nullptr);
+  PrepareMachineSnapshot(machine_, options_, &tree_state_);
 }
 
 ScenarioResult PlanRunner::Run(const core::Plan& plan,
@@ -86,8 +85,7 @@ ScenarioResult PlanRunner::Run(const core::Plan& plan,
   scenario.plan = plan;
   scenario.warmup_instructions = warmup;
   return RunScenarioOn(machine_, *controller_, scenario, options_, profiles_,
-                       tracker_, module_names_,
-                       options_.snapshot_tree ? &tree_state_ : nullptr);
+                       tracker_, module_names_, tree_state_);
 }
 
 Explorer::Explorer(MachineSetup setup,

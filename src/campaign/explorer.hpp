@@ -104,12 +104,12 @@ struct ExplorerOptions {
   /// Fork mutated children from their corpus parent's trigger point: each
   /// admitted plan records the (quantum-floored) instruction instant of
   /// its first injection, and its mutants open their fault window there
-  /// instead of at the campaign-wide warmup — under --snapshot-tree the
-  /// worker restores a window-local node, so children skip the parent's
-  /// whole fault-free prefix. Changes search semantics (triggers can no
-  /// longer fire before the parent's window), so it is off by default and
+  /// instead of at the campaign-wide warmup — under --snapshot the worker
+  /// restores a window-local node, so children skip the parent's whole
+  /// fault-free prefix. Changes search semantics (triggers can no longer
+  /// fire before the parent's window), so it is off by default and
   /// independent of execution mode: the same fork-windows exploration is
-  /// bit-identical under cold, flat-snapshot, and tree execution.
+  /// bit-identical under cold and snapshot execution.
   bool fork_windows = false;
   /// Campaign execution knobs (jobs, entry, budgets, controller). The
   /// explorer forces track_coverage / collect_scenario_coverage /

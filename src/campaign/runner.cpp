@@ -30,7 +30,7 @@ bool PlanNamesEntry(const core::Plan& plan, const std::string& entry) {
 bool PrepareMachineSnapshot(vm::Machine& machine,
                             const CampaignOptions& options,
                             SnapshotTreeState* tree) {
-  if (!options.snapshot && !options.snapshot_tree) return false;
+  if (!options.snapshot) return false;
   machine.Reset();
   auto pid = machine.CreateProcess(options.entry, options.default_heap_cap);
   if (!pid.ok()) return false;
@@ -38,7 +38,7 @@ bool PrepareMachineSnapshot(vm::Machine& machine,
     machine.Run(options.warmup_instructions);
   }
   machine.Snapshot();  // fresh tree, root at the campaign-wide window
-  if (options.snapshot_tree && tree != nullptr) {
+  if (tree != nullptr) {
     tree->windows.clear();
     tree->windows[options.warmup_instructions] = machine.current_snapshot();
   }
@@ -50,7 +50,7 @@ ScenarioResult RunScenarioOn(
     const Scenario& scenario, const CampaignOptions& options,
     const std::shared_ptr<const std::vector<core::FaultProfile>>& profiles,
     vm::CoverageTracker* tracker, const std::vector<std::string>& module_names,
-    SnapshotTreeState* tree) {
+    SnapshotTreeState& tree) {
   ScenarioResult result;
   result.name = scenario.name;
 
@@ -60,15 +60,14 @@ ScenarioResult RunScenarioOn(
                                                    : options.default_heap_cap;
   const uint64_t warmup =
       scenario.warmup_instructions.value_or(options.warmup_instructions);
-  const bool snapshot_mode = options.snapshot || options.snapshot_tree;
-  // The per-worker snapshot was taken for the campaign-wide entry/heap
-  // configuration at the campaign-wide window; scenarios that deviate from
-  // the configuration — or whose window opens before the shared snapshot —
-  // run cold.
-  bool use_snapshot = snapshot_mode && machine.has_snapshot() &&
+  // The per-worker snapshot tree was taken for the campaign-wide entry/heap
+  // configuration, rooted at the campaign-wide window; scenarios that
+  // deviate from the configuration — or whose window opens before the root
+  // (no window at-or-below theirs) — run cold.
+  auto window = tree.windows.upper_bound(warmup);
+  bool use_snapshot = options.snapshot && window != tree.windows.begin() &&
                       entry == options.entry &&
                       heap_cap == options.default_heap_cap &&
-                      warmup >= options.warmup_instructions &&
                       !PlanNamesEntry(scenario.plan, entry);
 
   auto begin = Clock::now();
@@ -87,35 +86,22 @@ ScenarioResult RunScenarioOn(
   const vm::SnapshotRestoreStats stats_before = machine.restore_stats();
   int primary_pid = 0;
   if (use_snapshot) {
-    // A snapshot without a live entry process (possible through the raw
-    // Machine API, never through PrepareMachineSnapshot) can't serve
-    // scenarios; run cold. Restores are exact, so everything below
-    // reproduces the cold prefix bit-for-bit (Run targets are absolute
-    // instruction counts measured in whole scheduler rounds).
-    if (options.snapshot_tree && tree != nullptr) {
-      // Window-local restore: the greatest window at-or-below this
-      // scenario's. The base window is always present, so the lookup
-      // never misses; a first visit to a deeper window runs the gap
-      // fault-free once and captures a node for every scenario after.
-      auto it = tree->windows.upper_bound(warmup);
-      --it;
-      use_snapshot =
-          machine.RestoreTo(it->second) && !machine.processes().empty();
-      if (use_snapshot) {
-        controller.Reset();
-        if (it->first < warmup) {
-          machine.Run(warmup);
-          tree->windows[warmup] = machine.PushSnapshot();
-        }
-      }
-    } else {
-      use_snapshot = machine.RestoreSnapshot() && !machine.processes().empty();
-      if (use_snapshot) {
-        controller.Reset();
-        // Flat snapshot, deeper per-scenario window: replay the warmup
-        // suffix fault-free from the snapshot point — the re-warm tax the
-        // snapshot tree exists to eliminate.
-        if (warmup > options.warmup_instructions) machine.Run(warmup);
+    // Window-local restore: the greatest window at-or-below this
+    // scenario's. A first visit to a deeper window runs the gap fault-free
+    // once and captures a node for every scenario after. A snapshot
+    // without a live entry process (possible through the raw Machine API,
+    // never through PrepareMachineSnapshot) can't serve scenarios; run
+    // cold. Restores are exact, so everything below reproduces the cold
+    // prefix bit-for-bit (Run targets are absolute instruction counts
+    // measured in whole scheduler rounds).
+    --window;
+    use_snapshot =
+        machine.RestoreTo(window->second) && !machine.processes().empty();
+    if (use_snapshot) {
+      controller.Reset();
+      if (window->first < warmup) {
+        machine.Run(warmup);
+        tree.windows[warmup] = machine.PushSnapshot();
       }
     }
   }
@@ -147,7 +133,7 @@ ScenarioResult RunScenarioOn(
       }
     }
   }
-  result.snapshot_fallback = snapshot_mode && !use_snapshot;
+  result.snapshot_fallback = options.snapshot && !use_snapshot;
   {
     const vm::SnapshotRestoreStats& stats_after = machine.restore_stats();
     result.restore_pages =
@@ -232,13 +218,11 @@ CampaignRunner::WorkerContext& CampaignRunner::Context(size_t w) {
       std::make_unique<core::Controller>(ctx.machine, options_.controller);
   // Warm once, restore per scenario: the snapshot carries the machine at
   // the fault-window entry point, so scenarios skip reset + process
-  // construction (and the warmup prefix) entirely. In tree mode the
-  // worker also grows window-local nodes as scenarios visit deeper
-  // windows. The warm state persists for the runner's lifetime — every
-  // later Run() (explorer round, serve batch) restores instead of
-  // rebuilding.
-  PrepareMachineSnapshot(ctx.machine, options_,
-                         options_.snapshot_tree ? &ctx.tree : nullptr);
+  // construction (and the warmup prefix) entirely, and the worker grows
+  // window-local nodes as scenarios visit deeper windows. The warm state
+  // persists for the runner's lifetime — every later Run() (explorer
+  // round, serve batch) restores instead of rebuilding.
+  PrepareMachineSnapshot(ctx.machine, options_, &ctx.tree);
   ctx.ready = true;
   return ctx;
 }
@@ -247,12 +231,11 @@ void CampaignRunner::RunShard(
     const std::vector<Scenario>& scenarios, const std::vector<size_t>& shard,
     WorkerContext& ctx, std::vector<ScenarioResult>* results,
     vm::CoverageTracker* coverage_out) {
-  SnapshotTreeState* tree = options_.snapshot_tree ? &ctx.tree : nullptr;
   for (size_t idx : shard) {
     ScenarioResult& result = (*results)[idx];
     result = RunScenarioOn(ctx.machine, *ctx.controller, scenarios[idx],
                            options_, profiles_, ctx.tracker, ctx.module_names,
-                           tree);
+                           ctx.tree);
     result.index = idx;
     // Union this scenario's bitmaps into the worker-local aggregate — a
     // bitwise OR per module, no locks, no per-offset work.
@@ -264,7 +247,7 @@ void CampaignRunner::RunShard(
 CampaignReport CampaignRunner::Run(const std::vector<Scenario>& scenarios) {
   completed_.store(0, std::memory_order_relaxed);
   CampaignReport report;
-  report.snapshot_requested = options_.snapshot || options_.snapshot_tree;
+  report.snapshot_requested = options_.snapshot;
   if (scenarios.empty()) return report;  // skip worker/machine setup
   report.results.resize(scenarios.size());
 

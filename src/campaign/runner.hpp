@@ -40,8 +40,8 @@ namespace lfi::campaign {
 /// shared objects up front and capture them by value).
 using MachineSetup = std::function<void(vm::Machine&)>;
 
-/// Per-worker snapshot-tree bookkeeping (CampaignOptions::snapshot_tree):
-/// which tree node sits at each fault window. Keyed by absolute warmup
+/// Per-worker snapshot tree bookkeeping (CampaignOptions::snapshot): which
+/// tree node sits at each fault window. Keyed by absolute warmup
 /// instruction count; the campaign-wide warmup is the root window, and
 /// deeper windows are pushed lazily by the first scenario that needs them.
 /// Worker-local — never shared across threads — and restore-exactness
@@ -59,14 +59,14 @@ struct SnapshotTreeState {
 /// `index` is left 0 — callers place it. Shared by CampaignRunner workers
 /// and PlanRunner so a one-off plan run and a campaign slot are the same
 /// computation (determinism depends on that).
-/// `tree` carries the worker's window->node map when snapshot_tree is on
-/// (nullptr otherwise — flat snapshot and cold runs don't need it).
+/// `tree` is the worker's window->node map, filled by
+/// PrepareMachineSnapshot and grown here (unused on cold runs).
 ScenarioResult RunScenarioOn(
     vm::Machine& machine, core::Controller& controller,
     const Scenario& scenario, const CampaignOptions& options,
     const std::shared_ptr<const std::vector<core::FaultProfile>>& profiles,
     vm::CoverageTracker* tracker, const std::vector<std::string>& module_names,
-    SnapshotTreeState* tree = nullptr);
+    SnapshotTreeState& tree);
 
 /// Warm `machine` to the campaign's fault-window entry point and take the
 /// per-worker snapshot RunScenarioOn restores from: reset, create the
@@ -76,8 +76,8 @@ ScenarioResult RunScenarioOn(
 /// scenarios then run cold and report the same SetupError either way.
 /// Call after machine setup + Checkpoint (and EnableCoverage, so the
 /// snapshot carries the prefix's coverage).
-/// In snapshot-tree mode, pass the worker's `tree` so the base window
-/// (options.warmup_instructions -> root node) gets recorded.
+/// Pass the worker's `tree` so the base window (options.warmup_instructions
+/// -> root node) gets recorded for RunScenarioOn.
 bool PrepareMachineSnapshot(vm::Machine& machine,
                             const CampaignOptions& options,
                             SnapshotTreeState* tree = nullptr);

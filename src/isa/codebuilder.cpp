@@ -163,11 +163,6 @@ void CodeBuilder::leave_ret() {
   ret();
 }
 
-void CodeBuilder::set_errno_from(Reg src, Reg scratch) {
-  lea_tls(scratch, kErrnoTlsOffset);
-  store(scratch, 0, src);
-}
-
 void CodeBuilder::set_errno_const(int32_t err, Reg scratch, Reg scratch2) {
   mov_ri(scratch2, err);
   lea_tls(scratch, kErrnoTlsOffset);

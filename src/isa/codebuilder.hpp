@@ -127,9 +127,8 @@ class CodeBuilder {
   void load_arg(Reg dst, int i) { load(dst, Reg::BP, ArgSlot(i)); }
   /// Standard epilogue + RET.
   void leave_ret();
-  /// Set errno (TLS slot 0) to the value in `src`, clobbering `scratch`.
-  void set_errno_from(Reg src, Reg scratch);
-  /// Set errno to a constant, clobbering `scratch` and `scratch2`.
+  /// Set errno (TLS slot 0) to a constant, clobbering `scratch` and
+  /// `scratch2`.
   void set_errno_const(int32_t err, Reg scratch, Reg scratch2);
   /// Push `args` (right to left), CALL_SYM `name`, clean the stack.
   void call_named(const std::string& name, const std::vector<Reg>& args);

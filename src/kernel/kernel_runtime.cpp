@@ -243,7 +243,13 @@ KResult KernelRuntime::DoWrite(KernelContext& ctx) {
   if (!f) return KResult::Fail(E_BADF);
   if (f->kind == FdKind::File) {
     auto& data = files_[f->path];
-    if (data.size() + count > (64u << 20)) return KResult::Fail(E_NOSPC);
+    // The file ends at pos + count, which must stay under the cap. Written
+    // without the sum so a guest-chosen count or far-seeked pos cannot wrap
+    // it past the check into a huge resize.
+    constexpr uint64_t kMaxFileBytes = 64u << 20;
+    if (count > kMaxFileBytes || f->pos > kMaxFileBytes - count) {
+      return KResult::Fail(E_NOSPC);
+    }
     if (f->pos + count > data.size()) data.resize(f->pos + count);
     for (uint64_t i = 0; i < count; ++i) {
       uint8_t byte = 0;
@@ -279,8 +285,12 @@ KResult KernelRuntime::DoLseek(KernelContext& ctx) {
                  : whence == 1 ? static_cast<int64_t>(f->pos)
                  : whence == 2 ? static_cast<int64_t>(data.size())
                                : -1;
-  if (base < 0 || base + offset < 0) return KResult::Fail(E_INVAL);
-  f->pos = static_cast<uint64_t>(base + offset);
+  int64_t target = 0;
+  if (base < 0 || __builtin_add_overflow(base, offset, &target) ||
+      target < 0) {
+    return KResult::Fail(E_INVAL);
+  }
+  f->pos = static_cast<uint64_t>(target);
   return KResult::Ok(static_cast<int64_t>(f->pos));
 }
 

@@ -317,7 +317,7 @@ campaign::CampaignReport FabricCoordinator::Run(
     const std::vector<campaign::Scenario>& scenarios) {
   Clock::time_point begin = Clock::now();
   campaign::CampaignReport report;
-  report.snapshot_requested = options_.snapshot || options_.snapshot_tree;
+  report.snapshot_requested = options_.snapshot;
   if (scenarios.empty()) {
     report.Aggregate();
     return report;

@@ -286,6 +286,9 @@ Result<campaign::Scenario> DecodeScenario(Reader& r) {
 
 // -- campaign options --------------------------------------------------------
 
+/// The options flag bits EncodeOptions defines: 0-3, 5 and 6.
+constexpr uint8_t kOptionFlagsMask = 0b0110'1111;
+
 void EncodeOptions(std::vector<uint8_t>& out,
                    const campaign::CampaignOptions& options) {
   PutI64(out, options.jobs);
@@ -298,7 +301,6 @@ void EncodeOptions(std::vector<uint8_t>& out,
   if (options.collect_scenario_coverage) flags |= 1u << 1;
   if (options.collect_replays) flags |= 1u << 2;
   if (options.snapshot) flags |= 1u << 3;
-  if (options.snapshot_tree) flags |= 1u << 4;
   if (options.collect_state_digest) flags |= 1u << 5;
   if (options.controller.feasible_only) flags |= 1u << 6;
   PutU8(out, flags);
@@ -324,13 +326,17 @@ Result<campaign::CampaignOptions> DecodeOptions(Reader& r) {
   if (shard > static_cast<uint8_t>(campaign::ShardPolicy::SizeBalanced)) {
     return Err("wire: bad shard policy");
   }
+  // Bit 4 (the retired flat-vs-tree snapshot switch) and bit 7 are
+  // undefined; a peer setting them speaks a protocol this build does not.
+  if ((flags & ~kOptionFlagsMask) != 0) {
+    return Err("wire: unknown options flags");
+  }
   o.jobs = static_cast<int>(jobs);
   o.shard = static_cast<campaign::ShardPolicy>(shard);
   o.track_coverage = (flags & (1u << 0)) != 0;
   o.collect_scenario_coverage = (flags & (1u << 1)) != 0;
   o.collect_replays = (flags & (1u << 2)) != 0;
   o.snapshot = (flags & (1u << 3)) != 0;
-  o.snapshot_tree = (flags & (1u << 4)) != 0;
   o.collect_state_digest = (flags & (1u << 5)) != 0;
   o.controller.feasible_only = (flags & (1u << 6)) != 0;
   if (has_exec) {

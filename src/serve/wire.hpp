@@ -34,8 +34,10 @@ inline constexpr uint32_t kWireMagic = 0x3157464Cu;  // "LFW1" little-endian
 // Version history: 1 = initial; 2 = SEU faults in plans, state digest +
 // landed-flip count in results, collect_state_digest options flag;
 // 3 = controller feasible_only options flag (bit 6) and profile error-code
-// provenance attributes in the Configure profile XML.
-inline constexpr uint32_t kWireVersion = 3;
+// provenance attributes in the Configure profile XML; 4 = options bit 4
+// (flat-vs-tree snapshot) retired and unknown option bits rejected, exec
+// mode 1 = reference (the predecoded engine is gone).
+inline constexpr uint32_t kWireVersion = 4;
 /// Hard cap on a single frame's payload. Campaign batches are scenario
 /// plans + results, not bulk data; 256 MiB is far above any real frame.
 inline constexpr uint32_t kMaxPayload = 256u << 20;

@@ -1,5 +1,5 @@
 // Decode-once instruction streams and their superblock partition (the
-// predecoded and superblock execution engines).
+// superblock execution engine).
 //
 // Module text is immutable after Load, so the loader disassembles each
 // module exactly once into a dense `std::vector<isa::Instr>` plus an

@@ -151,7 +151,7 @@ class Loader {
   const NativeFn* native(size_t id) const;
   const std::string& native_name(size_t id) const;
 
-  /// Predecoded per-module instruction streams, built once at Load time
+  /// Decoded per-module instruction streams, built once at Load time
   /// (module text is immutable). The VM's fast path fetches from here.
   const CodeCache& code_cache() const { return code_cache_; }
 

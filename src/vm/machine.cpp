@@ -33,7 +33,7 @@ Machine::Machine() {
       // superblock-vs-superblock; say so instead.
       std::fprintf(stderr,
                    "machine: unknown LFI_EXEC value '%s' "
-                   "(expected 'superblock', 'predecoded', or 'reference'); "
+                   "(expected 'superblock' or 'reference'); "
                    "using the superblock engine\n",
                    mode);
     }

@@ -34,8 +34,8 @@ class Machine {
 
   /// Which interpreter engine newly-created processes use. Defaults to
   /// Superblock; the LFI_EXEC environment variable (superblock /
-  /// predecoded / reference) flips the default at Machine construction
-  /// (A/B without recompiling).
+  /// reference) flips the default at Machine construction (A/B without
+  /// recompiling).
   ExecMode exec_mode() const { return exec_mode_; }
   void SetExecMode(ExecMode mode);
 

@@ -65,7 +65,7 @@ class DirtyMap {
 
   /// Start tracking a segment of `bytes` bytes. A fresh journal starts
   /// all-clean; re-enabling an already-enabled journal over the same size
-  /// keeps its marks — snapshot-tree captures layer on one journal and
+  /// keeps its marks — snapshot tree captures layer on one journal and
   /// clear it explicitly once the dirty pages are copied out, so an Enable
   /// that silently wiped marks would lose writes recorded in between.
   /// Enabling at a different size rebuilds the journal all-clean.
@@ -139,7 +139,7 @@ void RestoreDirtyPages(DirtyMap& dirty, const uint8_t* from, uint8_t* to,
 using SnapshotId = uint32_t;
 inline constexpr SnapshotId kNoSnapshot = ~SnapshotId{0};
 
-/// Sparse page-image store: the set of pages one snapshot-tree node
+/// Sparse page-image store: the set of pages one snapshot tree node
 /// captured, with their contents at capture time. A node's delta holds
 /// exactly the pages written between its parent's capture and its own (a
 /// full node holds every page), so the content of page p at node N is

@@ -25,7 +25,6 @@ const char* SignalName(Signal s) {
 const char* ExecModeName(ExecMode mode) {
   switch (mode) {
     case ExecMode::Superblock: return "superblock";
-    case ExecMode::Predecoded: return "predecoded";
     case ExecMode::Reference: return "reference";
   }
   return "?";
@@ -33,7 +32,6 @@ const char* ExecModeName(ExecMode mode) {
 
 std::optional<ExecMode> ParseExecMode(std::string_view name) {
   if (name == "superblock") return ExecMode::Superblock;
-  if (name == "predecoded") return ExecMode::Predecoded;
   if (name == "reference") return ExecMode::Reference;
   return std::nullopt;
 }
@@ -225,18 +223,6 @@ void Process::RestoreCore(const ProcessCore& core) {
   mapped_generation_ = 0;
 }
 
-void Process::CaptureSnapshot(ProcessSnapshot* out) {
-  CaptureCore(&out->core);
-  out->stack = stack_mem_;
-  out->heap = heap_mem_;
-  out->tls = tls_mem_;
-  // From here on every write is journaled, so restores only touch the
-  // pages a scenario actually dirtied.
-  stack_dirty_.Enable(stack_mem_.size());
-  heap_dirty_.Enable(heap_mem_.size());
-  tls_dirty_.Enable(tls_mem_.size());
-}
-
 void Process::RestoreFromSnapshot(const ProcessSnapshot& snap, bool full) {
   assert(snap.stack.size() == stack_mem_.size() &&
          snap.heap.size() == heap_mem_.size() &&
@@ -423,8 +409,6 @@ uint64_t Process::Run(uint64_t budget) {
       }
       return executed;
     }
-    case ExecMode::Predecoded:
-      return RunPredecoded(budget);
     case ExecMode::Superblock:
       break;
   }
@@ -497,57 +481,6 @@ void Process::RemapIfNeeded() {
   space_.map(Region{kTlsBase, tls_mem_.size(), tls_mem_.data(), true, "tls",
                     &tls_dirty_});
   mapped_generation_ = loader_.generation();
-}
-
-uint64_t Process::RunPredecoded(uint64_t budget) {
-  uint64_t executed = 0;
-  // Cached binding of the module containing pc: invalidated when pc leaves
-  // the module's text or the loader generation changes (a remap can also
-  // mean new modules, which may reallocate the code-cache stream table).
-  const LoadedModule* mod = nullptr;
-  const CodeCache::ModuleStream* stream = nullptr;
-  uint64_t code_base = 0;
-  uint64_t code_size = 0;
-  while (state_ == ProcState::Runnable && executed < budget) {
-    if (mapped_generation_ != loader_.generation()) {
-      RemapIfNeeded();
-      mod = nullptr;
-    }
-    uint64_t off = pc_ - code_base;
-    if (mod == nullptr || off >= code_size) {
-      mod = loader_.module_at(pc_);
-      if (mod == nullptr) {
-        Fault(Signal::Segv,
-              Format("pc outside code: %llx", (unsigned long long)pc_));
-        ++executed;
-        break;
-      }
-      stream = loader_.code_cache().stream(mod->index);
-      code_base = mod->code_base;
-      code_size = mod->object.code.size();
-      off = pc_ - code_base;
-    }
-    uint32_t slot = stream != nullptr
-                        ? stream->slot_of_offset[static_cast<size_t>(off)]
-                        : CodeCache::kNoSlot;
-    if (slot != CodeCache::kNoSlot) {
-      ExecuteInstr<true>(stream->instrs[slot], *mod);
-    } else {
-      // pc landed mid-instruction or on undecodable bytes: run the
-      // reference decoder so the outcome (including the exact fault
-      // message) matches the decode-per-step path bit for bit.
-      auto decoded = isa::DecodeOne(mod->object.code,
-                                    static_cast<uint32_t>(off));
-      if (!decoded.ok()) {
-        Fault(Signal::Ill, decoded.error());
-        ++executed;
-        break;
-      }
-      ExecuteInstr<true>(decoded.value(), *mod);
-    }
-    ++executed;
-  }
-  return executed;
 }
 
 void Process::Step() {
@@ -780,7 +713,7 @@ lfi_ctrl:
           nm != nullptr ? loader_.code_cache().stream(nm->index) : nullptr;
       if (ns == nullptr) {
         // Outside all code / no stream: the outer loop faults or falls
-        // back exactly like the predecoded engine.
+        // back exactly like the reference engine.
         commit_flags();
         pc_ = next_pc;
         return executed;
@@ -856,7 +789,9 @@ lfi_dispatch:
 
 uint64_t Process::RunSuperblock(uint64_t budget) {
   uint64_t executed = 0;
-  // Same cached module binding as RunPredecoded; see the comment there.
+  // Cached binding of the module containing pc: invalidated when pc leaves
+  // the module's text or the loader generation changes (a remap can also
+  // mean new modules, which may reallocate the code-cache stream table).
   const LoadedModule* mod = nullptr;
   const CodeCache::ModuleStream* stream = nullptr;
   uint64_t code_base = 0;
@@ -884,8 +819,9 @@ uint64_t Process::RunSuperblock(uint64_t budget) {
                         ? stream->slot_of_offset[static_cast<size_t>(off)]
                         : CodeCache::kNoSlot;
     if (slot == CodeCache::kNoSlot) {
-      // Mid-instruction or undecodable pc: identical fallback to the
-      // predecoded engine (counted reference step, exact fault text).
+      // Mid-instruction or undecodable pc: run the reference decoder so
+      // the outcome (including the exact fault message) matches the
+      // decode-per-step path bit for bit.
       auto decoded = isa::DecodeOne(mod->object.code,
                                     static_cast<uint32_t>(off));
       if (!decoded.ok()) {

@@ -2,7 +2,7 @@
 // fetch-decode-execute loop, and the shadow call stack used for the
 // stack-trace triggers of the scenario language (§4).
 //
-// Three execution engines share one instruction-semantics implementation
+// Two execution engines share one instruction-semantics implementation
 // (vm/exec_ops.inc, expanded per engine):
 //   - Superblock (default): fused straight-line spans over the loader's
 //     CodeCache streams — one computed-goto dispatch per instruction, with
@@ -10,14 +10,10 @@
 //     update per span; exact per-instruction counters are re-materialized
 //     whenever a span ends (fault, kcall/native exit, quantum expiry,
 //     snapshot windows).
-//   - Predecoded: one instruction per dispatch from the same CodeCache
-//     streams, binding the current module by address arithmetic and
-//     serving stack/heap/TLS/module memory through O(1) region
-//     arithmetic (`FastMemPtr`), with AddressSpace fallback.
 //   - Reference: the original decode-per-step path (`Step()` +
-//     AddressSpace lookups), kept so differential tests and
-//     bench_interp_throughput can prove the fast engines bit-identical
-//     and measure their speedup.
+//     AddressSpace lookups), kept as the semantic oracle so differential
+//     tests and bench_interp_throughput can prove the superblock engine
+//     bit-identical and measure its speedup.
 #pragma once
 
 #include <cstdint>
@@ -45,12 +41,11 @@ enum class ProcState { Runnable, Blocked, Exited, Faulted };
 
 enum class Signal { None, Segv, Abort, Ill };
 
-/// Which interpreter loop Run() uses. All three are bit-identical in
-/// behavior (test-enforced); Reference exists as the differential baseline.
-enum class ExecMode { Superblock, Predecoded, Reference };
+/// Which interpreter loop Run() uses. Both are bit-identical in behavior
+/// (test-enforced); Reference exists as the differential baseline.
+enum class ExecMode { Superblock, Reference };
 
-/// The LFI_EXEC-style name of an engine ("superblock" / "predecoded" /
-/// "reference").
+/// The LFI_EXEC-style name of an engine ("superblock" / "reference").
 const char* ExecModeName(ExecMode mode);
 
 /// Parse an LFI_EXEC-style engine name; nullopt for unknown values.
@@ -144,9 +139,6 @@ class Process final : public kernel::KernelContext {
   const Loader& loader() const { return loader_; }
 
   // -- snapshot support ------------------------------------------------------
-  /// Copy the process's full state into `out` and enable dirty-page
-  /// tracking on its stack/heap/TLS so a later restore is O(dirty pages).
-  void CaptureSnapshot(ProcessSnapshot* out);
   /// Return to the captured state. With `full` set (or when tracking is
   /// not enabled, e.g. a process rebuilt after Machine::Reset) every
   /// segment is copied wholesale; otherwise only the pages written since
@@ -166,7 +158,7 @@ class Process final : public kernel::KernelContext {
            tls_dirty_.enabled();
   }
 
-  // -- snapshot-tree support -------------------------------------------------
+  // -- snapshot tree support -------------------------------------------------
   /// Capture one tree node's slice of this process: the scalar core in
   /// full, the segments as page deltas from the journals — or every page
   /// when `full` is set (root node, or the journals were not live across
@@ -204,15 +196,12 @@ class Process final : public kernel::KernelContext {
                     const std::string& symbol);
   void ExecNative(size_t native_id, uint64_t ret_addr);
 
-  /// The fused decode-once loop behind Run() in Predecoded mode.
-  uint64_t RunPredecoded(uint64_t budget);
-
-  /// The superblock-span loop behind Run() in Superblock mode: same outer
-  /// structure as RunPredecoded, but straight-line runs execute through
+  /// The superblock-span loop behind Run() in Superblock mode: binds the
+  /// module containing pc, and executes straight-line runs through
   /// ExecSpanFused with accounting hoisted to span granularity.
   uint64_t RunSuperblock(uint64_t budget);
 
-  /// Execute up to `budget` predecoded instructions starting at `slot` of
+  /// Execute up to `budget` decoded instructions starting at `slot` of
   /// `stream` (pc_ must be that slot's address) as fused computed-goto
   /// spans, following control flow in-loop: a taken branch, call,
   /// syscall, or return whose target has a slot in any loaded module's

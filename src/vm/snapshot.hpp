@@ -77,7 +77,7 @@ struct ProcessNodeState {
   bool full = false;
 };
 
-/// One snapshot-tree node: delta memory, full cheap state.
+/// One snapshot tree node: delta memory, full cheap state.
 struct SnapshotNode {
   SnapshotId parent = kNoSnapshot;
   uint32_t depth = 0;

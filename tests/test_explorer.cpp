@@ -85,8 +85,7 @@ ExplorerReport ExploreReader(int jobs, uint64_t seed) {
 /// the determinism matrix (jobs / engines / snapshot modes) can vary them.
 ExplorerReport ExploreReaderDirected(int jobs, uint64_t seed,
                                      std::optional<vm::ExecMode> mode = {},
-                                     bool snapshot = false,
-                                     bool snapshot_tree = false) {
+                                     bool snapshot = false) {
   ExplorerOptions opts;
   opts.rounds = 3;
   opts.scenarios_per_round = 10;
@@ -97,7 +96,6 @@ ExplorerReport ExploreReaderDirected(int jobs, uint64_t seed,
   opts.campaign.jobs = jobs;
   opts.campaign.exec_mode = mode;
   opts.campaign.snapshot = snapshot;
-  opts.campaign.snapshot_tree = snapshot_tree;
   Explorer explorer(ReaderSetup(), apps::LibcProfiles(), opts);
   return explorer.Explore();
 }
@@ -212,17 +210,11 @@ TEST(Explorer, CfgDistanceBitIdenticalAcrossEnginesAndSnapshotModes) {
   ExplorerReport base = ExploreReaderDirected(2, 9);
   ExplorerReport reference =
       ExploreReaderDirected(2, 9, vm::ExecMode::Reference);
-  ExplorerReport predecoded =
-      ExploreReaderDirected(2, 9, vm::ExecMode::Predecoded);
   ExplorerReport snapshot =
       ExploreReaderDirected(2, 9, {}, /*snapshot=*/true);
-  ExplorerReport tree = ExploreReaderDirected(2, 9, {}, /*snapshot=*/false,
-                                              /*snapshot_tree=*/true);
   EXPECT_GT(base.union_offsets(), 0u);
   ExpectSameExploration(base, reference);
-  ExpectSameExploration(base, predecoded);
   ExpectSameExploration(base, snapshot);
-  ExpectSameExploration(base, tree);
 }
 
 TEST(Fitness, ParseAndName) {

@@ -288,12 +288,12 @@ TEST(Fabric, AllWorkersDeadFallsBackToLocalTail) {
   ReapWorker(w1.value());
 }
 
-// Snapshot-tree execution through the fabric: worker machines warm their
-// own snapshots; reports stay identical to the in-process snapshot run
+// Snapshot execution through the fabric: worker machines warm their own
+// snapshot trees; reports stay identical to the in-process snapshot run
 // (which is itself identical to cold — the existing invariant chain).
-TEST(Fabric, SnapshotTreeExecutionIsIdenticalThroughTheFabric) {
+TEST(Fabric, SnapshotExecutionIsIdenticalThroughTheFabric) {
   CampaignOptions opts = BaseOptions();
-  opts.snapshot_tree = true;
+  opts.snapshot = true;
   opts.warmup_instructions = 64;
   std::vector<Scenario> scenarios = RandomScenarios(16, 0.3, 21);
   CampaignReport baseline = InProcessBaseline(scenarios, opts);

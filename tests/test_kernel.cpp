@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "kernel/kernel_image.hpp"
 #include "kernel/kernel_runtime.hpp"
 #include "kernel/syscalls.hpp"
@@ -172,6 +174,91 @@ TEST(KernelRuntime, OpenCreatReadWriteRoundTrip) {
   ASSERT_EQ(rd.kind, KResult::Kind::Ok);
   EXPECT_EQ(rd.value, 5);
   EXPECT_EQ(memcmp(ctx.mem_.data() + 300, "hello", 5), 0);
+}
+
+/// Open "/f" (created, holding "hello") and return its fd.
+int64_t OpenHelloFile(KernelRuntime& kr, FakeContext& ctx) {
+  kr.add_file("/f", {'h', 'e', 'l', 'l', 'o'});
+  ctx.put_string(100, "/f");
+  ctx.set_reg(isa::Reg::R1, 100);
+  ctx.set_reg(isa::Reg::R2, 0);
+  KResult open = kr.Invoke(N(Sys::OPEN), ctx);
+  EXPECT_EQ(open.kind, KResult::Kind::Ok);
+  return open.value;
+}
+
+KResult Lseek(KernelRuntime& kr, FakeContext& ctx, int64_t fd, int64_t offset,
+              int64_t whence) {
+  ctx.set_reg(isa::Reg::R1, fd);
+  ctx.set_reg(isa::Reg::R2, offset);
+  ctx.set_reg(isa::Reg::R3, whence);
+  return kr.Invoke(N(Sys::LSEEK), ctx);
+}
+
+KResult Write(KernelRuntime& kr, FakeContext& ctx, int64_t fd,
+              uint64_t count) {
+  ctx.set_reg(isa::Reg::R1, fd);
+  ctx.set_reg(isa::Reg::R2, 200);
+  ctx.set_reg(isa::Reg::R3, static_cast<int64_t>(count));
+  return kr.Invoke(N(Sys::WRITE), ctx);
+}
+
+int64_t StatSize(KernelRuntime& kr, FakeContext& ctx) {
+  ctx.put_string(100, "/f");
+  ctx.set_reg(isa::Reg::R1, 100);
+  ctx.set_reg(isa::Reg::R2, 500);
+  EXPECT_EQ(kr.Invoke(N(Sys::STAT), ctx).kind, KResult::Kind::Ok);
+  int64_t size = 0;
+  memcpy(&size, ctx.mem_.data() + 500, 8);
+  return size;
+}
+
+// A count that wraps size + count past the file cap used to pass the
+// bound and write far beyond the file's buffer.
+TEST(KernelRuntime, WriteWithWrappingCountFailsENOSPC) {
+  KernelRuntime kr;
+  FakeContext ctx;
+  int64_t fd = OpenHelloFile(kr, ctx);
+  ASSERT_EQ(Lseek(kr, ctx, fd, 0, 2).value, 5);  // SEEK_END
+  KResult r = Write(kr, ctx, fd, ~uint64_t{0} - 2);
+  EXPECT_EQ(r.kind, KResult::Kind::Fail);
+  EXPECT_EQ(r.error, E_NOSPC);
+  EXPECT_EQ(StatSize(kr, ctx), 5);
+}
+
+// lseek far past the end, then a 1-byte write: the bound must count the
+// position, or the write resizes the file to 2^62 + 1 bytes.
+TEST(KernelRuntime, SeekFarThenWriteFailsENOSPC) {
+  KernelRuntime kr;
+  FakeContext ctx;
+  int64_t fd = OpenHelloFile(kr, ctx);
+  KResult seek = Lseek(kr, ctx, fd, int64_t{1} << 62, 0);  // SEEK_SET
+  ASSERT_EQ(seek.kind, KResult::Kind::Ok);
+  EXPECT_EQ(seek.value, int64_t{1} << 62);
+  KResult r = Write(kr, ctx, fd, 1);
+  EXPECT_EQ(r.kind, KResult::Kind::Fail);
+  EXPECT_EQ(r.error, E_NOSPC);
+  EXPECT_EQ(StatSize(kr, ctx), 5);
+  // A write that ends exactly at the cap is still allowed.
+  ASSERT_EQ(Lseek(kr, ctx, fd, (64 << 20) - 1, 0).kind, KResult::Kind::Ok);
+  EXPECT_EQ(Write(kr, ctx, fd, 1).value, 1);
+  EXPECT_EQ(StatSize(kr, ctx), 64 << 20);
+}
+
+// base + offset overflowing int64 is EINVAL, and leaves the position alone.
+TEST(KernelRuntime, LseekOverflowFailsEINVAL) {
+  KernelRuntime kr;
+  FakeContext ctx;
+  int64_t fd = OpenHelloFile(kr, ctx);
+  const int64_t max = std::numeric_limits<int64_t>::max();
+  KResult end = Lseek(kr, ctx, fd, max, 2);  // SEEK_END: 5 + max
+  EXPECT_EQ(end.kind, KResult::Kind::Fail);
+  EXPECT_EQ(end.error, E_INVAL);
+  ASSERT_EQ(Lseek(kr, ctx, fd, max, 0).value, max);  // SEEK_SET
+  KResult cur = Lseek(kr, ctx, fd, 1, 1);  // SEEK_CUR: max + 1
+  EXPECT_EQ(cur.kind, KResult::Kind::Fail);
+  EXPECT_EQ(cur.error, E_INVAL);
+  EXPECT_EQ(Lseek(kr, ctx, fd, 0, 1).value, max);
 }
 
 TEST(KernelRuntime, ReadBadFdFails) {

@@ -5,7 +5,9 @@
 // fault messages, instruction counts, injection logs, per-scenario and
 // union coverage bitmaps, crash hashes, and replay XML — on the db-suite
 // and Pidgin targets, for any jobs count, with and without a fault-free
-// warmup prefix, and after Machine::Reset wiped the snapshot's processes.
+// warmup prefix, with per-scenario fault windows restored from window-local
+// snapshot tree nodes, on both execution engines, and after Machine::Reset
+// wiped the snapshot's processes.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -104,17 +106,6 @@ TEST(SnapshotDiff, PidginIdenticalToColdPath) {
                          RunCampaign(setup, scenarios, snap));
 }
 
-TEST(SnapshotDiff, JobsInvariantUnderSnapshot) {
-  auto setup = apps::DbSuiteMachineSetup();
-  auto scenarios = MakeScenarios(12, 0.05, 31);
-  CampaignOptions opts = BaseOptions(apps::kDbTestEntry);
-  opts.snapshot = true;
-  CampaignReport one = RunCampaign(setup, scenarios, opts);
-  opts.jobs = 4;
-  CampaignReport four = RunCampaign(setup, scenarios, opts);
-  ExpectReportsIdentical(one, four);
-}
-
 // A fault-free warmup prefix moves the fault window; cold execution with
 // the same warmup must match the snapshot run bit for bit (the prefix is
 // re-executed cold, skipped via restore under snapshot).
@@ -132,26 +123,6 @@ TEST(SnapshotDiff, WarmupPrefixIdenticalColdVsSnapshot) {
   for (const ScenarioResult& r : snap_report.results) {
     EXPECT_GE(r.instructions, 4000u);
   }
-}
-
-// Scenario-level entry/heap overrides (and plans that name the entry
-// symbol itself) cannot use the worker snapshot; they must silently fall
-// back to cold execution, not diverge or fail.
-TEST(SnapshotDiff, IncompatibleScenariosFallBackCold) {
-  auto setup = apps::DbSuiteMachineSetup();
-  auto scenarios = MakeScenarios(4, 0.05, 53);
-  scenarios[1].heap_cap_bytes = 1 << 18;  // override: snapshot-incompatible
-  core::FunctionTrigger on_entry;
-  on_entry.function = apps::kDbTestEntry;  // interposes the entry symbol
-  on_entry.mode = core::FunctionTrigger::Mode::CallCount;
-  on_entry.inject_call = 1;
-  on_entry.retval = -1;
-  scenarios[2].plan.triggers.push_back(on_entry);
-  CampaignOptions cold = BaseOptions(apps::kDbTestEntry);
-  CampaignOptions snap = cold;
-  snap.snapshot = true;
-  ExpectReportsIdentical(RunCampaign(setup, scenarios, cold),
-                         RunCampaign(setup, scenarios, snap));
 }
 
 // PlanRunner (the explorer's minimization oracle) shares RunScenarioOn, so
@@ -175,19 +146,67 @@ TEST(SnapshotDiff, PlanRunnerIdenticalAndSurvivesReset) {
   }
 }
 
-// The superblock engine hoists instruction-count and coverage accounting
-// to one update per fused span, so a snapshot taken after a warmup prefix
-// (a pc that is almost never on a superblock boundary) is the adversarial
-// case: the exact per-instruction counter and coverage bitmaps must be
-// re-materialized at the snapshot point. Every engine must produce the
-// same report, cold or restored — nine runs, one truth.
-TEST(SnapshotDiff, WarmupSnapshotIdenticalAcrossExecEngines) {
+// ---- per-scenario fault windows ------------------------------------------
+
+/// Spread per-scenario fault windows round-robin over `windows` (deeper
+/// than, or equal to, the campaign-wide warmup).
+void AssignWindows(std::vector<Scenario>* scenarios,
+                   const std::vector<uint64_t>& windows) {
+  for (size_t i = 0; i < scenarios->size(); ++i) {
+    (*scenarios)[i].warmup_instructions = windows[i % windows.size()];
+  }
+}
+
+// Snapshot execution with per-scenario fault windows (window-local tree
+// nodes) must be bit-identical to cold execution, with every scenario
+// riding a snapshot.
+TEST(SnapshotDiff, IdenticalToColdAcrossWindows) {
   auto setup = apps::DbSuiteMachineSetup();
-  auto scenarios = MakeScenarios(6, 0.1, 71);
+  auto scenarios = MakeScenarios(9, 0.05, 83);
+  AssignWindows(&scenarios, {4000, 9000, 14000});
+  CampaignOptions cold = BaseOptions(apps::kDbTestEntry);
+  cold.warmup_instructions = 4000;
+  CampaignOptions snap = cold;
+  snap.snapshot = true;
+  CampaignReport cold_report = RunCampaign(setup, scenarios, cold);
+  CampaignReport snap_report = RunCampaign(setup, scenarios, snap);
+  ExpectReportsIdentical(cold_report, snap_report);
+  // Every scenario rode a snapshot — no silent cold fallbacks.
+  EXPECT_EQ(snap_report.snapshot_fallbacks, 0u);
+  EXPECT_TRUE(snap_report.snapshot_requested);
+  EXPECT_FALSE(cold_report.snapshot_requested);
+}
+
+// Snapshot report identity must hold for any jobs count: each worker grows
+// its own window nodes, but results depend only on the scenario.
+TEST(SnapshotDiff, JobsInvariantUnderSnapshot) {
+  auto setup = apps::DbSuiteMachineSetup();
+  auto scenarios = MakeScenarios(12, 0.05, 89);
+  AssignWindows(&scenarios, {4000, 10000});
+  CampaignOptions opts = BaseOptions(apps::kDbTestEntry);
+  opts.warmup_instructions = 4000;
+  opts.snapshot = true;
+  CampaignReport one = RunCampaign(setup, scenarios, opts);
+  opts.jobs = 4;
+  CampaignReport four = RunCampaign(setup, scenarios, opts);
+  ExpectReportsIdentical(one, four);
+  EXPECT_EQ(one.snapshot_fallbacks, four.snapshot_fallbacks);
+}
+
+// The superblock engine hoists instruction-count and coverage accounting
+// to one update per fused span, so snapshot nodes captured at windows that
+// are almost never on a superblock boundary are the adversarial case: the
+// exact per-instruction counter and coverage bitmaps must be
+// re-materialized at each capture point. Both engines must produce the
+// same report, cold or restored — four runs, one truth.
+TEST(SnapshotDiff, MidRunNodesIdenticalAcrossExecEngines) {
+  auto setup = apps::DbSuiteMachineSetup();
+  auto scenarios = MakeScenarios(6, 0.1, 97);
+  AssignWindows(&scenarios, {4321, 8765, 13131});
   CampaignReport baseline;
   bool have_baseline = false;
-  for (vm::ExecMode mode : {vm::ExecMode::Superblock, vm::ExecMode::Predecoded,
-                            vm::ExecMode::Reference}) {
+  for (vm::ExecMode mode :
+       {vm::ExecMode::Superblock, vm::ExecMode::Reference}) {
     SCOPED_TRACE(vm::ExecModeName(mode));
     CampaignOptions cold = BaseOptions(apps::kDbTestEntry);
     cold.exec_mode = mode;
@@ -206,182 +225,79 @@ TEST(SnapshotDiff, WarmupSnapshotIdenticalAcrossExecEngines) {
   }
 }
 
-// ---- snapshot trees -----------------------------------------------------
-
-/// Spread per-scenario fault windows round-robin over `windows` (deeper
-/// than, or equal to, the campaign-wide warmup).
-void AssignWindows(std::vector<Scenario>* scenarios,
-                   const std::vector<uint64_t>& windows) {
-  for (size_t i = 0; i < scenarios->size(); ++i) {
-    (*scenarios)[i].warmup_instructions = windows[i % windows.size()];
-  }
-}
-
-// Tree execution with per-scenario fault windows must be bit-identical to
-// both cold execution and the flat snapshot (which replays each window's
-// suffix from the shared snapshot point).
-TEST(SnapshotTree, IdenticalToColdAndFlatAcrossWindows) {
-  auto setup = apps::DbSuiteMachineSetup();
-  auto scenarios = MakeScenarios(9, 0.05, 83);
-  AssignWindows(&scenarios, {4000, 9000, 14000});
-  CampaignOptions cold = BaseOptions(apps::kDbTestEntry);
-  cold.warmup_instructions = 4000;
-  CampaignOptions flat = cold;
-  flat.snapshot = true;
-  CampaignOptions tree = cold;
-  tree.snapshot_tree = true;
-  CampaignReport cold_report = RunCampaign(setup, scenarios, cold);
-  CampaignReport flat_report = RunCampaign(setup, scenarios, flat);
-  CampaignReport tree_report = RunCampaign(setup, scenarios, tree);
-  ExpectReportsIdentical(cold_report, flat_report);
-  ExpectReportsIdentical(cold_report, tree_report);
-  // Every scenario rode a snapshot — no silent cold fallbacks.
-  EXPECT_EQ(flat_report.snapshot_fallbacks, 0u);
-  EXPECT_EQ(tree_report.snapshot_fallbacks, 0u);
-  EXPECT_TRUE(tree_report.snapshot_requested);
-  EXPECT_FALSE(cold_report.snapshot_requested);
-}
-
-// Tree-vs-cold report identity must hold for any jobs count: each worker
-// grows its own window nodes, but results depend only on the scenario.
-TEST(SnapshotTree, JobsInvariant) {
-  auto setup = apps::DbSuiteMachineSetup();
-  auto scenarios = MakeScenarios(12, 0.05, 89);
-  AssignWindows(&scenarios, {4000, 10000});
-  CampaignOptions opts = BaseOptions(apps::kDbTestEntry);
-  opts.warmup_instructions = 4000;
-  opts.snapshot_tree = true;
-  CampaignReport one = RunCampaign(setup, scenarios, opts);
-  opts.jobs = 4;
-  CampaignReport four = RunCampaign(setup, scenarios, opts);
-  ExpectReportsIdentical(one, four);
-  EXPECT_EQ(one.snapshot_fallbacks, four.snapshot_fallbacks);
-}
-
-// PushSnapshot at a window that is almost never on a superblock boundary:
-// every execution engine must round-trip the mid-superblock node and
-// produce one truth, cold or tree-restored.
-TEST(SnapshotTree, MidRunNodesIdenticalAcrossExecEngines) {
-  auto setup = apps::DbSuiteMachineSetup();
-  auto scenarios = MakeScenarios(6, 0.1, 97);
-  AssignWindows(&scenarios, {4321, 8765, 13131});
-  CampaignReport baseline;
-  bool have_baseline = false;
-  for (vm::ExecMode mode : {vm::ExecMode::Superblock, vm::ExecMode::Predecoded,
-                            vm::ExecMode::Reference}) {
-    SCOPED_TRACE(vm::ExecModeName(mode));
-    CampaignOptions cold = BaseOptions(apps::kDbTestEntry);
-    cold.exec_mode = mode;
-    cold.warmup_instructions = 4321;
-    CampaignOptions tree = cold;
-    tree.snapshot_tree = true;
-    CampaignReport cold_report = RunCampaign(setup, scenarios, cold);
-    CampaignReport tree_report = RunCampaign(setup, scenarios, tree);
-    ExpectReportsIdentical(cold_report, tree_report);
-    if (have_baseline) {
-      ExpectReportsIdentical(tree_report, baseline);
-    } else {
-      baseline = std::move(tree_report);
-      have_baseline = true;
-    }
-  }
-}
-
-// Snapshot-incompatible scenarios (entry/heap overrides, windows shallower
-// than the shared snapshot) fall back to cold execution — identically, and
+// Scenario-level entry/heap overrides, plans that name the entry symbol
+// itself, and windows shallower than the tree's root cannot use the worker
+// snapshot; they must fall back to cold execution — identically, and
 // counted in the report.
-TEST(SnapshotTree, IncompatibleScenariosFallBackColdAndAreCounted) {
+TEST(SnapshotDiff, IncompatibleScenariosFallBackColdAndAreCounted) {
   auto setup = apps::DbSuiteMachineSetup();
   auto scenarios = MakeScenarios(5, 0.05, 101);
   AssignWindows(&scenarios, {6000});
-  scenarios[1].heap_cap_bytes = 1 << 18;       // snapshot-incompatible
-  scenarios[3].warmup_instructions = 1000;     // before the shared window
+  scenarios[1].heap_cap_bytes = 1 << 18;    // snapshot-incompatible
+  core::FunctionTrigger on_entry;
+  on_entry.function = apps::kDbTestEntry;  // interposes the entry symbol
+  on_entry.mode = core::FunctionTrigger::Mode::CallCount;
+  on_entry.inject_call = 1;
+  on_entry.retval = -1;
+  scenarios[2].plan.triggers.push_back(on_entry);
+  scenarios[3].warmup_instructions = 1000;  // before the shared window
   CampaignOptions cold = BaseOptions(apps::kDbTestEntry);
   cold.warmup_instructions = 4000;
-  CampaignOptions tree = cold;
-  tree.snapshot_tree = true;
+  CampaignOptions snap = cold;
+  snap.snapshot = true;
   CampaignReport cold_report = RunCampaign(setup, scenarios, cold);
-  CampaignReport tree_report = RunCampaign(setup, scenarios, tree);
-  ExpectReportsIdentical(cold_report, tree_report);
-  EXPECT_EQ(tree_report.snapshot_fallbacks, 2u);
-  // The fallback count is part of the jobs-invariant text summary.
-  EXPECT_NE(tree_report.ToText().find("snapshot fallbacks (ran cold): 2 of 5"),
+  CampaignReport snap_report = RunCampaign(setup, scenarios, snap);
+  ExpectReportsIdentical(cold_report, snap_report);
+  EXPECT_EQ(snap_report.snapshot_fallbacks, 3u);
+  // The fallback count is part of the jobs-invariant text summary...
+  EXPECT_NE(snap_report.ToText().find("snapshot fallbacks (ran cold): 3 of 5"),
             std::string::npos)
-      << tree_report.ToText();
+      << snap_report.ToText();
   // ...but only when snapshot execution was requested at all.
   EXPECT_EQ(cold_report.ToText().find("snapshot fallbacks"), std::string::npos);
 }
 
-// Fork-windows exploration (mutants open their fault window at the parent's
-// trigger point) is a search-semantics change, not an execution-mode one:
-// the same exploration must be bit-identical under cold, flat-snapshot,
-// and tree execution, and crash minimization must still reproduce.
-TEST(SnapshotTree, ExplorerForkWindowsIdenticalAcrossModes) {
-  ExplorerOptions eopts;
-  eopts.rounds = 2;
-  eopts.scenarios_per_round = 6;
-  eopts.seed = 5;
-  eopts.fork_windows = true;
-  eopts.campaign = BaseOptions(apps::kPidginEntry);
-  Explorer cold(apps::PidginMachineSetup(), apps::LibcProfiles(), eopts);
-  ExplorerReport cold_report = cold.Explore();
-  eopts.campaign.snapshot = true;
-  Explorer flat(apps::PidginMachineSetup(), apps::LibcProfiles(), eopts);
-  ExplorerReport flat_report = flat.Explore();
-  eopts.campaign.snapshot = false;
-  eopts.campaign.snapshot_tree = true;
-  Explorer tree(apps::PidginMachineSetup(), apps::LibcProfiles(), eopts);
-  ExplorerReport tree_report = tree.Explore();
-
-  for (const ExplorerReport* r : {&flat_report, &tree_report}) {
-    EXPECT_EQ(cold_report.coverage, r->coverage);
-    EXPECT_EQ(cold_report.union_offsets(), r->union_offsets());
-    ASSERT_EQ(cold_report.corpus.size(), r->corpus.size());
-    for (size_t i = 0; i < cold_report.corpus.size(); ++i) {
-      EXPECT_EQ(cold_report.corpus[i].ToXml(), r->corpus[i].ToXml());
-    }
-    ASSERT_EQ(cold_report.crashes.size(), r->crashes.size());
-    for (size_t i = 0; i < cold_report.crashes.size(); ++i) {
-      EXPECT_EQ(cold_report.crashes[i].hash, r->crashes[i].hash);
-      EXPECT_EQ(cold_report.crashes[i].window, r->crashes[i].window);
-      EXPECT_EQ(cold_report.crashes[i].minimized.ToXml(),
-                r->crashes[i].minimized.ToXml());
-      EXPECT_EQ(cold_report.crashes[i].reproduces, r->crashes[i].reproduces);
-    }
-  }
-  // Minimized reproducers must re-verify — the window travelled with them.
-  for (const CrashReport& cr : cold_report.crashes) {
-    EXPECT_TRUE(cr.reproduces) << cr.signature;
-  }
-}
-
 // Explorer end-to-end: coverage-guided rounds + triage + minimization are
 // bit-identical whether scenarios execute cold or via snapshot restore.
+// Fork-windows exploration (mutants open their fault window at the
+// parent's trigger point) is a search-semantics change, not an
+// execution-mode one, so the identity holds with it on too — and crash
+// minimization must still reproduce, the window travelling with the plan.
 TEST(SnapshotDiff, ExplorerIdenticalUnderSnapshot) {
-  ExplorerOptions eopts;
-  eopts.rounds = 2;
-  eopts.scenarios_per_round = 6;
-  eopts.seed = 5;
-  eopts.campaign = BaseOptions(apps::kPidginEntry);
-  Explorer cold(apps::PidginMachineSetup(), apps::LibcProfiles(), eopts);
-  ExplorerReport cold_report = cold.Explore();
-  eopts.campaign.snapshot = true;
-  Explorer snap(apps::PidginMachineSetup(), apps::LibcProfiles(), eopts);
-  ExplorerReport snap_report = snap.Explore();
+  for (bool fork_windows : {false, true}) {
+    SCOPED_TRACE(fork_windows ? "fork windows" : "campaign window");
+    ExplorerOptions eopts;
+    eopts.rounds = 2;
+    eopts.scenarios_per_round = 6;
+    eopts.seed = 5;
+    eopts.fork_windows = fork_windows;
+    eopts.campaign = BaseOptions(apps::kPidginEntry);
+    Explorer cold(apps::PidginMachineSetup(), apps::LibcProfiles(), eopts);
+    ExplorerReport cold_report = cold.Explore();
+    eopts.campaign.snapshot = true;
+    Explorer snap(apps::PidginMachineSetup(), apps::LibcProfiles(), eopts);
+    ExplorerReport snap_report = snap.Explore();
 
-  EXPECT_EQ(cold_report.coverage, snap_report.coverage);
-  EXPECT_EQ(cold_report.union_offsets(), snap_report.union_offsets());
-  ASSERT_EQ(cold_report.corpus.size(), snap_report.corpus.size());
-  for (size_t i = 0; i < cold_report.corpus.size(); ++i) {
-    EXPECT_EQ(cold_report.corpus[i].ToXml(), snap_report.corpus[i].ToXml());
-  }
-  ASSERT_EQ(cold_report.crashes.size(), snap_report.crashes.size());
-  for (size_t i = 0; i < cold_report.crashes.size(); ++i) {
-    EXPECT_EQ(cold_report.crashes[i].hash, snap_report.crashes[i].hash);
-    EXPECT_EQ(cold_report.crashes[i].minimized.ToXml(),
-              snap_report.crashes[i].minimized.ToXml());
-    EXPECT_EQ(cold_report.crashes[i].reproduces,
-              snap_report.crashes[i].reproduces);
+    EXPECT_EQ(cold_report.coverage, snap_report.coverage);
+    EXPECT_EQ(cold_report.union_offsets(), snap_report.union_offsets());
+    ASSERT_EQ(cold_report.corpus.size(), snap_report.corpus.size());
+    for (size_t i = 0; i < cold_report.corpus.size(); ++i) {
+      EXPECT_EQ(cold_report.corpus[i].ToXml(), snap_report.corpus[i].ToXml());
+    }
+    ASSERT_EQ(cold_report.crashes.size(), snap_report.crashes.size());
+    for (size_t i = 0; i < cold_report.crashes.size(); ++i) {
+      const CrashReport& a = cold_report.crashes[i];
+      const CrashReport& b = snap_report.crashes[i];
+      EXPECT_EQ(a.hash, b.hash);
+      EXPECT_EQ(a.window, b.window);
+      EXPECT_EQ(a.minimized.ToXml(), b.minimized.ToXml());
+      EXPECT_EQ(a.reproduces, b.reproduces);
+    }
+    if (fork_windows) {
+      for (const CrashReport& cr : cold_report.crashes) {
+        EXPECT_TRUE(cr.reproduces) << cr.signature;
+      }
+    }
   }
 }
 

@@ -2,22 +2,24 @@
 //
 // ExecMode::Superblock fuses straight-line instruction runs and hoists
 // coverage/instruction accounting to one update per span, so this suite
-// proves — not assumes — that it is bit-identical to both the predecoded
-// and reference engines:
+// proves — not assumes — that it is bit-identical to the reference
+// engine (the decode-per-step semantic oracle):
 //
 //   - differential runs of the tier-1 workloads (db-suite + Pidgin):
 //     instruction counts, exits, faults, coverage bitmaps, injection logs,
-//     and replay XML equal across all three engines;
+//     and replay XML equal across both engines;
 //   - a snapshot taken mid-superblock (warmup not on a block boundary)
 //     restores the exact instruction counter and coverage;
 //   - a seeded random-program differential fuzzer: every generated program
 //     (branches, calls, faults, wild jumps, syscalls) must leave identical
-//     registers, memory digests, instruction counts, and coverage on all
-//     three engines — failures dump the program as a reproducer;
+//     registers, memory digests, instruction counts, and coverage on both
+//     engines — failures dump the program as a reproducer;
 //   - property tests that the CodeCache superblock partition agrees with
 //     analysis/cfg block leaders, tiles the slot space exactly, and that
-//     mid-instruction jump targets fall back to DecodeOne as in the
-//     predecoded engine.
+//     mid-instruction jump targets fall back to DecodeOne with the exact
+//     reference fault;
+//   - code-cache lifecycle: the decoded streams survive interposition
+//     reinstall, Machine::Reset, and post-run module loads.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -45,10 +47,6 @@ namespace {
 
 using isa::CodeBuilder;
 using isa::Reg;
-
-constexpr vm::ExecMode kAllModes[] = {
-    vm::ExecMode::Superblock, vm::ExecMode::Predecoded,
-    vm::ExecMode::Reference};
 
 // ---- tier-1 workload differential -------------------------------------------
 
@@ -120,23 +118,21 @@ ExecOutcome RunDbSuiteOnce(vm::ExecMode mode, uint64_t seed) {
   return out;
 }
 
-TEST(SuperblockDiff, DbSuiteIdenticalAcrossThreeEngines) {
+TEST(SuperblockDiff, DbSuiteIdenticalAcrossEngines) {
   for (uint64_t seed : {7u, 21u, 93u, 400u}) {
     SCOPED_TRACE("seed=" + std::to_string(seed));
     ExecOutcome ref = RunDbSuiteOnce(vm::ExecMode::Reference, seed);
-    ExecOutcome pre = RunDbSuiteOnce(vm::ExecMode::Predecoded, seed);
     ExecOutcome sb = RunDbSuiteOnce(vm::ExecMode::Superblock, seed);
     ExpectIdentical(sb, ref);
-    ExpectIdentical(pre, ref);
     EXPECT_GT(sb.total_instructions, 0u);
   }
 }
 
 /// The Pidgin scenario through the public workload driver, switching the
 /// engine via the LFI_EXEC environment override the driver's machines
-/// obey. Every leg sets the variable explicitly (an inherited LFI_EXEC
-/// must not collapse two legs onto the same engine); the caller's value
-/// is restored after.
+/// obey. Both legs set the variable explicitly (an inherited LFI_EXEC
+/// must not collapse them onto the same engine); the caller's value is
+/// restored after.
 apps::PidginRunResult RunPidginInMode(vm::ExecMode mode, uint64_t seed) {
   const char* prev = getenv("LFI_EXEC");
   std::string saved = prev ? prev : "";
@@ -150,25 +146,22 @@ apps::PidginRunResult RunPidginInMode(vm::ExecMode mode, uint64_t seed) {
   return r;
 }
 
-TEST(SuperblockDiff, PidginScenarioIdenticalAcrossThreeEngines) {
+TEST(SuperblockDiff, PidginScenarioIdenticalAcrossEngines) {
   bool any_abort = false;
   for (uint64_t seed = 1; seed <= 6; ++seed) {
     SCOPED_TRACE("seed=" + std::to_string(seed));
     apps::PidginRunResult ref = RunPidginInMode(vm::ExecMode::Reference, seed);
-    for (vm::ExecMode mode :
-         {vm::ExecMode::Superblock, vm::ExecMode::Predecoded}) {
-      SCOPED_TRACE(vm::ExecModeName(mode));
-      apps::PidginRunResult fast = RunPidginInMode(mode, seed);
-      EXPECT_EQ(fast.aborted, ref.aborted);
-      EXPECT_EQ(fast.deadlocked, ref.deadlocked);
-      EXPECT_EQ(fast.exit_code, ref.exit_code);
-      EXPECT_EQ(fast.fault_message, ref.fault_message);
-      EXPECT_EQ(fast.injections, ref.injections);
-      EXPECT_EQ(fast.replay.ToXml(), ref.replay.ToXml());
-    }
+    apps::PidginRunResult fast =
+        RunPidginInMode(vm::ExecMode::Superblock, seed);
+    EXPECT_EQ(fast.aborted, ref.aborted);
+    EXPECT_EQ(fast.deadlocked, ref.deadlocked);
+    EXPECT_EQ(fast.exit_code, ref.exit_code);
+    EXPECT_EQ(fast.fault_message, ref.fault_message);
+    EXPECT_EQ(fast.injections, ref.injections);
+    EXPECT_EQ(fast.replay.ToXml(), ref.replay.ToXml());
     any_abort |= ref.aborted;
   }
-  // The bug should still fire somewhere in this seed range on all engines.
+  // The bug should still fire somewhere in this seed range on both engines.
   EXPECT_TRUE(any_abort);
 }
 
@@ -247,17 +240,13 @@ SnapOutcome RunSnapshotRoundTrip(vm::ExecMode mode) {
 TEST(SuperblockSnapshot, MidSuperblockRoundTripIdenticalAcrossEngines) {
   SnapOutcome ref = RunSnapshotRoundTrip(vm::ExecMode::Reference);
   ExpectIdentical(ref.restored, ref.cold);
-  for (vm::ExecMode mode :
-       {vm::ExecMode::Superblock, vm::ExecMode::Predecoded}) {
-    SCOPED_TRACE(vm::ExecModeName(mode));
-    SnapOutcome fast = RunSnapshotRoundTrip(mode);
-    // Replaying from the restore point reproduces the first pass exactly...
-    ExpectIdentical(fast.restored, fast.cold);
-    // ...and the whole trajectory matches the other engines.
-    EXPECT_EQ(fast.warm_instructions, ref.warm_instructions);
-    EXPECT_EQ(fast.warm_pc, ref.warm_pc);
-    ExpectIdentical(fast.cold, ref.cold);
-  }
+  SnapOutcome fast = RunSnapshotRoundTrip(vm::ExecMode::Superblock);
+  // Replaying from the restore point reproduces the first pass exactly...
+  ExpectIdentical(fast.restored, fast.cold);
+  // ...and the whole trajectory matches the reference engine.
+  EXPECT_EQ(fast.warm_instructions, ref.warm_instructions);
+  EXPECT_EQ(fast.warm_pc, ref.warm_pc);
+  ExpectIdentical(fast.cold, ref.cold);
 }
 
 // ---- seeded random-program differential fuzzer ------------------------------
@@ -489,31 +478,25 @@ std::string DumpProgram(const sso::SharedObject& so, uint64_t seed) {
   return out;
 }
 
-TEST(SuperblockFuzz, RandomProgramsIdenticalAcrossThreeEngines) {
+TEST(SuperblockFuzz, RandomProgramsIdenticalAcrossEngines) {
   int divergences = 0;
   for (uint64_t seed = 1; seed <= 200 && divergences < 3; ++seed) {
     sso::SharedObject program = ProgramGen(seed).Build();
     FuzzOutcome ref = RunFuzzProgram(program, vm::ExecMode::Reference);
-    FuzzOutcome pre = RunFuzzProgram(program, vm::ExecMode::Predecoded);
     FuzzOutcome sb = RunFuzzProgram(program, vm::ExecMode::Superblock);
-    for (const auto& [name, fast] : {std::pair<const char*, FuzzOutcome&>{
-                                         "superblock", sb},
-                                     {"predecoded", pre}}) {
-      if (fast == ref) continue;
-      ++divergences;
-      SCOPED_TRACE(DumpProgram(program, seed));
-      SCOPED_TRACE(name);
-      EXPECT_EQ(fast.run, ref.run);
-      EXPECT_EQ(fast.state, ref.state);
-      EXPECT_EQ(fast.exit_code, ref.exit_code);
-      EXPECT_EQ(fast.signal, ref.signal);
-      EXPECT_EQ(fast.fault_message, ref.fault_message);
-      EXPECT_EQ(fast.instructions, ref.instructions);
-      EXPECT_EQ(fast.pc, ref.pc);
-      EXPECT_EQ(fast.regs, ref.regs);
-      EXPECT_EQ(fast.mem_digest, ref.mem_digest);
-      EXPECT_EQ(fast.coverage, ref.coverage);
-    }
+    if (sb == ref) continue;
+    ++divergences;
+    SCOPED_TRACE(DumpProgram(program, seed));
+    EXPECT_EQ(sb.run, ref.run);
+    EXPECT_EQ(sb.state, ref.state);
+    EXPECT_EQ(sb.exit_code, ref.exit_code);
+    EXPECT_EQ(sb.signal, ref.signal);
+    EXPECT_EQ(sb.fault_message, ref.fault_message);
+    EXPECT_EQ(sb.instructions, ref.instructions);
+    EXPECT_EQ(sb.pc, ref.pc);
+    EXPECT_EQ(sb.regs, ref.regs);
+    EXPECT_EQ(sb.mem_digest, ref.mem_digest);
+    EXPECT_EQ(sb.coverage, ref.coverage);
   }
   EXPECT_EQ(divergences, 0);
 }
@@ -597,16 +580,16 @@ TEST(SuperblockProperty, PartitionAgreesWithCfgOnTier1Modules) {
   }
 }
 
-/// A jump into the middle of an instruction has no predecoded slot; the
-/// superblock engine must take the same DecodeOne fallback as predecoded
-/// and fault with the exact reference message.
+/// A jump into the middle of an instruction has no decoded slot; the
+/// superblock engine must take the DecodeOne fallback and fault with the
+/// exact reference message.
 TEST(SuperblockProperty, MidInstructionJumpFallsBackToDecodeOne) {
   auto build = [] {
     CodeBuilder b;
     b.begin_function("main");
     // Prologue is 5 bytes (push bp; mov bp, sp); this MOV_RI sits at
     // offset 5, so its imm64 begins at offset 7. The low imm byte 0xFF is
-    // not a valid opcode — jumping there must SIGILL identically on all
+    // not a valid opcode — jumping there must SIGILL identically on both
     // engines.
     b.mov_ri(Reg::R2, 0xFF);
     b.mov_ri(Reg::R3, static_cast<int64_t>(vm::ModuleCodeBase(1) + 7));
@@ -625,13 +608,69 @@ TEST(SuperblockProperty, MidInstructionJumpFallsBackToDecodeOne) {
   EXPECT_EQ(ref.state, vm::ProcState::Faulted);
   EXPECT_EQ(ref.signal, vm::Signal::Ill);
   EXPECT_NE(ref.fault.find("unknown opcode"), std::string::npos) << ref.fault;
-  for (vm::ExecMode mode :
-       {vm::ExecMode::Superblock, vm::ExecMode::Predecoded}) {
-    SCOPED_TRACE(vm::ExecModeName(mode));
-    test::RunResult fast = run(mode);
-    EXPECT_EQ(fast.state, ref.state);
-    EXPECT_EQ(fast.signal, ref.signal);
-    EXPECT_EQ(fast.fault, ref.fault);
+  test::RunResult fast = run(vm::ExecMode::Superblock);
+  EXPECT_EQ(fast.state, ref.state);
+  EXPECT_EQ(fast.signal, ref.signal);
+  EXPECT_EQ(fast.fault, ref.fault);
+}
+
+// ---- code-cache lifecycle ----------------------------------------------------
+
+sso::SharedObject TwiceApp() {
+  CodeBuilder b;
+  b.begin_function("twice");
+  b.mov_ri(Reg::R0, 7);
+  b.leave_ret();
+  b.end_function();
+  b.begin_function("main");
+  b.call_sym("twice");  // through the PLT: interposable
+  b.leave_ret();
+  b.end_function();
+  return sso::FromCodeUnit("app.so", b.Finish());
+}
+
+TEST(CodeCache, SurvivesReinstallAndReset) {
+  vm::Machine machine;
+  machine.SetExecMode(vm::ExecMode::Superblock);
+  machine.Load(libc::BuildLibc());
+  machine.Load(TwiceApp());
+
+  EXPECT_EQ(test::RunEntry(machine, "main").exit_code, 7);
+
+  // Interposition reinstall bumps the loader generation: resolution must
+  // change while the decoded streams stay valid.
+  machine.loader().RegisterNative(
+      "twice", [](vm::NativeFrame&) { return vm::NativeAction::Ret(99); });
+  machine.Reset();
+  EXPECT_EQ(test::RunEntry(machine, "main").exit_code, 99);
+
+  // Uninstalling (ClearNatives) must re-resolve to the original again.
+  machine.loader().ClearNatives();
+  machine.Reset();
+  EXPECT_EQ(test::RunEntry(machine, "main").exit_code, 7);
+
+  // A module loaded after processes have run gets its stream on demand.
+  CodeBuilder b2;
+  b2.begin_function("entry2");
+  b2.mov_ri(Reg::R0, 42);
+  b2.leave_ret();
+  b2.end_function();
+  machine.Load(sso::FromCodeUnit("late.so", b2.Finish()));
+  machine.Reset();
+  EXPECT_EQ(test::RunEntry(machine, "entry2").exit_code, 42);
+
+  // Stream invariants: every module has a stream whose slot<->offset maps
+  // round-trip.
+  const vm::Loader& loader = machine.loader();
+  for (const auto& mod : loader.modules()) {
+    const vm::CodeCache::ModuleStream* stream =
+        loader.code_cache().stream(mod->index);
+    ASSERT_NE(stream, nullptr) << mod->object.name;
+    ASSERT_FALSE(stream->instrs.empty()) << mod->object.name;
+    ASSERT_EQ(stream->slot_of_offset.size(), mod->object.code.size());
+    for (uint32_t slot = 0; slot < stream->instrs.size(); ++slot) {
+      EXPECT_EQ(stream->slot_of_offset[stream->instrs[slot].offset], slot);
+    }
   }
 }
 

@@ -582,7 +582,7 @@ TEST(DirtyMap, ReEnableSameSizePreservesMarks) {
   dm.Enable(3 * DirtyMap::kPageSize);
   dm.Mark(DirtyMap::kPageSize, 1);
   ASSERT_EQ(dm.DirtyCount(), 1u);
-  // Double-Enable at the same size: layered snapshot-tree captures re-arm
+  // Double-Enable at the same size: layered snapshot tree captures re-arm
   // the journal after copying pages out, so marks recorded in between must
   // survive — a silent wipe here would lose writes.
   dm.Enable(3 * DirtyMap::kPageSize);

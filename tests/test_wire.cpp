@@ -8,7 +8,9 @@
 
 #include <bit>
 #include <cmath>
+#include <thread>
 
+#include "serve/coordinator.hpp"
 #include "serve/wire.hpp"
 
 namespace lfi::serve {
@@ -186,10 +188,10 @@ TEST(Wire, OptionsRoundTrip) {
   o.track_coverage = true;
   o.collect_scenario_coverage = true;
   o.collect_replays = true;
-  o.snapshot_tree = true;
+  o.snapshot = true;
   o.warmup_instructions = 4096;
   o.collect_state_digest = true;
-  o.exec_mode = vm::ExecMode::Predecoded;
+  o.exec_mode = vm::ExecMode::Reference;
   o.controller.log_backtraces = false;
   o.controller.log_capacity = 42;
   o.controller.feasible_only = true;
@@ -209,7 +211,6 @@ TEST(Wire, OptionsRoundTrip) {
   EXPECT_EQ(d.collect_scenario_coverage, o.collect_scenario_coverage);
   EXPECT_EQ(d.collect_replays, o.collect_replays);
   EXPECT_EQ(d.snapshot, o.snapshot);
-  EXPECT_EQ(d.snapshot_tree, o.snapshot_tree);
   EXPECT_EQ(d.warmup_instructions, o.warmup_instructions);
   EXPECT_EQ(d.collect_state_digest, o.collect_state_digest);
   EXPECT_EQ(d.exec_mode, o.exec_mode);
@@ -230,6 +231,48 @@ TEST(Wire, FeasibleOnlyDefaultsOffOnTheWire) {
   auto decoded = DecodeOptions(r);
   ASSERT_TRUE(decoded.ok()) << decoded.error();
   EXPECT_FALSE(decoded.value().controller.feasible_only);
+}
+
+TEST(Wire, OptionsRejectUnknownFlagBits) {
+  std::vector<uint8_t> good;
+  EncodeOptions(good, campaign::CampaignOptions());
+  // The flags byte follows jobs (i64), shard (u8), entry (u32 length +
+  // bytes), max_instructions and default_heap_cap (u64 each).
+  const size_t flags_off = 8 + 1 + 4 + std::string("main").size() + 8 + 8;
+  ASSERT_EQ(good[flags_off], 0u);
+  // Bit 4 (the retired flat-vs-tree snapshot switch) and bit 7 are
+  // undefined; every defined bit still decodes.
+  for (int bit = 0; bit < 8; ++bit) {
+    std::vector<uint8_t> buf = good;
+    buf[flags_off] = static_cast<uint8_t>(1u << bit);
+    Reader r(buf);
+    auto decoded = DecodeOptions(r);
+    SCOPED_TRACE("bit " + std::to_string(bit));
+    EXPECT_EQ(decoded.ok(), bit != 4 && bit != 7);
+  }
+}
+
+// A worker still speaking the previous protocol version answers Hello with
+// its own version; the coordinator must refuse it before sending Configure.
+TEST(Wire, HandshakeRejectsPreviousVersion) {
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  std::thread old_worker([fd = fds[1]] {
+    auto hello = ReadFrame(fd, 5000);
+    ASSERT_TRUE(hello.ok()) << hello.error();
+    EXPECT_EQ(hello.value().type, MsgType::Hello);
+    std::vector<uint8_t> reply;
+    PutU32(reply, kWireVersion - 1);
+    EXPECT_TRUE(WriteFrame(fd, MsgType::Hello, reply).ok());
+    ::close(fd);
+  });
+  FabricCoordinator fabric(TargetSpec{}, {}, campaign::CampaignOptions());
+  Status st = fabric.AddWorkerFd(fds[0], "v3");
+  old_worker.join();
+  ASSERT_FALSE(st.ok());
+  EXPECT_NE(st.error().find("version mismatch"), std::string::npos)
+      << st.error();
+  EXPECT_EQ(fabric.live_workers(), 0u);
 }
 
 TEST(Wire, BitmapRoundTrip) {
