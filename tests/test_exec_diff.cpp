@@ -1,9 +1,18 @@
-// Differential tests for the predecoded execution engine: every tier-1
-// workload must behave bit-identically on the fused decode-once loop
-// (ExecMode::Predecoded) and the reference decode-per-step path
-// (ExecMode::Reference) — instruction counts, exit codes, faults, coverage
-// bitmaps, and injection logs. Plus code-cache lifecycle tests across
-// interposition reinstall, Machine::Reset, and post-run module loads.
+// Differential tests of the execution engines on the tier-1 workloads:
+// the superblock engine (ExecMode::Superblock) must behave bit-identically
+// to the reference decode-per-step path (ExecMode::Reference), the
+// semantic oracle.
+//
+//   - db-suite and Pidgin runs: instruction counts, exits, faults,
+//     coverage bitmaps, injection logs, and replay XML equal across both
+//     engines;
+//   - a snapshot taken mid-superblock (warmup not on a block boundary)
+//     restores the exact instruction counter and coverage;
+//   - code-cache lifecycle: the decoded streams survive interposition
+//     reinstall, Machine::Reset, and post-run module loads.
+//
+// Synthetic-program fuzzing and superblock partition properties live in
+// test_superblock.cpp.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -24,6 +33,8 @@ namespace {
 using isa::CodeBuilder;
 using isa::Reg;
 
+// ---- tier-1 workload differential -------------------------------------------
+
 /// Everything an engine run can observably produce.
 struct ExecOutcome {
   vm::ProcState state = vm::ProcState::Exited;
@@ -37,16 +48,16 @@ struct ExecOutcome {
   std::string replay_xml;
 };
 
-void ExpectIdentical(const ExecOutcome& pre, const ExecOutcome& ref) {
-  EXPECT_EQ(pre.state, ref.state);
-  EXPECT_EQ(pre.exit_code, ref.exit_code);
-  EXPECT_EQ(pre.signal, ref.signal);
-  EXPECT_EQ(pre.fault_message, ref.fault_message);
-  EXPECT_EQ(pre.total_instructions, ref.total_instructions);
-  EXPECT_EQ(pre.proc_instructions, ref.proc_instructions);
-  EXPECT_EQ(pre.coverage, ref.coverage);
-  EXPECT_EQ(pre.injections, ref.injections);
-  EXPECT_EQ(pre.replay_xml, ref.replay_xml);
+void ExpectIdentical(const ExecOutcome& fast, const ExecOutcome& ref) {
+  EXPECT_EQ(fast.state, ref.state);
+  EXPECT_EQ(fast.exit_code, ref.exit_code);
+  EXPECT_EQ(fast.signal, ref.signal);
+  EXPECT_EQ(fast.fault_message, ref.fault_message);
+  EXPECT_EQ(fast.total_instructions, ref.total_instructions);
+  EXPECT_EQ(fast.proc_instructions, ref.proc_instructions);
+  EXPECT_EQ(fast.coverage, ref.coverage);
+  EXPECT_EQ(fast.injections, ref.injections);
+  EXPECT_EQ(fast.replay_xml, ref.replay_xml);
 }
 
 std::vector<std::string> FormatLog(const core::InjectionLog& log) {
@@ -94,24 +105,23 @@ ExecOutcome RunDbSuiteOnce(vm::ExecMode mode, uint64_t seed) {
 
 TEST(ExecDiff, DbSuiteIdenticalAcrossEngines) {
   for (uint64_t seed : {7u, 21u, 93u, 400u}) {
-    ExecOutcome pre = RunDbSuiteOnce(vm::ExecMode::Predecoded, seed);
-    ExecOutcome ref = RunDbSuiteOnce(vm::ExecMode::Reference, seed);
     SCOPED_TRACE("seed=" + std::to_string(seed));
-    ExpectIdentical(pre, ref);
-    EXPECT_GT(pre.total_instructions, 0u);
+    ExecOutcome ref = RunDbSuiteOnce(vm::ExecMode::Reference, seed);
+    ExecOutcome sb = RunDbSuiteOnce(vm::ExecMode::Superblock, seed);
+    ExpectIdentical(sb, ref);
+    EXPECT_GT(sb.total_instructions, 0u);
   }
 }
 
 /// The Pidgin scenario through the public workload driver, switching the
 /// engine via the LFI_EXEC environment override the driver's machines
-/// obey. Both legs set the variable explicitly (an inherited
-/// LFI_EXEC=reference must not turn the Predecoded leg into
-/// reference-vs-reference), and the caller's value is restored after.
+/// obey. Both legs set the variable explicitly (an inherited LFI_EXEC
+/// must not collapse them onto the same engine); the caller's value is
+/// restored after.
 apps::PidginRunResult RunPidginInMode(vm::ExecMode mode, uint64_t seed) {
   const char* prev = getenv("LFI_EXEC");
   std::string saved = prev ? prev : "";
-  setenv("LFI_EXEC",
-         mode == vm::ExecMode::Reference ? "reference" : "predecoded", 1);
+  setenv("LFI_EXEC", vm::ExecModeName(mode), 1);
   apps::PidginRunResult r = apps::RunPidginRandomIo(0.1, seed);
   if (prev) {
     setenv("LFI_EXEC", saved.c_str(), 1);
@@ -124,19 +134,104 @@ apps::PidginRunResult RunPidginInMode(vm::ExecMode mode, uint64_t seed) {
 TEST(ExecDiff, PidginScenarioIdenticalAcrossEngines) {
   bool any_abort = false;
   for (uint64_t seed = 1; seed <= 6; ++seed) {
-    apps::PidginRunResult pre = RunPidginInMode(vm::ExecMode::Predecoded, seed);
-    apps::PidginRunResult ref = RunPidginInMode(vm::ExecMode::Reference, seed);
     SCOPED_TRACE("seed=" + std::to_string(seed));
-    EXPECT_EQ(pre.aborted, ref.aborted);
-    EXPECT_EQ(pre.deadlocked, ref.deadlocked);
-    EXPECT_EQ(pre.exit_code, ref.exit_code);
-    EXPECT_EQ(pre.fault_message, ref.fault_message);
-    EXPECT_EQ(pre.injections, ref.injections);
-    EXPECT_EQ(pre.replay.ToXml(), ref.replay.ToXml());
-    any_abort |= pre.aborted;
+    apps::PidginRunResult ref = RunPidginInMode(vm::ExecMode::Reference, seed);
+    apps::PidginRunResult fast =
+        RunPidginInMode(vm::ExecMode::Superblock, seed);
+    EXPECT_EQ(fast.aborted, ref.aborted);
+    EXPECT_EQ(fast.deadlocked, ref.deadlocked);
+    EXPECT_EQ(fast.exit_code, ref.exit_code);
+    EXPECT_EQ(fast.fault_message, ref.fault_message);
+    EXPECT_EQ(fast.injections, ref.injections);
+    EXPECT_EQ(fast.replay.ToXml(), ref.replay.ToXml());
+    any_abort |= ref.aborted;
   }
   // The bug should still fire somewhere in this seed range on both engines.
   EXPECT_TRUE(any_abort);
+}
+
+// ---- snapshot taken mid-superblock ------------------------------------------
+
+/// Warmup counts land mid-superblock almost always; this nudges one that
+/// happens to sit on a boundary forward until it does not, so the test
+/// exercises exactly the "counter re-materialized inside a fused span"
+/// case the superblock engine must get right.
+bool PcIsMidSuperblock(vm::Machine& machine, uint64_t pc) {
+  const vm::LoadedModule* mod = machine.loader().module_at(pc);
+  if (mod == nullptr) return false;
+  const vm::CodeCache::ModuleStream* stream =
+      machine.loader().code_cache().stream(mod->index);
+  if (stream == nullptr) return false;
+  uint32_t off = static_cast<uint32_t>(pc - mod->code_base);
+  uint32_t slot = stream->slot_of_offset[off];
+  if (slot == vm::CodeCache::kNoSlot) return false;
+  return slot != stream->superblocks[stream->sb_of_slot[slot]].first_slot;
+}
+
+struct SnapOutcome {
+  uint64_t warm_instructions = 0;
+  uint64_t warm_pc = 0;
+  ExecOutcome cold;      // snapshot point -> completion, first pass
+  ExecOutcome restored;  // restore -> completion, second pass
+};
+
+SnapOutcome RunSnapshotRoundTrip(vm::ExecMode mode) {
+  vm::Machine machine;
+  machine.SetExecMode(mode);
+  apps::DbSuiteMachineSetup()(machine);
+  vm::CoverageTracker* cov = machine.EnableCoverage();
+  SnapOutcome out;
+  auto pid = machine.CreateProcess(apps::kDbTestEntry);
+  EXPECT_TRUE(pid.ok());
+  if (!pid.ok()) return out;
+  vm::Process* proc = machine.process(pid.value());
+  uint64_t warm = proc->Run(1237);
+  // Nudge off superblock boundaries (and off the rare mid-warmup exit).
+  for (int i = 0; i < 16 && proc->state() == vm::ProcState::Runnable &&
+                  !PcIsMidSuperblock(machine, proc->pc());
+       ++i) {
+    warm += proc->Run(1);
+  }
+  EXPECT_EQ(proc->state(), vm::ProcState::Runnable);
+  EXPECT_TRUE(PcIsMidSuperblock(machine, proc->pc()));
+  out.warm_instructions = warm;
+  out.warm_pc = proc->pc();
+  machine.Snapshot();
+
+  auto capture = [&]() {
+    ExecOutcome o;
+    auto info = machine.RunToCompletion(pid.value(), 50'000'000);
+    o.state = info.state;
+    o.exit_code = info.exit_code;
+    o.signal = info.signal;
+    o.fault_message = info.fault_message;
+    o.total_instructions = machine.total_instructions();
+    o.proc_instructions = machine.process(pid.value())->instructions();
+    for (size_t m = 0; m < cov->module_count(); ++m) {
+      o.coverage.push_back(cov->executed(m).ToOffsets());
+    }
+    return o;
+  };
+  out.cold = capture();
+  EXPECT_TRUE(machine.RestoreSnapshot());
+  // The restore must land on the exact mid-span instruction counter and
+  // pc, with coverage rolled back to the snapshot's bitmaps.
+  EXPECT_EQ(machine.process(pid.value())->instructions(), warm);
+  EXPECT_EQ(machine.process(pid.value())->pc(), out.warm_pc);
+  out.restored = capture();
+  return out;
+}
+
+TEST(SuperblockSnapshot, MidSuperblockRoundTripIdenticalAcrossEngines) {
+  SnapOutcome ref = RunSnapshotRoundTrip(vm::ExecMode::Reference);
+  ExpectIdentical(ref.restored, ref.cold);
+  SnapOutcome fast = RunSnapshotRoundTrip(vm::ExecMode::Superblock);
+  // Replaying from the restore point reproduces the first pass exactly...
+  ExpectIdentical(fast.restored, fast.cold);
+  // ...and the whole trajectory matches the reference engine.
+  EXPECT_EQ(fast.warm_instructions, ref.warm_instructions);
+  EXPECT_EQ(fast.warm_pc, ref.warm_pc);
+  ExpectIdentical(fast.cold, ref.cold);
 }
 
 // ---- code-cache lifecycle ----------------------------------------------------
@@ -156,14 +251,14 @@ sso::SharedObject TwiceApp() {
 
 TEST(CodeCache, SurvivesReinstallAndReset) {
   vm::Machine machine;
-  machine.SetExecMode(vm::ExecMode::Predecoded);
+  machine.SetExecMode(vm::ExecMode::Superblock);
   machine.Load(libc::BuildLibc());
   machine.Load(TwiceApp());
 
   EXPECT_EQ(test::RunEntry(machine, "main").exit_code, 7);
 
   // Interposition reinstall bumps the loader generation: resolution must
-  // change while the predecoded streams stay valid.
+  // change while the decoded streams stay valid.
   machine.loader().RegisterNative(
       "twice", [](vm::NativeFrame&) { return vm::NativeAction::Ret(99); });
   machine.Reset();
@@ -197,40 +292,6 @@ TEST(CodeCache, SurvivesReinstallAndReset) {
       EXPECT_EQ(stream->slot_of_offset[stream->instrs[slot].offset], slot);
     }
   }
-}
-
-/// A jump into the middle of an instruction has no predecoded slot; the
-/// fallback decoder must produce the exact reference fault.
-TEST(CodeCache, MidInstructionJumpMatchesReference) {
-  auto build = [] {
-    CodeBuilder b;
-    b.begin_function("main");
-    // Prologue is 5 bytes (push bp; mov bp, sp); this MOV_RI sits at
-    // offset 5, so its imm64 begins at offset 7. The low imm byte 0xFF is
-    // not a valid opcode — jumping there must SIGILL identically on both
-    // engines.
-    b.mov_ri(Reg::R2, 0xFF);
-    b.mov_ri(Reg::R3,
-             static_cast<int64_t>(vm::ModuleCodeBase(1) + 7));
-    b.jmp_ind(Reg::R3);
-    b.leave_ret();
-    b.end_function();
-    return sso::FromCodeUnit("app.so", b.Finish());
-  };
-  auto run = [&](vm::ExecMode mode) {
-    vm::Machine machine;  // kernel is module 0, app is module 1
-    machine.SetExecMode(mode);
-    machine.Load(build());
-    return test::RunEntry(machine, "main");
-  };
-  test::RunResult pre = run(vm::ExecMode::Predecoded);
-  test::RunResult ref = run(vm::ExecMode::Reference);
-  EXPECT_EQ(pre.state, vm::ProcState::Faulted);
-  EXPECT_EQ(pre.state, ref.state);
-  EXPECT_EQ(pre.signal, vm::Signal::Ill);
-  EXPECT_EQ(pre.signal, ref.signal);
-  EXPECT_EQ(pre.fault, ref.fault);
-  EXPECT_NE(pre.fault.find("unknown opcode"), std::string::npos) << pre.fault;
 }
 
 }  // namespace
