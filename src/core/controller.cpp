@@ -75,25 +75,42 @@ Status Controller::Install(
   // Drop any previous installation first: stale stubs in the loader would
   // otherwise keep pointers into the engine/profiles replaced below.
   Uninstall();
-  profiles_ = profiles ? std::move(profiles)
-                       : std::make_shared<const std::vector<FaultProfile>>();
-  engine_ =
-      std::make_unique<TriggerEngine>(plan, *profiles_, opts_.feasible_only);
-
-  // Resolve every name exactly once, against the machine's symbol table:
-  // the stubs below only ever touch dense ids and cached pointers.
-  ProfileIndex profile_index(*profiles_, machine_.symbols());
-  for (const std::string& fn : engine_->functions()) {
+  installed_ = true;
+  engine_.reset();  // it points into the profile index
+  static const auto kNoProfiles =
+      std::make_shared<const std::vector<FaultProfile>>();
+  if (!profiles) profiles = kNoProfiles;
+  // The profile index is per (controller, profile set): a campaign hands
+  // every scenario the same shared set, so it is built once.
+  if (profiles != profiles_ || !profile_index_) {
+    profiles_ = std::move(profiles);
+    profile_index_ = std::make_unique<ProfileIndex>(
+        *profiles_, machine_.symbols(), opts_.feasible_only);
+    ++profile_index_builds_;
+  }
+  // Planned names are interned once, into the machine's symbol table: the
+  // stubs below only ever touch dense ids and cached pointers.
+  engine_ = std::make_unique<TriggerEngine>(plan, machine_.symbols(),
+                                            *profile_index_);
+  for (TriggerEngine::FunctionState& fn : engine_->function_states()) {
     auto state = std::make_shared<StubState>();
-    state->symbol = machine_.symbols().Intern(fn);
-    state->log_symbol = log_.Intern(fn);
-    state->engine_state = engine_->state_for(fn);
-    state->needs_backtrace = engine_->needs_backtrace(fn);
-    state->profile = profile_index.function(state->symbol);
+    state->symbol = fn.symbol();
+    if (state->symbol >= log_ids_.size()) {
+      log_ids_.resize(state->symbol + 1, util::kNoSymbol);
+    }
+    util::SymbolId& log_id = log_ids_[state->symbol];
+    if (log_id == util::kNoSymbol) {
+      log_id = log_.Intern(machine_.symbols().name(state->symbol));
+    }
+    state->log_symbol = log_id;
+    state->engine_state = &fn;
+    state->needs_backtrace = fn.needs_backtrace();
+    state->profile = profile_index_->function(state->symbol);
     stubs_.push_back(state);
 
     machine_.loader().RegisterNative(
-        fn, [this, state](vm::NativeFrame& frame) -> vm::NativeAction {
+        state->symbol,
+        [this, state](vm::NativeFrame& frame) -> vm::NativeAction {
           vm::Loader& loader = machine_.loader();
           auto original = [&]() -> uint64_t {
             if (state->resolved_generation != loader.generation()) {
@@ -289,6 +306,8 @@ void Controller::ApplySeu(const SeuFault& seu) {
 }
 
 void Controller::Uninstall() {
+  if (!installed_) return;  // Reset() then Install(): clear once
+  installed_ = false;
   machine_.loader().ClearNatives();
   stubs_.clear();
   machine_.ClearInstructionStops();
@@ -298,7 +317,6 @@ void Controller::Uninstall() {
 void Controller::Reset() {
   Uninstall();
   engine_.reset();
-  profiles_.reset();
   log_.Clear();
   first_injection_instructions_ = 0;
   seu_landed_ = 0;

@@ -62,12 +62,18 @@ class Controller {
                  std::shared_ptr<const std::vector<FaultProfile>> profiles);
 
   /// Remove all stubs (the loader then resolves to the originals again).
+  /// A no-op when nothing was installed since the last Uninstall.
   void Uninstall();
 
-  /// Return to the pre-Install state: remove stubs, drop the trigger engine
-  /// and profiles, clear the injection log (sequence numbers restart).
+  /// Return to the pre-Install state: remove stubs, drop the trigger
+  /// engine, clear the injection log (sequence numbers restart). The
+  /// profile index stays cached for the next Install of the same set.
   /// Pairs with vm::Machine::Reset for scenario-to-scenario reuse.
   void Reset();
+
+  /// How many times Install built a ProfileIndex: once per distinct
+  /// profile set handed in, not once per plan.
+  uint64_t profile_index_builds() const { return profile_index_builds_; }
 
   InjectionLog& log() { return log_; }
   const InjectionLog& log() const { return log_; }
@@ -106,8 +112,18 @@ class Controller {
 
   vm::Machine& machine_;
   ControllerOptions opts_;
-  std::unique_ptr<TriggerEngine> engine_;
+  /// The profile set of the last Install and its index over the machine's
+  /// symbol table (declared before engine_, which points into it).
   std::shared_ptr<const std::vector<FaultProfile>> profiles_;
+  std::unique_ptr<ProfileIndex> profile_index_;
+  uint64_t profile_index_builds_ = 0;
+  std::unique_ptr<TriggerEngine> engine_;
+  /// Machine SymbolId -> injection-log id, interned on first sight (log
+  /// ids survive log_.Clear()).
+  std::vector<util::SymbolId> log_ids_;
+  /// Whether the loader may hold stubs Uninstall must clear. Starts true:
+  /// the first Install clears whatever was registered before it.
+  bool installed_ = true;
   InjectionLog log_;
   uint64_t first_injection_instructions_ = 0;
   std::vector<std::shared_ptr<StubState>> stubs_;

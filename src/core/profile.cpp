@@ -38,12 +38,12 @@ bool FunctionProfile::has_analyzed_codes() const {
   return false;
 }
 
-std::vector<std::pair<int64_t, std::optional<int64_t>>>
-FunctionProfile::injectables(bool feasible_only) const {
+std::vector<Injectable> FunctionProfile::injectables(
+    bool feasible_only) const {
   // Feasibility gate: only meaningful when the analysis vouched for at
   // least one code — a purely hand-written profile keeps its full set.
   const bool restrict_to_analyzed = feasible_only && has_analyzed_codes();
-  std::vector<std::pair<int64_t, std::optional<int64_t>>> out;
+  std::vector<Injectable> out;
   for (const auto& ec : error_codes) {
     if (restrict_to_analyzed && ec.provenance != Provenance::Analyzed) {
       continue;
@@ -69,12 +69,14 @@ const FunctionProfile* FaultProfile::function(std::string_view name) const {
 }
 
 ProfileIndex::ProfileIndex(const std::vector<FaultProfile>& profiles,
-                           util::SymbolTable& symbols) {
+                           util::SymbolTable& symbols, bool feasible_only) {
   for (const FaultProfile& profile : profiles) {
     for (const FunctionProfile& fn : profile.functions) {
       util::SymbolId id = symbols.Intern(fn.name);
-      if (id >= by_id_.size()) by_id_.resize(id + 1, nullptr);
-      if (by_id_[id] == nullptr) by_id_[id] = &fn;
+      if (id >= by_id_.size()) by_id_.resize(id + 1);
+      if (by_id_[id].profile == nullptr) {
+        by_id_[id] = Entry{&fn, fn.injectables(feasible_only)};
+      }
     }
   }
 }

@@ -56,6 +56,10 @@ struct ProfileErrorCode {
   std::vector<ProfileSideEffect> side_effects;
 };
 
+/// One profile-drawn fault: (retval, errno value stored by its TLS side
+/// effect, if any).
+using Injectable = std::pair<int64_t, std::optional<int64_t>>;
+
 struct FunctionProfile {
   std::string name;
   std::vector<ProfileErrorCode> error_codes;
@@ -67,8 +71,7 @@ struct FunctionProfile {
   /// With `feasible_only`, restrict to constprop-verified (Analyzed) error
   /// codes when the function has at least one — unanalyzed functions fall
   /// back to the full set, so hand-written profiles keep working.
-  std::vector<std::pair<int64_t, std::optional<int64_t>>> injectables(
-      bool feasible_only = false) const;
+  std::vector<Injectable> injectables(bool feasible_only = false) const;
   /// Any error code carrying Analyzed provenance?
   bool has_analyzed_codes() const;
 };
@@ -84,22 +87,35 @@ struct FaultProfile {
 };
 
 /// Resolve-once view over a profile set: interns every profiled function
-/// name into `symbols` and maps SymbolId -> FunctionProfile, so install
-/// paths look profiles up by dense id (array index) instead of a linear
-/// string scan per function. The first profile containing a function wins,
-/// matching the search order of the string API. The index borrows the
+/// name into `symbols` and maps SymbolId -> (FunctionProfile, its
+/// injectables under the `feasible_only` gate), so install paths look
+/// profiles up by dense id (array index) instead of a linear string scan
+/// per function. The first profile containing a function wins, matching
+/// the search order of the string API. A Controller builds one per
+/// profile set and shares it with every TriggerEngine it installs, so a
+/// plan install never re-walks the profiles. The index borrows the
 /// profiles — it must not outlive them.
 class ProfileIndex {
  public:
-  ProfileIndex(const std::vector<FaultProfile>& profiles,
-               util::SymbolTable& symbols);
+  struct Entry {
+    const FunctionProfile* profile = nullptr;
+    std::vector<Injectable> injectables;
+  };
 
+  ProfileIndex(const std::vector<FaultProfile>& profiles,
+               util::SymbolTable& symbols, bool feasible_only = false);
+
+  /// The entry for a profiled function, or nullptr.
+  const Entry* find(util::SymbolId id) const {
+    return id < by_id_.size() && by_id_[id].profile ? &by_id_[id] : nullptr;
+  }
   const FunctionProfile* function(util::SymbolId id) const {
-    return id < by_id_.size() ? by_id_[id] : nullptr;
+    const Entry* entry = find(id);
+    return entry ? entry->profile : nullptr;
   }
 
  private:
-  std::vector<const FunctionProfile*> by_id_;
+  std::vector<Entry> by_id_;
 };
 
 }  // namespace lfi::core

@@ -4,17 +4,46 @@
 
 namespace lfi::core {
 
+TriggerEngine::TriggerEngine(const Plan& plan, util::SymbolTable& symbols,
+                             const ProfileIndex& profiles)
+    : plan_(plan), symbols_(&symbols), rng_(plan.seed) {
+  Init(profiles);
+}
+
 TriggerEngine::TriggerEngine(const Plan& plan,
                              const std::vector<FaultProfile>& profiles,
                              bool feasible_only)
-    : plan_(plan), rng_(plan.seed) {
-  // Intern every planned function; state_ is indexed by the resulting
-  // dense ids and never resized afterwards (stable handles).
+    : plan_(plan),
+      own_symbols_(std::make_unique<util::SymbolTable>()),
+      own_profiles_(std::make_unique<ProfileIndex>(profiles, *own_symbols_,
+                                                   feasible_only)),
+      symbols_(own_symbols_.get()),
+      rng_(plan.seed) {
+  Init(*own_profiles_);
+}
+
+void TriggerEngine::Init(const ProfileIndex& profiles) {
+  // One intern per trigger; slot_of maps a table id to its state_ entry
+  // (first-appearance order). state_ is never resized afterwards (stable
+  // handles).
+  std::vector<uint32_t> slot_of;
+  std::vector<util::SymbolId> trigger_symbols(plan_.triggers.size());
+  for (size_t i = 0; i < plan_.triggers.size(); ++i) {
+    util::SymbolId id = symbols_->Intern(plan_.triggers[i].function);
+    trigger_symbols[i] = id;
+    if (id >= slot_of.size()) slot_of.resize(id + 1, UINT32_MAX);
+    if (slot_of[id] == UINT32_MAX) {
+      slot_of[id] = static_cast<uint32_t>(state_.size());
+      state_.emplace_back();
+      state_.back().symbol_ = id;
+      if (const ProfileIndex::Entry* entry = profiles.find(id)) {
+        state_.back().injectables_ = &entry->injectables;
+      }
+    }
+  }
   for (size_t i = 0; i < plan_.triggers.size(); ++i) {
     const FunctionTrigger& t = plan_.triggers[i];
-    util::SymbolId id = symbols_.Intern(t.function);
-    if (id >= state_.size()) state_.resize(id + 1);
-    FunctionState& st = state_[id];
+    FunctionState& st = state_[slot_of[trigger_symbols[i]]];
     TriggerState ts{i, 0, 0};
     // Plain call-count triggers are kept sorted by their fire count and
     // consumed by a cursor; they cost nothing on calls that do not match.
@@ -34,14 +63,6 @@ TriggerEngine::TriggerEngine(const Plan& plan,
                        return a.inject_call < b.inject_call;
                      });
   }
-  // Profile lookup by dense id (first profile with the function wins).
-  ProfileIndex index(profiles, symbols_);
-  for (util::SymbolId id = 0; id < state_.size(); ++id) {
-    if (!state_[id].has_triggers()) continue;
-    if (const FunctionProfile* fn = index.function(id)) {
-      state_[id].injectables_ = fn->injectables(feasible_only);
-    }
-  }
 }
 
 TriggerEngine::FunctionState* TriggerEngine::state_for(
@@ -51,10 +72,12 @@ TriggerEngine::FunctionState* TriggerEngine::state_for(
 
 const TriggerEngine::FunctionState* TriggerEngine::find_state(
     std::string_view function) const {
-  util::SymbolId id = symbols_.Find(function);
-  if (id == util::kNoSymbol || id >= state_.size()) return nullptr;
-  const FunctionState& st = state_[id];
-  return st.has_triggers() ? &st : nullptr;
+  util::SymbolId id = symbols_->Find(function);
+  if (id == util::kNoSymbol) return nullptr;
+  for (const FunctionState& st : state_) {
+    if (st.symbol_ == id) return &st;
+  }
+  return nullptr;
 }
 
 bool TriggerEngine::has_triggers_for(std::string_view function) const {
@@ -68,8 +91,9 @@ bool TriggerEngine::needs_backtrace(std::string_view function) const {
 
 std::vector<std::string> TriggerEngine::functions() const {
   std::vector<std::string> out;
-  for (util::SymbolId id = 0; id < state_.size(); ++id) {
-    if (state_[id].has_triggers()) out.push_back(symbols_.name(id));
+  out.reserve(state_.size());
+  for (const FunctionState& st : state_) {
+    out.push_back(symbols_->name(st.symbol_));
   }
   return out;
 }
@@ -87,7 +111,7 @@ std::optional<TriggerEngine::StateView> TriggerEngine::InspectState(
   view.call_count = st->call_count_;
   view.indexed_triggers = st->indexed_.size();
   view.general_triggers = st->general_.size();
-  view.injectables = st->injectables_.size();
+  view.injectables = st->injectables_ ? st->injectables_->size() : 0;
   view.any_stack_conditions = st->any_stack_conditions_;
   return view;
 }
@@ -131,15 +155,16 @@ std::optional<InjectionDecision> TriggerEngine::Fire(
     d.has_retval = true;
     d.retval = *trigger.retval;
     d.errno_value = trigger.errno_value;
-  } else if (!st.injectables_.empty()) {
+  } else if (st.injectables_ != nullptr && !st.injectables_->empty()) {
     // Draw the fault from the profile: rotating for exhaustive scenarios,
     // uniformly at random otherwise (§4).
-    std::pair<int64_t, std::optional<int64_t>> pick;
+    const std::vector<Injectable>& codes = *st.injectables_;
+    Injectable pick;
     if (trigger.mode == FunctionTrigger::Mode::Rotate) {
-      pick = st.injectables_[ts.rotate_index % st.injectables_.size()];
+      pick = codes[ts.rotate_index % codes.size()];
       ++ts.rotate_index;
     } else {
-      pick = st.injectables_[rng_.below(st.injectables_.size())];
+      pick = codes[rng_.below(codes.size())];
     }
     d.has_retval = true;
     d.retval = pick.first;

@@ -6,9 +6,10 @@
 // caller, so it is only materialized when some trigger actually has
 // stack-trace conditions (keeping per-call overhead low — Table 3/4).
 //
-// Function names are interned into a plan-local SymbolTable at
-// construction; per-function state lives in a flat vector indexed by that
-// dense id. A stub resolves its FunctionState* once at install time, and
+// Function names are interned once per trigger at construction, into the
+// SymbolTable a ProfileIndex was built against; per-function state lives
+// in a flat vector, one entry per distinct planned function. A stub
+// resolves its FunctionState* once at install time, and
 // OnCall(FunctionState&, ...) is then pure index arithmetic — the hot-path
 // invariant is that no string is hashed or compared and no map is walked
 // per intercepted call. The string-taking entry points are thin
@@ -17,6 +18,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -58,8 +60,17 @@ class TriggerEngine {
   };
 
  public:
-  /// With `feasible_only`, profile draws (Rotate cycling and uniform
-  /// random picks) are restricted to constprop-verified error codes for
+  /// Build against a shared profile index: planned function names are
+  /// interned into `symbols`, the table `profiles` was built against, and
+  /// profile draws come from the index's injectables. This is the
+  /// Controller's per-Install path: O(plan triggers), nothing rebuilt.
+  /// The index must outlive the engine.
+  TriggerEngine(const Plan& plan, util::SymbolTable& symbols,
+                const ProfileIndex& profiles);
+
+  /// Standalone engine over a private table and index. With
+  /// `feasible_only`, profile draws (Rotate cycling and uniform random
+  /// picks) are restricted to constprop-verified error codes for
   /// functions that have any (FunctionProfile::injectables's gate);
   /// triggers with an explicit retval are unaffected.
   TriggerEngine(const Plan& plan, const std::vector<FaultProfile>& profiles,
@@ -67,18 +78,19 @@ class TriggerEngine {
 
   /// Opaque per-function handle; lets a stub skip the name lookup on the
   /// hot path (resolved once at install time). The trigger plumbing is
-  /// engine-internal; callers only read the call count.
+  /// engine-internal; callers read the identity and the call count.
   class FunctionState {
    public:
     uint64_t call_count() const { return call_count_; }
+    /// The function's id in the engine's symbol table.
+    util::SymbolId symbol() const { return symbol_; }
+    /// True if any trigger on the function needs a backtrace to evaluate.
+    bool needs_backtrace() const { return any_stack_conditions_; }
 
    private:
     friend class TriggerEngine;
 
-    bool has_triggers() const {
-      return !indexed_.empty() || !general_.empty();
-    }
-
+    util::SymbolId symbol_ = util::kNoSymbol;
     uint64_t call_count_ = 0;
     /// Call-count triggers without stack conditions, sorted by target
     /// count and consumed by `cursor_` as the count advances; evaluating a
@@ -88,10 +100,15 @@ class TriggerEngine {
     size_t cursor_ = 0;  // first indexed_ entry not yet passed
     /// Everything else: evaluated on every call, in plan order.
     std::vector<TriggerState> general_;
-    /// (retval, errno) pairs injectable per the fault profile.
-    std::vector<std::pair<int64_t, std::optional<int64_t>>> injectables_;
+    /// (retval, errno) pairs injectable per the fault profile; owned by
+    /// the ProfileIndex, nullptr when the function is not profiled.
+    const std::vector<Injectable>* injectables_ = nullptr;
     bool any_stack_conditions_ = false;
   };
+
+  /// Every planned function's handle, one per distinct function in order
+  /// of first appearance in the plan.
+  std::vector<FunctionState>& function_states() { return state_; }
 
   /// Resolve a function's state handle once; nullptr when the plan has no
   /// triggers for it.
@@ -116,9 +133,6 @@ class TriggerEngine {
   uint64_t injection_count() const { return injections_; }
   const Plan& plan() const { return plan_; }
 
-  /// The plan-local name interner (ids index the engine's state vector).
-  const util::SymbolTable& symbols() const { return symbols_; }
-
   /// Narrow test-only window into the per-function plumbing; production
   /// callers use the opaque FunctionState handle instead.
   struct StateView {
@@ -136,11 +150,17 @@ class TriggerEngine {
   std::optional<InjectionDecision> Fire(const FunctionTrigger& trigger,
                                         TriggerState& ts, FunctionState& st);
   const FunctionState* find_state(std::string_view function) const;
+  /// Shared constructor body: intern the plan and build per-function state.
+  void Init(const ProfileIndex& profiles);
 
   Plan plan_;
-  util::SymbolTable symbols_;
-  /// Indexed by the plan-local SymbolId of the function name. Sized once
-  /// at construction, so FunctionState addresses are stable.
+  /// Standalone engines own their table and index; shared-index engines
+  /// leave these empty.
+  std::unique_ptr<util::SymbolTable> own_symbols_;
+  std::unique_ptr<ProfileIndex> own_profiles_;
+  util::SymbolTable* symbols_ = nullptr;
+  /// One entry per distinct planned function. Sized once at construction,
+  /// so FunctionState addresses are stable.
   std::vector<FunctionState> state_;
   mutable Rng rng_;
   uint64_t injections_ = 0;

@@ -157,12 +157,17 @@ Result<SharedObject> SharedObject::Parse(const std::vector<uint8_t>& bytes) {
       !r.strtab(&so.imports) || !r.strtab(&so.needed)) {
     return Err("sso: truncated object");
   }
+  if (so.code.size() > kMaxCodeBytes) return Err("sso: code section too big");
+  if (so.data.size() > kMaxDataBytes) return Err("sso: data section too big");
+  if (so.tls_size > kMaxTlsBytes) return Err("sso: TLS reservation too big");
   uint32_t nrelocs = 0;
   if (!r.u32(&nrelocs)) return Err("sso: truncated object");
   for (uint32_t i = 0; i < nrelocs; ++i) {
     uint32_t data_off = 0, code_off = 0;
     if (!r.u32(&data_off) || !r.u32(&code_off)) return Err("sso: bad reloc");
-    if (data_off + 8 > so.data.size() || code_off >= so.code.size()) {
+    // 64-bit: a u32 `data_off + 8` wraps for offsets near 2^32.
+    if (uint64_t{data_off} + 8 > so.data.size() ||
+        code_off >= so.code.size()) {
       return Err("sso: reloc out of range");
     }
     so.data_relocs.emplace_back(data_off, code_off);

@@ -23,6 +23,15 @@
 
 namespace lfi::sso {
 
+/// Load limits of the synthetic platform's module layout (vm/memory.hpp,
+/// static_assert'ed there): code must end at or before the module's data
+/// base, data before the next module's code, and one module's TLS slice
+/// must fit the process TLS segment. Parse rejects any object beyond them,
+/// so every parsed object maps without overlap.
+inline constexpr uint64_t kMaxCodeBytes = 0x8'0000;
+inline constexpr uint64_t kMaxDataBytes = 0x8'0000;
+inline constexpr uint32_t kMaxTlsBytes = 4096;
+
 struct SharedObject {
   std::string name;                  // e.g. "libc.so"
   std::vector<uint8_t> code;
@@ -51,7 +60,11 @@ struct SharedObject {
   /// Serialize to the on-disk format.
   std::vector<uint8_t> Serialize() const;
 
-  /// Parse the on-disk format; validates magic/version and string bounds.
+  /// Parse the on-disk format. Validates magic/version and string bounds,
+  /// and every invariant Loader::Load relies on: section sizes and TLS
+  /// within the load limits, relocations and export offsets inside their
+  /// sections. Bytes from outside the process (files, serve frames) only
+  /// reach the loader through here.
   static Result<SharedObject> Parse(const std::vector<uint8_t>& bytes);
 
   /// Full text disassembly (function-annotated), for debugging and the

@@ -4,6 +4,7 @@ namespace lfi::util {
 
 SymbolId SymbolTable::Intern(std::string_view name) {
   std::lock_guard<std::mutex> lock(mu_);
+  ++lookups_;
   auto it = ids_.find(name);
   if (it != ids_.end()) return it->second;
   SymbolId id = static_cast<SymbolId>(names_.size());
@@ -14,6 +15,7 @@ SymbolId SymbolTable::Intern(std::string_view name) {
 
 SymbolId SymbolTable::Find(std::string_view name) const {
   std::lock_guard<std::mutex> lock(mu_);
+  ++lookups_;
   auto it = ids_.find(name);
   return it == ids_.end() ? kNoSymbol : it->second;
 }
@@ -27,6 +29,11 @@ const std::string& SymbolTable::name(SymbolId id) const {
 size_t SymbolTable::size() const {
   std::lock_guard<std::mutex> lock(mu_);
   return names_.size();
+}
+
+uint64_t SymbolTable::lookups() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return lookups_;
 }
 
 }  // namespace lfi::util

@@ -48,8 +48,13 @@ class SymbolTable {
   /// Number of distinct names interned so far.
   size_t size() const;
 
+  /// How many Intern and Find calls the table has served: the string
+  /// lookups an install path pays, which tests bound per installed plan.
+  uint64_t lookups() const;
+
  private:
   mutable std::mutex mu_;
+  mutable uint64_t lookups_ = 0;
   std::map<std::string, SymbolId, std::less<>> ids_;
   std::deque<std::string> names_;  // indexed by SymbolId; addresses stable
 };

@@ -7,23 +7,32 @@
 
 namespace lfi::vm {
 
+static_assert(sso::kMaxCodeBytes == kModuleDataDelta);
+static_assert(sso::kMaxDataBytes == kModuleSpacing - kModuleDataDelta);
+static_assert(sso::kMaxTlsBytes == kTlsSize);
+
 size_t Loader::Load(sso::SharedObject object) {
+  // Objects from outside the process were validated by SharedObject::Parse
+  // against the sso load limits; in-process builders stay within them by
+  // construction. The asserts below document the contract.
+  assert(object.code.size() <= sso::kMaxCodeBytes && "code section too big");
+  assert(object.data.size() <= sso::kMaxDataBytes && "data section too big");
+  assert(object.tls_size <= sso::kMaxTlsBytes && "TLS reservation too big");
   auto mod = std::make_unique<LoadedModule>();
   mod->index = modules_.size();
   mod->code_base = ModuleCodeBase(mod->index);
   mod->data_base = ModuleDataBase(mod->index);
   mod->object = std::move(object);
   mod->data_runtime = mod->object.data;
+  // Modules whose TLS slices together overrun the segment still load:
+  // guest TLS accesses are bounds-checked against the segment like any
+  // other access, so an overrun slice faults in the guest.
   mod->tls_base = tls_cursor_;
   tls_cursor_ += mod->object.tls_size;
-  assert(tls_cursor_ <= kTlsSize && "TLS segment exhausted");
-  assert(mod->object.code.size() < kModuleDataDelta && "code section too big");
-  assert(mod->object.data.size() <= kModuleSpacing - kModuleDataDelta &&
-         "data section too big");
   // Apply relative relocations: function-pointer slots in the data section.
   for (const auto& [data_off, code_off] : mod->object.data_relocs) {
     uint64_t addr = mod->code_base + code_off;
-    assert(data_off + 8 <= mod->data_runtime.size());
+    assert(uint64_t{data_off} + 8 <= mod->data_runtime.size());
     for (int i = 0; i < 8; ++i) {
       mod->data_runtime[data_off + static_cast<uint32_t>(i)] =
           static_cast<uint8_t>(addr >> (8 * i));
@@ -48,6 +57,7 @@ size_t Loader::Load(sso::SharedObject object) {
   code_cache_.EnsureModule(mod->index, mod->object);
   modules_.push_back(std::move(mod));
   ++generation_;
+  ++module_generation_;
   return modules_.size() - 1;
 }
 
@@ -62,9 +72,12 @@ void Loader::ResetData() {
   }
 }
 
-uint64_t Loader::RegisterNative(const std::string& name, NativeFn fn) {
+uint64_t Loader::RegisterNative(std::string_view name, NativeFn fn) {
+  return RegisterNative(symbols_.Intern(name), std::move(fn));
+}
+
+uint64_t Loader::RegisterNative(SymbolId id, NativeFn fn) {
   ++generation_;
-  SymbolId id = symbols_.Intern(name);
   if (id >= native_by_id_.size()) native_by_id_.resize(id + 1, kNoNative);
   if (native_by_id_[id] != kNoNative) {
     size_t slot = native_by_id_[id];
@@ -72,7 +85,7 @@ uint64_t Loader::RegisterNative(const std::string& name, NativeFn fn) {
     return kNativeStubBase + slot * kNativeStubSpacing;
   }
   size_t slot = natives_.size();
-  natives_.push_back({name, std::move(fn)});
+  natives_.push_back({&symbols_.name(id), std::move(fn)});
   native_by_id_[id] = slot;
   return kNativeStubBase + slot * kNativeStubSpacing;
 }
@@ -149,7 +162,7 @@ const LoadedModule* Loader::module_at(uint64_t addr) const {
 std::string Loader::Symbolize(uint64_t addr) const {
   if (IsNativeStubAddress(addr)) {
     size_t id = NativeStubIndex(addr);
-    if (id < natives_.size()) return "stub`" + natives_[id].name;
+    if (id < natives_.size()) return "stub`" + *natives_[id].name;
     return "stub`?";
   }
   const LoadedModule* mod = module_at(addr);
@@ -167,7 +180,7 @@ const NativeFn* Loader::native(size_t id) const {
 
 const std::string& Loader::native_name(size_t id) const {
   static const std::string empty;
-  return id < natives_.size() ? natives_[id].name : empty;
+  return id < natives_.size() ? *natives_[id].name : empty;
 }
 
 }  // namespace lfi::vm

@@ -111,7 +111,9 @@ class Loader {
 
   /// Register an interposition stub for `name`. Returns its stub address
   /// (usable as a function pointer). Re-registering replaces the stub.
-  uint64_t RegisterNative(const std::string& name, NativeFn fn);
+  uint64_t RegisterNative(std::string_view name, NativeFn fn);
+  /// Same, for an already-interned name (no string-table lookup).
+  uint64_t RegisterNative(SymbolId id, NativeFn fn);
   /// Remove all interposition stubs (keeps modules loaded).
   void ClearNatives();
   /// Toggle interposition without unregistering (baseline measurements).
@@ -158,14 +160,22 @@ class Loader {
   /// Total TLS bytes assigned to modules so far.
   uint32_t tls_used() const { return tls_cursor_; }
 
+  /// Resolution generation: bumped whenever symbol resolution could
+  /// change (Load, RegisterNative, ClearNatives, interposition toggles).
+  /// PLT and stub-original caches key on it.
   uint64_t generation() const { return generation_; }
+  /// Module-set generation: bumped only by Load. Everything derived from
+  /// the loaded modules alone — a process's AddressSpace, the superblock
+  /// engine's module binding — keys on it, so installing a plan's stubs
+  /// rebuilds nothing per process.
+  uint64_t module_generation() const { return module_generation_; }
 
  private:
   static constexpr size_t kNoNative = SIZE_MAX;
 
   std::vector<std::unique_ptr<LoadedModule>> modules_;
   struct Native {
-    std::string name;
+    const std::string* name;  // stable: owned by symbols_
     NativeFn fn;
   };
   std::vector<Native> natives_;
@@ -178,6 +188,7 @@ class Loader {
   std::vector<size_t> native_by_id_;
   bool interpose_enabled_ = true;
   uint64_t generation_ = 1;  // bumped whenever resolution could change
+  uint64_t module_generation_ = 1;  // bumped whenever a module loads
   uint32_t tls_cursor_ = 0;  // next module TLS slice (module-relative)
 };
 

@@ -50,6 +50,30 @@ size_t DirtyMap::DirtyCount() const {
   return count;
 }
 
+std::vector<uint8_t> SegmentPool::Acquire(uint64_t bytes) {
+  for (size_t i = 0; i < free_.size(); ++i) {
+    if (free_[i].size() == bytes) {
+      std::vector<uint8_t> buffer = std::move(free_[i]);
+      free_.erase(free_.begin() + static_cast<ptrdiff_t>(i));
+      return buffer;
+    }
+  }
+  return std::vector<uint8_t>(bytes, 0);
+}
+
+void SegmentPool::Release(std::vector<uint8_t> buffer,
+                          const DirtyMap& written) {
+  if (buffer.empty() || free_.size() >= kMaxFree) return;
+  const uint64_t bytes = buffer.size();
+  written.ForEachWrittenPage([&](uint64_t page) {
+    uint64_t off = page << DirtyMap::kPageBits;
+    if (off >= bytes) return;
+    std::memset(buffer.data() + off, 0,
+                std::min(DirtyMap::kPageSize, bytes - off));
+  });
+  free_.push_back(std::move(buffer));
+}
+
 void RestoreDirtyPages(DirtyMap& dirty, const uint8_t* from, uint8_t* to,
                        uint64_t bytes) {
   dirty.ForEachDirtyPage([&](uint64_t page) {

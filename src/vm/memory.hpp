@@ -53,85 +53,123 @@ inline size_t NativeStubIndex(uint64_t addr) {
   return static_cast<size_t>((addr - kNativeStubBase) / kNativeStubSpacing);
 }
 
-/// Page-granular dirty journal over one memory segment. Inert until
-/// Enable()d (Mark is a no-op), so the interpreter can mark every write
-/// unconditionally and only pays a load+branch when no snapshot exists.
-/// This is what makes Machine::RestoreSnapshot O(dirty pages): restore
-/// copies back only the pages a scenario actually wrote.
+/// Page-granular write tracking over one memory segment, as two bitmaps
+/// that one Mark call per write keeps together:
+///   - the snapshot journal: pages written since the last capture or
+///     restore. Inert until Enable()d, cleared by ClearAll. This is what
+///     makes Machine::RestoreTo O(dirty pages): restore copies back only
+///     the pages a scenario actually wrote.
+///   - the written set: pages written since the segment buffer was last
+///     zeroed. Live from construction with a segment size and never
+///     cleared, so every page outside it is still zero. This is what lets
+///     SegmentPool recycle a buffer by zeroing only those pages.
 class DirtyMap {
  public:
   static constexpr uint64_t kPageBits = 12;  // 4 KiB pages
   static constexpr uint64_t kPageSize = uint64_t{1} << kPageBits;
 
-  /// Start tracking a segment of `bytes` bytes. A fresh journal starts
+  /// A map with no written set (journal only, e.g. module data).
+  DirtyMap() = default;
+  /// A map over a freshly zeroed segment of `bytes` bytes: empty written
+  /// set, journal off.
+  explicit DirtyMap(uint64_t bytes)
+      : written_pages_(PageCount(bytes)),
+        written_((written_pages_ + 63) / 64, 0) {}
+
+  /// Start journaling a segment of `bytes` bytes. A fresh journal starts
   /// all-clean; re-enabling an already-enabled journal over the same size
   /// keeps its marks — snapshot tree captures layer on one journal and
   /// clear it explicitly once the dirty pages are copied out, so an Enable
   /// that silently wiped marks would lose writes recorded in between.
   /// Enabling at a different size rebuilds the journal all-clean.
   void Enable(uint64_t bytes) {
-    uint64_t pages = (bytes + kPageSize - 1) >> kPageBits;
+    uint64_t pages = PageCount(bytes);
     if (!words_.empty() && pages == pages_) return;
     pages_ = pages;
     words_.assign((pages_ + 63) / 64, 0);
   }
-  /// Stop tracking; Mark becomes a no-op again.
+  /// Stop journaling; the written set keeps recording.
   void Disable() {
     pages_ = 0;
     words_.clear();
   }
   bool enabled() const { return !words_.empty(); }
 
-  /// Record a write of [off, off+len) within the segment. No-op when
-  /// disabled; out-of-range pages are clamped (the caller already
-  /// bounds-checked the access against the segment).
+  /// Record a write of [off, off+len) within the segment, into the written
+  /// set and (when enabled) the journal. Out-of-range pages are clamped
+  /// (the caller already bounds-checked the access against the segment).
   void Mark(uint64_t off, uint64_t len) {
-    if (words_.empty() || len == 0) return;
+    uint64_t limit = std::max(pages_, written_pages_);
+    if (len == 0 || limit == 0) return;
     uint64_t first = off >> kPageBits;
-    uint64_t last = (off + len - 1) >> kPageBits;
-    if (last >= pages_) last = pages_ == 0 ? 0 : pages_ - 1;
-    for (uint64_t p = first; p <= last && p < pages_; ++p) {
-      words_[p >> 6] |= uint64_t{1} << (p & 63);
+    uint64_t last = std::min((off + len - 1) >> kPageBits, limit - 1);
+    for (uint64_t p = first; p <= last; ++p) {
+      uint64_t bit = uint64_t{1} << (p & 63);
+      if (p < written_pages_) written_[p >> 6] |= bit;
+      if (p < pages_) words_[p >> 6] |= bit;
     }
   }
 
   /// Mark every page dirty (e.g. after a wholesale rewrite like
   /// Loader::ResetData, which bypasses the per-write journal).
   void MarkAll() {
-    if (words_.empty()) return;
-    std::fill(words_.begin(), words_.end(), ~uint64_t{0});
-    if (uint64_t tail = pages_ & 63) {  // keep padding bits clean
-      words_.back() = (uint64_t{1} << tail) - 1;
-    }
+    FillAll(words_, pages_);
+    FillAll(written_, written_pages_);
   }
 
+  /// Clear the journal. The written set is only ever cleared by zeroing
+  /// the buffer it describes (SegmentPool::Release).
   void ClearAll() { std::fill(words_.begin(), words_.end(), 0); }
 
-  /// Invoke fn(page_index) for every dirty page, ascending.
+  /// Invoke fn(page_index) for every journal-dirty page, ascending.
   template <typename Fn>
   void ForEachDirtyPage(Fn&& fn) const {
-    for (size_t w = 0; w < words_.size(); ++w) {
-      uint64_t word = words_[w];
-      while (word != 0) {
-        uint64_t bit = static_cast<uint64_t>(__builtin_ctzll(word));
-        uint64_t page = w * 64 + bit;
-        if (page < pages_) fn(page);
-        word &= word - 1;
-      }
-    }
+    ForEachSet(words_, pages_, fn);
+  }
+  /// Invoke fn(page_index) for every page in the written set, ascending.
+  template <typename Fn>
+  void ForEachWrittenPage(Fn&& fn) const {
+    ForEachSet(written_, written_pages_, fn);
   }
 
   size_t DirtyCount() const;
 
  private:
-  uint64_t pages_ = 0;
+  static uint64_t PageCount(uint64_t bytes) {
+    return (bytes + kPageSize - 1) >> kPageBits;
+  }
+  static void FillAll(std::vector<uint64_t>& words, uint64_t pages) {
+    if (words.empty()) return;
+    std::fill(words.begin(), words.end(), ~uint64_t{0});
+    if (uint64_t tail = pages & 63) {  // keep padding bits clean
+      words.back() = (uint64_t{1} << tail) - 1;
+    }
+  }
+  template <typename Fn>
+  static void ForEachSet(const std::vector<uint64_t>& words, uint64_t pages,
+                         Fn&& fn) {
+    for (size_t w = 0; w < words.size(); ++w) {
+      uint64_t word = words[w];
+      while (word != 0) {
+        uint64_t bit = static_cast<uint64_t>(__builtin_ctzll(word));
+        uint64_t page = w * 64 + bit;
+        if (page < pages) fn(page);
+        word &= word - 1;
+      }
+    }
+  }
+
+  uint64_t pages_ = 0;  // journal
   std::vector<uint64_t> words_;
+  uint64_t written_pages_ = 0;  // written set
+  std::vector<uint64_t> written_;
 };
 
 /// Copy the dirty pages of `from` (sized `bytes`) into `to`, then clear the
 /// journal. Both buffers must hold at least `bytes` bytes. The workhorse of
 /// snapshot restore: cost is proportional to pages written since the last
-/// restore, not to the segment size.
+/// restore, not to the segment size. Every page it copies is already in
+/// the written set (a journal mark is always a written mark too).
 void RestoreDirtyPages(DirtyMap& dirty, const uint8_t* from, uint8_t* to,
                        uint64_t bytes);
 
@@ -174,28 +212,20 @@ PageDelta CaptureAllPages(const uint8_t* mem, uint64_t bytes);
 /// megabyte-sized vectors through the allocator on every process
 /// construction mmap/munmaps them each time — 512 page faults per spawn —
 /// and the pattern degenerates further when a snapshot pins the primary
-/// process's segments between spawns. The pool hands back a previously
-/// released buffer of the same size (one memset, no page-fault storm).
+/// process's segments between spawns. A buffer comes back with the
+/// written set of its segment's DirtyMap, and the pool zeroes exactly
+/// those pages, so recycling costs O(pages the process wrote) — a few
+/// pages for a short-lived process, not the whole megabyte.
 class SegmentPool {
  public:
-  /// A zeroed buffer of exactly `bytes` bytes.
-  std::vector<uint8_t> Acquire(uint64_t bytes) {
-    for (size_t i = 0; i < free_.size(); ++i) {
-      if (free_[i].size() == bytes) {
-        std::vector<uint8_t> buffer = std::move(free_[i]);
-        free_.erase(free_.begin() + static_cast<ptrdiff_t>(i));
-        std::fill(buffer.begin(), buffer.end(), uint8_t{0});
-        return buffer;
-      }
-    }
-    return std::vector<uint8_t>(bytes, 0);
-  }
+  /// A zeroed buffer of exactly `bytes` bytes. Recycled buffers were
+  /// cleaned on Release, so handing one out touches no page.
+  std::vector<uint8_t> Acquire(uint64_t bytes);
 
-  /// Return a buffer for reuse (dropped beyond a small cap).
-  void Release(std::vector<uint8_t> buffer) {
-    if (buffer.empty() || free_.size() >= kMaxFree) return;
-    free_.push_back(std::move(buffer));
-  }
+  /// Return a buffer for reuse (dropped beyond a small cap). `written`
+  /// must hold every page written since the buffer was acquired; those
+  /// pages are zeroed here.
+  void Release(std::vector<uint8_t> buffer, const DirtyMap& written);
 
  private:
   static constexpr size_t kMaxFree = 16;

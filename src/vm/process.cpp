@@ -40,6 +40,21 @@ namespace {
 std::vector<uint8_t> AcquireSegment(SegmentPool* pool, uint64_t bytes) {
   return pool ? pool->Acquire(bytes) : std::vector<uint8_t>(bytes, 0);
 }
+
+// Two's-complement guest arithmetic (exec_ops.inc): computed in uint64_t,
+// where wrapping is defined, and converted back (modular since C++20).
+inline int64_t WrapAdd(int64_t a, int64_t b) {
+  return static_cast<int64_t>(static_cast<uint64_t>(a) +
+                              static_cast<uint64_t>(b));
+}
+inline int64_t WrapSub(int64_t a, int64_t b) {
+  return static_cast<int64_t>(static_cast<uint64_t>(a) -
+                              static_cast<uint64_t>(b));
+}
+inline int64_t WrapMul(int64_t a, int64_t b) {
+  return static_cast<int64_t>(static_cast<uint64_t>(a) *
+                              static_cast<uint64_t>(b));
+}
 }  // namespace
 
 Process::Process(int pid, Loader& loader, kernel::KernelRuntime& kernel,
@@ -56,17 +71,23 @@ Process::Process(int pid, Loader& loader, kernel::KernelRuntime& kernel,
       // AddressSpace resolution order) rely on.
       heap_mem_(AcquireSegment(pool, std::min(heap_cap_bytes,
                                               kTlsBase - kHeapBase))),
-      tls_mem_(AcquireSegment(pool, kTlsSize)) {}
+      tls_mem_(AcquireSegment(pool, kTlsSize)),
+      stack_dirty_(stack_mem_.size()),
+      heap_dirty_(heap_mem_.size()),
+      tls_dirty_(tls_mem_.size()) {
+  // Mapped from birth, so kernel-side and instruction-stop accesses work
+  // on a process rebuilt by a snapshot restore before it runs again.
+  RemapIfNeeded();
+}
 
 Process::~Process() {
   if (pool_ == nullptr) return;
-  pool_->Release(std::move(stack_mem_));
-  pool_->Release(std::move(heap_mem_));
-  pool_->Release(std::move(tls_mem_));
+  pool_->Release(std::move(stack_mem_), stack_dirty_);
+  pool_->Release(std::move(heap_mem_), heap_dirty_);
+  pool_->Release(std::move(tls_mem_), tls_dirty_);
 }
 
 void Process::Start(uint64_t entry_addr) {
-  RemapIfNeeded();
   regs_[static_cast<size_t>(Reg::SP)] =
       static_cast<int64_t>(kStackBase + kStackSize);
   Push(static_cast<int64_t>(kExitSentinel));
@@ -160,7 +181,7 @@ bool Process::WriteU64(uint64_t addr, uint64_t value) {
 
 template <bool kFast>
 bool Process::PushT(int64_t v) {
-  int64_t sp = regs_[static_cast<size_t>(Reg::SP)] - 8;
+  int64_t sp = WrapSub(regs_[static_cast<size_t>(Reg::SP)], 8);
   regs_[static_cast<size_t>(Reg::SP)] = sp;
   if (!WriteU64<kFast>(static_cast<uint64_t>(sp), static_cast<uint64_t>(v))) {
     Fault(Signal::Segv, Format("stack overflow at sp=%llx",
@@ -179,7 +200,7 @@ bool Process::PopT(int64_t* v) {
                                (unsigned long long)sp));
     return false;
   }
-  regs_[static_cast<size_t>(Reg::SP)] = sp + 8;
+  regs_[static_cast<size_t>(Reg::SP)] = WrapAdd(sp, 8);
   *v = static_cast<int64_t>(raw);
   return true;
 }
@@ -217,10 +238,6 @@ void Process::RestoreCore(const ProcessCore& core) {
   instructions_ = core.instructions;
   heap_cursor_ = core.heap_cursor;
   shadow_ = core.shadow;
-  // Force a remap before the next instruction: a reconstructed process has
-  // no address space yet, and the regions' dirty pointers must point at
-  // this process's journals.
-  mapped_generation_ = 0;
 }
 
 void Process::RestoreFromSnapshot(const ProcessSnapshot& snap, bool full) {
@@ -233,6 +250,15 @@ void Process::RestoreFromSnapshot(const ProcessSnapshot& snap, bool full) {
                      std::vector<uint8_t>& mem) {
     if (full || !dirty.enabled()) {
       std::copy(image.begin(), image.end(), mem.begin());
+      // Only non-zero pages enter the written set: a zero image page left
+      // its target page zero, so recycling need not clean it.
+      for (uint64_t off = 0; off < mem.size(); off += DirtyMap::kPageSize) {
+        uint64_t len = std::min(DirtyMap::kPageSize, mem.size() - off);
+        const uint8_t* page = image.data() + off;
+        if (std::any_of(page, page + len, [](uint8_t b) { return b != 0; })) {
+          dirty.Mark(off, len);
+        }
+      }
       dirty.Enable(mem.size());
       dirty.ClearAll();  // Enable keeps stale marks; the copy covered them
     } else {
@@ -300,7 +326,10 @@ void Process::RestoreFromTree(const SnapshotTree& tree, SnapshotId target,
       // at its capture point, i.e. still zero-filled from construction.
       uint64_t len = std::min(DirtyMap::kPageSize, mem.size() - off);
       if (src) {
+        // The copy may bring bytes this buffer never held: record it in
+        // the written set (the journal mark is cleared below).
         std::memcpy(mem.data() + off, src, len);
+        dirty.Mark(off, len);
       } else {
         std::memset(mem.data() + off, 0, len);
       }
@@ -456,7 +485,7 @@ uint64_t Process::StateDigest() const {
 }
 
 void Process::RemapIfNeeded() {
-  if (mapped_generation_ == loader_.generation()) return;
+  if (mapped_generation_ == loader_.module_generation()) return;
   // (Re)build the address space: shared module images + private segments.
   // Writable regions carry their segment's dirty journal so writes through
   // the AddressSpace fallback (kernel, native stubs, reference engine) are
@@ -480,7 +509,8 @@ void Process::RemapIfNeeded() {
   }
   space_.map(Region{kTlsBase, tls_mem_.size(), tls_mem_.data(), true, "tls",
                     &tls_dirty_});
-  mapped_generation_ = loader_.generation();
+  mapped_generation_ = loader_.module_generation();
+  ++address_space_builds_;
 }
 
 void Process::Step() {
@@ -582,10 +612,10 @@ uint64_t Process::ExecSpanFused(const CodeCache::ModuleStream& stream_in,
   // module whose stream holds the target (SYSCALL into the kernel module,
   // RET back out, a resolved cross-module CALL_SYM), the loop settles the
   // finished segment and rebinds instead of returning. Safe because the
-  // loader generation cannot change between fused instructions — every
-  // mutating path (Load, RegisterNative, controller interposition) runs
-  // through DispatchCall/ExecNative or outside Run(), and those bodies
-  // LFI_STOP.
+  // module set cannot change between fused instructions — Load, like every
+  // resolution-changing path (RegisterNative, controller interposition),
+  // runs through DispatchCall/ExecNative or outside Run(), and those
+  // bodies LFI_STOP.
   const LoadedModule* modp = &mod_in;
   const CodeCache::ModuleStream* streamp = &stream_in;
   const isa::Instr* sbase = streamp->instrs.data();
@@ -790,14 +820,15 @@ lfi_dispatch:
 uint64_t Process::RunSuperblock(uint64_t budget) {
   uint64_t executed = 0;
   // Cached binding of the module containing pc: invalidated when pc leaves
-  // the module's text or the loader generation changes (a remap can also
-  // mean new modules, which may reallocate the code-cache stream table).
+  // the module's text or the module set changes (new modules may
+  // reallocate the code-cache stream table). Stub installs leave it be:
+  // they change resolution, not modules.
   const LoadedModule* mod = nullptr;
   const CodeCache::ModuleStream* stream = nullptr;
   uint64_t code_base = 0;
   uint64_t code_size = 0;
   while (state_ == ProcState::Runnable && executed < budget) {
-    if (mapped_generation_ != loader_.generation()) {
+    if (mapped_generation_ != loader_.module_generation()) {
       RemapIfNeeded();
       mod = nullptr;
     }

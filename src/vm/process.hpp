@@ -99,6 +99,10 @@ class Process final : public kernel::KernelContext {
 
   void set_coverage(CoverageTracker* tracker) { coverage_ = tracker; }
 
+  /// How many times this process (re)built its AddressSpace: once at
+  /// construction, then only when the loaded module set changes.
+  uint64_t address_space_builds() const { return address_space_builds_; }
+
   ExecMode exec_mode() const { return exec_mode_; }
   void set_exec_mode(ExecMode mode) { exec_mode_ = mode; }
 
@@ -185,7 +189,8 @@ class Process final : public kernel::KernelContext {
   void RestoreCore(const ProcessCore& core);
 
   void Fault(Signal sig, std::string message);
-  /// (Re)build the address space if modules changed since the last map.
+  /// (Re)build the address space if the module set changed since the
+  /// last map (stub installs do not count: stubs have no backing).
   void RemapIfNeeded();
   bool Push(int64_t v);
   bool Pop(int64_t* v);
@@ -252,15 +257,18 @@ class Process final : public kernel::KernelContext {
   std::vector<uint8_t> stack_mem_;
   std::vector<uint8_t> heap_mem_;
   std::vector<uint8_t> tls_mem_;
-  /// Dirty-page journals over the private segments, inert until a machine
-  /// snapshot enables them. Both write paths mark: FastMemPtr directly,
+  /// Write tracking over the private segments: the written sets (live
+  /// from construction; the SegmentPool zeroes those pages on release)
+  /// and the snapshot journals (inert until a machine snapshot enables
+  /// them). Every write path marks: FastMemPtr directly,
   /// AddressSpace::write through the Region::dirty pointers wired in
-  /// RemapIfNeeded.
+  /// RemapIfNeeded, and the restore page copies.
   DirtyMap stack_dirty_;
   DirtyMap heap_dirty_;
   DirtyMap tls_dirty_;
   uint64_t heap_cursor_ = 0;
-  uint64_t mapped_generation_ = 0;  // loader generation at last (re)mapping
+  uint64_t mapped_generation_ = 0;  // module generation at last (re)mapping
+  uint64_t address_space_builds_ = 0;
 
   std::vector<Frame> shadow_;
   CoverageTracker* coverage_ = nullptr;

@@ -383,6 +383,62 @@ TEST(Controller, RotatePlanDrawsFromProfiles) {
   EXPECT_EQ(r.exit_code, -1 * 1000 + E_INTR);
 }
 
+// A campaign installs one plan per scenario against one shared profile
+// set, so Install must cost O(plan): the profile index is built once per
+// controller and profile set, each install does at most two string-table
+// lookups per distinct planned function, and registering stubs rebuilds
+// no live process's address space (stubs change resolution, not the
+// module set).
+TEST(Controller, InstallCostIsProportionalToThePlan) {
+  FaultProfile profile;
+  profile.library = "libc.so";
+  for (const char* name : {"getpid", "geterrno", "read", "write", "close"}) {
+    FunctionProfile fn;
+    fn.name = name;
+    ProfileErrorCode ec;
+    ec.retval = -1;
+    fn.error_codes.push_back(ec);
+    profile.functions.push_back(fn);
+  }
+  auto profiles = std::make_shared<const std::vector<FaultProfile>>(
+      std::vector<FaultProfile>{profile});
+
+  vm::Machine machine;
+  machine.Load(libc::BuildLibc());
+  machine.Load(TwoCallApp());
+  Controller controller(machine);
+  auto pid = machine.CreateProcess("main");
+  ASSERT_TRUE(pid.ok());
+  const vm::Process& proc = *machine.process(pid.value());
+  const uint64_t builds = proc.address_space_builds();
+  auto lookups = [&] {
+    return machine.symbols().lookups() + controller.log().symbols().lookups();
+  };
+
+  Plan same = OneShot("getpid", 2, -55, std::nullopt);
+  Plan different = OneShot("getpid", 1, -7, std::nullopt);
+  different.triggers.push_back(
+      OneShot("close", 1, -1, E_BADF).triggers.front());
+  ASSERT_TRUE(controller.Install(same, profiles));
+  EXPECT_EQ(controller.profile_index_builds(), 1u);
+  for (const Plan* plan : {&different, &same, &different, &same}) {
+    controller.Reset();
+    const uint64_t before = lookups();
+    ASSERT_TRUE(controller.Install(*plan, profiles));
+    // One trigger per function in both plans.
+    EXPECT_LE(lookups() - before, 2 * plan->triggers.size());
+    EXPECT_EQ(controller.profile_index_builds(), 1u);
+  }
+
+  // The last plan's stubs work in the process that was live all along,
+  // which never rebuilt its address space: the second getpid fails.
+  auto info = machine.RunToCompletion(pid.value());
+  ASSERT_EQ(info.state, vm::ProcState::Exited) << info.fault_message;
+  EXPECT_EQ(info.exit_code, -55 * 1000);
+  EXPECT_EQ(proc.address_space_builds(), builds);
+  EXPECT_EQ(controller.profile_index_builds(), 1u);
+}
+
 // ---- C stub codegen ------------------------------------------------------------
 
 TEST(StubCodegen, EmitsPaperShapedStub) {

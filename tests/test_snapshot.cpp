@@ -177,6 +177,40 @@ TEST(SnapshotDiff, IdenticalToColdAcrossWindows) {
   EXPECT_FALSE(cold_report.snapshot_requested);
 }
 
+// Scenarios recycle the stack/heap/TLS buffers of the processes they spawn
+// and destroy, and the segment pool zeroes only the pages each process
+// wrote: a page it missed would leak into a later scenario's spawn. The
+// oracle runs every scenario alone on a fresh runner (no recycling
+// history); the final state digest hashes every byte of every process
+// segment, so cold and snapshot campaigns at jobs 1 and 4 must match it.
+TEST(SnapshotDiff, PidginSegmentRecyclingMatchesFreshRunners) {
+  auto setup = apps::PidginMachineSetup();
+  auto scenarios = MakeScenarios(16, 0.1, 31);
+  CampaignOptions cold = BaseOptions(apps::kPidginEntry);
+  cold.collect_state_digest = true;
+  CampaignReport fresh;
+  for (const Scenario& scenario : scenarios) {
+    CampaignReport one = RunCampaign(setup, {scenario}, cold);
+    fresh.results.push_back(one.results.at(0));
+  }
+  auto expect_fresh = [&](const CampaignReport& report) {
+    ASSERT_EQ(report.results.size(), fresh.results.size());
+    for (size_t i = 0; i < report.results.size(); ++i) {
+      SCOPED_TRACE("scenario " + std::to_string(i));
+      ExpectResultsIdentical(fresh.results[i], report.results[i]);
+      EXPECT_EQ(fresh.results[i].state_digest, report.results[i].state_digest);
+    }
+  };
+  expect_fresh(RunCampaign(setup, scenarios, cold));
+  for (int jobs : {1, 4}) {
+    SCOPED_TRACE("snapshot, jobs " + std::to_string(jobs));
+    CampaignOptions snap = cold;
+    snap.snapshot = true;
+    snap.jobs = jobs;
+    expect_fresh(RunCampaign(setup, scenarios, snap));
+  }
+}
+
 // Snapshot report identity must hold for any jobs count: each worker grows
 // its own window nodes, but results depend only on the scenario.
 TEST(SnapshotDiff, JobsInvariantUnderSnapshot) {

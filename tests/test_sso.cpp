@@ -99,6 +99,78 @@ TEST(Sso, ParseRejectsTrailingBytes) {
   EXPECT_FALSE(SharedObject::Parse(bytes).ok());
 }
 
+// Every invariant Loader::Load relies on is a Parse error, one regression
+// per check: release builds compile the loader's asserts out, so a crafted
+// object that parsed would write outside the module's buffers.
+Result<SharedObject> ParseTampered(void (*tamper)(SharedObject&)) {
+  SharedObject so = Sample();
+  tamper(so);
+  return SharedObject::Parse(so.Serialize());
+}
+
+TEST(Sso, ParseRejectsWrappingRelocOffset) {
+  // 0xFFFFFFFC + 8 wraps to 4 in u32 arithmetic, which is inside a
+  // 16-byte data section.
+  auto parsed = ParseTampered([](SharedObject& so) {
+    so.data.assign(16, 0);
+    so.data_relocs = {{0xFFFFFFFCu, 0}};
+  });
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_EQ(parsed.error(), "sso: reloc out of range");
+}
+
+TEST(Sso, ParseRejectsRelocPastDataEnd) {
+  auto parsed = ParseTampered([](SharedObject& so) {
+    so.data.assign(16, 0);
+    so.data_relocs = {{9, 0}};  // slot [9, 17) overruns by one byte
+  });
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_EQ(parsed.error(), "sso: reloc out of range");
+}
+
+TEST(Sso, ParseRejectsRelocTargetOutsideCode) {
+  auto parsed = ParseTampered([](SharedObject& so) {
+    so.data.assign(16, 0);
+    so.data_relocs = {{0, static_cast<uint32_t>(so.code.size())}};
+  });
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_EQ(parsed.error(), "sso: reloc out of range");
+}
+
+TEST(Sso, ParseRejectsOversizedTls) {
+  auto parsed =
+      ParseTampered([](SharedObject& so) { so.tls_size = 0xFFFFFFF0u; });
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_EQ(parsed.error(), "sso: TLS reservation too big");
+  // The limit itself still loads: one module may take the whole segment.
+  EXPECT_TRUE(ParseTampered([](SharedObject& so) {
+                so.tls_size = kMaxTlsBytes;
+              }).ok());
+}
+
+TEST(Sso, ParseRejectsOversizedCode) {
+  auto parsed = ParseTampered(
+      [](SharedObject& so) { so.code.resize(kMaxCodeBytes + 1, 0); });
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_EQ(parsed.error(), "sso: code section too big");
+}
+
+TEST(Sso, ParseRejectsOversizedData) {
+  auto parsed = ParseTampered(
+      [](SharedObject& so) { so.data.resize(kMaxDataBytes + 1, 0); });
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_EQ(parsed.error(), "sso: data section too big");
+}
+
+TEST(Sso, ParseRejectsExportOutsideCode) {
+  auto parsed = ParseTampered([](SharedObject& so) {
+    so.exports[0].offset = static_cast<uint32_t>(so.code.size()) + 1;
+  });
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_EQ(parsed.error().rfind("sso: symbol out of range", 0), 0u)
+      << parsed.error();
+}
+
 TEST(Sso, DisassemblyListsFunctions) {
   SharedObject so = Sample();
   std::string dis = so.Disassembly();

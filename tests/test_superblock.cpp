@@ -405,5 +405,53 @@ TEST(SuperblockProperty, MidInstructionJumpFallsBackToDecodeOne) {
   EXPECT_EQ(fast.fault, ref.fault);
 }
 
+/// Guest arithmetic wraps two's-complement, and the host computes it
+/// unsigned: a MUL_RI / ADD_RR / SUB_RR / NEG past the int64 limits (and a
+/// CMP whose difference wraps) must give the same wrapped result on both
+/// engines without being signed overflow in the host — the sanitize job
+/// runs this suite under UBSan.
+TEST(GuestArithmetic, WrapsIdenticallyOnBothEngines) {
+  constexpr int64_t kMax = INT64_MAX;
+  constexpr int64_t kMin = INT64_MIN;
+  auto build = [&] {
+    CodeBuilder b;
+    b.begin_function("main");
+    b.mov_ri(Reg::R1, kMax);
+    b.mul_ri(Reg::R1, 3);           // MUL_RI wraps
+    b.mov_ri(Reg::R2, kMax);
+    b.add_rr(Reg::R1, Reg::R2);     // ADD_RR wraps
+    b.mov_ri(Reg::R3, kMin);
+    b.neg(Reg::R3);                 // -INT64_MIN wraps to itself
+    b.sub_rr(Reg::R1, Reg::R3);     // SUB_RR wraps
+    b.mov_ri(Reg::R4, kMin);
+    b.mul_rr(Reg::R4, Reg::R4);     // MUL_RR wraps to 0
+    b.add_rr(Reg::R1, Reg::R4);
+    b.mov_rr(Reg::R0, Reg::R1);
+    // INT64_MIN - 1 wraps to INT64_MAX: the flag is +1, so JLE falls
+    // through and the marker bit is added.
+    b.cmp_ri(Reg::R3, 1);
+    CodeBuilder::Label skip = b.new_label();
+    b.jle(skip);
+    b.add_ri(Reg::R0, 1);
+    b.bind(skip);
+    b.leave_ret();
+    b.end_function();
+    return sso::FromCodeUnit("wrap.so", b.Finish());
+  };
+  uint64_t expected = static_cast<uint64_t>(kMax) * 3;
+  expected += static_cast<uint64_t>(kMax);
+  expected -= static_cast<uint64_t>(kMin);
+  expected += 1;
+  for (vm::ExecMode mode : {vm::ExecMode::Reference, vm::ExecMode::Superblock}) {
+    SCOPED_TRACE(vm::ExecModeName(mode));
+    vm::Machine machine;
+    machine.SetExecMode(mode);
+    machine.Load(build());
+    test::RunResult r = test::RunEntry(machine, "main");
+    ASSERT_EQ(r.state, vm::ProcState::Exited) << r.fault;
+    EXPECT_EQ(r.exit_code, static_cast<int64_t>(expected));
+  }
+}
+
 }  // namespace
 }  // namespace lfi

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "test_helpers.hpp"
 #include "vm/machine.hpp"
 #include "vm/memory.hpp"
@@ -649,6 +651,38 @@ TEST(DirtyMap, RestoreDirtyPagesClampsPartialTail) {
   EXPECT_EQ(dm.DirtyCount(), 0u);  // journal cleared by the restore
 }
 
+TEST(DirtyMap, WrittenSetOutlivesTheJournal) {
+  DirtyMap dm(4 * DirtyMap::kPageSize);
+  EXPECT_FALSE(dm.enabled());
+  dm.Mark(2 * DirtyMap::kPageSize + 3, 8);  // journal off: written set only
+  EXPECT_EQ(dm.DirtyCount(), 0u);
+  dm.Enable(4 * DirtyMap::kPageSize);
+  dm.Mark(0, 1);
+  EXPECT_EQ(dm.DirtyCount(), 1u);
+  // Captures clear the journal and snapshot drops disable it; neither may
+  // forget that the buffer holds non-zero pages.
+  dm.ClearAll();
+  dm.Disable();
+  std::vector<uint64_t> written;
+  dm.ForEachWrittenPage([&](uint64_t p) { written.push_back(p); });
+  EXPECT_EQ(written, (std::vector<uint64_t>{0, 2}));
+}
+
+TEST(SegmentPool, ReleaseZeroesExactlyTheWrittenPages) {
+  const uint64_t bytes = 3 * DirtyMap::kPageSize;
+  SegmentPool pool;
+  std::vector<uint8_t> buffer = pool.Acquire(bytes);
+  ASSERT_EQ(buffer.size(), bytes);
+  DirtyMap written(bytes);
+  buffer[DirtyMap::kPageSize + 7] = 0xAA;
+  written.Mark(DirtyMap::kPageSize + 7, 1);
+  const uint8_t* storage = buffer.data();
+  pool.Release(std::move(buffer), written);
+  std::vector<uint8_t> again = pool.Acquire(bytes);
+  EXPECT_EQ(again.data(), storage);  // recycled, not reallocated
+  EXPECT_EQ(std::count(again.begin(), again.end(), 0), ptrdiff_t(bytes));
+}
+
 TEST(AddressSpace, WriteMarksRegionDirtyJournal) {
   std::vector<uint8_t> backing(2 * DirtyMap::kPageSize, 0);
   DirtyMap dm;
@@ -909,6 +943,101 @@ TEST(MachineSnapshotTree, FlatSnapshotAliasesTreeRoot) {
   ASSERT_TRUE(pid2.ok());
   // Counter was 1 at the flat snapshot: the rerun increments it to 2.
   EXPECT_EQ(machine.RunToCompletion(pid2.value()).exit_code, 2);
+}
+
+// ---- segment recycling --------------------------------------------------------
+
+/// "scatter" stores to scattered stack, heap and TLS pages (the superblock
+/// engine's FastMemPtr path); "idle" returns at once.
+sso::SharedObject ScatterApp() {
+  CodeBuilder b;
+  b.begin_function("scatter");
+  b.mov_ri(Reg::R2, 0x1234);
+  for (uint64_t addr : {kStackBase + 0x2008, kStackBase + 0x9000,
+                        kHeapBase + 0x5000, kHeapBase + 0xF0000,
+                        kTlsBase + 0x800}) {
+    b.mov_ri(Reg::R1, static_cast<int64_t>(addr));
+    b.store(Reg::R1, 0, Reg::R2);
+  }
+  b.leave_ret();
+  b.end_function();
+  b.begin_function("idle");
+  b.leave_ret();
+  b.end_function();
+  return sso::FromCodeUnit("scatter.so", b.Finish());
+}
+
+size_t NonZeroBytes(Process& proc, uint64_t base, uint64_t len) {
+  std::vector<uint8_t> bytes(len);
+  EXPECT_TRUE(proc.read_mem(base, bytes.data(), len));
+  return static_cast<size_t>(
+      std::count_if(bytes.begin(), bytes.end(), [](uint8_t b) { return b; }));
+}
+
+/// Destroy every process and spawn a fresh one: its segments are the pool
+/// buffers just released, which must read all-zero apart from the exit
+/// sentinel Start pushes onto the top stack slot.
+void ExpectNextSpawnZeroed(Machine& machine) {
+  machine.Reset();
+  auto pid = machine.CreateProcess("idle");
+  ASSERT_TRUE(pid.ok());
+  Process& proc = *machine.process(pid.value());
+  EXPECT_EQ(NonZeroBytes(proc, kStackBase, kStackSize - 8), 0u);
+  EXPECT_EQ(NonZeroBytes(proc, kHeapBase, proc.heap_bytes()), 0u);
+  EXPECT_EQ(NonZeroBytes(proc, kTlsBase, kTlsSize), 0u);
+}
+
+TEST(SegmentRecycling, InterpreterWritesAreZeroedOnRelease) {
+  Machine machine;
+  machine.SetExecMode(ExecMode::Superblock);
+  machine.Load(ScatterApp());
+  auto pid = machine.CreateProcess("scatter");
+  ASSERT_TRUE(pid.ok());
+  ASSERT_EQ(machine.RunToCompletion(pid.value()).state, ProcState::Exited);
+  Process& proc = *machine.process(pid.value());
+  ASSERT_GT(NonZeroBytes(proc, kHeapBase, proc.heap_bytes()), 0u);
+  ExpectNextSpawnZeroed(machine);
+}
+
+TEST(SegmentRecycling, AddressSpaceWritesAreZeroedOnRelease) {
+  // The kernel and native-stub path: KernelContext::write_mem.
+  Machine machine;
+  machine.Load(ScatterApp());
+  auto pid = machine.CreateProcess("idle");
+  ASSERT_TRUE(pid.ok());
+  Process& proc = *machine.process(pid.value());
+  const uint64_t v = 0x5555;
+  for (uint64_t addr : {kStackBase + 0x3000, kHeapBase + 0x7000,
+                        kHeapBase + 0xA1008, kTlsBase + 0x100}) {
+    ASSERT_TRUE(proc.write_mem(addr, &v, sizeof v));
+  }
+  ExpectNextSpawnZeroed(machine);
+}
+
+TEST(SegmentRecycling, RestorePageCopiesAreZeroedOnRelease) {
+  // Root: heap page 2 written. Node 1: heap page 9 written on top. After
+  // Reset, RestoreTo(0) rebuilds the process on recycled buffers (a full
+  // image copy) and RestoreTo(1) copies page 9 in place: both copies put
+  // bytes no guest write produced into the buffer.
+  Machine machine;
+  machine.Load(ScatterApp());
+  auto pid = machine.CreateProcess("idle");
+  ASSERT_TRUE(pid.ok());
+  const uint64_t v = 0x7777;
+  ASSERT_TRUE(machine.process(pid.value())
+                  ->write_mem(kHeapBase + 2 * DirtyMap::kPageSize, &v, 8));
+  machine.Snapshot();
+  ASSERT_TRUE(machine.process(pid.value())
+                  ->write_mem(kHeapBase + 9 * DirtyMap::kPageSize, &v, 8));
+  SnapshotId node = machine.PushSnapshot();
+
+  machine.Reset();
+  ASSERT_TRUE(machine.RestoreTo(0));  // rebuild from the materialized root
+  ASSERT_TRUE(machine.RestoreTo(node));  // in place: copies heap page 9
+  Process& proc = *machine.process(pid.value());
+  EXPECT_EQ(NonZeroBytes(proc, kHeapBase + 9 * DirtyMap::kPageSize, 8), 2u);
+  EXPECT_EQ(NonZeroBytes(proc, kHeapBase + 2 * DirtyMap::kPageSize, 8), 2u);
+  ExpectNextSpawnZeroed(machine);
 }
 
 TEST(Process, UnknownSyscallNumberReturnsNosys) {
