@@ -38,7 +38,7 @@ void PrintTables() {
   // comparison below and BM_ProfileLadderJobs cover the fan-out.
   const std::vector<size_t> sizes = {18u, 64u, 256u, 512u, 1024u, 1612u};
   std::vector<std::vector<std::string>> ladder(sizes.size());
-  campaign::ParallelFor(sizes.size(), /*jobs=*/1, [&](size_t i) {
+  campaign::ParallelFor(sizes.size(), /*jobs=*/1, [&](size_t, size_t i) {
     size_t functions = sizes[i];
     corpus::GeneratedLibrary lib = SizedLibrary(functions, 5);
     analysis::Workspace ws;
@@ -74,7 +74,7 @@ void PrintTables() {
   {
     auto profile_ladder = [&](int jobs) {
       auto begin = std::chrono::steady_clock::now();
-      campaign::ParallelFor(sizes.size(), jobs, [&](size_t i) {
+      campaign::ParallelFor(sizes.size(), jobs, [&](size_t, size_t i) {
         corpus::GeneratedLibrary lib = SizedLibrary(sizes[i], 5);
         analysis::Workspace ws;
         ws.SetKernel(&kernel);
@@ -153,7 +153,7 @@ void BM_ProfileLadderJobs(benchmark::State& state) {
   }();
   for (auto _ : state) {
     campaign::ParallelFor(libs.size(), static_cast<int>(state.range(0)),
-                          [&](size_t i) {
+                          [&](size_t, size_t i) {
                             analysis::Workspace ws;
                             ws.SetKernel(&kernel);
                             ws.AddModule(&libs[i].object);

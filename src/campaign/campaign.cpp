@@ -119,19 +119,19 @@ uint64_t DeriveSeed(uint64_t base, uint64_t index) {
 }
 
 void ParallelFor(size_t count, int jobs,
-                 const std::function<void(size_t)>& fn) {
+                 const std::function<void(size_t slot, size_t i)>& fn) {
   size_t workers = jobs > 0 ? static_cast<size_t>(jobs)
                             : std::max(1u, std::thread::hardware_concurrency());
   workers = std::min(workers, count);
   if (workers <= 1) {
-    for (size_t i = 0; i < count; ++i) fn(i);
+    for (size_t i = 0; i < count; ++i) fn(0, i);
     return;
   }
   std::vector<std::thread> pool;
   pool.reserve(workers);
   for (size_t w = 0; w < workers; ++w) {
     pool.emplace_back([&, w] {
-      for (size_t i = w; i < count; i += workers) fn(i);
+      for (size_t i = w; i < count; i += workers) fn(w, i);
     });
   }
   for (std::thread& t : pool) t.join();

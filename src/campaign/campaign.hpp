@@ -204,10 +204,12 @@ std::vector<std::vector<size_t>> ShardScenarios(
 /// scenario owns an independent, reproducible RNG stream.
 uint64_t DeriveSeed(uint64_t base, uint64_t index);
 
-/// Run fn(0..count-1) across `jobs` threads (0 = hardware concurrency).
-/// Blocks until all calls return. fn must be safe to call concurrently on
-/// distinct indices.
+/// Run fn(slot, i) for i in 0..count-1 across `jobs` threads (0 =
+/// hardware concurrency, capped at count). Static striding: index i runs
+/// on slot i % workers, in ascending order within a slot, and each slot
+/// is one thread — so per-slot state needs no lock. Blocks until all
+/// calls return.
 void ParallelFor(size_t count, int jobs,
-                 const std::function<void(size_t)>& fn);
+                 const std::function<void(size_t slot, size_t i)>& fn);
 
 }  // namespace lfi::campaign

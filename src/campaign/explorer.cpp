@@ -58,36 +58,6 @@ std::string ExplorerReport::ToText() const {
   return out;
 }
 
-PlanRunner::PlanRunner(
-    MachineSetup setup,
-    std::shared_ptr<const std::vector<core::FaultProfile>> profiles,
-    CampaignOptions options)
-    : options_(options), profiles_(std::move(profiles)) {
-  if (options_.exec_mode) machine_.SetExecMode(*options_.exec_mode);
-  if (setup) setup(machine_);
-  machine_.Checkpoint();
-  if (options_.track_coverage) {
-    tracker_ = machine_.EnableCoverage();
-    for (const auto& mod : machine_.loader().modules()) {
-      module_names_.push_back(mod->object.name);
-    }
-  }
-  controller_ =
-      std::make_unique<core::Controller>(machine_, options_.controller);
-  PrepareMachineSnapshot(machine_, options_, &tree_state_);
-}
-
-ScenarioResult PlanRunner::Run(const core::Plan& plan,
-                               const std::string& name,
-                               std::optional<uint64_t> warmup) {
-  Scenario scenario;
-  scenario.name = name;
-  scenario.plan = plan;
-  scenario.warmup_instructions = warmup;
-  return RunScenarioOn(machine_, *controller_, scenario, options_, profiles_,
-                       tracker_, module_names_, tree_state_);
-}
-
 Explorer::Explorer(MachineSetup setup,
                    std::vector<core::FaultProfile> profiles,
                    ExplorerOptions options)
@@ -474,8 +444,11 @@ ExplorerReport Explorer::Explore(std::vector<core::Plan> initial_corpus) {
   report.corpus = std::move(corpus);
 
   // Shrink each unique crash to a 1-minimal reproducer. Crashes are
-  // independent, so they minimize in parallel — each oracle owns a
-  // private machine and every minimization is deterministic on its own.
+  // independent, so they minimize in parallel on one warm PlanRunner per
+  // worker slot, built on first use and dropped when Explore returns. A
+  // slot's oracle serves its crashes in order; every run resets (or
+  // exactly restores) machine and controller first, the contract campaign
+  // workers rely on, so a warm oracle minimizes like a fresh one.
   if (options_.minimize_crashes && !report.crashes.empty()) {
     auto shared_profiles =
         std::make_shared<const std::vector<core::FaultProfile>>(profiles_);
@@ -483,9 +456,15 @@ ExplorerReport Explorer::Explore(std::vector<core::Plan> initial_corpus) {
     oracle_opts.track_coverage = false;
     oracle_opts.collect_scenario_coverage = false;
     oracle_opts.collect_replays = false;
-    ParallelFor(report.crashes.size(), options_.campaign.jobs, [&](size_t i) {
+    std::vector<std::unique_ptr<PlanRunner>> oracles(report.crashes.size());
+    ParallelFor(report.crashes.size(), options_.campaign.jobs,
+                [&](size_t slot, size_t i) {
       CrashReport& cr = report.crashes[i];
-      PlanRunner oracle(setup_, shared_profiles, oracle_opts);
+      if (!oracles[slot]) {
+        oracles[slot] =
+            std::make_unique<PlanRunner>(setup_, shared_profiles, oracle_opts);
+      }
+      PlanRunner& oracle = *oracles[slot];
       core::MinimizeStats stats;
       cr.minimized = core::MinimizePlan(
           cr.replay,
@@ -496,9 +475,9 @@ ExplorerReport Explorer::Explore(std::vector<core::Plan> initial_corpus) {
           },
           &stats);
       cr.minimize_runs = stats.oracle_runs;
-      // Re-verify from scratch: the shipped reproducer must stand alone
-      // (at the witness's fault window — replay call counts are relative
-      // to the install point).
+      // Re-verify: the shipped reproducer must stand alone (at the
+      // witness's fault window — replay call counts are relative to the
+      // install point).
       ScenarioResult check = oracle.Run(cr.minimized, "plan", cr.window);
       cr.reproduces = check.status == ScenarioStatus::Crashed &&
                       check.crash_site_hash == cr.site_hash;

@@ -19,9 +19,9 @@
 // from seeded RNG streams (DeriveSeed of the explorer seed, round, and
 // slot), campaign results are jobs-invariant by the runner's contract,
 // scoring walks results in index order, and each crash's minimization is
-// an independent deterministic computation on a private machine — so the
-// whole exploration (union bitmap, crash-hash set, minimized plans) is
-// bit-identical for any --jobs count.
+// deterministic on its own (its slot's warm oracle resets before every
+// run) — so the whole exploration (union bitmap, crash-hash set,
+// minimized plans) is bit-identical for any --jobs count.
 #pragma once
 
 #include <cstdint>
@@ -141,32 +141,6 @@ struct ExplorerReport {
   size_t union_offsets() const;
   /// Human-readable summary (jobs-invariant: no timing).
   std::string ToText() const;
-};
-
-/// Single-plan runner over a reusable machine: builds the target once,
-/// then Run() executes one plan per call via the same per-scenario path
-/// campaign workers use (RunScenarioOn). This is the minimization oracle,
-/// and the way tests/tools re-verify a minimized reproducer.
-class PlanRunner {
- public:
-  PlanRunner(MachineSetup setup,
-             std::shared_ptr<const std::vector<core::FaultProfile>> profiles,
-             CampaignOptions options = {});
-
-  /// Run one plan (resets the machine first). Deterministic: the result
-  /// depends only on the plan (and the explicit `warmup` window override,
-  /// when given — needed to reproduce fork-windows findings).
-  ScenarioResult Run(const core::Plan& plan, const std::string& name = "plan",
-                     std::optional<uint64_t> warmup = std::nullopt);
-
- private:
-  CampaignOptions options_;
-  std::shared_ptr<const std::vector<core::FaultProfile>> profiles_;
-  vm::Machine machine_;
-  vm::CoverageTracker* tracker_ = nullptr;
-  std::vector<std::string> module_names_;
-  std::unique_ptr<core::Controller> controller_;
-  SnapshotTreeState tree_state_;
 };
 
 class Explorer {

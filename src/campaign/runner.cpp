@@ -185,6 +185,43 @@ ScenarioResult RunScenarioOn(
   return result;
 }
 
+PlanRunner::PlanRunner(
+    MachineSetup setup,
+    std::shared_ptr<const std::vector<core::FaultProfile>> profiles,
+    CampaignOptions options)
+    : options_(options), profiles_(std::move(profiles)) {
+  if (options_.exec_mode) machine_.SetExecMode(*options_.exec_mode);
+  if (setup) setup(machine_);
+  machine_.Checkpoint();
+  if (options_.track_coverage) {
+    tracker_ = machine_.EnableCoverage();
+    for (const auto& mod : machine_.loader().modules()) {
+      module_names_.push_back(mod->object.name);
+    }
+  }
+  controller_ =
+      std::make_unique<core::Controller>(machine_, options_.controller);
+  // Warm once, restore per scenario: the snapshot carries the machine at
+  // the fault-window entry point, so scenarios skip reset + process
+  // construction (and the warmup prefix) entirely, and the tree grows
+  // window-local nodes as scenarios visit deeper windows.
+  PrepareMachineSnapshot(machine_, options_, &tree_state_);
+}
+
+ScenarioResult PlanRunner::Run(const Scenario& scenario) {
+  return RunScenarioOn(machine_, *controller_, scenario, options_, profiles_,
+                       tracker_, module_names_, tree_state_);
+}
+
+ScenarioResult PlanRunner::Run(const core::Plan& plan, const std::string& name,
+                               std::optional<uint64_t> warmup) {
+  Scenario scenario;
+  scenario.name = name;
+  scenario.plan = plan;
+  scenario.warmup_instructions = warmup;
+  return Run(scenario);
+}
+
 CampaignRunner::CampaignRunner(MachineSetup setup,
                                std::vector<core::FaultProfile> profiles,
                                CampaignOptions options)
@@ -200,46 +237,23 @@ CampaignRunner::CampaignRunner(MachineSetup setup,
 
 CampaignRunner::~CampaignRunner() = default;
 
-CampaignRunner::WorkerContext& CampaignRunner::Context(size_t w) {
-  std::unique_ptr<WorkerContext>& slot = pool_[w];
-  if (!slot) slot = std::make_unique<WorkerContext>();
-  WorkerContext& ctx = *slot;
-  if (ctx.ready) return ctx;
-  if (options_.exec_mode) ctx.machine.SetExecMode(*options_.exec_mode);
-  if (setup_) setup_(ctx.machine);
-  ctx.machine.Checkpoint();
-  if (options_.track_coverage) {
-    ctx.tracker = ctx.machine.EnableCoverage();
-    for (const auto& mod : ctx.machine.loader().modules()) {
-      ctx.module_names.push_back(mod->object.name);
-    }
-  }
-  ctx.controller =
-      std::make_unique<core::Controller>(ctx.machine, options_.controller);
-  // Warm once, restore per scenario: the snapshot carries the machine at
-  // the fault-window entry point, so scenarios skip reset + process
-  // construction (and the warmup prefix) entirely, and the worker grows
-  // window-local nodes as scenarios visit deeper windows. The warm state
-  // persists for the runner's lifetime — every later Run() (explorer
-  // round, serve batch) restores instead of rebuilding.
-  PrepareMachineSnapshot(ctx.machine, options_, &ctx.tree);
-  ctx.ready = true;
-  return ctx;
+PlanRunner& CampaignRunner::Worker(size_t w) {
+  std::unique_ptr<PlanRunner>& slot = pool_[w];
+  if (!slot) slot = std::make_unique<PlanRunner>(setup_, profiles_, options_);
+  return *slot;
 }
 
 void CampaignRunner::RunShard(
     const std::vector<Scenario>& scenarios, const std::vector<size_t>& shard,
-    WorkerContext& ctx, std::vector<ScenarioResult>* results,
+    PlanRunner& worker, std::vector<ScenarioResult>* results,
     vm::CoverageTracker* coverage_out) {
   for (size_t idx : shard) {
     ScenarioResult& result = (*results)[idx];
-    result = RunScenarioOn(ctx.machine, *ctx.controller, scenarios[idx],
-                           options_, profiles_, ctx.tracker, ctx.module_names,
-                           ctx.tree);
+    result = worker.Run(scenarios[idx]);
     result.index = idx;
     // Union this scenario's bitmaps into the worker-local aggregate — a
     // bitwise OR per module, no locks, no per-offset work.
-    if (ctx.tracker && coverage_out) coverage_out->Merge(*ctx.tracker);
+    if (worker.tracker() && coverage_out) coverage_out->Merge(*worker.tracker());
     completed_.fetch_add(1, std::memory_order_relaxed);
   }
 }
@@ -256,7 +270,7 @@ CampaignReport CampaignRunner::Run(const std::vector<Scenario>& scenarios) {
   std::vector<std::vector<size_t>> shards =
       ShardScenarios(scenarios, jobs, options_.shard);
   // Pre-size the pool on this thread; worker threads then touch only
-  // their own slot, so lazy context construction needs no lock.
+  // their own slot, so lazy worker construction needs no lock.
   if (pool_.size() < shards.size()) pool_.resize(shards.size());
   // Pre-sized per-worker slots: coverage aggregation never takes a lock.
   std::vector<vm::CoverageTracker> worker_coverage(shards.size());
@@ -264,7 +278,7 @@ CampaignReport CampaignRunner::Run(const std::vector<Scenario>& scenarios) {
   auto begin = Clock::now();
   if (shards.size() <= 1) {
     if (!shards.empty()) {
-      RunShard(scenarios, shards[0], Context(0), &report.results,
+      RunShard(scenarios, shards[0], Worker(0), &report.results,
                &worker_coverage[0]);
     }
   } else {
@@ -272,7 +286,7 @@ CampaignReport CampaignRunner::Run(const std::vector<Scenario>& scenarios) {
     pool.reserve(shards.size());
     for (size_t w = 0; w < shards.size(); ++w) {
       pool.emplace_back([&, w] {
-        RunShard(scenarios, shards[w], Context(w), &report.results,
+        RunShard(scenarios, shards[w], Worker(w), &report.results,
                  &worker_coverage[w]);
       });
     }
@@ -290,9 +304,9 @@ CampaignReport CampaignRunner::Run(const std::vector<Scenario>& scenarios) {
       merged.Merge(per_worker);
     }
     const std::vector<std::string>* names = nullptr;
-    for (const auto& ctx : pool_) {
-      if (ctx && !ctx->module_names.empty()) {
-        names = &ctx->module_names;
+    for (const auto& worker : pool_) {
+      if (worker && !worker->module_names().empty()) {
+        names = &worker->module_names();
         break;
       }
     }

@@ -1,17 +1,19 @@
 // CampaignRunner: fan a scenario set out across a pool of worker threads.
 //
-// Each worker owns one vm::Machine + core::Controller pair for its whole
-// lifetime. The machine is built once (MachineSetup loads modules and
-// seeds the in-memory filesystem, then the runner checkpoints it) and then
-// *reset* between scenarios instead of rebuilt — module construction and
-// loading dominate per-run cost in the serial drivers, so this is where
-// the throughput comes from. Reset also preserves the loader's predecoded
-// instruction streams (vm::CodeCache): each worker decodes the target
-// image once and every scenario after that runs on the fused
-// decode-once interpreter loop. Scenario state is fully isolated by
-// Machine::Reset + Controller::Reset, and each scenario's trigger RNG is
-// seeded from its own plan, so results are bit-identical across any jobs
-// count or shard policy.
+// Each worker slot owns one PlanRunner (a vm::Machine + core::Controller
+// pair) for the runner's whole lifetime. The machine is built once
+// (MachineSetup loads modules and seeds the in-memory filesystem, then the
+// runner checkpoints it) and then *reset* between scenarios instead of
+// rebuilt — module construction and loading dominate per-run cost in the
+// serial drivers, so this is where the throughput comes from. Reset also
+// preserves the loader's decoded code cache (vm::CodeCache), so each
+// worker decodes the target image once. Scenario state is fully isolated
+// by Machine::Reset + Controller::Reset (or an exact snapshot restore)
+// before every scenario, and each scenario's trigger RNG is seeded from
+// its own plan, so a warm PlanRunner gives the same result as a fresh one
+// and results are bit-identical across any jobs count or shard policy.
+// The explorer's minimization oracles rely on the same contract: one
+// PlanRunner per minimization slot serves crash after crash.
 //
 // Result collection is lock-free: the results vector is pre-sized and each
 // worker writes only the slots of its shard (disjoint by construction);
@@ -56,10 +58,8 @@ struct SnapshotTreeState {
 /// collect this scenario's coverage. Crashed scenarios get their fault
 /// frames and triage hashes filled. `module_names` maps the machine's
 /// dense module index to its name for per-module accounting. The result's
-/// `index` is left 0 — callers place it. Shared by CampaignRunner workers
-/// and PlanRunner so a one-off plan run and a campaign slot are the same
-/// computation (determinism depends on that).
-/// `tree` is the worker's window->node map, filled by
+/// `index` is left 0 — callers place it. PlanRunner::Run's per-scenario
+/// step. `tree` is the machine's window->node map, filled by
 /// PrepareMachineSnapshot and grown here (unused on cold runs).
 ScenarioResult RunScenarioOn(
     vm::Machine& machine, core::Controller& controller,
@@ -81,6 +81,44 @@ ScenarioResult RunScenarioOn(
 bool PrepareMachineSnapshot(vm::Machine& machine,
                             const CampaignOptions& options,
                             SnapshotTreeState* tree = nullptr);
+
+/// One warm machine: builds the target once (setup, checkpoint, coverage,
+/// snapshot warm), then Run() executes one scenario per call through
+/// RunScenarioOn, which resets or restores the machine and controller
+/// first. Campaign worker slots and the explorer's minimization oracles
+/// are both PlanRunners, so a one-off plan run and a campaign slot are the
+/// same computation, and any sequence of Runs on one PlanRunner gives the
+/// same per-scenario results as fresh machines would.
+class PlanRunner {
+ public:
+  PlanRunner(MachineSetup setup,
+             std::shared_ptr<const std::vector<core::FaultProfile>> profiles,
+             CampaignOptions options = {});
+
+  /// Run one scenario. Deterministic: the result depends only on the
+  /// scenario and the options.
+  ScenarioResult Run(const Scenario& scenario);
+
+  /// Run one plan at the campaign entry. `warmup` overrides the fault
+  /// window — needed to reproduce fork-windows findings.
+  ScenarioResult Run(const core::Plan& plan, const std::string& name = "plan",
+                     std::optional<uint64_t> warmup = std::nullopt);
+
+  /// The last Run's coverage (null unless options.track_coverage), indexed
+  /// by dense module index; module_names() names the indices.
+  const vm::CoverageTracker* tracker() const { return tracker_; }
+  const std::vector<std::string>& module_names() const { return module_names_; }
+
+ private:
+  CampaignOptions options_;
+  std::shared_ptr<const std::vector<core::FaultProfile>> profiles_;
+  vm::Machine machine_;
+  vm::CoverageTracker* tracker_ = nullptr;
+  std::vector<std::string> module_names_;
+  std::unique_ptr<core::Controller> controller_;
+  /// Window-local snapshot nodes, grown across every Run.
+  SnapshotTreeState tree_state_;
+};
 
 /// Anything that can execute a scenario set and produce a CampaignReport.
 /// CampaignRunner is the in-process implementation; the serve fabric's
@@ -117,30 +155,17 @@ class CampaignRunner : public ScenarioDispatch {
   const CampaignOptions& options() const { return options_; }
 
  private:
-  /// One pooled worker: a machine/controller pair that lives as long as
-  /// the runner. Built lazily the first time a shard lands on it (setup +
-  /// checkpoint + coverage enable + snapshot warm), then only Reset (or
-  /// snapshot-restored) per scenario. `tree` accumulates window-local
-  /// snapshot nodes across every batch the worker ever runs.
-  struct WorkerContext {
-    vm::Machine machine;
-    std::unique_ptr<core::Controller> controller;
-    vm::CoverageTracker* tracker = nullptr;
-    std::vector<std::string> module_names;
-    SnapshotTreeState tree;
-    bool ready = false;
-  };
-
   /// Build pool_[w] if this is the first shard to land on it. Called from
-  /// worker threads; safe because each thread touches only its own slot
-  /// (pool_ is pre-sized on the coordinating thread).
-  WorkerContext& Context(size_t w);
+  /// worker threads, so each machine is built on the thread that runs it;
+  /// safe because each thread touches only its own slot (pool_ is
+  /// pre-sized on the coordinating thread).
+  PlanRunner& Worker(size_t w);
 
   /// One worker: run `shard`'s scenarios on its pooled machine, writing
   /// into results[idx] slots. `coverage_out` receives the worker's union
   /// coverage for this batch (per dense module index) when tracking is on.
   void RunShard(const std::vector<Scenario>& scenarios,
-                const std::vector<size_t>& shard, WorkerContext& ctx,
+                const std::vector<size_t>& shard, PlanRunner& worker,
                 std::vector<ScenarioResult>* results,
                 vm::CoverageTracker* coverage_out);
 
@@ -150,7 +175,9 @@ class CampaignRunner : public ScenarioDispatch {
   std::shared_ptr<const std::vector<core::FaultProfile>> profiles_;
   CampaignOptions options_;
   /// Persistent worker pool, indexed by shard slot; grows to options_.jobs.
-  std::vector<std::unique_ptr<WorkerContext>> pool_;
+  /// A slot's PlanRunner lives as long as the runner, so every later Run
+  /// (explorer round, serve batch) reuses its machine and snapshot nodes.
+  std::vector<std::unique_ptr<PlanRunner>> pool_;
   std::atomic<size_t> completed_{0};
 };
 

@@ -1,7 +1,10 @@
 #include "vm/memory.hpp"
 
 #include <algorithm>
+#include <cstdlib>
 #include <cstring>
+#include <new>
+#include <utility>
 
 namespace lfi::vm {
 
@@ -50,19 +53,34 @@ size_t DirtyMap::DirtyCount() const {
   return count;
 }
 
-std::vector<uint8_t> SegmentPool::Acquire(uint64_t bytes) {
+Segment::Segment(uint64_t bytes)
+    : data_(static_cast<uint8_t*>(std::calloc(bytes, 1))), size_(bytes) {
+  if (bytes > 0 && data_ == nullptr) throw std::bad_alloc();
+}
+
+Segment::Segment(Segment&& other) noexcept
+    : data_(std::move(other.data_)), size_(std::exchange(other.size_, 0)) {}
+
+Segment& Segment::operator=(Segment&& other) noexcept {
+  data_ = std::move(other.data_);
+  size_ = std::exchange(other.size_, 0);
+  return *this;
+}
+
+void Segment::Free::operator()(uint8_t* p) const { std::free(p); }
+
+Segment SegmentPool::Acquire(uint64_t bytes) {
   for (size_t i = 0; i < free_.size(); ++i) {
     if (free_[i].size() == bytes) {
-      std::vector<uint8_t> buffer = std::move(free_[i]);
+      Segment buffer = std::move(free_[i]);
       free_.erase(free_.begin() + static_cast<ptrdiff_t>(i));
       return buffer;
     }
   }
-  return std::vector<uint8_t>(bytes, 0);
+  return Segment(bytes);
 }
 
-void SegmentPool::Release(std::vector<uint8_t> buffer,
-                          const DirtyMap& written) {
+void SegmentPool::Release(Segment buffer, const DirtyMap& written) {
   if (buffer.empty() || free_.size() >= kMaxFree) return;
   const uint64_t bytes = buffer.size();
   written.ForEachWrittenPage([&](uint64_t page) {

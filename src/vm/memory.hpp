@@ -15,6 +15,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -208,8 +209,35 @@ PageDelta CaptureDirtyPages(const DirtyMap& dirty, const uint8_t* mem,
 /// not live across the whole parent->child window).
 PageDelta CaptureAllPages(const uint8_t* mem, uint64_t bytes);
 
+/// One process memory segment (stack, heap or TLS): a fixed-size byte
+/// buffer that starts all zero. The storage comes from calloc, so a fresh
+/// megabyte segment costs only the pages the process goes on to write
+/// (a large calloc is normally a fresh anonymous mapping, which the kernel
+/// zero-fills on first touch) instead of a whole-buffer fill. Move-only.
+class Segment {
+ public:
+  Segment() = default;
+  explicit Segment(uint64_t bytes);
+  Segment(Segment&& other) noexcept;
+  Segment& operator=(Segment&& other) noexcept;
+
+  uint8_t* data() { return data_.get(); }
+  const uint8_t* data() const { return data_.get(); }
+  size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
+  uint8_t* begin() { return data(); }
+  uint8_t* end() { return data() + size_; }
+
+ private:
+  struct Free {
+    void operator()(uint8_t* p) const;
+  };
+  std::unique_ptr<uint8_t[], Free> data_;
+  size_t size_ = 0;
+};
+
 /// Recycler for process memory segments (stack/heap/TLS buffers). Cycling
-/// megabyte-sized vectors through the allocator on every process
+/// megabyte-sized buffers through the allocator on every process
 /// construction mmap/munmaps them each time — 512 page faults per spawn —
 /// and the pattern degenerates further when a snapshot pins the primary
 /// process's segments between spawns. A buffer comes back with the
@@ -219,17 +247,18 @@ PageDelta CaptureAllPages(const uint8_t* mem, uint64_t bytes);
 class SegmentPool {
  public:
   /// A zeroed buffer of exactly `bytes` bytes. Recycled buffers were
-  /// cleaned on Release, so handing one out touches no page.
-  std::vector<uint8_t> Acquire(uint64_t bytes);
+  /// cleaned on Release and fresh ones are calloc'd, so handing one out
+  /// touches no page.
+  Segment Acquire(uint64_t bytes);
 
   /// Return a buffer for reuse (dropped beyond a small cap). `written`
   /// must hold every page written since the buffer was acquired; those
   /// pages are zeroed here.
-  void Release(std::vector<uint8_t> buffer, const DirtyMap& written);
+  void Release(Segment buffer, const DirtyMap& written);
 
  private:
   static constexpr size_t kMaxFree = 16;
-  std::vector<std::vector<uint8_t>> free_;
+  std::vector<Segment> free_;
 };
 
 /// One mapped region. `backing` must outlive the AddressSpace and must not

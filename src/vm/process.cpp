@@ -37,8 +37,8 @@ std::optional<ExecMode> ParseExecMode(std::string_view name) {
 }
 
 namespace {
-std::vector<uint8_t> AcquireSegment(SegmentPool* pool, uint64_t bytes) {
-  return pool ? pool->Acquire(bytes) : std::vector<uint8_t>(bytes, 0);
+Segment AcquireSegment(SegmentPool* pool, uint64_t bytes) {
+  return pool ? pool->Acquire(bytes) : Segment(bytes);
 }
 
 // Two's-complement guest arithmetic (exec_ops.inc): computed in uint64_t,
@@ -247,7 +247,7 @@ void Process::RestoreFromSnapshot(const ProcessSnapshot& snap, bool full) {
          "snapshot/process segment size mismatch");
   RestoreCore(snap.core);
   auto segment = [&](DirtyMap& dirty, const std::vector<uint8_t>& image,
-                     std::vector<uint8_t>& mem) {
+                     Segment& mem) {
     if (full || !dirty.enabled()) {
       std::copy(image.begin(), image.end(), mem.begin());
       // Only non-zero pages enter the written set: a zero image page left
@@ -276,7 +276,7 @@ void Process::CaptureNode(ProcessNodeState* out, bool full) {
   out->heap_bytes = heap_mem_.size();
   out->tls_bytes = tls_mem_.size();
   out->full = full || !dirty_tracking_enabled();
-  auto capture = [&](const DirtyMap& dirty, const std::vector<uint8_t>& mem) {
+  auto capture = [&](const DirtyMap& dirty, const Segment& mem) {
     return out->full ? CaptureAllPages(mem.data(), mem.size())
                      : CaptureDirtyPages(dirty, mem.data(), mem.size());
   };
@@ -302,7 +302,7 @@ void Process::RestoreFromTree(const SnapshotTree& tree, SnapshotId target,
          tps.tls_bytes == tls_mem_.size() && dirty_tracking_enabled() &&
          "in-place tree restore requires aligned, journaled segments");
   RestoreCore(tps.core);
-  auto segment = [&](DirtyMap& dirty, std::vector<uint8_t>& mem,
+  auto segment = [&](DirtyMap& dirty, Segment& mem,
                      const PageDelta ProcessNodeState::*sel) {
     // Pages that can differ from the target: written since the machine's
     // current node (journal), or captured by any node on the tree path

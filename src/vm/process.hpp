@@ -254,9 +254,9 @@ class Process final : public kernel::KernelContext {
   ExecMode exec_mode_ = ExecMode::Superblock;
 
   AddressSpace space_;
-  std::vector<uint8_t> stack_mem_;
-  std::vector<uint8_t> heap_mem_;
-  std::vector<uint8_t> tls_mem_;
+  Segment stack_mem_;
+  Segment heap_mem_;
+  Segment tls_mem_;
   /// Write tracking over the private segments: the written sets (live
   /// from construction; the SegmentPool zeroes those pages on release)
   /// and the snapshot journals (inert until a machine snapshot enables

@@ -412,14 +412,23 @@ TEST(Campaign, DeriveSeedSpreads) {
 }
 
 TEST(Campaign, ParallelForCoversAllIndices) {
+  constexpr size_t kWorkers = 8;
   std::vector<std::atomic<int>> hits(257);
+  std::vector<size_t> slots(hits.size(), kWorkers);
   for (auto& h : hits) h.store(0);
-  ParallelFor(hits.size(), 8, [&](size_t i) {
+  ParallelFor(hits.size(), kWorkers, [&](size_t slot, size_t i) {
     hits[i].fetch_add(1, std::memory_order_relaxed);
+    slots[i] = slot;  // each index is written by exactly one call
   });
   for (size_t i = 0; i < hits.size(); ++i) {
     EXPECT_EQ(hits[i].load(), 1) << "index " << i;
+    EXPECT_EQ(slots[i], i % kWorkers) << "index " << i;
   }
+  // Fewer indices than jobs: slots stay below the index count.
+  std::vector<size_t> few(3, kWorkers);
+  ParallelFor(few.size(), kWorkers,
+              [&](size_t slot, size_t i) { few[i] = slot; });
+  EXPECT_EQ(few, (std::vector<size_t>{0, 1, 2}));
 }
 
 }  // namespace

@@ -4,13 +4,17 @@
 // end to end on a small crashing target.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <memory>
 #include <set>
 #include <string>
 #include <vector>
 
+#include "apps/dbserver.hpp"
 #include "apps/pidgin.hpp"
 #include "apps/workloads.hpp"
 #include "campaign/explorer.hpp"
+#include "core/replay.hpp"
 #include "core/scenario_gen.hpp"
 #include "isa/codebuilder.hpp"
 #include "libc/libc_builder.hpp"
@@ -143,6 +147,99 @@ TEST(Explorer, DeterministicAcrossJobCounts) {
   EXPECT_GT(serial.union_offsets(), 0u);
   ASSERT_FALSE(serial.crashes.empty());
   ExpectSameExploration(serial, parallel);
+}
+
+// Minimization runs on one warm oracle per worker slot, not one machine
+// per crash: with more crash buckets than jobs, an in-process Explore
+// builds at most `jobs` campaign machines plus min(jobs, crashes) oracles.
+TEST(Explorer, MinimizationReusesOneOraclePerSlot) {
+  constexpr int kJobs = 2;
+  auto builds = std::make_shared<std::atomic<size_t>>(0);
+  MachineSetup reader = ReaderSetup();
+  MachineSetup counting = [builds, reader](vm::Machine& machine) {
+    builds->fetch_add(1, std::memory_order_relaxed);
+    reader(machine);
+  };
+  ExplorerOptions opts;
+  opts.rounds = 3;
+  opts.scenarios_per_round = 10;
+  opts.seed = 42;
+  opts.seed_probability = 0.3;
+  opts.campaign.jobs = kJobs;
+  Explorer explorer(counting, apps::LibcProfiles(), opts);
+  ExplorerReport report = explorer.Explore();
+  const size_t crashes = report.crashes.size();
+  ASSERT_GT(crashes, size_t{kJobs}) << "the target must out-crash the jobs";
+  EXPECT_LE(builds->load(), kJobs + std::min<size_t>(kJobs, crashes));
+  for (const CrashReport& cr : report.crashes) {
+    EXPECT_TRUE(cr.reproduces) << cr.signature;
+  }
+}
+
+struct Minimized {
+  std::string xml;
+  size_t runs = 0;
+  bool reproduces = false;
+};
+
+/// The explorer's per-crash minimization step, on a caller-owned oracle.
+Minimized MinimizeOn(PlanRunner& oracle, const CrashReport& cr) {
+  auto crashes_at_site = [&](const core::Plan& plan) {
+    ScenarioResult r = oracle.Run(plan, "plan", cr.window);
+    return r.status == ScenarioStatus::Crashed &&
+           r.crash_site_hash == cr.site_hash;
+  };
+  core::MinimizeStats stats;
+  core::Plan plan = core::MinimizePlan(cr.replay, crashes_at_site, &stats);
+  return {plan.ToXml(), stats.oracle_runs, crashes_at_site(plan)};
+}
+
+/// Minimize every crash of `report` in order on one warm oracle, and each
+/// on a fresh oracle: crash B after crash A must equal crash B alone, and
+/// both must equal what the explorer reported.
+void ExpectWarmOracleIsolated(const MachineSetup& setup,
+                              const ExplorerReport& report,
+                              CampaignOptions oracle_opts) {
+  auto profiles = std::make_shared<const std::vector<core::FaultProfile>>(
+      apps::LibcProfiles());
+  PlanRunner warm(setup, profiles, oracle_opts);
+  for (const CrashReport& cr : report.crashes) {
+    Minimized after = MinimizeOn(warm, cr);
+    PlanRunner fresh_oracle(setup, profiles, oracle_opts);
+    Minimized fresh = MinimizeOn(fresh_oracle, cr);
+    EXPECT_EQ(after.xml, fresh.xml) << cr.signature;
+    EXPECT_EQ(after.runs, fresh.runs) << cr.signature;
+    EXPECT_EQ(after.reproduces, fresh.reproduces) << cr.signature;
+    EXPECT_EQ(after.xml, cr.minimized.ToXml()) << cr.signature;
+    EXPECT_EQ(after.runs, cr.minimize_runs) << cr.signature;
+    EXPECT_EQ(after.reproduces, cr.reproduces) << cr.signature;
+  }
+}
+
+TEST(Explorer, WarmOracleMinimizesLikeAFreshOneCold) {
+  ExplorerReport report = ExploreReader(1, 42);
+  ASSERT_GE(report.crashes.size(), 2u);
+  ExpectWarmOracleIsolated(ReaderSetup(), report, CampaignOptions{});
+}
+
+// Snapshot plus fork windows on db-suite (long enough runs that mutants
+// fork past the first window): crashes sit at different fault windows, so
+// the warm oracle's snapshot tree grows deeper nodes from crash to crash.
+TEST(Explorer, WarmOracleMinimizesLikeAFreshOneAcrossForkWindows) {
+  ExplorerOptions opts;
+  opts.rounds = 4;
+  opts.scenarios_per_round = 16;
+  opts.seed = 3;
+  opts.seed_probability = 0.1;
+  opts.fork_windows = true;
+  opts.campaign.entry = apps::kDbTestEntry;
+  opts.campaign.snapshot = true;
+  Explorer explorer(apps::DbSuiteMachineSetup(), apps::LibcProfiles(), opts);
+  ExplorerReport report = explorer.Explore();
+  std::set<uint64_t> windows;
+  for (const CrashReport& cr : report.crashes) windows.insert(cr.window);
+  ASSERT_GE(windows.size(), 2u) << "crashes must span fault windows";
+  ExpectWarmOracleIsolated(apps::DbSuiteMachineSetup(), report, opts.campaign);
 }
 
 // Every unique crash ships with a minimized reproducer that (a) is no

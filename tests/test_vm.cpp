@@ -671,16 +671,41 @@ TEST(DirtyMap, WrittenSetOutlivesTheJournal) {
 TEST(SegmentPool, ReleaseZeroesExactlyTheWrittenPages) {
   const uint64_t bytes = 3 * DirtyMap::kPageSize;
   SegmentPool pool;
-  std::vector<uint8_t> buffer = pool.Acquire(bytes);
+  Segment buffer = pool.Acquire(bytes);
   ASSERT_EQ(buffer.size(), bytes);
   DirtyMap written(bytes);
-  buffer[DirtyMap::kPageSize + 7] = 0xAA;
+  buffer.data()[DirtyMap::kPageSize + 7] = 0xAA;
   written.Mark(DirtyMap::kPageSize + 7, 1);
   const uint8_t* storage = buffer.data();
   pool.Release(std::move(buffer), written);
-  std::vector<uint8_t> again = pool.Acquire(bytes);
+  Segment again = pool.Acquire(bytes);
   EXPECT_EQ(again.data(), storage);  // recycled, not reallocated
   EXPECT_EQ(std::count(again.begin(), again.end(), 0), ptrdiff_t(bytes));
+}
+
+// A pool miss hands out fresh storage with no fill of its own: it must
+// still read all zero, at stack size (a large, page-backed allocation),
+// at TLS size and at an odd size.
+TEST(SegmentPool, MissSegmentReadsAllZero) {
+  SegmentPool pool;
+  for (uint64_t bytes : {kStackSize, kTlsSize, uint64_t{3}}) {
+    Segment fresh = pool.Acquire(bytes);
+    ASSERT_EQ(fresh.size(), bytes);
+    EXPECT_EQ(std::count(fresh.begin(), fresh.end(), 0), ptrdiff_t(bytes))
+        << bytes << " bytes";
+  }
+  // Storage freed while dirty (dropped, not released to the pool) can come
+  // back from the allocator; the next miss must still read zero.
+  for (uint64_t bytes : {kStackSize, kTlsSize}) {
+    {
+      Segment dirty = pool.Acquire(bytes);
+      std::fill(dirty.begin(), dirty.end(), 0xCD);
+    }
+    Segment again = pool.Acquire(bytes);
+    EXPECT_EQ(std::count(again.begin(), again.end(), 0), ptrdiff_t(bytes))
+        << bytes << " bytes";
+  }
+  EXPECT_TRUE(pool.Acquire(0).empty());
 }
 
 TEST(AddressSpace, WriteMarksRegionDirtyJournal) {
