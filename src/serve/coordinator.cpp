@@ -7,11 +7,13 @@
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <string.h>
+#include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <chrono>
+#include <deque>
 #include <map>
 #include <mutex>
 #include <thread>
@@ -53,6 +55,27 @@ int ConnectRetryEintr(int fd, const struct sockaddr* addr, socklen_t len) {
   return 0;
 }
 
+/// Batches a connection keeps in flight, so a worker's next batch is
+/// already buffered while the coordinator decodes its last reply.
+constexpr size_t kPipelineDepth = 2;
+/// Bounds of a guided batch (FabricOptions::batch_size == 0).
+constexpr size_t kMinGuidedBatch = 4;
+constexpr size_t kMaxGuidedBatch = 64;
+/// "No batch" from RunState::Claim, and the placeholder for a reply owed
+/// to a round that has already ended (read and dropped).
+constexpr size_t kNone = SIZE_MAX;
+
+/// Owns an eventfd for one Run.
+struct EventFd {
+  int fd = ::eventfd(0, EFD_CLOEXEC);
+  EventFd() = default;
+  ~EventFd() {
+    if (fd >= 0) ::close(fd);
+  }
+  EventFd(const EventFd&) = delete;
+  EventFd& operator=(const EventFd&) = delete;
+};
+
 }  // namespace
 
 /// Per-Run shared state. One mutex guards all of it: batch bookkeeping is
@@ -67,11 +90,72 @@ struct FabricCoordinator::RunState {
   };
 
   const std::vector<campaign::Scenario>* scenarios = nullptr;
-  std::vector<Batch> batches;
+  /// Batches are cut from the front of the scenario list as they are
+  /// claimed. A deque so cutting one never moves the others.
+  std::deque<Batch> batches;
+  size_t next = 0;        // first scenario not yet in a batch
+  size_t batch_size = 0;  // fixed batch size; 0 = guided
+  size_t live = 1;        // live connections when the round began
+  /// Set once every batch has its first reply (or has run out of
+  /// attempts); `wake` is signalled at the same moment, so threads waiting
+  /// only on duplicate copies stop waiting.
+  bool over = false;
+  int wake = -1;
   std::vector<campaign::ScenarioResult> results;
   std::vector<uint8_t> filled;
   std::map<std::string, vm::CoverageBitmap> coverage;
   std::mutex mu;
+
+  /// Size of the next fresh batch. Guided: half of the remaining work per
+  /// live worker, so the round's last batches, and any copy of them, are
+  /// small.
+  size_t NextBatchSize() const {
+    size_t left = scenarios->size() - next;
+    size_t size = batch_size;
+    if (size == 0) {
+      size = std::clamp<size_t>((left + 2 * live - 1) / (2 * live),
+                                kMinGuidedBatch, kMaxGuidedBatch);
+    }
+    return std::min(size, left);
+  }
+
+  /// Pick the next batch for a connection: a requeued batch, else a fresh
+  /// one, else (only when `may_steal`) a copy of an in-flight batch — the
+  /// least duplicated, latest cut, because it finishes last. kNone when
+  /// there is nothing to do.
+  size_t Claim(bool may_steal, int max_attempts) {
+    size_t steal = kNone;
+    for (size_t b = 0; b < batches.size(); ++b) {
+      const Batch& batch = batches[b];
+      if (batch.done || batch.attempts >= max_attempts) continue;
+      if (batch.inflight == 0) return b;
+      if (steal == kNone || batch.inflight <= batches[steal].inflight) {
+        steal = b;
+      }
+    }
+    if (next < scenarios->size()) {
+      Batch batch;
+      batch.start = next;
+      batch.count = NextBatchSize();
+      next += batch.count;
+      batches.push_back(batch);
+      return batches.size() - 1;
+    }
+    return may_steal ? steal : kNone;
+  }
+
+  /// Ends the round once no batch can still produce a first reply.
+  void CheckOver(int max_attempts) {
+    if (over || next < scenarios->size()) return;
+    for (const Batch& batch : batches) {
+      if (!batch.done &&
+          (batch.inflight > 0 || batch.attempts < max_attempts)) {
+        return;
+      }
+    }
+    over = true;
+    if (wake >= 0) (void)::eventfd_write(wake, 1);
+  }
 };
 
 FabricCoordinator::FabricCoordinator(TargetSpec target,
@@ -86,7 +170,11 @@ FabricCoordinator::FabricCoordinator(TargetSpec target,
 FabricCoordinator::~FabricCoordinator() {
   for (Connection& conn : connections_) {
     if (conn.fd < 0) continue;
-    if (conn.alive) (void)WriteFrame(conn.fd, MsgType::Shutdown, {});
+    // A worker that still owes replies may be blocked writing one; it
+    // sees the close instead of a Shutdown it would never read.
+    if (conn.alive && conn.stale == 0) {
+      (void)WriteFrame(conn.fd, MsgType::Shutdown, {});
+    }
     ::close(conn.fd);
     conn.fd = -1;
   }
@@ -204,113 +292,138 @@ campaign::CampaignRunner& FabricCoordinator::LocalRunner() {
 
 void FabricCoordinator::WorkerLoop(size_t conn_index, RunState& state) {
   Connection& conn = connections_[conn_index];
+  const int max_attempts = fabric_.max_batch_attempts;
+  const int timeout_ms =
+      fabric_.batch_timeout_ms > 0 ? fabric_.batch_timeout_ms : -1;
+  // Replies this connection owes, oldest first: a batch of this round, or
+  // kNone for a copy whose round already ended (read and dropped).
+  std::deque<size_t> owed(conn.stale, kNone);
+  conn.stale = 0;
+  // RunBatch frames not yet fully written. Writes never block: the loop
+  // keeps reading replies while a frame drains, so a worker blocked on
+  // writing a large reply can never wait on a coordinator blocked on
+  // writing a large batch.
+  std::vector<uint8_t> out;
+  size_t out_pos = 0;
+
   for (;;) {
-    // Claim a batch: a never-or-not-currently-dispatched one first, else
-    // steal the least-duplicated in-flight batch (straggler cover).
-    size_t claimed = SIZE_MAX;
+    std::vector<std::pair<size_t, size_t>> claimed;  // (start, count)
+    bool over = false;
     {
       std::lock_guard<std::mutex> lock(state.mu);
-      size_t best_steal = SIZE_MAX;
-      for (size_t b = 0; b < state.batches.size(); ++b) {
+      // Nothing new goes out until the copies of earlier rounds are read.
+      const bool draining = !owed.empty() && owed.front() == kNone;
+      while (!draining && owed.size() < kPipelineDepth) {
+        // Steal only when idle: a copy is straggler cover, never a queue.
+        size_t b = state.Claim(owed.empty(), max_attempts);
+        if (b == kNone) break;
         RunState::Batch& batch = state.batches[b];
-        if (batch.done || batch.attempts >= fabric_.max_batch_attempts) {
-          continue;
+        if (batch.inflight > 0) {
+          ++stats_.batches_stolen;
+        } else if (batch.attempts > 0) {
+          ++stats_.batches_retried;
         }
-        if (batch.inflight == 0) {
-          claimed = b;
-          break;
-        }
-        if (best_steal == SIZE_MAX ||
-            batch.inflight < state.batches[best_steal].inflight) {
-          best_steal = b;
-        }
+        ++batch.attempts;
+        ++batch.inflight;
+        ++stats_.batches_dispatched;
+        owed.push_back(b);
+        claimed.emplace_back(batch.start, batch.count);
       }
-      if (claimed == SIZE_MAX) claimed = best_steal;
-      if (claimed == SIZE_MAX) return;  // nothing left this thread can do
-      RunState::Batch& batch = state.batches[claimed];
-      if (batch.inflight > 0) {
-        ++stats_.batches_stolen;
-      } else if (batch.attempts > 0) {
-        ++stats_.batches_retried;
+      over = state.over;
+    }
+    for (const auto& [start, count] : claimed) {
+      BatchMsg msg;
+      for (size_t i = start; i < start + count; ++i) {
+        msg.indices.push_back(i);
+        msg.scenarios.push_back((*state.scenarios)[i]);
       }
-      ++batch.attempts;
-      ++batch.inflight;
-      ++stats_.batches_dispatched;
+      AppendFrame(out, MsgType::RunBatch, EncodeBatch(msg));
     }
-
-    RunState::Batch& batch = state.batches[claimed];
-    BatchMsg msg;
-    for (size_t i = 0; i < batch.count; ++i) {
-      msg.indices.push_back(batch.start + i);
-      msg.scenarios.push_back((*state.scenarios)[batch.start + i]);
-    }
-
-    bool applied = false;
-    Status failure;
-    if (auto st = WriteFrame(conn.fd, MsgType::RunBatch, EncodeBatch(msg));
-        !st.ok()) {
-      failure = st;
-    } else {
-      auto reply = ReadFrame(conn.fd, fabric_.batch_timeout_ms);
-      if (!reply.ok()) {
-        failure = Err(reply.error());
-      } else if (reply.value().type != MsgType::BatchResult) {
-        failure = Err("fabric: unexpected reply from " + conn.label);
-      } else {
-        auto decoded = DecodeBatchResult(reply.value().payload);
-        if (!decoded.ok()) {
-          failure = Err(decoded.error());
-        } else {
-          std::lock_guard<std::mutex> lock(state.mu);
-          --batch.inflight;
-          // First full reply wins; a stolen batch's duplicate (identical
-          // by determinism, so nothing is lost) is dropped.
-          if (!batch.done) {
-            bool valid = decoded.value().results.size() == batch.count;
-            for (const campaign::ScenarioResult& res :
-                 decoded.value().results) {
-              if (res.index < batch.start ||
-                  res.index >= batch.start + batch.count) {
-                valid = false;
-              }
-            }
-            if (valid) {
-              for (campaign::ScenarioResult& res : decoded.value().results) {
-                size_t idx = res.index;
-                if (!state.filled[idx]) {
-                  state.results[idx] = std::move(res);
-                  state.filled[idx] = 1;
-                }
-              }
-              for (auto& [mod, bitmap] : decoded.value().coverage) {
-                state.coverage[mod].Merge(bitmap);
-              }
-              batch.done = true;
-              stats_.scenarios_remote += batch.count;
-            } else {
-              // A worker that misaddresses results is not trustworthy.
-              failure = Err("fabric: mismatched batch reply from " +
-                            conn.label);
-              ++batch.inflight;  // undone below on the failure path
-            }
-          }
-          if (failure.ok()) applied = true;
-        }
-      }
-    }
-
-    if (!applied) {
-      // The stream cannot be resynchronized after a failure mid-exchange:
-      // drop the worker, put the batch back, let someone else run it.
-      std::lock_guard<std::mutex> lock(state.mu);
-      --batch.inflight;
-      conn.alive = false;
-      ::close(conn.fd);
-      conn.fd = -1;
-      ++stats_.workers_lost;
+    if (owed.empty()) return;  // nothing left this thread can do
+    if (over && out_pos == out.size()) {
+      // Everything owed is a copy of a batch that already has its reply.
+      // Leave it for the next Run on this connection to read and drop.
+      conn.stale = owed.size();
       return;
     }
+
+    struct pollfd fds[2] = {};
+    fds[0].fd = conn.fd;
+    fds[0].events = POLLIN;
+    if (out_pos < out.size()) fds[0].events |= POLLOUT;
+    fds[1].fd = over ? -1 : state.wake;
+    fds[1].events = POLLIN;
+    int ready = ::poll(fds, 2, timeout_ms);
+    if (ready < 0 && errno == EINTR) continue;
+    if (ready <= 0) break;  // poll failure or reply timeout
+    if (fds[0].revents & POLLOUT) {
+      ssize_t n = ::send(conn.fd, out.data() + out_pos, out.size() - out_pos,
+                         MSG_NOSIGNAL | MSG_DONTWAIT);
+      if (n < 0 && errno != EAGAIN && errno != EWOULDBLOCK && errno != EINTR) {
+        break;  // peer gone
+      }
+      if (n > 0) out_pos += static_cast<size_t>(n);
+      if (out_pos == out.size()) {
+        out.clear();
+        out_pos = 0;
+      }
+    }
+    if ((fds[0].revents & (POLLIN | POLLHUP | POLLERR)) == 0) continue;
+
+    // A reply: the worker answers in order, so it is for owed.front(). It
+    // is read whole; the worker writes it without reading in between.
+    auto reply = ReadFrame(conn.fd, timeout_ms);
+    if (!reply.ok() || reply.value().type != MsgType::BatchResult) break;
+    const size_t b = owed.front();
+    if (b == kNone) {
+      owed.pop_front();
+      continue;
+    }
+    auto decoded = DecodeBatchResult(reply.value().payload);
+    if (!decoded.ok()) break;
+    std::lock_guard<std::mutex> lock(state.mu);
+    RunState::Batch& batch = state.batches[b];
+    // First full reply wins; a stolen batch's duplicate (identical by
+    // determinism, so nothing is lost) is dropped.
+    if (!batch.done) {
+      bool valid = decoded.value().results.size() == batch.count;
+      for (const campaign::ScenarioResult& res : decoded.value().results) {
+        if (res.index < batch.start ||
+            res.index >= batch.start + batch.count) {
+          valid = false;
+        }
+      }
+      // A worker that misaddresses results is not trustworthy.
+      if (!valid) break;
+      for (campaign::ScenarioResult& res : decoded.value().results) {
+        size_t idx = res.index;
+        if (!state.filled[idx]) {
+          state.results[idx] = std::move(res);
+          state.filled[idx] = 1;
+        }
+      }
+      for (auto& [mod, bitmap] : decoded.value().coverage) {
+        state.coverage[mod].Merge(bitmap);
+      }
+      batch.done = true;
+      stats_.scenarios_remote += batch.count;
+    }
+    --batch.inflight;
+    owed.pop_front();
+    state.CheckOver(max_attempts);
   }
+
+  // The stream cannot be resynchronized after a failure mid-exchange:
+  // drop the worker, put its batches back, let someone else run them.
+  std::lock_guard<std::mutex> lock(state.mu);
+  for (size_t b : owed) {
+    if (b != kNone) --state.batches[b].inflight;
+  }
+  conn.alive = false;
+  ::close(conn.fd);
+  conn.fd = -1;
+  ++stats_.workers_lost;
+  state.CheckOver(max_attempts);
 }
 
 campaign::CampaignReport FabricCoordinator::Run(
@@ -330,21 +443,11 @@ campaign::CampaignReport FabricCoordinator::Run(
 
   size_t live = live_workers();
   if (live > 0) {
-    // Contiguous index-range batches: ~4 per live worker so there is
-    // enough granularity to steal and retry, clamped so tiny campaigns
-    // still form real batches and huge ones don't drown in round trips.
-    size_t batch_size = fabric_.batch_size;
-    if (batch_size == 0) {
-      batch_size = (scenarios.size() + live * 4 - 1) / (live * 4);
-      batch_size = std::clamp<size_t>(batch_size, 1, 64);
-    }
-    for (size_t start = 0; start < scenarios.size(); start += batch_size) {
-      RunState::Batch batch;
-      batch.start = start;
-      batch.count = std::min(batch_size, scenarios.size() - start);
-      state.batches.push_back(batch);
-    }
-
+    // Contiguous index-range batches, cut as connections claim them.
+    EventFd wake;
+    state.batch_size = fabric_.batch_size;
+    state.live = live;
+    state.wake = wake.fd;
     std::vector<std::thread> threads;
     for (size_t c = 0; c < connections_.size(); ++c) {
       if (!connections_[c].alive) continue;

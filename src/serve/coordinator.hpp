@@ -16,14 +16,30 @@
 //      make the same batch's coverage arrive twice) merges to the same
 //      union.
 //
+// Dispatch: Run() gives each live connection a thread. Batches are
+// contiguous index ranges cut from the front of the list as threads claim
+// them. Each connection keeps up to two batches in flight, so a worker's
+// next batch is already in its socket buffer while the coordinator
+// decodes its last reply; a worker answers in order. Writes never block a
+// thread from reading, so frames larger than the socket buffers cannot
+// deadlock the pair.
+//
+// Stealing and the round's end: a thread with nothing in flight and
+// nothing left to claim duplicates an in-flight batch of another worker —
+// the least duplicated, latest cut one, which is the one that finishes
+// last — and whichever copy lands first wins. Run() returns as soon as
+// every batch has its first reply. A thread still waiting only on copies
+// is woken then and records how many replies its worker still owes on
+// the connection (Connection::stale); the next Run() on that connection
+// reads and drops them before it sends anything new. So a worker that
+// dies while it owes only copies is noticed by that next Run().
+//
 // Failure model: a worker that dies (EOF, socket error, reply timeout)
-// loses its in-flight batch; the batch goes back to the queue and another
+// loses its in-flight batches; they go back to the queue and another
 // worker — or, when dispatch attempts run out, the coordinator's own
-// in-process fallback runner — re-executes it. Stealing covers the
-// straggler case without failure: a worker with nothing left to do
-// duplicates the slowest in-flight batch, and whichever copy lands first
-// wins. A coordinator with zero reachable workers degrades to a plain
-// in-process campaign. Run() always completes with a full result set.
+// in-process fallback runner — re-executes them. A coordinator with zero
+// reachable workers degrades to a plain in-process campaign. Run() always
+// completes with a full result set.
 #pragma once
 
 #include <cstdint>
@@ -39,9 +55,10 @@
 namespace lfi::serve {
 
 struct FabricOptions {
-  /// Scenarios per batch; 0 = auto (about 4 batches per live worker,
-  /// clamped to [1, 64]) — small enough to steal and retry usefully,
-  /// large enough to amortize a round trip.
+  /// Scenarios per batch; 0 = guided: each batch takes
+  /// ceil(left / (2 * live workers)) of the scenarios not yet dispatched,
+  /// clamped to [4, 64], so early batches amortize round trips and the
+  /// round's last batches — and any stolen copy of them — are small.
   size_t batch_size = 0;
   /// Total dispatch attempts per batch (first send + retries + steals)
   /// before it falls through to the local runner.
@@ -105,14 +122,18 @@ class FabricCoordinator : public campaign::ScenarioDispatch {
     int fd = -1;
     std::string label;
     bool alive = false;
+    /// Replies the worker still owes for copies whose round had already
+    /// ended; the next Run() on this connection reads and drops them.
+    size_t stale = 0;
   };
 
   struct RunState;
 
   Status Handshake(Connection& conn);
   /// One connection's dispatch loop for one Run (executes on its own
-  /// thread): claim batches, ship them, apply replies; on any socket
-  /// failure mark the connection dead, requeue the batch, and exit.
+  /// thread): claim up to two batches, ship them, apply replies; on any
+  /// socket failure mark the connection dead, requeue its batches, and
+  /// exit.
   void WorkerLoop(size_t conn_index, RunState& state);
   /// The in-process safety net, built lazily from the same TargetSpec.
   campaign::CampaignRunner& LocalRunner();

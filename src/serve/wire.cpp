@@ -29,11 +29,15 @@ bool PlausibleCount(const Reader& r, uint64_t count) {
 void PutU8(std::vector<uint8_t>& out, uint8_t v) { out.push_back(v); }
 
 void PutU32(std::vector<uint8_t>& out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) out.push_back(static_cast<uint8_t>(v >> (8 * i)));
+  uint8_t bytes[4];
+  for (int i = 0; i < 4; ++i) bytes[i] = static_cast<uint8_t>(v >> (8 * i));
+  out.insert(out.end(), bytes, bytes + 4);
 }
 
 void PutU64(std::vector<uint8_t>& out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) out.push_back(static_cast<uint8_t>(v >> (8 * i)));
+  uint8_t bytes[8];
+  for (int i = 0; i < 8; ++i) bytes[i] = static_cast<uint8_t>(v >> (8 * i));
+  out.insert(out.end(), bytes, bytes + 8);
 }
 
 void PutI64(std::vector<uint8_t>& out, int64_t v) {
@@ -359,25 +363,46 @@ Result<campaign::CampaignOptions> DecodeOptions(Reader& r) {
 // -- coverage bitmap ---------------------------------------------------------
 
 void EncodeBitmap(std::vector<uint8_t>& out, const vm::CoverageBitmap& bitmap) {
+  const std::vector<uint64_t>& words = bitmap.words();
+  uint32_t nonzero = 0;
+  for (uint64_t word : words) nonzero += word != 0;
   PutU64(out, bitmap.size_bits());
-  std::vector<uint32_t> offsets = bitmap.ToOffsets();
-  PutU32(out, static_cast<uint32_t>(offsets.size()));
-  for (uint32_t off : offsets) PutU32(out, off);
+  PutU32(out, nonzero);
+  for (size_t w = 0; w < words.size(); ++w) {
+    if (words[w] == 0) continue;
+    PutU32(out, static_cast<uint32_t>(w));
+    PutU64(out, words[w]);
+  }
 }
 
 Result<vm::CoverageBitmap> DecodeBitmap(Reader& r) {
   uint64_t bits = 0;
   uint32_t count = 0;
-  if (!r.U64(&bits) || !r.U32(&count) || !PlausibleCount(r, count)) {
+  if (!r.U64(&bits) || !r.U32(&count)) return Err("wire: truncated bitmap");
+  // A bitmap covers one module's code section; cap it before allocating so
+  // a hostile peer cannot size it.
+  if (bits > sso::kMaxCodeBytes) return Err("wire: bitmap too large");
+  const uint64_t word_count = (bits + 63) / 64;
+  // Each sent word costs 12 bytes: (index u32, word u64).
+  if (count > word_count || uint64_t{count} * 12 > r.size - r.pos) {
     return Err("wire: truncated bitmap");
   }
-  vm::CoverageBitmap bitmap;
-  bitmap.Resize(static_cast<size_t>(bits));
+  vm::CoverageBitmap bitmap(static_cast<size_t>(bits));
+  uint64_t next = 0;  // smallest index the next word may carry
   for (uint32_t i = 0; i < count; ++i) {
-    uint32_t off = 0;
-    if (!r.U32(&off)) return Err("wire: truncated bitmap");
-    if (off >= bits) return Err("wire: bitmap offset out of range");
-    bitmap.Set(off);
+    uint32_t index = 0;
+    uint64_t word = 0;
+    if (!r.U32(&index) || !r.U64(&word)) return Err("wire: truncated bitmap");
+    if (index < next || index >= word_count) {
+      return Err("wire: bitmap word index out of order or range");
+    }
+    if (word == 0) return Err("wire: zero bitmap word");
+    if (index == word_count - 1 && bits % 64 != 0 &&
+        (word >> (bits % 64)) != 0) {
+      return Err("wire: bitmap offset out of range");
+    }
+    bitmap.OrWord(index, word);
+    next = uint64_t{index} + 1;
   }
   return bitmap;
 }
@@ -671,16 +696,20 @@ Status ReadAll(int fd, uint8_t* data, size_t size, int timeout_ms) {
 
 }  // namespace
 
+void AppendFrame(std::vector<uint8_t>& out, MsgType type,
+                 const std::vector<uint8_t>& payload) {
+  PutU32(out, kWireMagic);
+  PutU8(out, static_cast<uint8_t>(type));
+  PutU32(out, static_cast<uint32_t>(payload.size()));
+  out.insert(out.end(), payload.begin(), payload.end());
+}
+
 Status WriteFrame(int fd, MsgType type, const std::vector<uint8_t>& payload) {
   if (payload.size() > kMaxPayload) return Err("wire: frame too large");
-  std::vector<uint8_t> header;
-  PutU32(header, kWireMagic);
-  PutU8(header, static_cast<uint8_t>(type));
-  PutU32(header, static_cast<uint32_t>(payload.size()));
-  if (auto st = WriteAll(fd, header.data(), header.size()); !st.ok()) {
-    return st;
-  }
-  return WriteAll(fd, payload.data(), payload.size());
+  std::vector<uint8_t> frame;
+  frame.reserve(9 + payload.size());
+  AppendFrame(frame, type, payload);
+  return WriteAll(fd, frame.data(), frame.size());
 }
 
 Result<Frame> ReadFrame(int fd, int timeout_ms) {

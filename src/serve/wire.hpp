@@ -36,8 +36,12 @@ inline constexpr uint32_t kWireMagic = 0x3157464Cu;  // "LFW1" little-endian
 // 3 = controller feasible_only options flag (bit 6) and profile error-code
 // provenance attributes in the Configure profile XML; 4 = options bit 4
 // (flat-vs-tree snapshot) retired and unknown option bits rejected, exec
-// mode 1 = reference (the predecoded engine is gone).
-inline constexpr uint32_t kWireVersion = 4;
+// mode 1 = reference (the predecoded engine is gone); 5 = word-sparse
+// bitmaps: [bits u64] [n u32] then n x ([word index u32] [word u64]), the
+// non-zero 64-bit words only, indices strictly ascending, bits at or past
+// `bits` clear, `bits` at most sso::kMaxCodeBytes (v4 sent every set
+// offset as a u32).
+inline constexpr uint32_t kWireVersion = 5;
 /// Hard cap on a single frame's payload. Campaign batches are scenario
 /// plans + results, not bulk data; 256 MiB is far above any real frame.
 inline constexpr uint32_t kMaxPayload = 256u << 20;
@@ -158,6 +162,11 @@ std::vector<uint8_t> EncodeBatchResult(const BatchResultMsg& msg);
 Result<BatchResultMsg> DecodeBatchResult(const std::vector<uint8_t>& payload);
 
 // -- frame I/O ---------------------------------------------------------------
+
+/// Append one frame (header + payload) to `out`: the bytes WriteFrame
+/// sends, for callers that write without blocking.
+void AppendFrame(std::vector<uint8_t>& out, MsgType type,
+                 const std::vector<uint8_t>& payload);
 
 /// Write one frame (header + payload) to `fd`, looping over partial
 /// writes. Fails on any socket error (peer gone).

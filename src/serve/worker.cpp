@@ -8,7 +8,9 @@
 #include <sys/types.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <memory>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -159,6 +161,10 @@ Status WorkerServer::ServeConnection(int fd) {
             scenarios_run >= config_.abort_after_scenarios) {
           outcome = Err("serve: aborted by abort_after_scenarios");
           goto done;
+        }
+        if (config_.batch_delay_ms != 0) {
+          std::this_thread::sleep_for(
+              std::chrono::milliseconds(config_.batch_delay_ms));
         }
         if (auto st = WriteFrame(fd, MsgType::BatchResult,
                                  EncodeBatchResult(reply));

@@ -37,6 +37,9 @@ struct WorkerConfig {
   /// Deterministic, unlike an actual signal race, so the retry path can be
   /// exercised reproducibly.
   uint64_t abort_after_scenarios = 0;
+  /// Straggler hook for tests: sleep this long before answering each
+  /// batch, so other workers finish first and steal its batches. 0 = off.
+  uint32_t batch_delay_ms = 0;
 };
 
 /// One worker process. Listen() binds; Serve*() runs the protocol.

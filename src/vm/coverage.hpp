@@ -38,6 +38,15 @@ class CoverageBitmap {
     if (offset < bits_) words_[offset >> 6] |= uint64_t{1} << (offset & 63);
   }
 
+  /// OR `word` into word `index` (bits index*64 .. index*64+63). The wire
+  /// decoder rebuilds a bitmap this way from its non-zero words; `index`
+  /// must be below words().size().
+  void OrWord(size_t index, uint64_t word) { words_[index] |= word; }
+
+  /// The backing words, bit i of the bitmap at words()[i / 64] bit i % 64.
+  /// Bits at or past size_bits() are always clear.
+  const std::vector<uint64_t>& words() const { return words_; }
+
   bool Test(uint32_t offset) const {
     return offset < bits_ &&
            (words_[offset >> 6] >> (offset & 63) & uint64_t{1}) != 0;

@@ -8,6 +8,7 @@
 // change one byte of what comes back.
 #include <gtest/gtest.h>
 #include <signal.h>
+#include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -200,18 +201,22 @@ TEST(Fabric, RepeatedRunsReuseWarmWorkers) {
 }
 
 // One worker hard-closes its socket mid-campaign (the deterministic
-// stand-in for kill -9); its in-flight batch must be re-run on the
-// surviving worker and the merged report must not change a byte.
+// stand-in for kill -9); its in-flight batches must be re-run on the
+// surviving worker and the merged report must not change a byte. The
+// survivor answers slowly, so the death lands inside the round (a round
+// ends at its last first reply, without waiting on the dead worker).
 TEST(Fabric, AbortingWorkerShardIsRetriedElsewhere) {
   std::vector<Scenario> scenarios = RandomScenarios(32, 0.3, 42);
   CampaignReport baseline = InProcessBaseline(scenarios, BaseOptions());
 
   WorkerConfig dying;
   dying.abort_after_scenarios = 4;
+  WorkerConfig slow;
+  slow.batch_delay_ms = 20;
   FabricOptions fabric_opts;
   fabric_opts.batch_size = 4;
   auto w1 = SpawnLocalWorker(dying);
-  auto w2 = SpawnLocalWorker();
+  auto w2 = SpawnLocalWorker(slow);
   ASSERT_TRUE(w1.ok()) << w1.error();
   ASSERT_TRUE(w2.ok()) << w2.error();
   FabricCoordinator fabric(ReaderSpec(), apps::LibcProfiles(), BaseOptions(),
@@ -229,13 +234,17 @@ TEST(Fabric, AbortingWorkerShardIsRetriedElsewhere) {
 }
 
 // An actual SIGKILL, not the cooperative hook: the coordinator sees the
-// dead socket, drops the worker, and the survivor covers everything.
+// dead socket, drops the worker, and the survivor covers everything. The
+// survivor answers slowly, so the dead worker's thread claims a batch
+// before the survivor could finish the round alone.
 TEST(Fabric, SigkilledWorkerProcessDoesNotChangeTheReport) {
   std::vector<Scenario> scenarios = RandomScenarios(16, 0.3, 13);
   CampaignReport baseline = InProcessBaseline(scenarios, BaseOptions());
 
+  WorkerConfig slow;
+  slow.batch_delay_ms = 20;
   auto w1 = SpawnLocalWorker();
-  auto w2 = SpawnLocalWorker();
+  auto w2 = SpawnLocalWorker(slow);
   ASSERT_TRUE(w1.ok()) << w1.error();
   ASSERT_TRUE(w2.ok()) << w2.error();
   FabricCoordinator fabric(ReaderSpec(), apps::LibcProfiles(), BaseOptions());
@@ -249,6 +258,139 @@ TEST(Fabric, SigkilledWorkerProcessDoesNotChangeTheReport) {
   ExpectSameResults(baseline, distributed);
   EXPECT_GE(fabric.stats().workers_lost, 1u);
   ReapWorker(w2.value());
+}
+
+// A straggler's batches are stolen, and the round ends at the stolen
+// copies' replies without waiting on the straggler. Its late replies are
+// read and dropped by the next Run on that connection: if they were taken
+// for replies of the new round, the second report would differ or the
+// worker would be dropped for misaddressed results.
+TEST(Fabric, StolenCopiesAreDrainedOnTheNextRun) {
+  std::vector<Scenario> first = RandomScenarios(32, 0.3, 42);
+  std::vector<Scenario> second = RandomScenarios(32, 0.4, 43);
+  // The fast worker is slow enough that the straggler's thread claims
+  // batches before the fast one could finish the round alone.
+  WorkerConfig fast;
+  fast.batch_delay_ms = 10;
+  WorkerConfig straggler;
+  straggler.batch_delay_ms = 150;
+  auto w1 = SpawnLocalWorker(fast);
+  auto w2 = SpawnLocalWorker(straggler);
+  ASSERT_TRUE(w1.ok()) << w1.error();
+  ASSERT_TRUE(w2.ok()) << w2.error();
+  FabricCoordinator fabric(ReaderSpec(), apps::LibcProfiles(), BaseOptions());
+  ASSERT_TRUE(fabric.AddWorkerFd(w1.value().fd, "fast").ok());
+  ASSERT_TRUE(fabric.AddWorkerFd(w2.value().fd, "straggler").ok());
+
+  ExpectSameResults(InProcessBaseline(first, BaseOptions()),
+                    fabric.Run(first));
+  EXPECT_GE(fabric.stats().batches_stolen, 1u);
+  // Let the straggler finish its copies, so the next Run has their
+  // replies to drain.
+  ::usleep(350'000);
+  ExpectSameResults(InProcessBaseline(second, BaseOptions()),
+                    fabric.Run(second));
+  EXPECT_EQ(fabric.stats().workers_lost, 0u);
+  EXPECT_EQ(fabric.live_workers(), 2u);
+  EXPECT_EQ(fabric.stats().scenarios_local, 0u);
+  ReapWorker(w1.value());
+  ReapWorker(w2.value());
+}
+
+// Two batches in flight on a connection whose socket buffers are far
+// smaller than a frame: the worker blocks writing a large reply while the
+// coordinator still has a large batch to write. The coordinator keeps
+// reading while it writes, so the pair cannot deadlock.
+TEST(Fabric, FramesLargerThanSocketBuffersDoNotDeadlock) {
+  std::vector<Scenario> scenarios = RandomScenarios(96, 0.3, 77);
+  for (Scenario& s : scenarios) {
+    // Triggers that never fire: they only make every RunBatch frame big.
+    for (int i = 0; i < 200; ++i) {
+      core::FunctionTrigger t;
+      t.function = "close";
+      t.mode = core::FunctionTrigger::Mode::CallCount;
+      t.inject_call = 1'000'000 + static_cast<uint64_t>(i);
+      core::FrameCondition frame;
+      frame.symbol = "main";
+      t.stacktrace.push_back(frame);
+      s.plan.triggers.push_back(t);
+    }
+  }
+  CampaignReport baseline = InProcessBaseline(scenarios, BaseOptions());
+
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  for (int fd : fds) {
+    int size = 4096;
+    ASSERT_EQ(::setsockopt(fd, SOL_SOCKET, SO_SNDBUF, &size, sizeof(size)), 0);
+    ASSERT_EQ(::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &size, sizeof(size)), 0);
+  }
+  pid_t pid = ::fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    ::close(fds[0]);
+    WorkerServer worker;
+    (void)worker.ServeConnection(fds[1]);
+    ::_exit(0);
+  }
+  ::close(fds[1]);
+
+  FabricOptions fabric_opts;
+  fabric_opts.batch_size = 48;
+  fabric_opts.batch_timeout_ms = 20'000;
+  FabricCoordinator fabric(ReaderSpec(), apps::LibcProfiles(), BaseOptions(),
+                           fabric_opts);
+  ASSERT_TRUE(fabric.AddWorkerFd(fds[0], "tiny-buffers").ok());
+  // Both directions' frames dwarf the buffers.
+  BatchMsg msg;
+  BatchResultMsg reply;
+  msg.indices.assign(48, 0);
+  msg.scenarios.assign(scenarios.begin(), scenarios.begin() + 48);
+  reply.results.assign(baseline.results.begin(),
+                       baseline.results.begin() + 48);
+  ASSERT_GT(EncodeBatch(msg).size(), 16u * 4096u);
+  ASSERT_GT(EncodeBatchResult(reply).size(), 4u * 4096u);
+
+  CampaignReport distributed = fabric.Run(scenarios);
+  ExpectSameResults(baseline, distributed);
+  EXPECT_EQ(fabric.stats().workers_lost, 0u);
+  EXPECT_EQ(fabric.stats().scenarios_remote, scenarios.size());
+  ::waitpid(pid, nullptr, WNOHANG);
+}
+
+// Guided batch sizes (batch_size == 0) cut the campaign into batches that
+// cover every index exactly once: a gap would fall back to the local
+// runner, an overlap would count scenarios twice.
+TEST(Fabric, GuidedBatchesPlaceEveryIndexOnce) {
+  std::vector<std::vector<Scenario>> sets;
+  std::vector<CampaignReport> baselines;
+  for (size_t n : {size_t{1}, size_t{7}, size_t{128}, size_t{1000}}) {
+    sets.push_back(RandomScenarios(n, 0.3, 1000 + n));
+    baselines.push_back(InProcessBaseline(sets.back(), BaseOptions()));
+  }
+  for (size_t workers = 1; workers <= 3; ++workers) {
+    SCOPED_TRACE("workers " + std::to_string(workers));
+    std::vector<LocalWorker> spawned;
+    for (size_t w = 0; w < workers; ++w) {
+      auto worker = SpawnLocalWorker();
+      ASSERT_TRUE(worker.ok()) << worker.error();
+      spawned.push_back(worker.value());
+    }
+    FabricCoordinator fabric(ReaderSpec(), apps::LibcProfiles(),
+                             BaseOptions());
+    for (const LocalWorker& worker : spawned) {
+      ASSERT_TRUE(fabric.AddWorkerFd(worker.fd, "w").ok());
+    }
+    for (size_t i = 0; i < sets.size(); ++i) {
+      SCOPED_TRACE("scenarios " + std::to_string(sets[i].size()));
+      size_t remote = fabric.stats().scenarios_remote;
+      ExpectSameResults(baselines[i], fabric.Run(sets[i]));
+      EXPECT_EQ(fabric.stats().scenarios_remote - remote, sets[i].size());
+    }
+    EXPECT_EQ(fabric.stats().scenarios_local, 0u);
+    EXPECT_EQ(fabric.stats().workers_lost, 0u);
+    for (const LocalWorker& worker : spawned) ReapWorker(worker);
+  }
 }
 
 // No workers at all: the coordinator is still a valid ScenarioDispatch —

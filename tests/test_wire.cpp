@@ -12,6 +12,7 @@
 
 #include "serve/coordinator.hpp"
 #include "serve/wire.hpp"
+#include "sso/sso.hpp"
 
 namespace lfi::serve {
 namespace {
@@ -267,7 +268,7 @@ TEST(Wire, HandshakeRejectsPreviousVersion) {
     ::close(fd);
   });
   FabricCoordinator fabric(TargetSpec{}, {}, campaign::CampaignOptions());
-  Status st = fabric.AddWorkerFd(fds[0], "v3");
+  Status st = fabric.AddWorkerFd(fds[0], "v4");
   old_worker.join();
   ASSERT_FALSE(st.ok());
   EXPECT_NE(st.error().find("version mismatch"), std::string::npos)
@@ -275,27 +276,117 @@ TEST(Wire, HandshakeRejectsPreviousVersion) {
   EXPECT_EQ(fabric.live_workers(), 0u);
 }
 
-TEST(Wire, BitmapRoundTrip) {
-  vm::CoverageBitmap bitmap(1000);
-  for (uint32_t off : {0u, 1u, 63u, 64u, 517u, 999u}) bitmap.Set(off);
+vm::CoverageBitmap RoundTripBitmap(const vm::CoverageBitmap& bitmap) {
   std::vector<uint8_t> buf;
   EncodeBitmap(buf, bitmap);
   Reader r(buf);
   auto decoded = DecodeBitmap(r);
-  ASSERT_TRUE(decoded.ok()) << decoded.error();
+  EXPECT_TRUE(decoded.ok()) << decoded.error();
   EXPECT_TRUE(r.AtEnd());
-  EXPECT_EQ(decoded.value(), bitmap);
-  EXPECT_EQ(decoded.value().size_bits(), bitmap.size_bits());
+  return decoded.ok() ? std::move(decoded).take() : vm::CoverageBitmap();
+}
+
+TEST(Wire, BitmapRoundTrip) {
+  vm::CoverageBitmap bitmap(1000);
+  for (uint32_t off : {0u, 1u, 63u, 64u, 517u, 999u}) bitmap.Set(off);
+  vm::CoverageBitmap decoded = RoundTripBitmap(bitmap);
+  EXPECT_EQ(decoded, bitmap);
+  EXPECT_EQ(decoded.size_bits(), bitmap.size_bits());
+  EXPECT_EQ(decoded.words(), bitmap.words());
+}
+
+TEST(Wire, EmptyBitmapsRoundTrip) {
+  for (size_t bits : {size_t{0}, size_t{1}, size_t{64}, size_t{1000}}) {
+    SCOPED_TRACE("bits " + std::to_string(bits));
+    vm::CoverageBitmap bitmap(bits);
+    vm::CoverageBitmap decoded = RoundTripBitmap(bitmap);
+    EXPECT_EQ(decoded.size_bits(), bits);
+    EXPECT_EQ(decoded.words(), bitmap.words());
+    EXPECT_EQ(decoded.Count(), 0u);
+  }
+}
+
+// Sizes that end mid-word keep their last offset and their exact size.
+TEST(Wire, BitmapWithPartialLastWordRoundTrips) {
+  for (size_t bits : {size_t{1}, size_t{63}, size_t{65}, size_t{130}}) {
+    SCOPED_TRACE("bits " + std::to_string(bits));
+    vm::CoverageBitmap bitmap(bits);
+    for (uint32_t off = 0; off < bits; off += 3) bitmap.Set(off);
+    bitmap.Set(static_cast<uint32_t>(bits - 1));
+    vm::CoverageBitmap decoded = RoundTripBitmap(bitmap);
+    EXPECT_EQ(decoded.size_bits(), bits);
+    EXPECT_EQ(decoded.words(), bitmap.words());
+  }
+}
+
+// v5 sends only the non-zero words: 12 header bytes, 12 per word.
+TEST(Wire, BitmapCarriesOnlyNonZeroWords) {
+  vm::CoverageBitmap bitmap(64 * 100);
+  bitmap.Set(5);
+  bitmap.Set(6);
+  bitmap.Set(64 * 70 + 1);
+  std::vector<uint8_t> buf;
+  EncodeBitmap(buf, bitmap);
+  EXPECT_EQ(buf.size(), 12u + 2 * 12u);
+}
+
+/// A hand-built v5 bitmap: [bits u64] [n u32] then (index u32, word u64).
+std::vector<uint8_t> RawBitmap(
+    uint64_t bits, const std::vector<std::pair<uint32_t, uint64_t>>& words) {
+  std::vector<uint8_t> buf;
+  PutU64(buf, bits);
+  PutU32(buf, static_cast<uint32_t>(words.size()));
+  for (const auto& [index, word] : words) {
+    PutU32(buf, index);
+    PutU64(buf, word);
+  }
+  return buf;
+}
+
+bool DecodesOk(const std::vector<uint8_t>& buf) {
+  Reader r(buf);
+  return DecodeBitmap(r).ok();
 }
 
 TEST(Wire, BitmapRejectsOutOfRangeOffset) {
+  // 100 bits end at bit 35 of word 1; bit 36 of word 1 is offset 100.
+  EXPECT_TRUE(DecodesOk(RawBitmap(100, {{1, uint64_t{1} << 35}})));
+  EXPECT_FALSE(DecodesOk(RawBitmap(100, {{1, uint64_t{1} << 36}})));
+  EXPECT_FALSE(DecodesOk(RawBitmap(100, {{1, ~uint64_t{0}}})));
+}
+
+TEST(Wire, BitmapRejectsMalformedWords) {
+  EXPECT_TRUE(DecodesOk(RawBitmap(256, {{0, 1}, {3, 2}})));
+  // A zero word is never sent.
+  EXPECT_FALSE(DecodesOk(RawBitmap(256, {{0, 1}, {3, 0}})));
+  // Indices strictly ascend: repeated and descending are both malformed.
+  EXPECT_FALSE(DecodesOk(RawBitmap(256, {{2, 1}, {2, 4}})));
+  EXPECT_FALSE(DecodesOk(RawBitmap(256, {{3, 1}, {1, 4}})));
+  // An index past the word count (256 bits = 4 words).
+  EXPECT_FALSE(DecodesOk(RawBitmap(256, {{4, 1}})));
+  EXPECT_FALSE(DecodesOk(RawBitmap(0, {{0, 1}})));
+  // More words than the size allows.
+  EXPECT_FALSE(DecodesOk(RawBitmap(64, {{0, 1}, {1, 1}})));
+}
+
+// The size is checked before the bitmap is allocated: a hostile peer
+// cannot make a worker allocate more than one module's code section.
+TEST(Wire, BitmapRejectsSizeAboveCodeCap) {
+  EXPECT_TRUE(DecodesOk(RawBitmap(sso::kMaxCodeBytes, {})));
+  EXPECT_FALSE(DecodesOk(RawBitmap(sso::kMaxCodeBytes + 1, {})));
+  EXPECT_FALSE(DecodesOk(RawBitmap(~uint64_t{0}, {})));
+}
+
+TEST(Wire, TruncatedBitmapIsRejectedAtEveryLength) {
+  vm::CoverageBitmap bitmap(1000);
+  for (uint32_t off : {3u, 64u, 200u, 999u}) bitmap.Set(off);
   std::vector<uint8_t> buf;
-  PutU64(buf, 100);  // 100 bits...
-  PutU32(buf, 1);
-  PutU32(buf, 100);  // ...but an offset at 100
-  Reader r(buf);
-  auto decoded = DecodeBitmap(r);
-  EXPECT_FALSE(decoded.ok());
+  EncodeBitmap(buf, bitmap);
+  for (size_t len = 0; len < buf.size(); ++len) {
+    SCOPED_TRACE("length " + std::to_string(len));
+    std::vector<uint8_t> cut(buf.begin(), buf.begin() + len);
+    EXPECT_FALSE(DecodesOk(cut));
+  }
 }
 
 TEST(Wire, ResultRoundTrip) {
