@@ -1,7 +1,6 @@
 #include "campaign/campaign.hpp"
 
 #include <algorithm>
-#include <numeric>
 #include <thread>
 
 #include "util/strings.hpp"
@@ -75,40 +74,6 @@ std::string CampaignReport::ToText() const {
     out += "\n";
   }
   return out;
-}
-
-std::vector<std::vector<size_t>> ShardScenarios(
-    const std::vector<Scenario>& scenarios, size_t jobs, ShardPolicy policy) {
-  if (jobs == 0) jobs = 1;
-  std::vector<std::vector<size_t>> shards(jobs);
-  if (policy == ShardPolicy::RoundRobin) {
-    for (size_t i = 0; i < scenarios.size(); ++i) {
-      shards[i % jobs].push_back(i);
-    }
-    return shards;
-  }
-
-  // SizeBalanced: longest-processing-time greedy. Heaviest scenario first,
-  // each assigned to the currently lightest shard (ties: lowest shard id,
-  // then lowest scenario index — fully deterministic).
-  std::vector<size_t> order(scenarios.size());
-  std::iota(order.begin(), order.end(), size_t{0});
-  auto weight = [&](size_t i) -> uint64_t {
-    const Scenario& s = scenarios[i];
-    return s.weight != 0 ? s.weight : s.plan.triggers.size() + 1;
-  };
-  std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-    return weight(a) > weight(b);
-  });
-  std::vector<uint64_t> load(jobs, 0);
-  for (size_t idx : order) {
-    size_t target = static_cast<size_t>(
-        std::min_element(load.begin(), load.end()) - load.begin());
-    shards[target].push_back(idx);
-    load[target] += weight(idx);
-  }
-  for (auto& shard : shards) std::sort(shard.begin(), shard.end());
-  return shards;
 }
 
 uint64_t DeriveSeed(uint64_t base, uint64_t index) {

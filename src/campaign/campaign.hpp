@@ -35,8 +35,6 @@ struct Scenario {
   /// tree node) execution. Values below the campaign-wide warmup run cold:
   /// the tree's root was taken past that point.
   std::optional<uint64_t> warmup_instructions;
-  /// Cost estimate for size-balanced sharding; 0 = use trigger count.
-  uint64_t weight = 0;
 };
 
 enum class ScenarioStatus {
@@ -142,15 +140,10 @@ struct CampaignReport {
   std::string ToText() const;
 };
 
-enum class ShardPolicy {
-  RoundRobin,    // scenario i -> worker i % jobs
-  SizeBalanced,  // longest-processing-time greedy on scenario weights
-};
-
 struct CampaignOptions {
-  /// Worker threads; 0 = hardware concurrency.
+  /// Worker threads; 0 = hardware concurrency. Scenario i runs on worker
+  /// slot i % jobs (ParallelFor).
   int jobs = 1;
-  ShardPolicy shard = ShardPolicy::RoundRobin;
   std::string entry = "main";
   uint64_t max_instructions = 50'000'000;
   uint64_t default_heap_cap = 1 << 20;
@@ -186,18 +179,13 @@ struct CampaignOptions {
   /// plan installs only once the prefix has run. 0 = window opens at the
   /// entry point.
   uint64_t warmup_instructions = 0;
-  /// Execution engine for worker machines (campaign `--exec`). Unset =
-  /// the machine default: Superblock, or whatever LFI_EXEC names. All
-  /// engines produce bit-identical reports (test-enforced), so this is an
-  /// A/B and debugging knob, not a semantic one.
+  /// Execution engine for worker machines (`--exec`, the only engine
+  /// switch). Unset = the machine default, Superblock. All engines produce
+  /// bit-identical reports (test-enforced), so this is an A/B and
+  /// debugging knob, not a semantic one.
   std::optional<vm::ExecMode> exec_mode;
   core::ControllerOptions controller;
 };
-
-/// Split scenario indices into `jobs` shards. Every index appears exactly
-/// once across shards; shard contents are ascending. Deterministic.
-std::vector<std::vector<size_t>> ShardScenarios(
-    const std::vector<Scenario>& scenarios, size_t jobs, ShardPolicy policy);
 
 /// Mix a campaign base seed with a scenario index into a well-spread
 /// per-scenario seed (splitmix64). Scenario builders use this so every

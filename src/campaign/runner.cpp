@@ -243,65 +243,40 @@ PlanRunner& CampaignRunner::Worker(size_t w) {
   return *slot;
 }
 
-void CampaignRunner::RunShard(
-    const std::vector<Scenario>& scenarios, const std::vector<size_t>& shard,
-    PlanRunner& worker, std::vector<ScenarioResult>* results,
-    vm::CoverageTracker* coverage_out) {
-  for (size_t idx : shard) {
-    ScenarioResult& result = (*results)[idx];
-    result = worker.Run(scenarios[idx]);
-    result.index = idx;
-    // Union this scenario's bitmaps into the worker-local aggregate — a
-    // bitwise OR per module, no locks, no per-offset work.
-    if (worker.tracker() && coverage_out) coverage_out->Merge(*worker.tracker());
-    completed_.fetch_add(1, std::memory_order_relaxed);
-  }
-}
-
 CampaignReport CampaignRunner::Run(const std::vector<Scenario>& scenarios) {
-  completed_.store(0, std::memory_order_relaxed);
   CampaignReport report;
   report.snapshot_requested = options_.snapshot;
   if (scenarios.empty()) return report;  // skip worker/machine setup
   report.results.resize(scenarios.size());
 
-  size_t jobs = std::min(static_cast<size_t>(options_.jobs),
-                         std::max<size_t>(scenarios.size(), 1));
-  std::vector<std::vector<size_t>> shards =
-      ShardScenarios(scenarios, jobs, options_.shard);
-  // Pre-size the pool on this thread; worker threads then touch only
-  // their own slot, so lazy worker construction needs no lock.
-  if (pool_.size() < shards.size()) pool_.resize(shards.size());
-  // Pre-sized per-worker slots: coverage aggregation never takes a lock.
-  std::vector<vm::CoverageTracker> worker_coverage(shards.size());
+  // ParallelFor runs scenario i on slot i % jobs, one thread per slot, so
+  // each slot's PlanRunner and coverage tracker need no lock. Pre-size both
+  // here; a slot's machine is built lazily on the thread that runs it.
+  const size_t slots =
+      std::min(static_cast<size_t>(options_.jobs), scenarios.size());
+  if (pool_.size() < slots) pool_.resize(slots);
+  std::vector<vm::CoverageTracker> slot_coverage(slots);
 
   auto begin = Clock::now();
-  if (shards.size() <= 1) {
-    if (!shards.empty()) {
-      RunShard(scenarios, shards[0], Worker(0), &report.results,
-               &worker_coverage[0]);
-    }
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(shards.size());
-    for (size_t w = 0; w < shards.size(); ++w) {
-      pool.emplace_back([&, w] {
-        RunShard(scenarios, shards[w], Worker(w), &report.results,
-                 &worker_coverage[w]);
-      });
-    }
-    for (std::thread& t : pool) t.join();
-  }
+  ParallelFor(scenarios.size(), options_.jobs, [&](size_t slot, size_t i) {
+    PlanRunner& worker = Worker(slot);
+    ScenarioResult& result = report.results[i];
+    result = worker.Run(scenarios[i]);
+    result.index = i;
+    // Union this scenario's bitmaps into the slot-local aggregate — a
+    // bitwise OR per module, no per-offset work.
+    if (worker.tracker()) slot_coverage[slot].Merge(*worker.tracker());
+  });
   report.wall_seconds = Seconds(begin, Clock::now());
 
-  // Union the worker bitmaps (bitwise OR is order-independent, so the
+  // Union the slot bitmaps (bitwise OR is order-independent, so the
   // merged result is deterministic across jobs counts), then key the
   // report by module name. Every worker loads the same image, so any
   // worker's module list names the merged indices.
   if (options_.track_coverage) {
     vm::CoverageTracker merged;
-    for (const vm::CoverageTracker& per_worker : worker_coverage) {
-      merged.Merge(per_worker);
+    for (const vm::CoverageTracker& per_slot : slot_coverage) {
+      merged.Merge(per_slot);
     }
     const std::vector<std::string>* names = nullptr;
     for (const auto& worker : pool_) {

@@ -11,20 +11,19 @@
 // by Machine::Reset + Controller::Reset (or an exact snapshot restore)
 // before every scenario, and each scenario's trigger RNG is seeded from
 // its own plan, so a warm PlanRunner gives the same result as a fresh one
-// and results are bit-identical across any jobs count or shard policy.
+// and results are bit-identical across any jobs count.
 // The explorer's minimization oracles rely on the same contract: one
 // PlanRunner per minimization slot serves crash after crash.
 //
+// Placement is ParallelFor's: scenario i runs on worker slot i % jobs.
 // Result collection is lock-free: the results vector is pre-sized and each
-// worker writes only the slots of its shard (disjoint by construction);
-// the only shared mutable word is a relaxed progress counter. Coverage
-// aggregation is lock-free the same way: each worker ORs its scenarios'
-// bitmaps into its own pre-sized CoverageTracker slot, and the slots are
-// union-merged once after the join (bitwise OR is order-independent, so
-// the aggregate is identical for any jobs count).
+// scenario writes only its own index. Coverage aggregation is lock-free the
+// same way: each slot ORs its scenarios' bitmaps into its own pre-sized
+// CoverageTracker, and the slots are union-merged once after the join
+// (bitwise OR is order-independent, so the aggregate is identical for any
+// jobs count).
 #pragma once
 
-#include <atomic>
 #include <functional>
 #include <map>
 #include <memory>
@@ -149,36 +148,24 @@ class CampaignRunner : public ScenarioDispatch {
   /// and warm snapshots instead of rebuilding them.
   CampaignReport Run(const std::vector<Scenario>& scenarios) override;
 
-  /// Scenarios completed so far (readable from another thread).
-  size_t completed() const { return completed_.load(std::memory_order_relaxed); }
-
   const CampaignOptions& options() const { return options_; }
 
  private:
-  /// Build pool_[w] if this is the first shard to land on it. Called from
+  /// Build pool_[w] on the first scenario to land on slot w. Called from
   /// worker threads, so each machine is built on the thread that runs it;
   /// safe because each thread touches only its own slot (pool_ is
   /// pre-sized on the coordinating thread).
   PlanRunner& Worker(size_t w);
-
-  /// One worker: run `shard`'s scenarios on its pooled machine, writing
-  /// into results[idx] slots. `coverage_out` receives the worker's union
-  /// coverage for this batch (per dense module index) when tracking is on.
-  void RunShard(const std::vector<Scenario>& scenarios,
-                const std::vector<size_t>& shard, PlanRunner& worker,
-                std::vector<ScenarioResult>* results,
-                vm::CoverageTracker* coverage_out);
 
   MachineSetup setup_;
   /// Shared across all workers and installs — profiles are immutable for
   /// the campaign's lifetime, so no per-scenario copy is made.
   std::shared_ptr<const std::vector<core::FaultProfile>> profiles_;
   CampaignOptions options_;
-  /// Persistent worker pool, indexed by shard slot; grows to options_.jobs.
+  /// Persistent worker pool, indexed by slot; grows to options_.jobs.
   /// A slot's PlanRunner lives as long as the runner, so every later Run
   /// (explorer round, serve batch) reuses its machine and snapshot nodes.
   std::vector<std::unique_ptr<PlanRunner>> pool_;
-  std::atomic<size_t> completed_{0};
 };
 
 }  // namespace lfi::campaign

@@ -16,14 +16,6 @@ const char* SideEffectTypeName(ProfileSideEffect::Type t) {
   return "?";
 }
 
-const char* ProvenanceName(Provenance p) {
-  switch (p) {
-    case Provenance::Assumed: return "assumed";
-    case Provenance::Analyzed: return "analyzed";
-  }
-  return "?";
-}
-
 const ProfileErrorCode* FunctionProfile::error_code(int64_t retval) const {
   for (const auto& ec : error_codes) {
     if (ec.retval == retval) return &ec;

@@ -48,8 +48,6 @@ const char* SideEffectTypeName(ProfileSideEffect::Type t);
 /// from analyzed codes when a function has any.
 enum class Provenance : uint8_t { Assumed = 0, Analyzed = 1 };
 
-const char* ProvenanceName(Provenance p);
-
 struct ProfileErrorCode {
   int64_t retval = 0;
   Provenance provenance = Provenance::Assumed;

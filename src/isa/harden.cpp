@@ -33,41 +33,9 @@ void DwcEmitter::mov_ri(Reg a, int64_t imm) {
   b_.mov_ri(a, imm);
   b_.mov_ri(shadow(a), imm);
 }
-void DwcEmitter::mov_rr(Reg a, Reg b) {
-  b_.mov_rr(a, b);
-  b_.mov_rr(shadow(a), shadow(b));
-}
-void DwcEmitter::add_rr(Reg a, Reg b) {
-  b_.add_rr(a, b);
-  b_.add_rr(shadow(a), shadow(b));
-}
-void DwcEmitter::sub_rr(Reg a, Reg b) {
-  b_.sub_rr(a, b);
-  b_.sub_rr(shadow(a), shadow(b));
-}
-void DwcEmitter::xor_rr(Reg a, Reg b) {
-  b_.xor_rr(a, b);
-  b_.xor_rr(shadow(a), shadow(b));
-}
-void DwcEmitter::mul_rr(Reg a, Reg b) {
-  b_.mul_rr(a, b);
-  b_.mul_rr(shadow(a), shadow(b));
-}
 void DwcEmitter::add_ri(Reg a, int64_t imm) {
   b_.add_ri(a, imm);
   b_.add_ri(shadow(a), imm);
-}
-void DwcEmitter::mul_ri(Reg a, int64_t imm) {
-  b_.mul_ri(a, imm);
-  b_.mul_ri(shadow(a), imm);
-}
-void DwcEmitter::xor_ri(Reg a, int64_t imm) {
-  b_.xor_ri(a, imm);
-  b_.xor_ri(shadow(a), imm);
-}
-void DwcEmitter::and_ri(Reg a, int64_t imm) {
-  b_.and_ri(a, imm);
-  b_.and_ri(shadow(a), imm);
 }
 void DwcEmitter::check(Reg a) {
   b_.cmp_rr(a, shadow(a));

@@ -39,9 +39,8 @@ void EmitTmrVote(CodeBuilder& b, Reg dst, Reg copy1, Reg copy2, Reg scratch);
 /// Duplicate-with-compare emission helper. Construct with the
 /// primary->shadow register pairs and a bound-later detect label; the
 /// mirrored emitters apply each operation to both copies, and check()
-/// branches to `detect` when a pair has diverged. Registers without a
-/// shadow mapping pass through unchanged in the mirrored emission (so a
-/// shared base register or loop bound can be read by both copies).
+/// branches to `detect` when a pair has diverged. A register without a
+/// shadow mapping is its own shadow.
 class DwcEmitter {
  public:
   DwcEmitter(CodeBuilder& b, std::vector<std::pair<Reg, Reg>> pairs,
@@ -50,15 +49,7 @@ class DwcEmitter {
   Reg shadow(Reg r) const;
 
   void mov_ri(Reg a, int64_t imm);
-  void mov_rr(Reg a, Reg b);
-  void add_rr(Reg a, Reg b);
-  void sub_rr(Reg a, Reg b);
-  void xor_rr(Reg a, Reg b);
-  void mul_rr(Reg a, Reg b);
   void add_ri(Reg a, int64_t imm);
-  void mul_ri(Reg a, int64_t imm);
-  void xor_ri(Reg a, int64_t imm);
-  void and_ri(Reg a, int64_t imm);
 
   /// Compare `a` against its shadow; diverged pairs branch to detect.
   /// Clobbers flags.

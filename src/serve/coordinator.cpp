@@ -58,6 +58,9 @@ int ConnectRetryEintr(int fd, const struct sockaddr* addr, socklen_t len) {
 /// Batches a connection keeps in flight, so a worker's next batch is
 /// already buffered while the coordinator decodes its last reply.
 constexpr size_t kPipelineDepth = 2;
+/// Total dispatch attempts per batch (first send + retries + steals)
+/// before it falls through to the local runner.
+constexpr int kMaxBatchAttempts = 3;
 /// Bounds of a guided batch (FabricOptions::batch_size == 0).
 constexpr size_t kMinGuidedBatch = 4;
 constexpr size_t kMaxGuidedBatch = 64;
@@ -123,11 +126,11 @@ struct FabricCoordinator::RunState {
   /// one, else (only when `may_steal`) a copy of an in-flight batch — the
   /// least duplicated, latest cut, because it finishes last. kNone when
   /// there is nothing to do.
-  size_t Claim(bool may_steal, int max_attempts) {
+  size_t Claim(bool may_steal) {
     size_t steal = kNone;
     for (size_t b = 0; b < batches.size(); ++b) {
       const Batch& batch = batches[b];
-      if (batch.done || batch.attempts >= max_attempts) continue;
+      if (batch.done || batch.attempts >= kMaxBatchAttempts) continue;
       if (batch.inflight == 0) return b;
       if (steal == kNone || batch.inflight <= batches[steal].inflight) {
         steal = b;
@@ -145,11 +148,11 @@ struct FabricCoordinator::RunState {
   }
 
   /// Ends the round once no batch can still produce a first reply.
-  void CheckOver(int max_attempts) {
+  void CheckOver() {
     if (over || next < scenarios->size()) return;
     for (const Batch& batch : batches) {
       if (!batch.done &&
-          (batch.inflight > 0 || batch.attempts < max_attempts)) {
+          (batch.inflight > 0 || batch.attempts < kMaxBatchAttempts)) {
         return;
       }
     }
@@ -292,7 +295,6 @@ campaign::CampaignRunner& FabricCoordinator::LocalRunner() {
 
 void FabricCoordinator::WorkerLoop(size_t conn_index, RunState& state) {
   Connection& conn = connections_[conn_index];
-  const int max_attempts = fabric_.max_batch_attempts;
   const int timeout_ms =
       fabric_.batch_timeout_ms > 0 ? fabric_.batch_timeout_ms : -1;
   // Replies this connection owes, oldest first: a batch of this round, or
@@ -315,7 +317,7 @@ void FabricCoordinator::WorkerLoop(size_t conn_index, RunState& state) {
       const bool draining = !owed.empty() && owed.front() == kNone;
       while (!draining && owed.size() < kPipelineDepth) {
         // Steal only when idle: a copy is straggler cover, never a queue.
-        size_t b = state.Claim(owed.empty(), max_attempts);
+        size_t b = state.Claim(owed.empty());
         if (b == kNone) break;
         RunState::Batch& batch = state.batches[b];
         if (batch.inflight > 0) {
@@ -410,7 +412,7 @@ void FabricCoordinator::WorkerLoop(size_t conn_index, RunState& state) {
     }
     --batch.inflight;
     owed.pop_front();
-    state.CheckOver(max_attempts);
+    state.CheckOver();
   }
 
   // The stream cannot be resynchronized after a failure mid-exchange:
@@ -423,7 +425,7 @@ void FabricCoordinator::WorkerLoop(size_t conn_index, RunState& state) {
   ::close(conn.fd);
   conn.fd = -1;
   ++stats_.workers_lost;
-  state.CheckOver(max_attempts);
+  state.CheckOver();
 }
 
 campaign::CampaignReport FabricCoordinator::Run(

@@ -60,9 +60,6 @@ struct FabricOptions {
   /// clamped to [4, 64], so early batches amortize round trips and the
   /// round's last batches — and any stolen copy of them — are small.
   size_t batch_size = 0;
-  /// Total dispatch attempts per batch (first send + retries + steals)
-  /// before it falls through to the local runner.
-  int max_batch_attempts = 3;
   /// Reply deadline per batch; a worker that blows it is treated as dead
   /// (the stream cannot be resynchronized mid-protocol). <= 0 = wait
   /// forever.

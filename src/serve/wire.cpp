@@ -266,7 +266,6 @@ void EncodeScenario(std::vector<uint8_t>& out,
   PutU64(out, scenario.heap_cap_bytes);
   PutU8(out, scenario.warmup_instructions.has_value() ? 1 : 0);
   if (scenario.warmup_instructions) PutU64(out, *scenario.warmup_instructions);
-  PutU64(out, scenario.weight);
 }
 
 Result<campaign::Scenario> DecodeScenario(Reader& r) {
@@ -284,7 +283,6 @@ Result<campaign::Scenario> DecodeScenario(Reader& r) {
     if (!r.U64(&w)) return Err("wire: truncated scenario");
     s.warmup_instructions = w;
   }
-  if (!r.U64(&s.weight)) return Err("wire: truncated scenario");
   return s;
 }
 
@@ -296,7 +294,6 @@ constexpr uint8_t kOptionFlagsMask = 0b0110'1111;
 void EncodeOptions(std::vector<uint8_t>& out,
                    const campaign::CampaignOptions& options) {
   PutI64(out, options.jobs);
-  PutU8(out, static_cast<uint8_t>(options.shard));
   PutStr(out, options.entry);
   PutU64(out, options.max_instructions);
   PutU64(out, options.default_heap_cap);
@@ -319,16 +316,12 @@ void EncodeOptions(std::vector<uint8_t>& out,
 Result<campaign::CampaignOptions> DecodeOptions(Reader& r) {
   campaign::CampaignOptions o;
   int64_t jobs = 1;
-  uint8_t shard = 0, flags = 0, has_exec = 0, log_enabled = 0,
-          log_backtraces = 0;
+  uint8_t flags = 0, has_exec = 0, log_enabled = 0, log_backtraces = 0;
   uint64_t log_capacity = 0;
-  if (!r.I64(&jobs) || !r.U8(&shard) || !r.Str(&o.entry) ||
-      !r.U64(&o.max_instructions) || !r.U64(&o.default_heap_cap) ||
-      !r.U8(&flags) || !r.U64(&o.warmup_instructions) || !r.U8(&has_exec)) {
+  if (!r.I64(&jobs) || !r.Str(&o.entry) || !r.U64(&o.max_instructions) ||
+      !r.U64(&o.default_heap_cap) || !r.U8(&flags) ||
+      !r.U64(&o.warmup_instructions) || !r.U8(&has_exec)) {
     return Err("wire: truncated options");
-  }
-  if (shard > static_cast<uint8_t>(campaign::ShardPolicy::SizeBalanced)) {
-    return Err("wire: bad shard policy");
   }
   // Bit 4 (the retired flat-vs-tree snapshot switch) and bit 7 are
   // undefined; a peer setting them speaks a protocol this build does not.
@@ -336,7 +329,6 @@ Result<campaign::CampaignOptions> DecodeOptions(Reader& r) {
     return Err("wire: unknown options flags");
   }
   o.jobs = static_cast<int>(jobs);
-  o.shard = static_cast<campaign::ShardPolicy>(shard);
   o.track_coverage = (flags & (1u << 0)) != 0;
   o.collect_scenario_coverage = (flags & (1u << 1)) != 0;
   o.collect_replays = (flags & (1u << 2)) != 0;

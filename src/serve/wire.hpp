@@ -40,8 +40,10 @@ inline constexpr uint32_t kWireMagic = 0x3157464Cu;  // "LFW1" little-endian
 // bitmaps: [bits u64] [n u32] then n x ([word index u32] [word u64]), the
 // non-zero 64-bit words only, indices strictly ascending, bits at or past
 // `bits` clear, `bits` at most sso::kMaxCodeBytes (v4 sent every set
-// offset as a u32).
-inline constexpr uint32_t kWireVersion = 5;
+// offset as a u32); 6 = the options shard-policy byte and the
+// per-scenario weight u64 dropped (campaigns always place scenario i on
+// worker slot i % jobs).
+inline constexpr uint32_t kWireVersion = 6;
 /// Hard cap on a single frame's payload. Campaign batches are scenario
 /// plans + results, not bulk data; 256 MiB is far above any real frame.
 inline constexpr uint32_t kMaxPayload = 256u << 20;

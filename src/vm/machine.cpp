@@ -1,8 +1,6 @@
 #include "vm/machine.hpp"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
 #include <cstring>
 
 #include "kernel/kernel_image.hpp"
@@ -23,19 +21,6 @@ Machine::Machine() {
         syscall_targets_.resize(number + 1, 0);
       }
       syscall_targets_[number] = kmod.code_base + sym->offset;
-    }
-  }
-  if (const char* mode = std::getenv("LFI_EXEC")) {
-    if (std::optional<ExecMode> parsed = ParseExecMode(mode)) {
-      exec_mode_ = *parsed;
-    } else {
-      // A typo here would silently turn a differential baseline into
-      // superblock-vs-superblock; say so instead.
-      std::fprintf(stderr,
-                   "machine: unknown LFI_EXEC value '%s' "
-                   "(expected 'superblock' or 'reference'); "
-                   "using the superblock engine\n",
-                   mode);
     }
   }
   kernel_.set_spawn_hook([this](const std::string& symbol) -> Result<int> {
@@ -206,7 +191,7 @@ bool Machine::RestoreTo(SnapshotId target) {
                                             &segment_pool_);
       proc->set_exec_mode(exec_mode_);
       if (coverage_) proc->set_coverage(coverage_.get());
-      proc->RestoreFromSnapshot(ps, /*full=*/true);
+      proc->RestoreFromSnapshot(ps);
       auto seg_pages = [](uint64_t bytes) {
         return (bytes + DirtyMap::kPageSize - 1) >> DirtyMap::kPageBits;
       };

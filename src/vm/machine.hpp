@@ -33,9 +33,7 @@ class Machine {
   kernel::KernelRuntime& kernel() { return kernel_; }
 
   /// Which interpreter engine newly-created processes use. Defaults to
-  /// Superblock; the LFI_EXEC environment variable (superblock /
-  /// reference) flips the default at Machine construction (A/B without
-  /// recompiling).
+  /// Superblock; campaigns set it from CampaignOptions::exec_mode.
   ExecMode exec_mode() const { return exec_mode_; }
   void SetExecMode(ExecMode mode);
 

@@ -92,17 +92,6 @@ void SegmentPool::Release(Segment buffer, const DirtyMap& written) {
   free_.push_back(std::move(buffer));
 }
 
-void RestoreDirtyPages(DirtyMap& dirty, const uint8_t* from, uint8_t* to,
-                       uint64_t bytes) {
-  dirty.ForEachDirtyPage([&](uint64_t page) {
-    uint64_t off = page << DirtyMap::kPageBits;
-    if (off >= bytes) return;
-    uint64_t len = std::min(DirtyMap::kPageSize, bytes - off);
-    std::memcpy(to + off, from + off, len);
-  });
-  dirty.ClearAll();
-}
-
 const uint8_t* PageDelta::page(uint32_t page_index) const {
   auto it = std::lower_bound(pages.begin(), pages.end(), page_index);
   if (it == pages.end() || *it != page_index) return nullptr;

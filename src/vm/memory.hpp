@@ -166,14 +166,6 @@ class DirtyMap {
   std::vector<uint64_t> written_;
 };
 
-/// Copy the dirty pages of `from` (sized `bytes`) into `to`, then clear the
-/// journal. Both buffers must hold at least `bytes` bytes. The workhorse of
-/// snapshot restore: cost is proportional to pages written since the last
-/// restore, not to the segment size. Every page it copies is already in
-/// the written set (a journal mark is always a written mark too).
-void RestoreDirtyPages(DirtyMap& dirty, const uint8_t* from, uint8_t* to,
-                       uint64_t bytes);
-
 /// Identifies one node of a vm::SnapshotTree (index into its node vector).
 using SnapshotId = uint32_t;
 inline constexpr SnapshotId kNoSnapshot = ~SnapshotId{0};

@@ -207,8 +207,6 @@ bool Process::PopT(int64_t* v) {
 
 bool Process::Push(int64_t v) { return PushT<false>(v); }
 
-bool Process::Pop(int64_t* v) { return PopT<false>(v); }
-
 // -- snapshot support ---------------------------------------------------------
 
 void Process::CaptureCore(ProcessCore* out) const {
@@ -240,7 +238,7 @@ void Process::RestoreCore(const ProcessCore& core) {
   shadow_ = core.shadow;
 }
 
-void Process::RestoreFromSnapshot(const ProcessSnapshot& snap, bool full) {
+void Process::RestoreFromSnapshot(const ProcessSnapshot& snap) {
   assert(snap.stack.size() == stack_mem_.size() &&
          snap.heap.size() == heap_mem_.size() &&
          snap.tls.size() == tls_mem_.size() &&
@@ -248,22 +246,18 @@ void Process::RestoreFromSnapshot(const ProcessSnapshot& snap, bool full) {
   RestoreCore(snap.core);
   auto segment = [&](DirtyMap& dirty, const std::vector<uint8_t>& image,
                      Segment& mem) {
-    if (full || !dirty.enabled()) {
-      std::copy(image.begin(), image.end(), mem.begin());
-      // Only non-zero pages enter the written set: a zero image page left
-      // its target page zero, so recycling need not clean it.
-      for (uint64_t off = 0; off < mem.size(); off += DirtyMap::kPageSize) {
-        uint64_t len = std::min(DirtyMap::kPageSize, mem.size() - off);
-        const uint8_t* page = image.data() + off;
-        if (std::any_of(page, page + len, [](uint8_t b) { return b != 0; })) {
-          dirty.Mark(off, len);
-        }
+    std::copy(image.begin(), image.end(), mem.begin());
+    // Only non-zero pages enter the written set: a zero image page left
+    // its target page zero, so recycling need not clean it.
+    for (uint64_t off = 0; off < mem.size(); off += DirtyMap::kPageSize) {
+      uint64_t len = std::min(DirtyMap::kPageSize, mem.size() - off);
+      const uint8_t* page = image.data() + off;
+      if (std::any_of(page, page + len, [](uint8_t b) { return b != 0; })) {
+        dirty.Mark(off, len);
       }
-      dirty.Enable(mem.size());
-      dirty.ClearAll();  // Enable keeps stale marks; the copy covered them
-    } else {
-      RestoreDirtyPages(dirty, image.data(), mem.data(), image.size());
     }
+    dirty.Enable(mem.size());
+    dirty.ClearAll();  // Enable keeps stale marks; the copy covered them
   };
   segment(stack_dirty_, snap.stack, stack_mem_);
   segment(heap_dirty_, snap.heap, heap_mem_);

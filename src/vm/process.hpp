@@ -45,10 +45,10 @@ enum class Signal { None, Segv, Abort, Ill };
 /// (test-enforced); Reference exists as the differential baseline.
 enum class ExecMode { Superblock, Reference };
 
-/// The LFI_EXEC-style name of an engine ("superblock" / "reference").
+/// The `--exec` name of an engine ("superblock" / "reference").
 const char* ExecModeName(ExecMode mode);
 
-/// Parse an LFI_EXEC-style engine name; nullopt for unknown values.
+/// Parse an `--exec` engine name; nullopt for unknown values.
 std::optional<ExecMode> ParseExecMode(std::string_view name);
 
 const char* SignalName(Signal s);
@@ -143,11 +143,9 @@ class Process final : public kernel::KernelContext {
   const Loader& loader() const { return loader_; }
 
   // -- snapshot support ------------------------------------------------------
-  /// Return to the captured state. With `full` set (or when tracking is
-  /// not enabled, e.g. a process rebuilt after Machine::Reset) every
-  /// segment is copied wholesale; otherwise only the pages written since
-  /// the snapshot (or the last restore) are.
-  void RestoreFromSnapshot(const ProcessSnapshot& snap, bool full);
+  /// Return to the captured state, copying every segment wholesale and
+  /// restarting the write journals.
+  void RestoreFromSnapshot(const ProcessSnapshot& snap);
   /// Stop journaling writes (the owning machine dropped its snapshot).
   void DisableDirtyTracking() {
     stack_dirty_.Disable();
@@ -193,7 +191,6 @@ class Process final : public kernel::KernelContext {
   /// last map (stub installs do not count: stubs have no backing).
   void RemapIfNeeded();
   bool Push(int64_t v);
-  bool Pop(int64_t* v);
   /// Dispatch a resolved call target (shared by CALL_SYM / CALL_IND /
   /// SYSCALL). `ret_addr` is pushed for code targets; native stubs decide
   /// via their action.

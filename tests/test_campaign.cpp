@@ -1,6 +1,8 @@
-// Campaign engine tests: determinism across worker counts, shard
-// policies, report aggregation, and machine reset/reuse.
+// Campaign engine tests: determinism across worker counts, report
+// aggregation, and machine reset/reuse.
 #include <gtest/gtest.h>
+
+#include <atomic>
 
 #include "apps/workloads.hpp"
 #include "campaign/runner.hpp"
@@ -119,10 +121,9 @@ std::vector<Scenario> RandomScenarios(size_t count, double p, uint64_t base) {
 }
 
 CampaignReport RunReaderCampaign(const std::vector<Scenario>& scenarios,
-                                 int jobs, ShardPolicy policy) {
+                                 int jobs) {
   CampaignOptions opts;
   opts.jobs = jobs;
-  opts.shard = policy;
   opts.track_coverage = true;
   CampaignRunner runner(ReaderSetup(), apps::LibcProfiles(), opts);
   return runner.Run(scenarios);
@@ -150,35 +151,30 @@ void ExpectSameResults(const CampaignReport& a, const CampaignReport& b) {
   EXPECT_EQ(a.total_injections, b.total_injections);
 }
 
-// Same scenario set, any worker count, any shard policy: bit-identical
-// per-scenario results. This is the --jobs 1 vs --jobs 8 acceptance check.
+// Same scenario set, any worker count: bit-identical per-scenario results.
+// This is the --jobs 1 vs --jobs 8 acceptance check; jobs=3 does not
+// divide the set, so the slots run unequal scenario counts.
 TEST(Campaign, DeterministicAcrossJobCounts) {
   std::vector<Scenario> scenarios = RandomScenarios(64, 0.3, 42);
-  CampaignReport serial =
-      RunReaderCampaign(scenarios, 1, ShardPolicy::RoundRobin);
-  CampaignReport parallel =
-      RunReaderCampaign(scenarios, 8, ShardPolicy::RoundRobin);
-  CampaignReport balanced =
-      RunReaderCampaign(scenarios, 3, ShardPolicy::SizeBalanced);
+  CampaignReport serial = RunReaderCampaign(scenarios, 1);
+  CampaignReport parallel = RunReaderCampaign(scenarios, 8);
+  CampaignReport uneven = RunReaderCampaign(scenarios, 3);
 
   // The set must actually exercise injection paths for this to mean much.
   EXPECT_GT(serial.total_injections, 0u);
   EXPECT_GT(serial.crashes, 0u);
   ExpectSameResults(serial, parallel);
-  ExpectSameResults(serial, balanced);
+  ExpectSameResults(serial, uneven);
 }
 
 // The merged union coverage must be bit-identical for 1 vs. N workers:
-// per-worker bitmaps are OR-merged at shard boundaries, and OR is
+// per-slot bitmaps are OR-merged after the join, and OR is
 // order-independent. This is the --jobs acceptance check for coverage.
 TEST(Campaign, MergedCoverageIdenticalAcrossJobCounts) {
   std::vector<Scenario> scenarios = RandomScenarios(24, 0.3, 11);
-  CampaignReport serial =
-      RunReaderCampaign(scenarios, 1, ShardPolicy::RoundRobin);
-  CampaignReport parallel =
-      RunReaderCampaign(scenarios, 4, ShardPolicy::RoundRobin);
-  CampaignReport balanced =
-      RunReaderCampaign(scenarios, 3, ShardPolicy::SizeBalanced);
+  CampaignReport serial = RunReaderCampaign(scenarios, 1);
+  CampaignReport parallel = RunReaderCampaign(scenarios, 4);
+  CampaignReport three = RunReaderCampaign(scenarios, 3);
 
   // Coverage must actually exist for the comparison to mean anything.
   ASSERT_FALSE(serial.coverage.empty());
@@ -193,7 +189,7 @@ TEST(Campaign, MergedCoverageIdenticalAcrossJobCounts) {
   EXPECT_GT(app_it->second.Count(), 0u);
 
   EXPECT_EQ(serial.coverage, parallel.coverage);
-  EXPECT_EQ(serial.coverage, balanced.coverage);
+  EXPECT_EQ(serial.coverage, three.coverage);
 }
 
 // The per-module coverage breakdown must account for every covered
@@ -230,8 +226,7 @@ TEST(Campaign, PerModuleCoverageSumsToPopcount) {
 // Crashed scenarios carry their triage identity; non-crashed ones don't.
 TEST(Campaign, CrashedScenariosCarryTriageHashes) {
   std::vector<Scenario> scenarios = RandomScenarios(32, 0.3, 42);
-  CampaignReport report =
-      RunReaderCampaign(scenarios, 2, ShardPolicy::RoundRobin);
+  CampaignReport report = RunReaderCampaign(scenarios, 2);
   ASSERT_GT(report.crashes, 0u);
   for (const ScenarioResult& r : report.results) {
     if (r.status == ScenarioStatus::Crashed) {
@@ -261,7 +256,7 @@ TEST(Campaign, RunnerIsReusable) {
   }
 }
 
-// A worker reuses one machine across its whole shard; the kernel
+// A worker reuses one machine across all its scenarios; the kernel
 // checkpoint must restore the filesystem between scenarios, or the
 // appender would see its own previous output and exit with 16, 24, ...
 TEST(Campaign, MachineResetIsolatesScenarios) {
@@ -287,77 +282,15 @@ TEST(Campaign, MachineResetIsolatesScenarios) {
 }
 
 // A scenario whose entry does not resolve reports SetupError without
-// poisoning the rest of the shard.
+// poisoning the worker's later scenarios.
 TEST(Campaign, SetupErrorIsIsolated) {
   std::vector<Scenario> scenarios = RandomScenarios(3, 0.0, 1);
   scenarios[1].entry = "no_such_symbol";
-  CampaignReport report =
-      RunReaderCampaign(scenarios, 1, ShardPolicy::RoundRobin);
+  CampaignReport report = RunReaderCampaign(scenarios, 1);
   EXPECT_EQ(report.results[0].status, ScenarioStatus::Exited);
   EXPECT_EQ(report.results[1].status, ScenarioStatus::SetupError);
   EXPECT_EQ(report.results[2].status, ScenarioStatus::Exited);
   EXPECT_EQ(report.setup_errors, 1u);
-}
-
-TEST(Campaign, RoundRobinShardsPartitionTheSet) {
-  std::vector<Scenario> scenarios(10);
-  auto shards = ShardScenarios(scenarios, 3, ShardPolicy::RoundRobin);
-  ASSERT_EQ(shards.size(), 3u);
-  std::vector<bool> seen(scenarios.size(), false);
-  for (const auto& shard : shards) {
-    for (size_t idx : shard) {
-      ASSERT_LT(idx, seen.size());
-      EXPECT_FALSE(seen[idx]) << "index assigned twice";
-      seen[idx] = true;
-    }
-  }
-  for (bool s : seen) EXPECT_TRUE(s);
-  EXPECT_EQ(shards[0], (std::vector<size_t>{0, 3, 6, 9}));
-  EXPECT_EQ(shards[1], (std::vector<size_t>{1, 4, 7}));
-}
-
-TEST(Campaign, SizeBalancedShardsBalanceWeight) {
-  // Weights 1..12 across 4 shards: LPT keeps every shard within one
-  // max-weight of the optimum (total 78 -> ~19.5 per shard).
-  std::vector<Scenario> scenarios(12);
-  for (size_t i = 0; i < scenarios.size(); ++i) {
-    scenarios[i].weight = i + 1;
-  }
-  auto shards = ShardScenarios(scenarios, 4, ShardPolicy::SizeBalanced);
-  ASSERT_EQ(shards.size(), 4u);
-  std::vector<bool> seen(scenarios.size(), false);
-  uint64_t max_load = 0, min_load = UINT64_MAX;
-  for (const auto& shard : shards) {
-    uint64_t load = 0;
-    for (size_t idx : shard) {
-      EXPECT_FALSE(seen[idx]);
-      seen[idx] = true;
-      load += scenarios[idx].weight;
-    }
-    max_load = std::max(max_load, load);
-    min_load = std::min(min_load, load);
-  }
-  for (bool s : seen) EXPECT_TRUE(s);
-  EXPECT_LE(max_load, 78 / 4 + 12);  // within one max-weight of optimum
-  EXPECT_LE(max_load - min_load, 12u);
-  // Deterministic: same inputs, same shards.
-  EXPECT_EQ(shards, ShardScenarios(scenarios, 4, ShardPolicy::SizeBalanced));
-}
-
-TEST(Campaign, ShardWeightDefaultsToTriggerCount) {
-  // One heavy scenario (many triggers) + many light ones on 2 shards: the
-  // heavy one must not share its shard with everything else.
-  std::vector<Scenario> scenarios(5);
-  for (int i = 0; i < 40; ++i) {
-    scenarios[0].plan.triggers.emplace_back();
-  }
-  auto shards = ShardScenarios(scenarios, 2, ShardPolicy::SizeBalanced);
-  ASSERT_EQ(shards.size(), 2u);
-  const auto& heavy_shard =
-      std::find_if(shards.begin(), shards.end(), [](const auto& s) {
-        return std::find(s.begin(), s.end(), 0u) != s.end();
-      });
-  EXPECT_EQ(heavy_shard->size(), 1u) << "heavy scenario should ride alone";
 }
 
 TEST(Campaign, ReportAggregation) {
@@ -384,8 +317,7 @@ TEST(Campaign, ReportAggregation) {
 
 TEST(Campaign, AggregatesMatchPerScenarioSums) {
   std::vector<Scenario> scenarios = RandomScenarios(20, 0.3, 5);
-  CampaignReport report =
-      RunReaderCampaign(scenarios, 4, ShardPolicy::RoundRobin);
+  CampaignReport report = RunReaderCampaign(scenarios, 4);
   size_t crashes = 0;
   uint64_t injections = 0, instructions = 0;
   for (const ScenarioResult& r : report.results) {

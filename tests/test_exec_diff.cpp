@@ -15,13 +15,16 @@
 // test_superblock.cpp.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "apps/dbserver.hpp"
+#include "apps/pidgin.hpp"
 #include "apps/workloads.hpp"
+#include "campaign/runner.hpp"
 #include "core/controller.hpp"
+#include "core/faultloads.hpp"
 #include "core/scenario_gen.hpp"
 #include "libc/libc_builder.hpp"
 #include "test_helpers.hpp"
@@ -113,38 +116,42 @@ TEST(ExecDiff, DbSuiteIdenticalAcrossEngines) {
   }
 }
 
-/// The Pidgin scenario through the public workload driver, switching the
-/// engine via the LFI_EXEC environment override the driver's machines
-/// obey. Both legs set the variable explicitly (an inherited LFI_EXEC
-/// must not collapse them onto the same engine); the caller's value is
-/// restored after.
-apps::PidginRunResult RunPidginInMode(vm::ExecMode mode, uint64_t seed) {
-  const char* prev = getenv("LFI_EXEC");
-  std::string saved = prev ? prev : "";
-  setenv("LFI_EXEC", vm::ExecModeName(mode), 1);
-  apps::PidginRunResult r = apps::RunPidginRandomIo(0.1, seed);
-  if (prev) {
-    setenv("LFI_EXEC", saved.c_str(), 1);
-  } else {
-    unsetenv("LFI_EXEC");
-  }
-  return r;
+/// Pidgin under the paper's scenario (random I/O faults, p=0.1), run the
+/// way `lfi campaign --exec` runs it: a warm PlanRunner on `mode`.
+campaign::PlanRunner PidginRunner(vm::ExecMode mode) {
+  campaign::CampaignOptions opts;
+  opts.exec_mode = mode;
+  opts.entry = apps::kPidginEntry;
+  opts.default_heap_cap = 1 << 20;  // so the huge bogus malloc() fails
+  opts.collect_replays = true;
+  return campaign::PlanRunner(
+      apps::PidginMachineSetup(),
+      std::make_shared<const std::vector<core::FaultProfile>>(
+          apps::LibcProfiles()),
+      opts);
 }
 
 TEST(ExecDiff, PidginScenarioIdenticalAcrossEngines) {
+  campaign::PlanRunner ref_runner = PidginRunner(vm::ExecMode::Reference);
+  campaign::PlanRunner fast_runner = PidginRunner(vm::ExecMode::Superblock);
+  auto aborted = [](const campaign::ScenarioResult& r) {
+    return r.status == campaign::ScenarioStatus::Crashed &&
+           r.signal == vm::Signal::Abort;
+  };
   bool any_abort = false;
   for (uint64_t seed = 1; seed <= 6; ++seed) {
     SCOPED_TRACE("seed=" + std::to_string(seed));
-    apps::PidginRunResult ref = RunPidginInMode(vm::ExecMode::Reference, seed);
-    apps::PidginRunResult fast =
-        RunPidginInMode(vm::ExecMode::Superblock, seed);
-    EXPECT_EQ(fast.aborted, ref.aborted);
-    EXPECT_EQ(fast.deadlocked, ref.deadlocked);
+    core::Plan plan = core::FileIoFaultload(apps::LibcProfiles(), 0.1, seed);
+    campaign::ScenarioResult ref = ref_runner.Run(plan);
+    campaign::ScenarioResult fast = fast_runner.Run(plan);
+    EXPECT_EQ(aborted(fast), aborted(ref));
+    EXPECT_EQ(fast.status == campaign::ScenarioStatus::Deadlocked,
+              ref.status == campaign::ScenarioStatus::Deadlocked);
     EXPECT_EQ(fast.exit_code, ref.exit_code);
     EXPECT_EQ(fast.fault_message, ref.fault_message);
     EXPECT_EQ(fast.injections, ref.injections);
     EXPECT_EQ(fast.replay.ToXml(), ref.replay.ToXml());
-    any_abort |= ref.aborted;
+    any_abort |= aborted(ref);
   }
   // The bug should still fire somewhere in this seed range on both engines.
   EXPECT_TRUE(any_abort);

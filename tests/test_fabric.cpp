@@ -153,35 +153,44 @@ void ReapWorker(const LocalWorker& worker) {
   ::waitpid(worker.pid, nullptr, WNOHANG);
 }
 
-// Coordinator + two real worker processes, deliberately small batches so
-// multiple dispatches and steals happen: byte-identical to --jobs 1.
-TEST(Fabric, TwoLocalWorkersMatchInProcess) {
+// Coordinator + 1, 2 and 4 real worker processes, deliberately small
+// batches so multiple dispatches (and, with several workers, steals)
+// happen: byte-identical to --jobs 1 for every worker count.
+class LocalWorkersMatchInProcess : public ::testing::TestWithParam<size_t> {};
+
+TEST_P(LocalWorkersMatchInProcess, Run) {
   std::vector<Scenario> scenarios = RandomScenarios(32, 0.3, 42);
   CampaignReport baseline = InProcessBaseline(scenarios, BaseOptions());
   // The set must exercise real injection paths for identity to mean much.
   ASSERT_GT(baseline.total_injections, 0u);
   ASSERT_GT(baseline.crashes, 0u);
 
+  std::vector<LocalWorker> workers;
+  for (size_t i = 0; i < GetParam(); ++i) {
+    auto worker = SpawnLocalWorker();
+    ASSERT_TRUE(worker.ok()) << worker.error();
+    workers.push_back(std::move(worker).take());
+  }
   FabricOptions fabric_opts;
   fabric_opts.batch_size = 3;
-  auto w1 = SpawnLocalWorker();
-  auto w2 = SpawnLocalWorker();
-  ASSERT_TRUE(w1.ok()) << w1.error();
-  ASSERT_TRUE(w2.ok()) << w2.error();
   FabricCoordinator fabric(ReaderSpec(), apps::LibcProfiles(), BaseOptions(),
                            fabric_opts);
-  ASSERT_TRUE(fabric.AddWorkerFd(w1.value().fd, "w1").ok());
-  ASSERT_TRUE(fabric.AddWorkerFd(w2.value().fd, "w2").ok());
-  ASSERT_EQ(fabric.live_workers(), 2u);
+  for (const LocalWorker& worker : workers) {
+    ASSERT_TRUE(fabric.AddWorkerFd(worker.fd, "local").ok());
+  }
+  ASSERT_EQ(fabric.live_workers(), GetParam());
 
   CampaignReport distributed = fabric.Run(scenarios);
   ExpectSameResults(baseline, distributed);
   EXPECT_EQ(fabric.stats().scenarios_remote, scenarios.size());
   EXPECT_EQ(fabric.stats().scenarios_local, 0u);
   EXPECT_EQ(fabric.stats().workers_lost, 0u);
-  ReapWorker(w1.value());
-  ReapWorker(w2.value());
+  for (const LocalWorker& worker : workers) ReapWorker(worker);
 }
+
+INSTANTIATE_TEST_SUITE_P(Fabric, LocalWorkersMatchInProcess,
+                         ::testing::Values(1, 2, 4),
+                         ::testing::PrintToStringParamName());
 
 // The worker pool persists across Run calls (explorer rounds): a second
 // campaign through the same coordinator is identical to its own baseline.

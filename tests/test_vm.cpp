@@ -638,19 +638,6 @@ TEST(DirtyMap, PartialLastPageCaptureZeroPadsAndClamps) {
   EXPECT_EQ(delta.page(1)[99], 0xCD);
 }
 
-TEST(DirtyMap, RestoreDirtyPagesClampsPartialTail) {
-  const uint64_t bytes = DirtyMap::kPageSize + 100;
-  std::vector<uint8_t> from(bytes, 0x11), to(bytes, 0x22);
-  DirtyMap dm;
-  dm.Enable(bytes);
-  dm.Mark(DirtyMap::kPageSize, 100);  // only the partial tail page
-  RestoreDirtyPages(dm, from.data(), to.data(), bytes);
-  EXPECT_EQ(to[0], 0x22);  // clean page untouched
-  EXPECT_EQ(to[DirtyMap::kPageSize], 0x11);
-  EXPECT_EQ(to[bytes - 1], 0x11);
-  EXPECT_EQ(dm.DirtyCount(), 0u);  // journal cleared by the restore
-}
-
 TEST(DirtyMap, WrittenSetOutlivesTheJournal) {
   DirtyMap dm(4 * DirtyMap::kPageSize);
   EXPECT_FALSE(dm.enabled());

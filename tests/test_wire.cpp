@@ -164,7 +164,6 @@ TEST(Wire, ScenarioRoundTrip) {
   s.entry = "handle_request";
   s.heap_cap_bytes = 1 << 22;
   s.warmup_instructions = 12345;
-  s.weight = 7;
   std::vector<uint8_t> buf;
   EncodeScenario(buf, s);
   Reader r(buf);
@@ -175,14 +174,12 @@ TEST(Wire, ScenarioRoundTrip) {
   EXPECT_EQ(decoded.value().entry, s.entry);
   EXPECT_EQ(decoded.value().heap_cap_bytes, s.heap_cap_bytes);
   EXPECT_EQ(decoded.value().warmup_instructions, s.warmup_instructions);
-  EXPECT_EQ(decoded.value().weight, s.weight);
   ExpectSamePlan(s.plan, decoded.value().plan);
 }
 
 TEST(Wire, OptionsRoundTrip) {
   campaign::CampaignOptions o;
   o.jobs = 4;
-  o.shard = campaign::ShardPolicy::SizeBalanced;
   o.entry = "start";
   o.max_instructions = 123456789;
   o.default_heap_cap = 1 << 21;
@@ -204,7 +201,6 @@ TEST(Wire, OptionsRoundTrip) {
   EXPECT_TRUE(r.AtEnd());
   const campaign::CampaignOptions& d = decoded.value();
   EXPECT_EQ(d.jobs, o.jobs);
-  EXPECT_EQ(d.shard, o.shard);
   EXPECT_EQ(d.entry, o.entry);
   EXPECT_EQ(d.max_instructions, o.max_instructions);
   EXPECT_EQ(d.default_heap_cap, o.default_heap_cap);
@@ -237,9 +233,9 @@ TEST(Wire, FeasibleOnlyDefaultsOffOnTheWire) {
 TEST(Wire, OptionsRejectUnknownFlagBits) {
   std::vector<uint8_t> good;
   EncodeOptions(good, campaign::CampaignOptions());
-  // The flags byte follows jobs (i64), shard (u8), entry (u32 length +
-  // bytes), max_instructions and default_heap_cap (u64 each).
-  const size_t flags_off = 8 + 1 + 4 + std::string("main").size() + 8 + 8;
+  // The flags byte follows jobs (i64), entry (u32 length + bytes),
+  // max_instructions and default_heap_cap (u64 each).
+  const size_t flags_off = 8 + 4 + std::string("main").size() + 8 + 8;
   ASSERT_EQ(good[flags_off], 0u);
   // Bit 4 (the retired flat-vs-tree snapshot switch) and bit 7 are
   // undefined; every defined bit still decodes.

@@ -716,14 +716,6 @@ std::vector<Flag> CampaignFlags(CampaignArgs& a) {
       {"--scenarios", "N", Count("--scenarios", &a.scenarios, 1'000'000)},
       {"--budget", "instructions",
        Count("--budget", &a.exec.opts.max_instructions, UINT64_MAX, true)},
-      {"--shard", "rr|balanced",
-       [&a](const std::string& v) -> Status {
-         campaign::ShardPolicy& shard = a.exec.opts.shard;
-         if (v == "balanced") shard = campaign::ShardPolicy::SizeBalanced;
-         else if (v == "rr") shard = campaign::ShardPolicy::RoundRobin;
-         else return Err("unknown shard policy " + v);
-         return Status::Ok();
-       }},
       {"--coverage", "report.txt",
        [&a, store = StorePath("--coverage", "an output file path",
                               &a.coverage_out)](const std::string& v) {
