@@ -171,11 +171,12 @@ ScenarioResult RunScenarioOn(
   }
 
   if (tracker != nullptr) {
-    result.covered_offsets = tracker->covered_total();
-    for (size_t m = 0; m < tracker->module_count() && m < module_names.size();
-         ++m) {
+    // One popcount per module: the total is the sum of the per-module
+    // counts, over every tracker module, named or not.
+    for (size_t m = 0; m < tracker->module_count(); ++m) {
       size_t covered = tracker->covered(m);
-      if (covered == 0) continue;
+      result.covered_offsets += covered;
+      if (covered == 0 || m >= module_names.size()) continue;
       result.covered_by_module[module_names[m]] = covered;
       if (options.collect_scenario_coverage) {
         result.coverage[module_names[m]] = tracker->executed(m);

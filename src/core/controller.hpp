@@ -65,10 +65,13 @@ class Controller {
   /// A no-op when nothing was installed since the last Uninstall.
   void Uninstall();
 
-  /// Return to the pre-Install state: remove stubs, drop the trigger
-  /// engine, clear the injection log (sequence numbers restart). The
-  /// profile index stays cached for the next Install of the same set.
-  /// Pairs with vm::Machine::Reset for scenario-to-scenario reuse.
+  /// Return to the pre-Install state: remove stubs, disarm the trigger
+  /// engine (engine() is nullptr until the next Install), clear the
+  /// injection log (sequence numbers restart). The profile index, the
+  /// engine and the stub states stay allocated, and the next Install
+  /// re-arms them in place; the engine is rebuilt only when the profile
+  /// set changes. Pairs with vm::Machine::Reset for scenario-to-scenario
+  /// reuse.
   void Reset();
 
   /// How many times Install built a ProfileIndex: once per distinct
@@ -77,7 +80,7 @@ class Controller {
 
   InjectionLog& log() { return log_; }
   const InjectionLog& log() const { return log_; }
-  TriggerEngine* engine() { return engine_.get(); }
+  TriggerEngine* engine() { return armed_ ? engine_.get() : nullptr; }
 
   /// Machine-wide instruction count (sum over processes) at the moment the
   /// first fault was injected; 0 when nothing injected since the last
@@ -109,6 +112,8 @@ class Controller {
   void ArmSeus(const Plan& plan);
   /// Stop callback: flip the addressed bit if the gate admits it.
   void ApplySeu(const SeuFault& seu);
+  /// The body of every interposition stub.
+  vm::NativeAction OnStubCall(StubState& state, vm::NativeFrame& frame);
 
   vm::Machine& machine_;
   ControllerOptions opts_;
@@ -117,7 +122,10 @@ class Controller {
   std::shared_ptr<const std::vector<FaultProfile>> profiles_;
   std::unique_ptr<ProfileIndex> profile_index_;
   uint64_t profile_index_builds_ = 0;
+  /// Built on the first Install after a profile set change, re-armed by
+  /// every other Install.
   std::unique_ptr<TriggerEngine> engine_;
+  bool armed_ = false;
   /// Machine SymbolId -> injection-log id, interned on first sight (log
   /// ids survive log_.Clear()).
   std::vector<util::SymbolId> log_ids_;
@@ -126,7 +134,9 @@ class Controller {
   bool installed_ = true;
   InjectionLog log_;
   uint64_t first_injection_instructions_ = 0;
-  std::vector<std::shared_ptr<StubState>> stubs_;
+  /// One per planned function. Registered stubs point into this vector,
+  /// so Install resizes it only after Uninstall has cleared them.
+  std::vector<StubState> stubs_;
   std::vector<SeuFault> seus_;
   uint32_t seu_landed_ = 0;
 };

@@ -4,46 +4,61 @@
 
 namespace lfi::core {
 
+namespace {
+constexpr uint32_t kNoSlot = UINT32_MAX;
+}  // namespace
+
 TriggerEngine::TriggerEngine(const Plan& plan, util::SymbolTable& symbols,
                              const ProfileIndex& profiles)
-    : plan_(plan), symbols_(&symbols), rng_(plan.seed) {
-  Init(profiles);
+    : symbols_(&symbols), profiles_(&profiles) {
+  Rearm(plan);
 }
 
 TriggerEngine::TriggerEngine(const Plan& plan,
                              const std::vector<FaultProfile>& profiles,
                              bool feasible_only)
-    : plan_(plan),
-      own_symbols_(std::make_unique<util::SymbolTable>()),
+    : own_symbols_(std::make_unique<util::SymbolTable>()),
       own_profiles_(std::make_unique<ProfileIndex>(profiles, *own_symbols_,
                                                    feasible_only)),
       symbols_(own_symbols_.get()),
-      rng_(plan.seed) {
-  Init(*own_profiles_);
+      profiles_(own_profiles_.get()) {
+  Rearm(plan);
 }
 
-void TriggerEngine::Init(const ProfileIndex& profiles) {
-  // One intern per trigger; slot_of maps a table id to its state_ entry
-  // (first-appearance order). state_ is never resized afterwards (stable
-  // handles).
-  std::vector<uint32_t> slot_of;
-  std::vector<util::SymbolId> trigger_symbols(plan_.triggers.size());
-  for (size_t i = 0; i < plan_.triggers.size(); ++i) {
-    util::SymbolId id = symbols_->Intern(plan_.triggers[i].function);
-    trigger_symbols[i] = id;
-    if (id >= slot_of.size()) slot_of.resize(id + 1, UINT32_MAX);
-    if (slot_of[id] == UINT32_MAX) {
-      slot_of[id] = static_cast<uint32_t>(state_.size());
-      state_.emplace_back();
-      state_.back().symbol_ = id;
-      if (const ProfileIndex::Entry* entry = profiles.find(id)) {
-        state_.back().injectables_ = &entry->injectables;
-      }
+void TriggerEngine::Rearm(const Plan& plan) {
+  // One intern per trigger, skipped where the previous plan's trigger at
+  // the same index named the same function (plan_ is still that plan).
+  trigger_symbols_.resize(plan.triggers.size());
+  for (size_t i = 0; i < plan.triggers.size(); ++i) {
+    const std::string& function = plan.triggers[i].function;
+    if (i >= plan_.triggers.size() || plan_.triggers[i].function != function) {
+      trigger_symbols_[i] = symbols_->Intern(function);
     }
+  }
+  plan_ = plan;
+  rng_ = Rng(plan_.seed);
+  injections_ = 0;
+
+  // slot_of_ maps a table id to its state_ entry (first-appearance order).
+  live_ = 0;
+  for (util::SymbolId id : trigger_symbols_) {
+    if (id >= slot_of_.size()) slot_of_.resize(id + 1, kNoSlot);
+    if (slot_of_[id] != kNoSlot) continue;
+    slot_of_[id] = static_cast<uint32_t>(live_);
+    if (live_ == state_.size()) state_.emplace_back();
+    FunctionState& st = state_[live_++];
+    st.symbol_ = id;
+    st.call_count_ = 0;
+    st.indexed_.clear();
+    st.cursor_ = 0;
+    st.general_.clear();
+    const ProfileIndex::Entry* entry = profiles_->find(id);
+    st.injectables_ = entry ? &entry->injectables : nullptr;
+    st.any_stack_conditions_ = false;
   }
   for (size_t i = 0; i < plan_.triggers.size(); ++i) {
     const FunctionTrigger& t = plan_.triggers[i];
-    FunctionState& st = state_[slot_of[trigger_symbols[i]]];
+    FunctionState& st = state_[slot_of_[trigger_symbols_[i]]];
     TriggerState ts{i, 0, 0};
     // Plain call-count triggers are kept sorted by their fire count and
     // consumed by a cursor; they cost nothing on calls that do not match.
@@ -56,12 +71,16 @@ void TriggerEngine::Init(const ProfileIndex& profiles) {
     }
     if (!t.stacktrace.empty()) st.any_stack_conditions_ = true;
   }
-  for (FunctionState& st : state_) {
-    // Stable: triggers with the same fire count stay in plan order.
-    std::stable_sort(st.indexed_.begin(), st.indexed_.end(),
-                     [](const IndexedTrigger& a, const IndexedTrigger& b) {
-                       return a.inject_call < b.inject_call;
-                     });
+  auto by_call = [](const IndexedTrigger& a, const IndexedTrigger& b) {
+    return a.inject_call < b.inject_call;
+  };
+  for (FunctionState& st : function_states()) {
+    slot_of_[st.symbol_] = kNoSlot;
+    // Stable: triggers with the same fire count stay in plan order. The
+    // common already-sorted case skips stable_sort's scratch buffer.
+    if (!std::is_sorted(st.indexed_.begin(), st.indexed_.end(), by_call)) {
+      std::stable_sort(st.indexed_.begin(), st.indexed_.end(), by_call);
+    }
   }
 }
 
@@ -74,8 +93,8 @@ const TriggerEngine::FunctionState* TriggerEngine::find_state(
     std::string_view function) const {
   util::SymbolId id = symbols_->Find(function);
   if (id == util::kNoSymbol) return nullptr;
-  for (const FunctionState& st : state_) {
-    if (st.symbol_ == id) return &st;
+  for (size_t i = 0; i < live_; ++i) {
+    if (state_[i].symbol_ == id) return &state_[i];
   }
   return nullptr;
 }
@@ -91,9 +110,9 @@ bool TriggerEngine::needs_backtrace(std::string_view function) const {
 
 std::vector<std::string> TriggerEngine::functions() const {
   std::vector<std::string> out;
-  out.reserve(state_.size());
-  for (const FunctionState& st : state_) {
-    out.push_back(symbols_->name(st.symbol_));
+  out.reserve(live_);
+  for (size_t i = 0; i < live_; ++i) {
+    out.push_back(symbols_->name(state_[i].symbol_));
   }
   return out;
 }

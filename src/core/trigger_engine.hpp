@@ -6,9 +6,11 @@
 // caller, so it is only materialized when some trigger actually has
 // stack-trace conditions (keeping per-call overhead low — Table 3/4).
 //
-// Function names are interned once per trigger at construction, into the
-// SymbolTable a ProfileIndex was built against; per-function state lives
-// in a flat vector, one entry per distinct planned function. A stub
+// Function names are interned once per trigger when the engine is armed,
+// into the SymbolTable a ProfileIndex was built against; per-function
+// state lives in a flat vector, one entry per distinct planned function.
+// An engine is re-armed in place for each new plan (Rearm), reusing its
+// storage, and is then indistinguishable from a fresh one. A stub
 // resolves its FunctionState* once at install time, and
 // OnCall(FunctionState&, ...) is then pure index arithmetic — the hot-path
 // invariant is that no string is hashed or compared and no map is walked
@@ -20,6 +22,7 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -62,9 +65,8 @@ class TriggerEngine {
  public:
   /// Build against a shared profile index: planned function names are
   /// interned into `symbols`, the table `profiles` was built against, and
-  /// profile draws come from the index's injectables. This is the
-  /// Controller's per-Install path: O(plan triggers), nothing rebuilt.
-  /// The index must outlive the engine.
+  /// profile draws come from the index's injectables. The index must
+  /// outlive the engine.
   TriggerEngine(const Plan& plan, util::SymbolTable& symbols,
                 const ProfileIndex& profiles);
 
@@ -75,6 +77,16 @@ class TriggerEngine {
   /// triggers with an explicit retval are unaffected.
   TriggerEngine(const Plan& plan, const std::vector<FaultProfile>& profiles,
                 bool feasible_only = false);
+
+  /// Arm the engine for `plan` against the same table and index, exactly as
+  /// if it had been constructed for it: the RNG is reseeded and every count
+  /// starts at zero. This is the Controller's per-Install path: O(plan
+  /// triggers), and the plan copy and per-function state reuse the
+  /// previous plan's storage. Trigger i keeps its symbol id when it names
+  /// the same function as the previous plan's trigger i, so re-arming a
+  /// plan over the same functions does no table lookup. Invalidates every
+  /// FunctionState handle.
+  void Rearm(const Plan& plan);
 
   /// Opaque per-function handle; lets a stub skip the name lookup on the
   /// hot path (resolved once at install time). The trigger plumbing is
@@ -108,7 +120,7 @@ class TriggerEngine {
 
   /// Every planned function's handle, one per distinct function in order
   /// of first appearance in the plan.
-  std::vector<FunctionState>& function_states() { return state_; }
+  std::span<FunctionState> function_states() { return {state_.data(), live_}; }
 
   /// Resolve a function's state handle once; nullptr when the plan has no
   /// triggers for it.
@@ -150,8 +162,6 @@ class TriggerEngine {
   std::optional<InjectionDecision> Fire(const FunctionTrigger& trigger,
                                         TriggerState& ts, FunctionState& st);
   const FunctionState* find_state(std::string_view function) const;
-  /// Shared constructor body: intern the plan and build per-function state.
-  void Init(const ProfileIndex& profiles);
 
   Plan plan_;
   /// Standalone engines own their table and index; shared-index engines
@@ -159,9 +169,16 @@ class TriggerEngine {
   std::unique_ptr<util::SymbolTable> own_symbols_;
   std::unique_ptr<ProfileIndex> own_profiles_;
   util::SymbolTable* symbols_ = nullptr;
-  /// One entry per distinct planned function. Sized once at construction,
-  /// so FunctionState addresses are stable.
+  const ProfileIndex* profiles_ = nullptr;
+  /// Symbol id of each plan trigger's function.
+  std::vector<util::SymbolId> trigger_symbols_;
+  /// Symbol id -> state_ slot while arming; kNoSlot everywhere in between.
+  std::vector<uint32_t> slot_of_;
+  /// Per-function state; the first live_ entries belong to the armed plan,
+  /// the rest keep their storage for later plans. Resized only by Rearm,
+  /// so FunctionState addresses are stable while a plan is armed.
   std::vector<FunctionState> state_;
+  size_t live_ = 0;
   mutable Rng rng_;
   uint64_t injections_ = 0;
 };

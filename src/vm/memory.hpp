@@ -16,7 +16,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <string>
 #include <vector>
 
 namespace lfi::vm {
@@ -263,7 +262,6 @@ struct Region {
   uint64_t size = 0;
   uint8_t* backing = nullptr;
   bool writable = false;
-  std::string name;
   DirtyMap* dirty = nullptr;
 };
 

@@ -488,21 +488,20 @@ void Process::RemapIfNeeded() {
   for (const auto& mod : loader_.modules()) {
     space_.map(Region{mod->code_base, mod->object.code.size(),
                       const_cast<uint8_t*>(mod->object.code.data()), false,
-                      mod->object.name + ".text", nullptr});
+                      nullptr});
     if (!mod->data_runtime.empty()) {
       space_.map(Region{mod->data_base, mod->data_runtime.size(),
-                        mod->data_runtime.data(), true,
-                        mod->object.name + ".data", &mod->data_dirty});
+                        mod->data_runtime.data(), true, &mod->data_dirty});
     }
   }
   space_.map(Region{kStackBase, stack_mem_.size(), stack_mem_.data(), true,
-                    "stack", &stack_dirty_});
+                    &stack_dirty_});
   if (!heap_mem_.empty()) {
     space_.map(Region{kHeapBase, heap_mem_.size(), heap_mem_.data(), true,
-                      "heap", &heap_dirty_});
+                      &heap_dirty_});
   }
-  space_.map(Region{kTlsBase, tls_mem_.size(), tls_mem_.data(), true, "tls",
-                    &tls_dirty_});
+  space_.map(
+      Region{kTlsBase, tls_mem_.size(), tls_mem_.data(), true, &tls_dirty_});
   mapped_generation_ = loader_.module_generation();
   ++address_space_builds_;
 }

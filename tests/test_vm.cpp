@@ -17,7 +17,7 @@ using isa::Reg;
 TEST(AddressSpace, ReadWriteWithinRegion) {
   std::vector<uint8_t> backing(64, 0);
   AddressSpace space;
-  space.map(Region{0x1000, 64, backing.data(), true, "r"});
+  space.map(Region{0x1000, 64, backing.data(), true});
   ASSERT_TRUE(space.write_u64(0x1000, 0xdeadbeef));
   uint64_t v = 0;
   ASSERT_TRUE(space.read_u64(0x1000, &v));
@@ -27,7 +27,7 @@ TEST(AddressSpace, ReadWriteWithinRegion) {
 TEST(AddressSpace, RejectsOutOfRange) {
   std::vector<uint8_t> backing(64, 0);
   AddressSpace space;
-  space.map(Region{0x1000, 64, backing.data(), true, "r"});
+  space.map(Region{0x1000, 64, backing.data(), true});
   uint64_t v = 0;
   EXPECT_FALSE(space.read_u64(0x0, &v));
   EXPECT_FALSE(space.read_u64(0x1000 + 60, &v));  // straddles the end
@@ -37,7 +37,7 @@ TEST(AddressSpace, RejectsOutOfRange) {
 TEST(AddressSpace, RejectsWriteToReadOnly) {
   std::vector<uint8_t> backing(64, 0);
   AddressSpace space;
-  space.map(Region{0x1000, 64, backing.data(), false, "ro"});
+  space.map(Region{0x1000, 64, backing.data(), false});
   uint64_t v = 0;
   EXPECT_TRUE(space.read_u64(0x1000, &v));
   EXPECT_FALSE(space.write_u64(0x1000, 1));
@@ -46,8 +46,8 @@ TEST(AddressSpace, RejectsWriteToReadOnly) {
 TEST(AddressSpace, MultipleRegionsResolve) {
   std::vector<uint8_t> a(16, 0), b(16, 0);
   AddressSpace space;
-  space.map(Region{0x2000, 16, b.data(), true, "b"});
-  space.map(Region{0x1000, 16, a.data(), true, "a"});
+  space.map(Region{0x2000, 16, b.data(), true});
+  space.map(Region{0x1000, 16, a.data(), true});
   ASSERT_TRUE(space.write_u64(0x1000, 1));
   ASSERT_TRUE(space.write_u64(0x2000, 2));
   EXPECT_EQ(a[0], 1);
@@ -494,7 +494,7 @@ TEST(Coverage, TracksExecutedOffsetsOnly) {
 TEST(AddressSpace, RejectsWrappingAddressRange) {
   std::vector<uint8_t> backing(64, 0);
   AddressSpace space;
-  space.map(Region{0x1000, 64, backing.data(), true, "r"});
+  space.map(Region{0x1000, 64, backing.data(), true});
   // addr + len wraps past 2^64 (a register holding -4): must fault, not
   // alias into the region with the highest base.
   uint64_t v = 0;
@@ -700,7 +700,7 @@ TEST(AddressSpace, WriteMarksRegionDirtyJournal) {
   DirtyMap dm;
   dm.Enable(backing.size());
   AddressSpace space;
-  space.map(Region{0x1000, backing.size(), backing.data(), true, "r", &dm});
+  space.map(Region{0x1000, backing.size(), backing.data(), true, &dm});
   ASSERT_TRUE(space.write_u64(0x1000 + DirtyMap::kPageSize, 7));
   std::vector<uint64_t> pages;
   dm.ForEachDirtyPage([&](uint64_t p) { pages.push_back(p); });
