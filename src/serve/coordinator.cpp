@@ -7,12 +7,12 @@
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <string.h>
-#include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <chrono>
+#include <condition_variable>
 #include <deque>
 #include <map>
 #include <mutex>
@@ -58,26 +58,17 @@ int ConnectRetryEintr(int fd, const struct sockaddr* addr, socklen_t len) {
 /// Batches a connection keeps in flight, so a worker's next batch is
 /// already buffered while the coordinator decodes its last reply.
 constexpr size_t kPipelineDepth = 2;
-/// Total dispatch attempts per batch (first send + retries + steals)
-/// before it falls through to the local runner.
+/// Total dispatch attempts per batch (first send + retries) before it
+/// falls through to the local runner.
 constexpr int kMaxBatchAttempts = 3;
-/// Bounds of a guided batch (FabricOptions::batch_size == 0).
+/// Bounds of a guided batch.
 constexpr size_t kMinGuidedBatch = 4;
 constexpr size_t kMaxGuidedBatch = 64;
-/// "No batch" from RunState::Claim, and the placeholder for a reply owed
-/// to a round that has already ended (read and dropped).
+/// Reply deadline per frame; a worker that blows it is treated as dead
+/// (the stream cannot be resynchronized mid-protocol).
+constexpr int kReplyTimeoutMs = 120'000;
+/// "No batch" from RunState::Claim.
 constexpr size_t kNone = SIZE_MAX;
-
-/// Owns an eventfd for one Run.
-struct EventFd {
-  int fd = ::eventfd(0, EFD_CLOEXEC);
-  EventFd() = default;
-  ~EventFd() {
-    if (fd >= 0) ::close(fd);
-  }
-  EventFd(const EventFd&) = delete;
-  EventFd& operator=(const EventFd&) = delete;
-};
 
 }  // namespace
 
@@ -87,97 +78,64 @@ struct FabricCoordinator::RunState {
   struct Batch {
     size_t start = 0;
     size_t count = 0;
-    int attempts = 0;  // dispatches so far (first send + retries + steals)
-    int inflight = 0;  // copies currently out on a connection
-    bool done = false; // a full reply has been applied
+    int attempts = 0;  // dispatches so far (first send + retries)
   };
 
   const std::vector<campaign::Scenario>* scenarios = nullptr;
   /// Batches are cut from the front of the scenario list as they are
   /// claimed. A deque so cutting one never moves the others.
   std::deque<Batch> batches;
-  size_t next = 0;        // first scenario not yet in a batch
-  size_t batch_size = 0;  // fixed batch size; 0 = guided
-  size_t live = 1;        // live connections when the round began
-  /// Set once every batch has its first reply (or has run out of
-  /// attempts); `wake` is signalled at the same moment, so threads waiting
-  /// only on duplicate copies stop waiting.
-  bool over = false;
-  int wake = -1;
+  /// Batches a failed worker lost that have attempts left, oldest first.
+  std::deque<size_t> requeued;
+  size_t next = 0;       // first scenario not yet in a batch
+  size_t live = 1;       // live connections when the round began
+  size_t in_flight = 0;  // batches out on some connection
+  /// Signalled when a batch is requeued or the last one in flight lands,
+  /// so idle threads take the requeued work or see the round complete.
+  std::condition_variable changed;
   std::vector<campaign::ScenarioResult> results;
   std::vector<uint8_t> filled;
   std::map<std::string, vm::CoverageBitmap> coverage;
   std::mutex mu;
 
-  /// Size of the next fresh batch. Guided: half of the remaining work per
-  /// live worker, so the round's last batches, and any copy of them, are
-  /// small.
+  /// Size of the next fresh batch: half of the remaining work per live
+  /// worker, so the round's last batches are small.
   size_t NextBatchSize() const {
     size_t left = scenarios->size() - next;
-    size_t size = batch_size;
-    if (size == 0) {
-      size = std::clamp<size_t>((left + 2 * live - 1) / (2 * live),
-                                kMinGuidedBatch, kMaxGuidedBatch);
-    }
+    size_t size = std::clamp<size_t>((left + 2 * live - 1) / (2 * live),
+                                     kMinGuidedBatch, kMaxGuidedBatch);
     return std::min(size, left);
   }
 
   /// Pick the next batch for a connection: a requeued batch, else a fresh
-  /// one, else (only when `may_steal`) a copy of an in-flight batch — the
-  /// least duplicated, latest cut, because it finishes last. kNone when
-  /// there is nothing to do.
-  size_t Claim(bool may_steal) {
-    size_t steal = kNone;
-    for (size_t b = 0; b < batches.size(); ++b) {
-      const Batch& batch = batches[b];
-      if (batch.done || batch.attempts >= kMaxBatchAttempts) continue;
-      if (batch.inflight == 0) return b;
-      if (steal == kNone || batch.inflight <= batches[steal].inflight) {
-        steal = b;
-      }
+  /// one. kNone when there is nothing to do.
+  size_t Claim() {
+    if (!requeued.empty()) {
+      size_t b = requeued.front();
+      requeued.pop_front();
+      return b;
     }
-    if (next < scenarios->size()) {
-      Batch batch;
-      batch.start = next;
-      batch.count = NextBatchSize();
-      next += batch.count;
-      batches.push_back(batch);
-      return batches.size() - 1;
-    }
-    return may_steal ? steal : kNone;
-  }
-
-  /// Ends the round once no batch can still produce a first reply.
-  void CheckOver() {
-    if (over || next < scenarios->size()) return;
-    for (const Batch& batch : batches) {
-      if (!batch.done &&
-          (batch.inflight > 0 || batch.attempts < kMaxBatchAttempts)) {
-        return;
-      }
-    }
-    over = true;
-    if (wake >= 0) (void)::eventfd_write(wake, 1);
+    if (next == scenarios->size()) return kNone;
+    Batch batch;
+    batch.start = next;
+    batch.count = NextBatchSize();
+    next += batch.count;
+    batches.push_back(batch);
+    return batches.size() - 1;
   }
 };
 
 FabricCoordinator::FabricCoordinator(TargetSpec target,
                                      std::vector<core::FaultProfile> profiles,
-                                     campaign::CampaignOptions options,
-                                     FabricOptions fabric)
+                                     campaign::CampaignOptions options)
     : target_(std::move(target)),
       profiles_(std::move(profiles)),
-      options_(std::move(options)),
-      fabric_(fabric) {}
+      options_(std::move(options)) {}
 
 FabricCoordinator::~FabricCoordinator() {
   for (Connection& conn : connections_) {
     if (conn.fd < 0) continue;
-    // A worker that still owes replies may be blocked writing one; it
-    // sees the close instead of a Shutdown it would never read.
-    if (conn.alive && conn.stale == 0) {
-      (void)WriteFrame(conn.fd, MsgType::Shutdown, {});
-    }
+    if (conn.alive) (void)WriteFrame(conn.fd, MsgType::Shutdown, {});
     ::close(conn.fd);
     conn.fd = -1;
   }
@@ -191,7 +149,7 @@ Status FabricCoordinator::Handshake(Connection& conn) {
   if (auto st = WriteFrame(conn.fd, MsgType::Hello, hello); !st.ok()) {
     return st;
   }
-  auto reply = ReadFrame(conn.fd, fabric_.batch_timeout_ms);
+  auto reply = ReadFrame(conn.fd, kReplyTimeoutMs);
   if (!reply.ok()) return Err(reply.error());
   if (reply.value().type != MsgType::Hello) {
     return Err("fabric: expected Hello from worker");
@@ -213,7 +171,7 @@ Status FabricCoordinator::Handshake(Connection& conn) {
       !st.ok()) {
     return st;
   }
-  auto ack = ReadFrame(conn.fd, fabric_.batch_timeout_ms);
+  auto ack = ReadFrame(conn.fd, kReplyTimeoutMs);
   if (!ack.ok()) return Err(ack.error());
   if (ack.value().type == MsgType::Error) {
     Reader er(ack.value().payload);
@@ -295,12 +253,8 @@ campaign::CampaignRunner& FabricCoordinator::LocalRunner() {
 
 void FabricCoordinator::WorkerLoop(size_t conn_index, RunState& state) {
   Connection& conn = connections_[conn_index];
-  const int timeout_ms =
-      fabric_.batch_timeout_ms > 0 ? fabric_.batch_timeout_ms : -1;
-  // Replies this connection owes, oldest first: a batch of this round, or
-  // kNone for a copy whose round already ended (read and dropped).
-  std::deque<size_t> owed(conn.stale, kNone);
-  conn.stale = 0;
+  // Batches in flight on this connection, oldest first.
+  std::deque<size_t> owed;
   // RunBatch frames not yet fully written. Writes never block: the loop
   // keeps reading replies while a frame drains, so a worker blocked on
   // writing a large reply can never wait on a coordinator blocked on
@@ -310,28 +264,26 @@ void FabricCoordinator::WorkerLoop(size_t conn_index, RunState& state) {
 
   for (;;) {
     std::vector<std::pair<size_t, size_t>> claimed;  // (start, count)
-    bool over = false;
     {
-      std::lock_guard<std::mutex> lock(state.mu);
-      // Nothing new goes out until the copies of earlier rounds are read.
-      const bool draining = !owed.empty() && owed.front() == kNone;
-      while (!draining && owed.size() < kPipelineDepth) {
-        // Steal only when idle: a copy is straggler cover, never a queue.
-        size_t b = state.Claim(owed.empty());
-        if (b == kNone) break;
-        RunState::Batch& batch = state.batches[b];
-        if (batch.inflight > 0) {
-          ++stats_.batches_stolen;
-        } else if (batch.attempts > 0) {
-          ++stats_.batches_retried;
+      std::unique_lock<std::mutex> lock(state.mu);
+      for (;;) {
+        while (owed.size() < kPipelineDepth) {
+          size_t b = state.Claim();
+          if (b == kNone) break;
+          RunState::Batch& batch = state.batches[b];
+          if (batch.attempts > 0) ++stats_.batches_retried;
+          ++batch.attempts;
+          ++state.in_flight;
+          ++stats_.batches_dispatched;
+          owed.push_back(b);
+          claimed.emplace_back(batch.start, batch.count);
         }
-        ++batch.attempts;
-        ++batch.inflight;
-        ++stats_.batches_dispatched;
-        owed.push_back(b);
-        claimed.emplace_back(batch.start, batch.count);
+        if (!owed.empty()) break;
+        // Idle: a batch still in flight elsewhere may yet be requeued
+        // here if its worker fails.
+        if (state.in_flight == 0) return;
+        state.changed.wait(lock);
       }
-      over = state.over;
     }
     for (const auto& [start, count] : claimed) {
       BatchMsg msg;
@@ -341,24 +293,15 @@ void FabricCoordinator::WorkerLoop(size_t conn_index, RunState& state) {
       }
       AppendFrame(out, MsgType::RunBatch, EncodeBatch(msg));
     }
-    if (owed.empty()) return;  // nothing left this thread can do
-    if (over && out_pos == out.size()) {
-      // Everything owed is a copy of a batch that already has its reply.
-      // Leave it for the next Run on this connection to read and drop.
-      conn.stale = owed.size();
-      return;
-    }
 
-    struct pollfd fds[2] = {};
-    fds[0].fd = conn.fd;
-    fds[0].events = POLLIN;
-    if (out_pos < out.size()) fds[0].events |= POLLOUT;
-    fds[1].fd = over ? -1 : state.wake;
-    fds[1].events = POLLIN;
-    int ready = ::poll(fds, 2, timeout_ms);
+    struct pollfd pfd = {};
+    pfd.fd = conn.fd;
+    pfd.events = POLLIN;
+    if (out_pos < out.size()) pfd.events |= POLLOUT;
+    int ready = ::poll(&pfd, 1, kReplyTimeoutMs);
     if (ready < 0 && errno == EINTR) continue;
     if (ready <= 0) break;  // poll failure or reply timeout
-    if (fds[0].revents & POLLOUT) {
+    if (pfd.revents & POLLOUT) {
       ssize_t n = ::send(conn.fd, out.data() + out_pos, out.size() - out_pos,
                          MSG_NOSIGNAL | MSG_DONTWAIT);
       if (n < 0 && errno != EAGAIN && errno != EWOULDBLOCK && errno != EINTR) {
@@ -370,62 +313,53 @@ void FabricCoordinator::WorkerLoop(size_t conn_index, RunState& state) {
         out_pos = 0;
       }
     }
-    if ((fds[0].revents & (POLLIN | POLLHUP | POLLERR)) == 0) continue;
+    if ((pfd.revents & (POLLIN | POLLHUP | POLLERR)) == 0) continue;
 
     // A reply: the worker answers in order, so it is for owed.front(). It
     // is read whole; the worker writes it without reading in between.
-    auto reply = ReadFrame(conn.fd, timeout_ms);
+    auto reply = ReadFrame(conn.fd, kReplyTimeoutMs);
     if (!reply.ok() || reply.value().type != MsgType::BatchResult) break;
-    const size_t b = owed.front();
-    if (b == kNone) {
-      owed.pop_front();
-      continue;
-    }
     auto decoded = DecodeBatchResult(reply.value().payload);
     if (!decoded.ok()) break;
     std::lock_guard<std::mutex> lock(state.mu);
-    RunState::Batch& batch = state.batches[b];
-    // First full reply wins; a stolen batch's duplicate (identical by
-    // determinism, so nothing is lost) is dropped.
-    if (!batch.done) {
-      bool valid = decoded.value().results.size() == batch.count;
-      for (const campaign::ScenarioResult& res : decoded.value().results) {
-        if (res.index < batch.start ||
-            res.index >= batch.start + batch.count) {
-          valid = false;
-        }
+    const RunState::Batch& batch = state.batches[owed.front()];
+    bool valid = decoded.value().results.size() == batch.count;
+    for (const campaign::ScenarioResult& res : decoded.value().results) {
+      if (res.index < batch.start || res.index >= batch.start + batch.count) {
+        valid = false;
       }
-      // A worker that misaddresses results is not trustworthy.
-      if (!valid) break;
-      for (campaign::ScenarioResult& res : decoded.value().results) {
-        size_t idx = res.index;
-        if (!state.filled[idx]) {
-          state.results[idx] = std::move(res);
-          state.filled[idx] = 1;
-        }
-      }
-      for (auto& [mod, bitmap] : decoded.value().coverage) {
-        state.coverage[mod].Merge(bitmap);
-      }
-      batch.done = true;
-      stats_.scenarios_remote += batch.count;
     }
-    --batch.inflight;
+    // A worker that misaddresses results is not trustworthy.
+    if (!valid) break;
+    for (campaign::ScenarioResult& res : decoded.value().results) {
+      size_t idx = res.index;
+      if (!state.filled[idx]) {
+        state.results[idx] = std::move(res);
+        state.filled[idx] = 1;
+      }
+    }
+    for (auto& [mod, bitmap] : decoded.value().coverage) {
+      state.coverage[mod].Merge(bitmap);
+    }
+    stats_.scenarios_remote += batch.count;
     owed.pop_front();
-    state.CheckOver();
+    if (--state.in_flight == 0) state.changed.notify_all();
   }
 
   // The stream cannot be resynchronized after a failure mid-exchange:
   // drop the worker, put its batches back, let someone else run them.
   std::lock_guard<std::mutex> lock(state.mu);
   for (size_t b : owed) {
-    if (b != kNone) --state.batches[b].inflight;
+    if (state.batches[b].attempts < kMaxBatchAttempts) {
+      state.requeued.push_back(b);
+    }
   }
+  state.in_flight -= owed.size();
   conn.alive = false;
   ::close(conn.fd);
   conn.fd = -1;
   ++stats_.workers_lost;
-  state.CheckOver();
+  state.changed.notify_all();
 }
 
 campaign::CampaignReport FabricCoordinator::Run(
@@ -446,10 +380,7 @@ campaign::CampaignReport FabricCoordinator::Run(
   size_t live = live_workers();
   if (live > 0) {
     // Contiguous index-range batches, cut as connections claim them.
-    EventFd wake;
-    state.batch_size = fabric_.batch_size;
     state.live = live;
-    state.wake = wake.fd;
     std::vector<std::thread> threads;
     for (size_t c = 0; c < connections_.size(); ++c) {
       if (!connections_[c].alive) continue;

@@ -8,38 +8,33 @@
 //
 //   1. Scenario outcomes depend only on the scenario (the runner's
 //      existing contract) — so *where* a scenario ran, how batches were
-//      cut, and whether a batch executed twice cannot change any result.
+//      cut, and whether a batch was retried cannot change any result.
 //   2. Results are placed by campaign-global index into a pre-sized
-//      vector, first writer wins — so arrival order is irrelevant.
+//      vector — so arrival order is irrelevant.
 //   3. Union coverage is a bitwise OR of per-batch union bitmaps — OR is
-//      commutative, associative, and idempotent, so stealing (which can
-//      make the same batch's coverage arrive twice) merges to the same
-//      union.
+//      commutative and associative, so merge order is irrelevant.
 //
 // Dispatch: Run() gives each live connection a thread. Batches are
 // contiguous index ranges cut from the front of the list as threads claim
-// them. Each connection keeps up to two batches in flight, so a worker's
-// next batch is already in its socket buffer while the coordinator
-// decodes its last reply; a worker answers in order. Writes never block a
-// thread from reading, so frames larger than the socket buffers cannot
-// deadlock the pair.
+// them, each guided to ceil(left / (2 * live workers)) scenarios clamped
+// to [4, 64], so early batches amortize round trips and the round's last
+// batches are small. Each connection keeps up to two batches in flight, so
+// a worker's next batch is already in its socket buffer while the
+// coordinator decodes its last reply; a worker answers in order. Writes
+// never block a thread from reading, so frames larger than the socket
+// buffers cannot deadlock the pair.
 //
-// Stealing and the round's end: a thread with nothing in flight and
-// nothing left to claim duplicates an in-flight batch of another worker —
-// the least duplicated, latest cut one, which is the one that finishes
-// last — and whichever copy lands first wins. Run() returns as soon as
-// every batch has its first reply. A thread still waiting only on copies
-// is woken then and records how many replies its worker still owes on
-// the connection (Connection::stale); the next Run() on that connection
-// reads and drops them before it sends anything new. So a worker that
-// dies while it owes only copies is noticed by that next Run().
+// Batch lifecycle: queued → in flight on exactly one connection → done.
+// A thread with nothing in flight and nothing to claim waits until a
+// failing thread requeues a batch or the round completes; Run() returns
+// once no batch is in flight and none is left to claim.
 //
 // Failure model: a worker that dies (EOF, socket error, reply timeout)
 // loses its in-flight batches; they go back to the queue and another
-// worker — or, when dispatch attempts run out, the coordinator's own
-// in-process fallback runner — re-executes them. A coordinator with zero
-// reachable workers degrades to a plain in-process campaign. Run() always
-// completes with a full result set.
+// worker — or, when dispatch attempts run out or no worker is left, the
+// coordinator's own in-process fallback runner — re-executes them. A
+// coordinator with zero reachable workers degrades to a plain in-process
+// campaign. Run() always completes with a full result set.
 #pragma once
 
 #include <cstdint>
@@ -54,18 +49,6 @@
 
 namespace lfi::serve {
 
-struct FabricOptions {
-  /// Scenarios per batch; 0 = guided: each batch takes
-  /// ceil(left / (2 * live workers)) of the scenarios not yet dispatched,
-  /// clamped to [4, 64], so early batches amortize round trips and the
-  /// round's last batches — and any stolen copy of them — are small.
-  size_t batch_size = 0;
-  /// Reply deadline per batch; a worker that blows it is treated as dead
-  /// (the stream cannot be resynchronized mid-protocol). <= 0 = wait
-  /// forever.
-  int batch_timeout_ms = 120'000;
-};
-
 /// Counters for tests, CI assertions, and the CLI's stderr summary. Not
 /// part of the report (they describe *how* work was spread, which is
 /// exactly what the report must not depend on).
@@ -74,7 +57,6 @@ struct FabricStats {
   size_t workers_lost = 0;
   size_t batches_dispatched = 0;  // RunBatch frames sent, retries included
   size_t batches_retried = 0;     // re-dispatches after a worker failure
-  size_t batches_stolen = 0;      // duplicate dispatches of in-flight work
   size_t scenarios_remote = 0;    // results filled from worker replies
   size_t scenarios_local = 0;     // results filled by the fallback runner
 };
@@ -86,8 +68,7 @@ class FabricCoordinator : public campaign::ScenarioDispatch {
   /// execution environment in the fabric is constructed from one source.
   FabricCoordinator(TargetSpec target,
                     std::vector<core::FaultProfile> profiles,
-                    campaign::CampaignOptions options,
-                    FabricOptions fabric = {});
+                    campaign::CampaignOptions options);
   ~FabricCoordinator() override;
 
   FabricCoordinator(const FabricCoordinator&) = delete;
@@ -119,9 +100,6 @@ class FabricCoordinator : public campaign::ScenarioDispatch {
     int fd = -1;
     std::string label;
     bool alive = false;
-    /// Replies the worker still owes for copies whose round had already
-    /// ended; the next Run() on this connection reads and drops them.
-    size_t stale = 0;
   };
 
   struct RunState;
@@ -130,7 +108,7 @@ class FabricCoordinator : public campaign::ScenarioDispatch {
   /// One connection's dispatch loop for one Run (executes on its own
   /// thread): claim up to two batches, ship them, apply replies; on any
   /// socket failure mark the connection dead, requeue its batches, and
-  /// exit.
+  /// exit. Idle, it waits for requeued work until the round completes.
   void WorkerLoop(size_t conn_index, RunState& state);
   /// The in-process safety net, built lazily from the same TargetSpec.
   campaign::CampaignRunner& LocalRunner();
@@ -138,7 +116,6 @@ class FabricCoordinator : public campaign::ScenarioDispatch {
   TargetSpec target_;
   std::vector<core::FaultProfile> profiles_;
   campaign::CampaignOptions options_;
-  FabricOptions fabric_;
   std::vector<Connection> connections_;
   std::unique_ptr<campaign::CampaignRunner> local_runner_;
   FabricStats stats_;

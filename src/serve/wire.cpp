@@ -6,7 +6,9 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <bit>
+#include <chrono>
 #include <cstring>
 
 #include "sso/sso.hpp"
@@ -644,6 +646,8 @@ Result<campaign::MachineSetup> MakeSetup(const TargetSpec& spec) {
 
 namespace {
 
+using Clock = std::chrono::steady_clock;
+
 Status WriteAll(int fd, const uint8_t* data, size_t size) {
   size_t done = 0;
   while (done < size) {
@@ -661,14 +665,19 @@ Status WriteAll(int fd, const uint8_t* data, size_t size) {
   return {};
 }
 
-/// Read exactly `size` bytes, honoring the deadline. `timeout_ms` < 0
-/// blocks forever.
-Status ReadAll(int fd, uint8_t* data, size_t size, int timeout_ms) {
+/// Read exactly `size` bytes before `deadline`; a null `deadline` blocks
+/// forever. Bytes already buffered when the deadline passes are still
+/// read, so only a peer that stalls past it times out.
+Status ReadAll(int fd, uint8_t* data, size_t size,
+               const Clock::time_point* deadline) {
   size_t done = 0;
   while (done < size) {
-    if (timeout_ms >= 0) {
+    if (deadline != nullptr) {
+      auto left = std::chrono::ceil<std::chrono::milliseconds>(
+          *deadline - Clock::now());
       struct pollfd pfd = {fd, POLLIN, 0};
-      int ready = ::poll(&pfd, 1, timeout_ms);
+      int ready = ::poll(&pfd, 1, static_cast<int>(std::max<int64_t>(
+                                      0, left.count())));
       if (ready < 0) {
         if (errno == EINTR) continue;
         return Err(std::string("wire: poll: ") + strerror(errno));
@@ -705,8 +714,13 @@ Status WriteFrame(int fd, MsgType type, const std::vector<uint8_t>& payload) {
 }
 
 Result<Frame> ReadFrame(int fd, int timeout_ms) {
+  // One deadline for the whole frame: a peer that trickles bytes cannot
+  // stretch it by re-arming a per-read timeout.
+  const Clock::time_point deadline =
+      Clock::now() + std::chrono::milliseconds(timeout_ms);
+  const Clock::time_point* until = timeout_ms >= 0 ? &deadline : nullptr;
   uint8_t header[9];
-  if (auto st = ReadAll(fd, header, sizeof(header), timeout_ms); !st.ok()) {
+  if (auto st = ReadAll(fd, header, sizeof(header), until); !st.ok()) {
     return Err(st.error());
   }
   std::vector<uint8_t> buf(header, header + sizeof(header));
@@ -726,7 +740,7 @@ Result<Frame> ReadFrame(int fd, int timeout_ms) {
   frame.type = static_cast<MsgType>(type);
   frame.payload.resize(length);
   if (length > 0) {
-    if (auto st = ReadAll(fd, frame.payload.data(), length, timeout_ms);
+    if (auto st = ReadAll(fd, frame.payload.data(), length, until);
         !st.ok()) {
       return Err(st.error());
     }

@@ -175,9 +175,10 @@ void AppendFrame(std::vector<uint8_t>& out, MsgType type,
 Status WriteFrame(int fd, MsgType type, const std::vector<uint8_t>& payload);
 
 /// Read one frame from `fd`. Validates magic, type, and payload size
-/// before allocating. `timeout_ms` < 0 blocks forever; on timeout the
-/// error message contains "timeout" (the coordinator's retry path keys on
-/// having *an* error, not the text — the text is for humans).
+/// before allocating. `timeout_ms` bounds the whole frame, header and
+/// payload together; < 0 blocks forever. On timeout the error message
+/// contains "timeout" (the coordinator's retry path keys on having *an*
+/// error, not the text — the text is for humans).
 Result<Frame> ReadFrame(int fd, int timeout_ms = -1);
 
 }  // namespace lfi::serve

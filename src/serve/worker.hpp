@@ -38,7 +38,7 @@ struct WorkerConfig {
   /// exercised reproducibly.
   uint64_t abort_after_scenarios = 0;
   /// Straggler hook for tests: sleep this long before answering each
-  /// batch, so other workers finish first and steal its batches. 0 = off.
+  /// batch, so other workers finish their batches first. 0 = off.
   uint32_t batch_delay_ms = 0;
 };
 

@@ -2,7 +2,7 @@
 //
 // Every test here asserts the same thing from a different angle: a
 // campaign (or exploration) fanned out across worker *processes* — with
-// batching, stealing, worker death, retries, and local fallback in play —
+// batching, pipelining, worker death, retries, and local fallback in play —
 // produces results bit-identical to a single in-process run. The fabric
 // may change how long things take and where they execute; it may not
 // change one byte of what comes back.
@@ -153,9 +153,10 @@ void ReapWorker(const LocalWorker& worker) {
   ::waitpid(worker.pid, nullptr, WNOHANG);
 }
 
-// Coordinator + 1, 2 and 4 real worker processes, deliberately small
-// batches so multiple dispatches (and, with several workers, steals)
-// happen: byte-identical to --jobs 1 for every worker count.
+// Coordinator + 1, 2 and 4 real worker processes. 32 scenarios cut into
+// several guided batches (16/8/4/4 on one worker, more on several), so
+// every connection pipelines multiple dispatches: byte-identical to
+// --jobs 1 for every worker count.
 class LocalWorkersMatchInProcess : public ::testing::TestWithParam<size_t> {};
 
 TEST_P(LocalWorkersMatchInProcess, Run) {
@@ -171,10 +172,7 @@ TEST_P(LocalWorkersMatchInProcess, Run) {
     ASSERT_TRUE(worker.ok()) << worker.error();
     workers.push_back(std::move(worker).take());
   }
-  FabricOptions fabric_opts;
-  fabric_opts.batch_size = 3;
-  FabricCoordinator fabric(ReaderSpec(), apps::LibcProfiles(), BaseOptions(),
-                           fabric_opts);
+  FabricCoordinator fabric(ReaderSpec(), apps::LibcProfiles(), BaseOptions());
   for (const LocalWorker& worker : workers) {
     ASSERT_TRUE(fabric.AddWorkerFd(worker.fd, "local").ok());
   }
@@ -182,6 +180,7 @@ TEST_P(LocalWorkersMatchInProcess, Run) {
 
   CampaignReport distributed = fabric.Run(scenarios);
   ExpectSameResults(baseline, distributed);
+  EXPECT_GE(fabric.stats().batches_dispatched, 4u);
   EXPECT_EQ(fabric.stats().scenarios_remote, scenarios.size());
   EXPECT_EQ(fabric.stats().scenarios_local, 0u);
   EXPECT_EQ(fabric.stats().workers_lost, 0u);
@@ -211,9 +210,10 @@ TEST(Fabric, RepeatedRunsReuseWarmWorkers) {
 
 // One worker hard-closes its socket mid-campaign (the deterministic
 // stand-in for kill -9); its in-flight batches must be re-run on the
-// surviving worker and the merged report must not change a byte. The
-// survivor answers slowly, so the death lands inside the round (a round
-// ends at its last first reply, without waiting on the dead worker).
+// surviving worker and the merged report must not change a byte. Every
+// batch is at least 4 scenarios, so the dying worker dies in its first
+// one; the survivor answers slowly, so the dying worker's thread claims
+// batches before the survivor could finish the round alone.
 TEST(Fabric, AbortingWorkerShardIsRetriedElsewhere) {
   std::vector<Scenario> scenarios = RandomScenarios(32, 0.3, 42);
   CampaignReport baseline = InProcessBaseline(scenarios, BaseOptions());
@@ -222,14 +222,11 @@ TEST(Fabric, AbortingWorkerShardIsRetriedElsewhere) {
   dying.abort_after_scenarios = 4;
   WorkerConfig slow;
   slow.batch_delay_ms = 20;
-  FabricOptions fabric_opts;
-  fabric_opts.batch_size = 4;
   auto w1 = SpawnLocalWorker(dying);
   auto w2 = SpawnLocalWorker(slow);
   ASSERT_TRUE(w1.ok()) << w1.error();
   ASSERT_TRUE(w2.ok()) << w2.error();
-  FabricCoordinator fabric(ReaderSpec(), apps::LibcProfiles(), BaseOptions(),
-                           fabric_opts);
+  FabricCoordinator fabric(ReaderSpec(), apps::LibcProfiles(), BaseOptions());
   ASSERT_TRUE(fabric.AddWorkerFd(w1.value().fd, "dying").ok());
   ASSERT_TRUE(fabric.AddWorkerFd(w2.value().fd, "healthy").ok());
 
@@ -269,39 +266,36 @@ TEST(Fabric, SigkilledWorkerProcessDoesNotChangeTheReport) {
   ReapWorker(w2.value());
 }
 
-// A straggler's batches are stolen, and the round ends at the stolen
-// copies' replies without waiting on the straggler. Its late replies are
-// read and dropped by the next Run on that connection: if they were taken
-// for replies of the new round, the second report would differ or the
-// worker would be dropped for misaddressed results.
-TEST(Fabric, StolenCopiesAreDrainedOnTheNextRun) {
-  std::vector<Scenario> first = RandomScenarios(32, 0.3, 42);
-  std::vector<Scenario> second = RandomScenarios(32, 0.4, 43);
-  // The fast worker is slow enough that the straggler's thread claims
-  // batches before the fast one could finish the round alone.
+// A batch is requeued only when its worker fails, so a thread that went
+// idle must still be there to take it. Of 32 scenarios, guided batches
+// of 8/6/5/4 go out first, two to each worker. The fast worker then runs
+// everything else and goes idle. The slow worker answers its first batch
+// (at most 8 scenarios) only after 200 ms and dies after running its
+// second (at least 9 in all): the idle fast worker must re-run that batch
+// rather than leave it to the local fallback.
+TEST(Fabric, IdleSurvivorTakesRequeuedWork) {
+  std::vector<Scenario> scenarios = RandomScenarios(32, 0.3, 42);
+  CampaignReport baseline = InProcessBaseline(scenarios, BaseOptions());
+
   WorkerConfig fast;
-  fast.batch_delay_ms = 10;
-  WorkerConfig straggler;
-  straggler.batch_delay_ms = 150;
+  fast.batch_delay_ms = 5;
+  WorkerConfig slow;
+  slow.batch_delay_ms = 200;
+  slow.abort_after_scenarios = 9;
   auto w1 = SpawnLocalWorker(fast);
-  auto w2 = SpawnLocalWorker(straggler);
+  auto w2 = SpawnLocalWorker(slow);
   ASSERT_TRUE(w1.ok()) << w1.error();
   ASSERT_TRUE(w2.ok()) << w2.error();
   FabricCoordinator fabric(ReaderSpec(), apps::LibcProfiles(), BaseOptions());
   ASSERT_TRUE(fabric.AddWorkerFd(w1.value().fd, "fast").ok());
-  ASSERT_TRUE(fabric.AddWorkerFd(w2.value().fd, "straggler").ok());
+  ASSERT_TRUE(fabric.AddWorkerFd(w2.value().fd, "slow").ok());
 
-  ExpectSameResults(InProcessBaseline(first, BaseOptions()),
-                    fabric.Run(first));
-  EXPECT_GE(fabric.stats().batches_stolen, 1u);
-  // Let the straggler finish its copies, so the next Run has their
-  // replies to drain.
-  ::usleep(350'000);
-  ExpectSameResults(InProcessBaseline(second, BaseOptions()),
-                    fabric.Run(second));
-  EXPECT_EQ(fabric.stats().workers_lost, 0u);
-  EXPECT_EQ(fabric.live_workers(), 2u);
+  CampaignReport distributed = fabric.Run(scenarios);
+  ExpectSameResults(baseline, distributed);
+  EXPECT_EQ(fabric.stats().workers_lost, 1u);
+  EXPECT_GE(fabric.stats().batches_retried, 1u);
   EXPECT_EQ(fabric.stats().scenarios_local, 0u);
+  EXPECT_EQ(fabric.stats().scenarios_remote, scenarios.size());
   ReapWorker(w1.value());
   ReapWorker(w2.value());
 }
@@ -309,7 +303,8 @@ TEST(Fabric, StolenCopiesAreDrainedOnTheNextRun) {
 // Two batches in flight on a connection whose socket buffers are far
 // smaller than a frame: the worker blocks writing a large reply while the
 // coordinator still has a large batch to write. The coordinator keeps
-// reading while it writes, so the pair cannot deadlock.
+// reading while it writes, so the pair cannot deadlock. 96 scenarios on
+// one worker cut a first guided batch of 48, then one of 24.
 TEST(Fabric, FramesLargerThanSocketBuffersDoNotDeadlock) {
   std::vector<Scenario> scenarios = RandomScenarios(96, 0.3, 77);
   for (Scenario& s : scenarios) {
@@ -344,11 +339,7 @@ TEST(Fabric, FramesLargerThanSocketBuffersDoNotDeadlock) {
   }
   ::close(fds[1]);
 
-  FabricOptions fabric_opts;
-  fabric_opts.batch_size = 48;
-  fabric_opts.batch_timeout_ms = 20'000;
-  FabricCoordinator fabric(ReaderSpec(), apps::LibcProfiles(), BaseOptions(),
-                           fabric_opts);
+  FabricCoordinator fabric(ReaderSpec(), apps::LibcProfiles(), BaseOptions());
   ASSERT_TRUE(fabric.AddWorkerFd(fds[0], "tiny-buffers").ok());
   // Both directions' frames dwarf the buffers.
   BatchMsg msg;
@@ -367,7 +358,7 @@ TEST(Fabric, FramesLargerThanSocketBuffersDoNotDeadlock) {
   ::waitpid(pid, nullptr, WNOHANG);
 }
 
-// Guided batch sizes (batch_size == 0) cut the campaign into batches that
+// Guided batch sizes cut the campaign into batches that
 // cover every index exactly once: a gap would fall back to the local
 // runner, an overlap would count scenarios twice.
 TEST(Fabric, GuidedBatchesPlaceEveryIndexOnce) {
@@ -423,12 +414,9 @@ TEST(Fabric, AllWorkersDeadFallsBackToLocalTail) {
 
   WorkerConfig dying;
   dying.abort_after_scenarios = 2;
-  FabricOptions fabric_opts;
-  fabric_opts.batch_size = 2;
   auto w1 = SpawnLocalWorker(dying);
   ASSERT_TRUE(w1.ok()) << w1.error();
-  FabricCoordinator fabric(ReaderSpec(), apps::LibcProfiles(), BaseOptions(),
-                           fabric_opts);
+  FabricCoordinator fabric(ReaderSpec(), apps::LibcProfiles(), BaseOptions());
   ASSERT_TRUE(fabric.AddWorkerFd(w1.value().fd, "dying").ok());
 
   CampaignReport distributed = fabric.Run(scenarios);
@@ -514,15 +502,12 @@ TEST(Fabric, ExplorerRoundsThroughFabricAreBitIdentical) {
   campaign::ExplorerReport baseline = plain.Explore();
   ASSERT_FALSE(baseline.crashes.empty());
 
-  FabricOptions fabric_opts;
-  fabric_opts.batch_size = 2;
   auto w1 = SpawnLocalWorker();
   auto w2 = SpawnLocalWorker();
   ASSERT_TRUE(w1.ok()) << w1.error();
   ASSERT_TRUE(w2.ok()) << w2.error();
   FabricCoordinator fabric(ReaderSpec(), apps::LibcProfiles(),
-                           campaign::Explorer::DispatchOptions(eopts.campaign),
-                           fabric_opts);
+                           campaign::Explorer::DispatchOptions(eopts.campaign));
   ASSERT_TRUE(fabric.AddWorkerFd(w1.value().fd, "w1").ok());
   ASSERT_TRUE(fabric.AddWorkerFd(w2.value().fd, "w2").ok());
 
@@ -557,15 +542,12 @@ TEST(Fabric, DirectedExplorerRoundsThroughFabricAreBitIdentical) {
   campaign::ExplorerReport baseline = plain.Explore();
   ASSERT_GT(baseline.union_offsets(), 0u);
 
-  FabricOptions fabric_opts;
-  fabric_opts.batch_size = 2;
   auto w1 = SpawnLocalWorker();
   auto w2 = SpawnLocalWorker();
   ASSERT_TRUE(w1.ok()) << w1.error();
   ASSERT_TRUE(w2.ok()) << w2.error();
   FabricCoordinator fabric(ReaderSpec(), apps::LibcProfiles(),
-                           campaign::Explorer::DispatchOptions(eopts.campaign),
-                           fabric_opts);
+                           campaign::Explorer::DispatchOptions(eopts.campaign));
   ASSERT_TRUE(fabric.AddWorkerFd(w1.value().fd, "w1").ok());
   ASSERT_TRUE(fabric.AddWorkerFd(w2.value().fd, "w2").ok());
 

@@ -466,11 +466,10 @@ TEST(SeuFabric, WorkerMatchesInProcess) {
   campaign::CampaignRunner local(std::move(setup).take(), {}, opts);
   CampaignReport baseline = local.Run(sweep);
 
+  // 12 flips on one worker cut guided batches of 6, 4 and 2.
   auto worker = serve::SpawnLocalWorker();
   ASSERT_TRUE(worker.ok()) << worker.error();
-  serve::FabricOptions fabric_opts;
-  fabric_opts.batch_size = 3;
-  serve::FabricCoordinator fabric(spec, {}, opts, fabric_opts);
+  serve::FabricCoordinator fabric(spec, {}, opts);
   ASSERT_TRUE(fabric.AddWorkerFd(worker.value().fd, "w1").ok());
   CampaignReport distributed = fabric.Run(sweep);
   EXPECT_GT(fabric.stats().scenarios_remote, 0u);

@@ -7,6 +7,7 @@
 #include <unistd.h>
 
 #include <bit>
+#include <chrono>
 #include <cmath>
 #include <thread>
 
@@ -23,8 +24,8 @@ core::Plan SamplePlan() {
   core::FunctionTrigger t1;
   t1.function = "read";
   t1.mode = core::FunctionTrigger::Mode::Probability;
-  // Deliberately not representable in %g's 6 significant digits: an XML
-  // round trip would corrupt it, the wire must not.
+  // Needs all 17 significant digits: a transport that rounds it would
+  // run a slightly different scenario.
   t1.probability = 0.12345678901234567;
   t1.retval = -1;
   t1.errno_value = 9;
@@ -587,6 +588,29 @@ TEST(Wire, ReadFrameTimesOutOnASilentPeer) {
   int fds[2];
   ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
   auto frame = ReadFrame(fds[1], 50);
+  ASSERT_FALSE(frame.ok());
+  EXPECT_NE(frame.error().find("timeout"), std::string::npos);
+  ::close(fds[0]);
+  ::close(fds[1]);
+}
+
+// The timeout is one deadline for the whole frame: a peer that trickles
+// a header one byte per 50 ms (450 ms in all) must not keep a 150 ms read
+// alive by re-arming a per-read timeout.
+TEST(Wire, ReadFrameTimesOutOnATricklingPeer) {
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  std::vector<uint8_t> header;
+  AppendFrame(header, MsgType::Hello, {});
+  ASSERT_EQ(header.size(), 9u);
+  std::thread peer([&] {
+    for (uint8_t byte : header) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(50));
+      (void)::send(fds[0], &byte, 1, MSG_NOSIGNAL);
+    }
+  });
+  auto frame = ReadFrame(fds[1], 150);
+  peer.join();
   ASSERT_FALSE(frame.ok());
   EXPECT_NE(frame.error().find("timeout"), std::string::npos);
   ::close(fds[0]);

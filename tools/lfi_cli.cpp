@@ -584,10 +584,9 @@ Result<TargetImage> LoadTarget(const ExecArgs& a) {
 void PrintFabricStats(const serve::FabricStats& fs) {
   std::fprintf(stderr,
                "fabric: %zu worker(s), %zu lost | %zu batch(es) dispatched, "
-               "%zu retried, %zu stolen | %zu scenario(s) remote, %zu local\n",
+               "%zu retried | %zu scenario(s) remote, %zu local\n",
                fs.workers_connected, fs.workers_lost, fs.batches_dispatched,
-               fs.batches_retried, fs.batches_stolen, fs.scenarios_remote,
-               fs.scenarios_local);
+               fs.batches_retried, fs.scenarios_remote, fs.scenarios_local);
 }
 
 /// The scenario executor the execution flags ask for: the fabric
