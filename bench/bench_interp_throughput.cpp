@@ -10,7 +10,9 @@
 //     PUSH/POP, CALL/RET, conditional branch) that isolates raw
 //     fetch/decode/dispatch cost;
 //   - oltp: the Table-4 MySQL/SysBench stand-in, a realistic campaign
-//     workload (syscalls, libc, kernel handlers included).
+//     workload (syscalls, libc, kernel handlers included). Its superblock
+//     leg also runs with coverage tracking on, as every campaign does:
+//     that row is the interpreter speed a campaign actually sees.
 //
 // Prints instructions/sec and ns/instr per engine plus speedups; when
 // LFI_BENCH_JSON names a file, writes the same numbers as JSON (one entry
@@ -103,9 +105,10 @@ EngineRun RunSpin(vm::ExecMode mode, int64_t iters) {
   return run;
 }
 
-EngineRun RunOltp(vm::ExecMode mode, int transactions) {
+EngineRun RunOltp(vm::ExecMode mode, int transactions, bool coverage = false) {
   vm::Machine machine;
   machine.SetExecMode(mode);
+  if (coverage) machine.EnableCoverage();
   machine.Load(libc::BuildLibc());
   apps::DbConfig config;
   config.transactions = transactions;
@@ -146,10 +149,12 @@ void Merge(EngineRun* best, const EngineRun& next) {
   if (next.seconds < best->seconds) *best = next;
 }
 
-/// Both engine runs of one workload, reference last (the baseline).
+/// Both engine runs of one workload, reference last (the baseline), and
+/// the superblock run with coverage tracking on (oltp only).
 struct WorkloadRuns {
   EngineRun superblock;
   EngineRun reference;
+  EngineRun superblock_coverage;
 };
 
 void AppendEngineJson(std::string* out, const char* engine,
@@ -170,6 +175,11 @@ void AppendJson(std::string* out, const char* name, const WorkloadRuns& w) {
   *out += ",\n";
   AppendEngineJson(out, "reference", w.reference, w.reference);
   *out += ",\n";
+  if (w.superblock_coverage.instructions > 0) {
+    AppendEngineJson(out, "superblock_coverage", w.superblock_coverage,
+                     w.reference);
+    *out += ",\n";
+  }
   char buf[128];
   std::snprintf(buf, sizeof(buf), "    \"speedup\": %.2f\n  }",
                 Speedup(w.superblock, w.reference));
@@ -202,6 +212,8 @@ int PrintThroughput() {
     Merge(&spin.reference, RunSpin(vm::ExecMode::Reference, spin_iters));
     Merge(&oltp.superblock, RunOltp(vm::ExecMode::Superblock, oltp_txns));
     Merge(&oltp.reference, RunOltp(vm::ExecMode::Reference, oltp_txns));
+    Merge(&oltp.superblock_coverage,
+          RunOltp(vm::ExecMode::Superblock, oltp_txns, /*coverage=*/true));
   }
 
   auto fmt = [](const char* workload, const char* engine, const EngineRun& r,
@@ -235,7 +247,9 @@ int PrintThroughput() {
        fmt("spin-loop", "reference", spin.reference, spin.reference),
        fmt("spin-loop", "superblock", spin.superblock, spin.reference),
        fmt("oltp", "reference", oltp.reference, oltp.reference),
-       fmt("oltp", "superblock", oltp.superblock, oltp.reference)});
+       fmt("oltp", "superblock", oltp.superblock, oltp.reference),
+       fmt("oltp", "superblock+coverage", oltp.superblock_coverage,
+           oltp.reference)});
   // The bar is enforced (non-zero exit) at full size; smoke workloads are
   // too small for stable timing, so there it only warns. Ratios are robust
   // to absolute machine speed, so this is safe on shared CI.

@@ -20,45 +20,17 @@ void CodeCache::EnsureModule(size_t module_index,
     ms.instrs.push_back(std::move(ins).take());
   }
 
-  // Instruction-start bit per byte offset, CoverageBitmap word layout.
+  // Instruction-start bit per byte offset, CoverageBitmap word layout, and
+  // the slot each direct branch or call lands on (see ModuleStream).
   ms.start_bits.assign((code.size() + 63) / 64, 0);
-  for (const isa::Instr& ins : ms.instrs) {
+  for (isa::Instr& ins : ms.instrs) {
     ms.start_bits[ins.offset >> 6] |= uint64_t{1} << (ins.offset & 63);
-  }
-
-  // Superblock leaders, mirroring analysis/cfg's rule (function entry,
-  // direct branch targets, post-terminator) widened to module scope:
-  // every symbol and direct-call target is some function's CFG entry, and
-  // data_relocs name the indirect-call function-pointer targets. Calls do
-  // not end superblocks, matching CFG blocks (calls fall through).
-  std::vector<uint8_t> leader(code.size(), 0);
-  auto mark = [&](uint32_t offset) {
-    if (offset < leader.size()) leader[offset] = 1;
-  };
-  for (const isa::Symbol& sym : object.exports) mark(sym.offset);
-  for (const isa::Symbol& sym : object.locals) mark(sym.offset);
-  for (const auto& [data_off, code_off] : object.data_relocs) {
-    (void)data_off;
-    mark(code_off);
-  }
-  for (const isa::Instr& ins : ms.instrs) {
     if ((ins.is_branch() && ins.op != isa::Opcode::JMP_IND) ||
         ins.op == isa::Opcode::CALL) {
-      mark(ins.rel_target());
+      ins.imm = ins.rel_target() < code.size()
+                    ? ms.slot_of_offset[ins.rel_target()]
+                    : kNoSlot;
     }
-    if (ins.is_terminator()) mark(ins.offset + ins.size);
-  }
-
-  // Partition the slots: a superblock begins at slot 0, at any leader
-  // offset, and after any terminator.
-  ms.sb_of_slot.assign(ms.instrs.size(), 0);
-  for (uint32_t slot = 0; slot < ms.instrs.size(); ++slot) {
-    bool begins = slot == 0 || leader[ms.instrs[slot].offset] ||
-                  ms.instrs[slot - 1].is_terminator();
-    if (begins) ms.superblocks.push_back(Superblock{slot, 0});
-    Superblock& sb = ms.superblocks.back();
-    ++sb.slot_count;
-    ms.sb_of_slot[slot] = static_cast<uint32_t>(ms.superblocks.size() - 1);
   }
 }
 

@@ -16,6 +16,24 @@
 
 namespace lfi::vm {
 
+/// OR `src` restricted to bit offsets [lo, hi] (inclusive, lo <= hi) into
+/// `dst`; both arrays must hold word hi / 64. A span inside one 64-bit word
+/// is a single masked OR — the superblock engine's per-segment coverage
+/// settle, inlined into its span loop.
+inline void OrSpanBits(uint64_t* dst, const uint64_t* src, uint32_t lo,
+                       uint32_t hi) {
+  size_t w0 = lo >> 6, w1 = hi >> 6;
+  uint64_t first = ~uint64_t{0} << (lo & 63);
+  uint64_t last = ~uint64_t{0} >> (63 - (hi & 63));
+  if (w0 == w1) {
+    dst[w0] |= src[w0] & first & last;
+    return;
+  }
+  dst[w0] |= src[w0] & first;
+  for (size_t w = w0 + 1; w < w1; ++w) dst[w] |= src[w];
+  dst[w1] |= src[w1] & last;
+}
+
 /// Executed-offset bitmap for one module: bit i == "the instruction at text
 /// offset i was executed". Sized from the module's text length, one bit per
 /// byte of text (offsets are byte offsets into the code section).
@@ -53,26 +71,16 @@ class CoverageBitmap {
   }
 
   /// OR `src`'s bits restricted to offsets [lo, hi] (inclusive) into this
-  /// bitmap. `src` must use the same word layout (bit i = offset i). The
-  /// superblock engine records a whole executed span with one call: `src`
-  /// is the module's instruction-start bit array, so the result is
+  /// bitmap. `src` must use the same word layout (bit i = offset i). With
+  /// `src` a module's instruction-start bit array, the result is
   /// bit-identical to calling Set() once per executed instruction.
   void OrMasked(const std::vector<uint64_t>& src, uint32_t lo, uint32_t hi) {
     if (bits_ == 0 || lo > hi) return;
     // Clamp exactly like Set(): offsets at/past bits_ are dropped.
     if (hi >= bits_) hi = static_cast<uint32_t>(bits_ - 1);
     if (lo > hi) return;
-    size_t w0 = lo >> 6, w1 = hi >> 6;
-    if (w1 >= src.size()) return;
-    uint64_t first = ~uint64_t{0} << (lo & 63);
-    uint64_t last = ~uint64_t{0} >> (63 - (hi & 63));
-    if (w0 == w1) {
-      words_[w0] |= src[w0] & first & last;
-      return;
-    }
-    words_[w0] |= src[w0] & first;
-    for (size_t w = w0 + 1; w < w1; ++w) words_[w] |= src[w];
-    words_[w1] |= src[w1] & last;
+    if ((hi >> 6) >= src.size()) return;
+    OrSpanBits(words_.data(), src.data(), lo, hi);
   }
 
   /// Number of set bits.
@@ -113,6 +121,7 @@ class CoverageBitmap {
   std::vector<uint32_t> ToOffsets() const;
 
   friend bool operator==(const CoverageBitmap& a, const CoverageBitmap& b);
+  friend class CoverageTracker;
 
  private:
   size_t bits_ = 0;
@@ -141,15 +150,25 @@ class CoverageTracker {
     if (module_index < modules_.size()) modules_[module_index].Set(offset);
   }
 
-  /// Hot path of the superblock engine: mark every instruction start in
-  /// [lo, hi] executed in one masked OR. `starts` is the module's
-  /// instruction-start bit array (CodeCache::ModuleStream::start_bits);
-  /// equivalent to Record() per instruction in the span.
+  /// Mark every instruction start in [lo, hi] executed in one masked OR.
+  /// `starts` is the module's instruction-start bit array
+  /// (CodeCache::ModuleStream::start_bits); equivalent to Record() per
+  /// instruction in the span. The superblock engine's fallback when
+  /// covering_words is nullptr.
   void RecordSpan(size_t module_index, uint32_t lo, uint32_t hi,
                   const std::vector<uint64_t>& starts) {
     if (module_index < modules_.size()) {
       modules_[module_index].OrMasked(starts, lo, hi);
     }
+  }
+
+  /// The words of `module_index`'s bitmap, for in-place span ORs, when it
+  /// covers all `text_bytes` offsets (no span in the text needs clamping);
+  /// nullptr otherwise.
+  uint64_t* covering_words(size_t module_index, size_t text_bytes) {
+    if (module_index >= modules_.size()) return nullptr;
+    CoverageBitmap& bm = modules_[module_index];
+    return bm.bits_ >= text_bytes && bm.bits_ > 0 ? bm.words_.data() : nullptr;
   }
 
   const CoverageBitmap& executed(size_t module_index) const {

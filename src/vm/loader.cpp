@@ -149,16 +149,6 @@ const LoadedModule* Loader::module_named(std::string_view name) const {
   return nullptr;
 }
 
-const LoadedModule* Loader::module_at(uint64_t addr) const {
-  // Module code bases are a fixed arithmetic progression and text never
-  // exceeds the module spacing (asserted in Load), so containment is O(1).
-  if (addr < kModuleBase) return nullptr;
-  size_t index = ModuleIndexOf(addr);
-  if (index >= modules_.size()) return nullptr;
-  const LoadedModule* mod = modules_[index].get();
-  return addr - mod->code_base < mod->object.code.size() ? mod : nullptr;
-}
-
 std::string Loader::Symbolize(uint64_t addr) const {
   if (IsNativeStubAddress(addr)) {
     size_t id = NativeStubIndex(addr);

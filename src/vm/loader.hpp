@@ -145,8 +145,16 @@ class Loader {
     return modules_;
   }
   const LoadedModule* module_named(std::string_view name) const;
-  /// Module containing a code address, or nullptr.
-  const LoadedModule* module_at(uint64_t addr) const;
+  /// Module containing a code address, or nullptr. Module code bases are
+  /// a fixed arithmetic progression and text never exceeds the module
+  /// spacing (asserted in Load), so containment is O(1).
+  const LoadedModule* module_at(uint64_t addr) const {
+    if (addr < kModuleBase) return nullptr;
+    size_t index = ModuleIndexOf(addr);
+    if (index >= modules_.size()) return nullptr;
+    const LoadedModule* mod = modules_[index].get();
+    return addr - mod->code_base < mod->object.code.size() ? mod : nullptr;
+  }
   /// Symbolize a code address ("libc.so`read+0x12" style name, or hex).
   std::string Symbolize(uint64_t addr) const;
 

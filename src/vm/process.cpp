@@ -114,7 +114,13 @@ void Process::Fault(Signal sig, std::string message) {
   fault_message_ = std::move(message);
 }
 
-uint8_t* Process::FastMemPtr(uint64_t addr, uint64_t len, bool for_write) {
+// The guest-memory helpers below run inside ExecSpanFused's fused loop,
+// whose size defeats GCC's inliner: force them in so a stack or heap
+// access is a few compares and a memcpy, not a call.
+#define LFI_ALWAYS_INLINE inline __attribute__((always_inline))
+
+LFI_ALWAYS_INLINE uint8_t* Process::FastMemPtr(uint64_t addr, uint64_t len,
+                                               bool for_write) {
   // The synthetic layout is arithmetic (vm/memory.hpp), so the containing
   // segment of almost every access is computable without the AddressSpace
   // region search. Order by access frequency: stack, heap, TLS, modules.
@@ -135,30 +141,34 @@ uint8_t* Process::FastMemPtr(uint64_t addr, uint64_t len, bool for_write) {
     if (for_write) tls_dirty_.Mark(off, len);
     return tls_mem_.data() + off;
   }
-  if (addr >= kModuleBase) {
-    size_t index = ModuleIndexOf(addr);
-    const auto& modules = loader_.modules();
-    if (index < modules.size()) {
-      LoadedModule& mod = *modules[index];
-      uint64_t rel = addr - mod.code_base;
-      if (rel >= kModuleDataDelta) {
-        uint64_t doff = rel - kModuleDataDelta;
-        if (doff < mod.data_runtime.size() &&
-            mod.data_runtime.size() - doff >= len) {
-          if (for_write) mod.data_dirty.Mark(doff, len);
-          return mod.data_runtime.data() + doff;
-        }
-      } else if (!for_write && rel < mod.object.code.size() &&
-                 mod.object.code.size() - rel >= len) {
-        return const_cast<uint8_t*>(mod.object.code.data() + rel);
-      }
+  return addr >= kModuleBase ? ModuleMemPtr(addr, len, for_write) : nullptr;
+}
+
+uint8_t* Process::ModuleMemPtr(uint64_t addr, uint64_t len, bool for_write) {
+  // A module loaded since the last remap is not in space_ yet: leave the
+  // verdict to it, so both paths agree on every address.
+  if (mapped_generation_ != loader_.module_generation()) return nullptr;
+  size_t index = ModuleIndexOf(addr);
+  const auto& modules = loader_.modules();
+  if (index >= modules.size()) return nullptr;
+  LoadedModule& mod = *modules[index];
+  uint64_t rel = addr - mod.code_base;
+  if (rel >= kModuleDataDelta) {
+    uint64_t doff = rel - kModuleDataDelta;
+    if (doff < mod.data_runtime.size() &&
+        mod.data_runtime.size() - doff >= len) {
+      if (for_write) mod.data_dirty.Mark(doff, len);
+      return mod.data_runtime.data() + doff;
     }
+  } else if (!for_write && rel < mod.object.code.size() &&
+             mod.object.code.size() - rel >= len) {
+    return const_cast<uint8_t*>(mod.object.code.data() + rel);
   }
   return nullptr;
 }
 
 template <bool kFast>
-bool Process::ReadU64(uint64_t addr, uint64_t* out) {
+LFI_ALWAYS_INLINE bool Process::ReadU64(uint64_t addr, uint64_t* out) {
   if constexpr (kFast) {
     if (const uint8_t* p = FastMemPtr(addr, 8, /*for_write=*/false)) {
       std::memcpy(out, p, 8);
@@ -169,7 +179,7 @@ bool Process::ReadU64(uint64_t addr, uint64_t* out) {
 }
 
 template <bool kFast>
-bool Process::WriteU64(uint64_t addr, uint64_t value) {
+LFI_ALWAYS_INLINE bool Process::WriteU64(uint64_t addr, uint64_t value) {
   if constexpr (kFast) {
     if (uint8_t* p = FastMemPtr(addr, 8, /*for_write=*/true)) {
       std::memcpy(p, &value, 8);
@@ -180,7 +190,7 @@ bool Process::WriteU64(uint64_t addr, uint64_t value) {
 }
 
 template <bool kFast>
-bool Process::PushT(int64_t v) {
+LFI_ALWAYS_INLINE bool Process::PushT(int64_t v) {
   int64_t sp = WrapSub(regs_[static_cast<size_t>(Reg::SP)], 8);
   regs_[static_cast<size_t>(Reg::SP)] = sp;
   if (!WriteU64<kFast>(static_cast<uint64_t>(sp), static_cast<uint64_t>(v))) {
@@ -192,7 +202,7 @@ bool Process::PushT(int64_t v) {
 }
 
 template <bool kFast>
-bool Process::PopT(int64_t* v) {
+LFI_ALWAYS_INLINE bool Process::PopT(int64_t* v) {
   int64_t sp = regs_[static_cast<size_t>(Reg::SP)];
   uint64_t raw = 0;
   if (!ReadU64<kFast>(static_cast<uint64_t>(sp), &raw)) {
@@ -205,7 +215,23 @@ bool Process::PopT(int64_t* v) {
   return true;
 }
 
-bool Process::Push(int64_t v) { return PushT<false>(v); }
+bool Process::read_mem(uint64_t addr, void* out, uint64_t len) {
+  if (const uint8_t* p = FastMemPtr(addr, len, /*for_write=*/false)) {
+    std::memcpy(out, p, len);
+    return true;
+  }
+  return space_.read(addr, out, len);
+}
+
+bool Process::write_mem(uint64_t addr, const void* src, uint64_t len) {
+  if (uint8_t* p = FastMemPtr(addr, len, /*for_write=*/true)) {
+    std::memcpy(p, src, len);
+    return true;
+  }
+  return space_.write(addr, src, len);
+}
+
+bool Process::Push(int64_t v) { return PushT<true>(v); }
 
 // -- snapshot support ---------------------------------------------------------
 
@@ -343,7 +369,7 @@ int64_t NativeFrame::arg(int i) const {
   uint64_t sp = static_cast<uint64_t>(proc_.reg(Reg::SP));
   uint64_t addr = sp + 8 * static_cast<uint64_t>(i);
   uint64_t raw = 0;
-  if (!proc_.space_.read_u64(addr, &raw)) {
+  if (!proc_.read_mem(addr, &raw, 8)) {
     // A stub reading an argument off an unmapped stack is a wild SP —
     // surface the fault instead of silently handing the stub a 0.
     proc_.Fault(Signal::Segv,
@@ -356,8 +382,8 @@ int64_t NativeFrame::arg(int i) const {
 
 bool NativeFrame::set_arg(int i, int64_t v) {
   uint64_t sp = static_cast<uint64_t>(proc_.reg(Reg::SP));
-  return proc_.space_.write_u64(sp + 8 * static_cast<uint64_t>(i),
-                                static_cast<uint64_t>(v));
+  uint64_t raw = static_cast<uint64_t>(v);
+  return proc_.write_mem(sp + 8 * static_cast<uint64_t>(i), &raw, 8);
 }
 
 std::vector<std::pair<uint64_t, std::string>> NativeFrame::backtrace() const {
@@ -538,27 +564,26 @@ void Process::ExecuteInstr(const isa::Instr& ins, const LoadedModule& mod) {
   };
 
   // One-instruction expansion of the shared semantics: sequential and
-  // diverging completions both just commit next_pc below.
+  // jumping completions both just commit next_pc below.
   switch (ins.op) {
 #define LFI_CASE(name) case Opcode::name:
 #define LFI_NEXT break
-#define LFI_GOTO break
+#define LFI_JUMP(target) { next_pc = (target); break; }
+#define LFI_BRANCH() LFI_JUMP(mod.code_base + ins.rel_target())
 #define LFI_STOP return
 #define LFI_SYNC_PC() ((void)0)  // pc_ is already exact per-step
+#define LFI_SYNC_COUNT() ((void)0)  // and so is instructions_
 #include "vm/exec_ops.inc"
 #undef LFI_CASE
 #undef LFI_NEXT
-#undef LFI_GOTO
+#undef LFI_JUMP
+#undef LFI_BRANCH
 #undef LFI_STOP
 #undef LFI_SYNC_PC
+#undef LFI_SYNC_COUNT
   }
   pc_ = next_pc;
 }
-
-template void Process::ExecuteInstr<false>(const isa::Instr&,
-                                           const LoadedModule&);
-template void Process::ExecuteInstr<true>(const isa::Instr&,
-                                          const LoadedModule&);
 
 // Opcode names in exact isa::Opcode declaration order, for the computed-goto
 // dispatch table (static_assert'd against kCount below).
@@ -580,20 +605,20 @@ uint64_t Process::ExecSpanFused(const CodeCache::ModuleStream& stream_in,
                                 const LoadedModule& mod_in) {
   // The superblock engine's inner loop: execute predecoded instructions
   // back-to-back while control stays inside the loader's decoded streams.
-  // The program counter lives in locals (`pc` for the executing
-  // instruction, `next_pc` pre-set to its fall-through) so hot bodies do
-  // pure register arithmetic; the member pc_ is only materialized on
-  // demand via LFI_SYNC_PC() by the cold bodies that can observe it —
-  // faults, stack ops, call dispatch, kernel entry (fault messages, the
-  // shadow stack, and KCALL retry semantics depend on it). Dispatch is a
-  // single indirect jump per instruction, and a taken branch, call,
-  // syscall, or return whose target starts an instruction in ANY loaded
-  // module's stream continues IN-LOOP: the finished contiguous segment's
-  // accounting is settled (one counter add + one masked coverage OR,
-  // bit-identical to per-instruction Record()/increment), the module
-  // binding is switched if control crossed modules, and execution
-  // resumes at the target slot without returning to the outer engine
-  // loop. pc_ is exact again on every return path.
+  // The program counter is implicit in the slot pointer `ip` (pc ==
+  // code_base + ip->offset), so a sequential step is one pointer bump and
+  // one indirect jump; the member pc_ is only materialized on demand via
+  // LFI_SYNC_PC() by the bodies that can observe it — faults, call
+  // dispatch, kernel entry (fault messages, the shadow stack, and KCALL
+  // retry semantics depend on it). A taken branch, call, syscall, or
+  // return whose target starts an instruction in ANY loaded module's
+  // stream continues IN-LOOP: the finished contiguous segment is settled
+  // inline (one local add + one masked coverage OR, bit-identical to
+  // per-instruction Record()/increment), the module binding is switched
+  // if control crossed modules, and execution resumes at the target slot
+  // without returning to the outer engine loop. pc_ and instructions_ are
+  // exact again on every return path, and instructions_ also at every
+  // native call-out (LFI_SYNC_COUNT()).
   //
   // Returns how many instructions ran (>= 1; at most `budget`). A
   // faulting, blocking, or exiting instruction counts as executed,
@@ -609,48 +634,74 @@ uint64_t Process::ExecSpanFused(const CodeCache::ModuleStream& stream_in,
   // resolution-changing path (RegisterNative, controller interposition),
   // runs through DispatchCall/ExecNative or outside Run(), and those
   // bodies LFI_STOP.
-  const LoadedModule* modp = &mod_in;
-  const CodeCache::ModuleStream* streamp = &stream_in;
-  const isa::Instr* sbase = streamp->instrs.data();
-  const isa::Instr* send = sbase + streamp->instrs.size();
-  uint64_t code_base = modp->code_base;
-  uint64_t code_size = modp->object.code.size();
-  const isa::Instr* ip = sbase + slot;
+  const LoadedModule* modp = nullptr;
+  const CodeCache::ModuleStream* streamp = nullptr;
+  const isa::Instr* sbase = nullptr;
+  const isa::Instr* send = nullptr;
+  uint64_t code_base = 0;
+  uint64_t code_size = 0;
+  // Coverage target of the bound module: the bitmap's own words when it
+  // covers the whole text (so a segment ORs in place, no clamping), else
+  // nullptr and segments settle through RecordSpan. The tracker cannot
+  // resize mid-span for the same reason the module set cannot change.
+  uint64_t* cov_words = nullptr;
+  const uint64_t* start_words = nullptr;
+  auto bind = [&](const LoadedModule* m, const CodeCache::ModuleStream* st) {
+    modp = m;
+    streamp = st;
+    sbase = st->instrs.data();
+    send = sbase + st->instrs.size();
+    code_base = m->code_base;
+    code_size = m->object.code.size();
+    cov_words = coverage_ != nullptr
+                    ? coverage_->covering_words(m->index, code_size)
+                    : nullptr;
+    start_words = st->start_bits.data();
+  };
+  bind(&mod_in, &stream_in);
+  const isa::Instr* ip = sbase + slot;  // pc_ == code_base + ip->offset
   const isa::Instr* seg_start = ip;  // first instr of the current segment
-  uint64_t avail = static_cast<uint64_t>(send - ip);
-  const isa::Instr* end = ip + (budget < avail ? budget : avail);
+  const isa::Instr* end = nullptr;   // segment bound, set by lfi_enter
   uint64_t executed = 0;
-  uint64_t pc = pc_;  // == code_base + ip->offset, by the caller's contract
-  uint64_t next_pc = pc + ip->size;
+  uint64_t jump_pc = 0;       // LFI_JUMP's target, read at lfi_chase
+  uint32_t target_slot = slot;  // where lfi_enter opens the next segment
+  // instructions_ is committed once per span, on exit; LFI_SYNC_COUNT()
+  // makes it exact mid-span for the native call-outs that read it.
+  const uint64_t instructions_base = instructions_;
   // The CMP flag lives in a local for the duration of the span (CMP/Jcc
   // are pure register traffic here) and is committed on every exit.
   // Nothing outside the loop reads flags_ mid-span: the only other
   // accessors are snapshot capture/restore, which run between Run calls.
   int flags = flags_;
-  auto commit_flags = [&] { flags_ = flags; };
+  auto commit = [&] {
+    flags_ = flags;
+    instructions_ = instructions_base + executed;
+  };
 
-  auto R = [&](Reg r) -> int64_t& { return regs_[static_cast<size_t>(r)]; };
+  int64_t* const regs = regs_;
+  auto R = [regs](Reg r) -> int64_t& { return regs[static_cast<size_t>(r)]; };
   auto mem_fault = [&](uint64_t addr) {
     Fault(Signal::Segv,
           Format("bad memory access at %llx (pc=%llx)",
                  (unsigned long long)addr, (unsigned long long)pc_));
   };
-  // Settle the open segment [seg_start, last]: instruction count and
-  // coverage in one update each. Segments are contiguous in offset order,
-  // which is what makes the masked bitmap OR equal per-instruction
-  // recording. Must run BEFORE any rebind — the segment belongs to the
-  // module it executed in.
-  auto account = [&](const isa::Instr* last) {
-    uint64_t n = static_cast<uint64_t>(last - seg_start) + 1;
-    executed += n;
-    instructions_ += n;
-    if (coverage_) {
-      coverage_->RecordSpan(modp->index, seg_start->offset, last->offset,
-                            streamp->start_bits);
-    }
-  };
+  // Settle the open segment [seg_start, last]: its instruction count and
+  // its coverage, one masked OR when the segment sits in one bitmap word.
+  // Segments are contiguous in offset order, which is what makes the
+  // masked OR equal per-instruction recording. Must run BEFORE any rebind
+  // — the segment belongs to the module it executed in. A macro rather
+  // than a lambda so it stays inline at every settle site.
+#define LFI_SETTLE(last)                                                   \
+  do {                                                                     \
+    executed += static_cast<uint64_t>((last) - seg_start) + 1;            \
+    if (cov_words != nullptr) {                                            \
+      OrSpanBits(cov_words, start_words, seg_start->offset, (last)->offset); \
+    } else if (coverage_ != nullptr) {                                     \
+      coverage_->RecordSpan(modp->index, seg_start->offset, (last)->offset,  \
+                            streamp->start_bits);                          \
+    }                                                                      \
+  } while (0)
 
-#if defined(__GNUC__) || defined(__clang__)
   // Direct-threaded dispatch (labels-as-values).
   static const void* const kDispatch[] = {
 #define LFI_LABEL_ADDR(name) &&op_##name,
@@ -662,151 +713,108 @@ uint64_t Process::ExecSpanFused(const CodeCache::ModuleStream& stream_in,
                 "dispatch table out of sync with isa::Opcode");
 #define LFI_SPAN_DISPATCH() goto* kDispatch[static_cast<size_t>(ip->op)]
 #define LFI_CASE(name) op_##name:
-#else
-  // Portable fallback: same trampolines, switch-based dispatch.
-#define LFI_SPAN_DISPATCH() goto lfi_dispatch
-#define LFI_CASE(name) case Opcode::name:
-#endif
-#if defined(__GNUC__) || defined(__clang__)
-  // Replicate the sequential-advance + dispatch into every body (classic
-  // direct-threading): each opcode gets its own indirect-jump site, so
-  // the branch predictor learns per-opcode successor patterns instead of
-  // aliasing every transition through one shared jump.
+  // Sequential completion: advance a slot and dispatch in place. Slot i+1
+  // always holds slot i's fall-through, so the pc needs no upkeep here.
 #define LFI_NEXT                                                           \
   do {                                                                     \
-    pc = next_pc;                                                          \
-    if (++ip == end) {                                                     \
-      account(ip - 1);                                                     \
-      commit_flags();                                                      \
-      pc_ = pc;                                                            \
-      return executed;                                                     \
-    }                                                                      \
-    next_pc = pc + ip->size;                                               \
+    if (++ip == end) goto lfi_end;                                         \
     LFI_SPAN_DISPATCH();                                                   \
   } while (0)
-  // Diverging completions (next_pc may differ from the fall-through) test
-  // in place: untaken branches stay on the replicated fast path, taken
-  // transfers settle the segment and chase in the shared trampoline.
-#define LFI_GOTO                                                           \
-  do {                                                                     \
-    if (next_pc != pc + ip->size) goto lfi_ctrl;                           \
-    LFI_NEXT;                                                              \
-  } while (0)
-#else
-#define LFI_NEXT goto lfi_seq
-#define LFI_GOTO goto lfi_ctrl
-#endif
+#define LFI_JUMP(target) { jump_pc = (target); goto lfi_ctrl; }
+#define LFI_BRANCH() goto lfi_direct
 #define LFI_STOP goto lfi_stop
-#define LFI_SYNC_PC() (pc_ = pc)
+#define LFI_SYNC_PC() (pc_ = code_base + ip->offset)
+#define LFI_SYNC_COUNT() \
+  (instructions_ = instructions_base + executed + (ip - seg_start) + 1)
 #define ins (*ip)
 #define mod (*modp)
+#define next_pc (code_base + ip->offset + ip->size)
   // Redirect the bodies' flags_ accesses to the span-local copy; every
-  // return path below runs commit_flags() first.
+  // return path below runs commit() first.
 #define flags_ flags
 
-  LFI_SPAN_DISPATCH();
-
-#if !defined(__GNUC__) && !defined(__clang__)
-lfi_seq:
-  // Sequential completion: fall into the next slot.
-  pc = next_pc;
-  if (++ip == end) {
-    account(ip - 1);
-    commit_flags();
-    pc_ = pc;
-    return executed;
-  }
-  next_pc = pc + ip->size;
-  LFI_SPAN_DISPATCH();
-#endif
-
-lfi_ctrl:
-  // A possibly-diverging completion (branch/call/return). Taken: the
-  // segment ended — settle it, then chase next_pc in-loop, rebinding the
-  // module binding when control crossed into another stream.
-  if (next_pc != pc + ip->size) {
-    account(ip);  // the diverging instruction closed the segment
-    uint64_t target_off = next_pc - code_base;
-    if (target_off >= code_size) {
-      // Crossed out of this module (syscall into the kernel module, a
-      // cross-module call or return): rebind and keep going if the
-      // target's module has a stream.
-      const LoadedModule* nm = loader_.module_at(next_pc);
-      const CodeCache::ModuleStream* ns =
-          nm != nullptr ? loader_.code_cache().stream(nm->index) : nullptr;
-      if (ns == nullptr) {
-        // Outside all code / no stream: the outer loop faults or falls
-        // back exactly like the reference engine.
-        commit_flags();
-        pc_ = next_pc;
-        return executed;
-      }
-      modp = nm;
-      streamp = ns;
-      sbase = ns->instrs.data();
-      send = sbase + ns->instrs.size();
-      code_base = nm->code_base;
-      code_size = nm->object.code.size();
-      target_off = next_pc - code_base;
-    }
-    uint32_t target_slot =
-        streamp->slot_of_offset[static_cast<size_t>(target_off)];
-    if (target_slot == CodeCache::kNoSlot || executed >= budget) {
-      // Mid-instruction target (DecodeOne fallback) or quantum expiry:
-      // hand back to the outer loop with pc_ exact.
-      commit_flags();
-      pc_ = next_pc;
-      return executed;
-    }
+lfi_enter:
+  // Open a segment at target_slot, bounded by the stream end and the
+  // remaining budget.
+  {
     ip = sbase + target_slot;
     seg_start = ip;
     uint64_t room = budget - executed;
-    avail = static_cast<uint64_t>(send - ip);
+    uint64_t avail = static_cast<uint64_t>(send - ip);
     end = ip + (room < avail ? room : avail);
-    pc = next_pc;
-    next_pc = pc + ip->size;
-    LFI_SPAN_DISPATCH();
   }
-  // Untaken: continue the segment sequentially.
-  pc = next_pc;
-  if (++ip == end) {
-    account(ip - 1);
-    commit_flags();
-    pc_ = pc;
-    return executed;
-  }
-  next_pc = pc + ip->size;
   LFI_SPAN_DISPATCH();
+
+lfi_direct:
+  // A direct branch or call ended the segment: settle it and continue at
+  // the target slot the code cache stored in its imm. Targets without one
+  // (outside this module's decoded text) and quantum expiry take the
+  // general path.
+  LFI_SETTLE(ip);
+  target_slot = static_cast<uint32_t>(ip->imm);
+  if (target_slot != CodeCache::kNoSlot && executed < budget) goto lfi_enter;
+  jump_pc = code_base + ip->rel_target();
+  goto lfi_chase;
+
+lfi_ctrl:
+  // A control transfer ended the segment: settle it, then chase jump_pc
+  // in-loop, rebinding the module binding when control crossed into
+  // another stream.
+  LFI_SETTLE(ip);
+lfi_chase:
+  if (jump_pc - code_base >= code_size) {
+    // Crossed out of this module (syscall into the kernel module, a
+    // cross-module call or return): rebind and keep going if the target's
+    // module has a stream.
+    const LoadedModule* nm = loader_.module_at(jump_pc);
+    const CodeCache::ModuleStream* ns =
+        nm != nullptr ? loader_.code_cache().stream(nm->index) : nullptr;
+    if (ns == nullptr) {
+      // Outside all code / no stream: the outer loop faults or falls back
+      // exactly like the reference engine.
+      commit();
+      pc_ = jump_pc;
+      return executed;
+    }
+    bind(nm, ns);
+  }
+  target_slot = streamp->slot_of_offset[jump_pc - code_base];
+  if (target_slot != CodeCache::kNoSlot && executed < budget) goto lfi_enter;
+  // Mid-instruction target (DecodeOne fallback) or quantum expiry: hand
+  // back to the outer loop with pc_ exact.
+  commit();
+  pc_ = jump_pc;
+  return executed;
+
+lfi_end:
+  // A sequential run hit the budget or the stream end: ip is one past the
+  // last executed slot.
+  LFI_SETTLE(ip - 1);
+  commit();
+  pc_ = code_base + (ip - 1)->offset + (ip - 1)->size;
+  return executed;
 
 lfi_stop:
   // The body finalized pc/state itself (fault, exit, call dispatch, block)
   // after re-materializing pc_ via LFI_SYNC_PC().
-  account(ip);
-  commit_flags();
+  LFI_SETTLE(ip);
+  commit();
   return executed;
-
-#if !defined(__GNUC__) && !defined(__clang__)
-lfi_dispatch:
-  switch (ip->op) {
-#endif
 
 #include "vm/exec_ops.inc"
 
-#if !defined(__GNUC__) && !defined(__clang__)
-  }
-  account(ip);  // unreachable: bodies jump
-  commit_flags();
-  return executed;
-#endif
-
 #undef flags_
+#undef next_pc
 #undef mod
 #undef ins
 #undef LFI_CASE
 #undef LFI_NEXT
-#undef LFI_GOTO
+#undef LFI_JUMP
+#undef LFI_BRANCH
 #undef LFI_STOP
 #undef LFI_SYNC_PC
+#undef LFI_SYNC_COUNT
+#undef LFI_SETTLE
 #undef LFI_SPAN_DISPATCH
 }
 
@@ -858,11 +866,11 @@ uint64_t Process::RunSuperblock(uint64_t budget) {
       continue;
     }
     // Fused run: free-run from this slot, following control flow in-loop
-    // across all decoded streams. Superblock boundaries need no dispatch
-    // stop — slot i+1 always holds the fall-through instruction — and
-    // branches/calls/returns whose target has a slot (in this module or
-    // another) continue inside ExecSpanFused, which also settles
-    // instruction-count and coverage accounting per contiguous segment.
+    // across all decoded streams. Slot i+1 always holds the fall-through
+    // instruction, and branches/calls/returns whose target has a slot (in
+    // this module or another) continue inside ExecSpanFused, which also
+    // settles instruction-count and coverage accounting per contiguous
+    // segment.
     // Control comes back here only on a state change, control leaving
     // decoded code, or budget exhaustion — the budget cap is what
     // re-materializes exact per-instruction counters at quantum expiry

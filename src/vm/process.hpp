@@ -4,16 +4,19 @@
 //
 // Two execution engines share one instruction-semantics implementation
 // (vm/exec_ops.inc, expanded per engine):
-//   - Superblock (default): fused straight-line spans over the loader's
-//     CodeCache streams — one computed-goto dispatch per instruction, with
-//     coverage recording and instruction-count accounting hoisted to one
-//     update per span; exact per-instruction counters are re-materialized
-//     whenever a span ends (fault, kcall/native exit, quantum expiry,
-//     snapshot windows).
+//   - Superblock (default): fused spans over the loader's CodeCache
+//     streams — one computed-goto dispatch per instruction, guest memory
+//     by inlined layout arithmetic, and coverage and instruction-count
+//     accounting settled inline once per contiguous segment. The counter
+//     is exact whenever a span ends (fault, kcall/native exit, quantum
+//     expiry, snapshot windows) and at every native call-out.
 //   - Reference: the original decode-per-step path (`Step()` +
 //     AddressSpace lookups), kept as the semantic oracle so differential
 //     tests and bench_interp_throughput can prove the superblock engine
 //     bit-identical and measure its speedup.
+// Kernel and stub memory access (read_mem/write_mem, NativeFrame args)
+// and call-dispatch pushes take the layout-arithmetic path in both
+// engines, with the AddressSpace deciding everything it does not cover.
 #pragma once
 
 #include <cstdint>
@@ -121,12 +124,9 @@ class Process final : public kernel::KernelContext {
   void set_reg(isa::Reg r, int64_t v) override {
     regs_[static_cast<size_t>(r)] = v;
   }
-  bool read_mem(uint64_t addr, void* out, uint64_t len) override {
-    return space_.read(addr, out, len);
-  }
-  bool write_mem(uint64_t addr, const void* src, uint64_t len) override {
-    return space_.write(addr, src, len);
-  }
+  /// FastMemPtr first, then the AddressSpace, which decides the rest.
+  bool read_mem(uint64_t addr, void* out, uint64_t len) override;
+  bool write_mem(uint64_t addr, const void* src, uint64_t len) override;
   uint64_t alloc_heap(uint64_t size) override;
   int pid() const override { return pid_; }
   void request_exit(int64_t code) override {
@@ -199,8 +199,7 @@ class Process final : public kernel::KernelContext {
   void ExecNative(size_t native_id, uint64_t ret_addr);
 
   /// The superblock-span loop behind Run() in Superblock mode: binds the
-  /// module containing pc, and executes straight-line runs through
-  /// ExecSpanFused with accounting hoisted to span granularity.
+  /// module containing pc and runs ExecSpanFused from its slot.
   uint64_t RunSuperblock(uint64_t budget);
 
   /// Execute up to `budget` decoded instructions starting at `slot` of
@@ -209,11 +208,11 @@ class Process final : public kernel::KernelContext {
   /// syscall, or return whose target has a slot in any loaded module's
   /// stream continues without returning, rebinding the module when
   /// control crosses streams. Instruction-count and coverage accounting
-  /// happen inside, one update per contiguous segment. Returns the
+  /// are settled inline, once per contiguous segment. Returns the
   /// instructions executed (>= 1). Exits only on a state change, a
   /// target outside decoded code (native stub / unresolved or interposed
-  /// call / mid-instruction), or budget exhaustion; pc_ is exact again
-  /// on every return path.
+  /// call / mid-instruction), or budget exhaustion; pc_ and the counter
+  /// are exact again on every return path.
   uint64_t ExecSpanFused(const CodeCache::ModuleStream& stream, uint32_t slot,
                          uint64_t budget, const LoadedModule& mod);
 
@@ -224,9 +223,12 @@ class Process final : public kernel::KernelContext {
   void ExecuteInstr(const isa::Instr& ins, const LoadedModule& mod);
 
   /// Backing pointer for [addr, addr+len) by layout arithmetic, or nullptr
-  /// when the range is outside stack/heap/TLS/module segments (callers
-  /// fall back to AddressSpace, which reproduces the reference verdict).
+  /// when the range is outside stack/heap/TLS/module segments or in a
+  /// module loaded since the last remap (callers fall back to
+  /// AddressSpace, which reproduces the reference verdict).
   uint8_t* FastMemPtr(uint64_t addr, uint64_t len, bool for_write);
+  /// FastMemPtr's module data/code leg, kept out of line.
+  uint8_t* ModuleMemPtr(uint64_t addr, uint64_t len, bool for_write);
 
   template <bool kFast> bool ReadU64(uint64_t addr, uint64_t* out);
   template <bool kFast> bool WriteU64(uint64_t addr, uint64_t value);

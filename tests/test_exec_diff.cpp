@@ -3,16 +3,18 @@
 // to the reference decode-per-step path (ExecMode::Reference), the
 // semantic oracle.
 //
-//   - db-suite and Pidgin runs: instruction counts, exits, faults,
-//     coverage bitmaps, injection logs, and replay XML equal across both
-//     engines;
-//   - a snapshot taken mid-superblock (warmup not on a block boundary)
-//     restores the exact instruction counter and coverage;
+//   - db-suite and Pidgin runs: instruction counts (including the
+//     first-injection instant a native stub reads mid-span), exits,
+//     faults, coverage bitmaps, injection logs, and replay XML equal
+//     across both engines;
+//   - a fork-windows exploration, whose windows derive from those
+//     first-injection instants, reports identically on both engines;
+//   - a snapshot taken mid-segment (warmup not just after a control
+//     transfer) restores the exact instruction counter and coverage;
 //   - code-cache lifecycle: the decoded streams survive interposition
 //     reinstall, Machine::Reset, and post-run module loads.
 //
-// Synthetic-program fuzzing and superblock partition properties live in
-// test_superblock.cpp.
+// Synthetic-program fuzzing lives in test_superblock.cpp.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -22,6 +24,7 @@
 #include "apps/dbserver.hpp"
 #include "apps/pidgin.hpp"
 #include "apps/workloads.hpp"
+#include "campaign/explorer.hpp"
 #include "campaign/runner.hpp"
 #include "core/controller.hpp"
 #include "core/faultloads.hpp"
@@ -46,6 +49,7 @@ struct ExecOutcome {
   std::string fault_message;
   uint64_t total_instructions = 0;
   uint64_t proc_instructions = 0;
+  uint64_t first_injection_instructions = 0;
   std::vector<std::vector<uint32_t>> coverage;  // per module index
   std::vector<std::string> injections;          // formatted log records
   std::string replay_xml;
@@ -58,6 +62,8 @@ void ExpectIdentical(const ExecOutcome& fast, const ExecOutcome& ref) {
   EXPECT_EQ(fast.fault_message, ref.fault_message);
   EXPECT_EQ(fast.total_instructions, ref.total_instructions);
   EXPECT_EQ(fast.proc_instructions, ref.proc_instructions);
+  EXPECT_EQ(fast.first_injection_instructions,
+            ref.first_injection_instructions);
   EXPECT_EQ(fast.coverage, ref.coverage);
   EXPECT_EQ(fast.injections, ref.injections);
   EXPECT_EQ(fast.replay_xml, ref.replay_xml);
@@ -98,6 +104,7 @@ ExecOutcome RunDbSuiteOnce(vm::ExecMode mode, uint64_t seed) {
   out.fault_message = info.fault_message;
   out.total_instructions = machine.total_instructions();
   out.proc_instructions = machine.process(pid.value())->instructions();
+  out.first_injection_instructions = controller.first_injection_instructions();
   for (size_t m = 0; m < cov->module_count(); ++m) {
     out.coverage.push_back(cov->executed(m).ToOffsets());
   }
@@ -113,6 +120,7 @@ TEST(ExecDiff, DbSuiteIdenticalAcrossEngines) {
     ExecOutcome sb = RunDbSuiteOnce(vm::ExecMode::Superblock, seed);
     ExpectIdentical(sb, ref);
     EXPECT_GT(sb.total_instructions, 0u);
+    EXPECT_GT(ref.first_injection_instructions, 0u);
   }
 }
 
@@ -149,6 +157,8 @@ TEST(ExecDiff, PidginScenarioIdenticalAcrossEngines) {
               ref.status == campaign::ScenarioStatus::Deadlocked);
     EXPECT_EQ(fast.exit_code, ref.exit_code);
     EXPECT_EQ(fast.fault_message, ref.fault_message);
+    EXPECT_EQ(fast.first_injection_instructions,
+              ref.first_injection_instructions);
     EXPECT_EQ(fast.injections, ref.injections);
     EXPECT_EQ(fast.replay.ToXml(), ref.replay.ToXml());
     any_abort |= aborted(ref);
@@ -157,13 +167,46 @@ TEST(ExecDiff, PidginScenarioIdenticalAcrossEngines) {
   EXPECT_TRUE(any_abort);
 }
 
-// ---- snapshot taken mid-superblock ------------------------------------------
+/// Fork windows open each mutant's fault window at its parent's quantum-
+/// floored first-injection instant, so the whole exploration — rounds,
+/// corpus, crash windows — is only engine-invariant if both engines report
+/// that instant exactly.
+TEST(ExecDiff, DbSuiteForkWindowsExplorerIdenticalAcrossEngines) {
+  auto explore = [](vm::ExecMode mode) {
+    campaign::ExplorerOptions opts;
+    opts.rounds = 3;
+    opts.scenarios_per_round = 32;
+    opts.seed = 3;
+    opts.fork_windows = true;
+    opts.campaign.entry = apps::kDbTestEntry;
+    opts.campaign.jobs = 2;
+    opts.campaign.exec_mode = mode;
+    campaign::Explorer explorer(apps::DbSuiteMachineSetup(),
+                                apps::LibcProfiles(), opts);
+    return explorer.Explore();
+  };
+  campaign::ExplorerReport ref = explore(vm::ExecMode::Reference);
+  campaign::ExplorerReport sb = explore(vm::ExecMode::Superblock);
+  EXPECT_EQ(sb.ToText(), ref.ToText());
+  ASSERT_EQ(sb.corpus.size(), ref.corpus.size());
+  for (size_t i = 0; i < ref.corpus.size(); ++i) {
+    EXPECT_EQ(sb.corpus[i].ToXml(), ref.corpus[i].ToXml());
+  }
+  ASSERT_EQ(sb.crashes.size(), ref.crashes.size());
+  for (size_t i = 0; i < ref.crashes.size(); ++i) {
+    EXPECT_EQ(sb.crashes[i].window, ref.crashes[i].window);
+    EXPECT_EQ(sb.crashes[i].minimized.ToXml(), ref.crashes[i].minimized.ToXml());
+  }
+}
 
-/// Warmup counts land mid-superblock almost always; this nudges one that
-/// happens to sit on a boundary forward until it does not, so the test
-/// exercises exactly the "counter re-materialized inside a fused span"
-/// case the superblock engine must get right.
-bool PcIsMidSuperblock(vm::Machine& machine, uint64_t pc) {
+// ---- snapshot taken mid-segment ---------------------------------------------
+
+/// Warmup counts land mid-segment almost always; this nudges one that
+/// happens to follow a control transfer forward until it does not, so the
+/// test exercises exactly the "counter re-materialized inside a fused
+/// segment" case the superblock engine must get right: the previous slot
+/// falls through (is not a terminator) into the one at pc.
+bool PcIsMidSegment(vm::Machine& machine, uint64_t pc) {
   const vm::LoadedModule* mod = machine.loader().module_at(pc);
   if (mod == nullptr) return false;
   const vm::CodeCache::ModuleStream* stream =
@@ -171,8 +214,8 @@ bool PcIsMidSuperblock(vm::Machine& machine, uint64_t pc) {
   if (stream == nullptr) return false;
   uint32_t off = static_cast<uint32_t>(pc - mod->code_base);
   uint32_t slot = stream->slot_of_offset[off];
-  if (slot == vm::CodeCache::kNoSlot) return false;
-  return slot != stream->superblocks[stream->sb_of_slot[slot]].first_slot;
+  if (slot == vm::CodeCache::kNoSlot || slot == 0) return false;
+  return !stream->instrs[slot - 1].is_terminator();
 }
 
 struct SnapOutcome {
@@ -193,14 +236,14 @@ SnapOutcome RunSnapshotRoundTrip(vm::ExecMode mode) {
   if (!pid.ok()) return out;
   vm::Process* proc = machine.process(pid.value());
   uint64_t warm = proc->Run(1237);
-  // Nudge off superblock boundaries (and off the rare mid-warmup exit).
+  // Nudge off segment boundaries (and off the rare mid-warmup exit).
   for (int i = 0; i < 16 && proc->state() == vm::ProcState::Runnable &&
-                  !PcIsMidSuperblock(machine, proc->pc());
+                  !PcIsMidSegment(machine, proc->pc());
        ++i) {
     warm += proc->Run(1);
   }
   EXPECT_EQ(proc->state(), vm::ProcState::Runnable);
-  EXPECT_TRUE(PcIsMidSuperblock(machine, proc->pc()));
+  EXPECT_TRUE(PcIsMidSegment(machine, proc->pc()));
   out.warm_instructions = warm;
   out.warm_pc = proc->pc();
   machine.Snapshot();
@@ -287,7 +330,8 @@ TEST(CodeCache, SurvivesReinstallAndReset) {
   EXPECT_EQ(test::RunEntry(machine, "entry2").exit_code, 42);
 
   // Stream invariants: every module has a stream whose slot<->offset maps
-  // round-trip.
+  // round-trip, whose start_bits hold exactly one bit per instruction
+  // start, and whose direct branches and calls carry their target slot.
   const vm::Loader& loader = machine.loader();
   for (const auto& mod : loader.modules()) {
     const vm::CodeCache::ModuleStream* stream =
@@ -295,8 +339,21 @@ TEST(CodeCache, SurvivesReinstallAndReset) {
     ASSERT_NE(stream, nullptr) << mod->object.name;
     ASSERT_FALSE(stream->instrs.empty()) << mod->object.name;
     ASSERT_EQ(stream->slot_of_offset.size(), mod->object.code.size());
+    size_t start_bits = 0;
+    for (uint64_t w : stream->start_bits) start_bits += __builtin_popcountll(w);
+    EXPECT_EQ(start_bits, stream->instrs.size());
     for (uint32_t slot = 0; slot < stream->instrs.size(); ++slot) {
-      EXPECT_EQ(stream->slot_of_offset[stream->instrs[slot].offset], slot);
+      const isa::Instr& ins = stream->instrs[slot];
+      EXPECT_EQ(stream->slot_of_offset[ins.offset], slot);
+      EXPECT_TRUE((stream->start_bits[ins.offset >> 6] >> (ins.offset & 63)) & 1);
+      if ((ins.is_branch() && ins.op != isa::Opcode::JMP_IND) ||
+          ins.op == isa::Opcode::CALL) {
+        uint32_t target = ins.rel_target();
+        uint32_t want = target < stream->slot_of_offset.size()
+                            ? stream->slot_of_offset[target]
+                            : vm::CodeCache::kNoSlot;
+        EXPECT_EQ(ins.imm, static_cast<int64_t>(want));
+      }
     }
   }
 }

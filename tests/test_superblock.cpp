@@ -9,26 +9,20 @@
 //     (branches, calls, faults, wild jumps, syscalls) must leave identical
 //     registers, memory digests, instruction counts, and coverage on both
 //     engines — failures dump the program as a reproducer;
-//   - property tests that the CodeCache superblock partition agrees with
-//     analysis/cfg block leaders, tiles the slot space exactly, and that
-//     mid-instruction jump targets fall back to DecodeOne with the exact
-//     reference fault.
+//   - a property test that mid-instruction jump targets fall back to
+//     DecodeOne with the exact reference fault;
+//   - guest arithmetic that wraps identically on both engines.
 //
-// Differential runs of the tier-1 workloads, the mid-superblock snapshot
+// Differential runs of the tier-1 workloads, the mid-segment snapshot
 // round trip, and code-cache lifecycle tests live in test_exec_diff.cpp.
 #include <gtest/gtest.h>
 
 #include <array>
 #include <fstream>
 #include <random>
-#include <set>
 #include <string>
 #include <vector>
 
-#include "analysis/cfg.hpp"
-#include "apps/pidgin.hpp"
-#include "apps/workloads.hpp"
-#include "libc/libc_builder.hpp"
 #include "test_helpers.hpp"
 #include "util/strings.hpp"
 #include "vm/machine.hpp"
@@ -292,84 +286,7 @@ TEST(SuperblockFuzz, RandomProgramsIdenticalAcrossEngines) {
   EXPECT_EQ(divergences, 0);
 }
 
-// ---- superblock partition properties ----------------------------------------
-
-/// The partition must tile the instruction stream exactly: superblocks are
-/// contiguous, ascending, non-empty, cover every slot once, and run_length
-/// counts to the end of the enclosing superblock.
-void ExpectPartitionTiles(const vm::CodeCache::ModuleStream& stream,
-                          const std::string& name) {
-  SCOPED_TRACE(name);
-  ASSERT_EQ(stream.sb_of_slot.size(), stream.instrs.size());
-  uint32_t expect_first = 0;
-  for (size_t i = 0; i < stream.superblocks.size(); ++i) {
-    const vm::CodeCache::Superblock& sb = stream.superblocks[i];
-    EXPECT_EQ(sb.first_slot, expect_first);
-    EXPECT_GT(sb.slot_count, 0u);
-    for (uint32_t s = sb.first_slot; s < sb.first_slot + sb.slot_count; ++s) {
-      ASSERT_EQ(stream.sb_of_slot[s], i);
-      EXPECT_EQ(stream.run_length(s), sb.first_slot + sb.slot_count - s);
-    }
-    expect_first = sb.first_slot + sb.slot_count;
-  }
-  EXPECT_EQ(expect_first, stream.instrs.size());
-  // start_bits has exactly one bit per decoded instruction start.
-  size_t bits = 0;
-  for (uint64_t w : stream.start_bits) bits += __builtin_popcountll(w);
-  EXPECT_EQ(bits, stream.instrs.size());
-  for (const isa::Instr& ins : stream.instrs) {
-    EXPECT_TRUE((stream.start_bits[ins.offset >> 6] >> (ins.offset & 63)) & 1);
-  }
-}
-
-/// Superblock entry offsets restricted to an exported function must be
-/// exactly the function's CFG block leaders. CodeCache derives its leaders
-/// independently (symbols, relocs, branch/call targets, post-terminator),
-/// so this is a genuine cross-check against analysis/cfg.
-void ExpectEntriesMatchCfg(const vm::Loader& loader,
-                           const vm::LoadedModule& mod) {
-  const vm::CodeCache::ModuleStream* stream =
-      loader.code_cache().stream(mod.index);
-  ASSERT_NE(stream, nullptr) << mod.object.name;
-  std::set<uint32_t> entries;
-  for (const vm::CodeCache::Superblock& sb : stream->superblocks) {
-    entries.insert(stream->instrs[sb.first_slot].offset);
-  }
-  for (const isa::Symbol& fn : mod.object.exports) {
-    if (fn.size == 0) continue;
-    SCOPED_TRACE(mod.object.name + "`" + fn.name);
-    auto cfg = analysis::BuildCfg(mod.object, fn);
-    ASSERT_TRUE(cfg.ok()) << cfg.error();
-    std::set<uint32_t> leaders;
-    for (const analysis::BasicBlock& block : cfg.value().blocks) {
-      leaders.insert(block.begin);
-    }
-    std::set<uint32_t> in_fn;
-    for (uint32_t e : entries) {
-      if (e >= fn.offset && e < fn.offset + fn.size) in_fn.insert(e);
-    }
-    EXPECT_EQ(in_fn, leaders);
-  }
-}
-
-TEST(SuperblockProperty, PartitionAgreesWithCfgOnTier1Modules) {
-  // Machine 1: kernel + libc + the db-suite modules. Machine 2: Pidgin.
-  vm::Machine db;
-  apps::DbSuiteMachineSetup()(db);
-  vm::Machine pidgin;
-  pidgin.Load(libc::BuildLibc());
-  pidgin.Load(apps::BuildPidgin());
-  for (vm::Machine* machine : {&db, &pidgin}) {
-    for (const auto& mod : machine->loader().modules()) {
-      const vm::CodeCache::ModuleStream* stream =
-          machine->loader().code_cache().stream(mod->index);
-      ASSERT_NE(stream, nullptr) << mod->object.name;
-      ASSERT_FALSE(stream->instrs.empty()) << mod->object.name;
-      ExpectPartitionTiles(*stream, mod->object.name);
-      ExpectEntriesMatchCfg(machine->loader(), *mod);
-    }
-  }
-}
+// ---- decode fallback ---------------------------------------------------------
 
 /// A jump into the middle of an instruction has no decoded slot; the
 /// superblock engine must take the DecodeOne fallback and fault with the
