@@ -10,6 +10,7 @@
 // therefore deterministic across worker counts).
 #pragma once
 
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -68,19 +69,6 @@ class CoverageBitmap {
   bool Test(uint32_t offset) const {
     return offset < bits_ &&
            (words_[offset >> 6] >> (offset & 63) & uint64_t{1}) != 0;
-  }
-
-  /// OR `src`'s bits restricted to offsets [lo, hi] (inclusive) into this
-  /// bitmap. `src` must use the same word layout (bit i = offset i). With
-  /// `src` a module's instruction-start bit array, the result is
-  /// bit-identical to calling Set() once per executed instruction.
-  void OrMasked(const std::vector<uint64_t>& src, uint32_t lo, uint32_t hi) {
-    if (bits_ == 0 || lo > hi) return;
-    // Clamp exactly like Set(): offsets at/past bits_ are dropped.
-    if (hi >= bits_) hi = static_cast<uint32_t>(bits_ - 1);
-    if (lo > hi) return;
-    if ((hi >> 6) >= src.size()) return;
-    OrSpanBits(words_.data(), src.data(), lo, hi);
   }
 
   /// Number of set bits.
@@ -150,25 +138,17 @@ class CoverageTracker {
     if (module_index < modules_.size()) modules_[module_index].Set(offset);
   }
 
-  /// Mark every instruction start in [lo, hi] executed in one masked OR.
-  /// `starts` is the module's instruction-start bit array
-  /// (CodeCache::ModuleStream::start_bits); equivalent to Record() per
-  /// instruction in the span. The superblock engine's fallback when
-  /// covering_words is nullptr.
-  void RecordSpan(size_t module_index, uint32_t lo, uint32_t hi,
-                  const std::vector<uint64_t>& starts) {
-    if (module_index < modules_.size()) {
-      modules_[module_index].OrMasked(starts, lo, hi);
-    }
-  }
-
-  /// The words of `module_index`'s bitmap, for in-place span ORs, when it
-  /// covers all `text_bytes` offsets (no span in the text needs clamping);
-  /// nullptr otherwise.
-  uint64_t* covering_words(size_t module_index, size_t text_bytes) {
+  /// The words of `module_index`'s bitmap, for the superblock engine's
+  /// in-place span ORs (OrSpanBits with the module's instruction-start
+  /// bits), or nullptr when the module has no bitmap. The owning machine
+  /// sizes every bitmap to its module's whole text, so no span needs
+  /// clamping.
+  uint64_t* covering_words(size_t module_index,
+                           [[maybe_unused]] size_t text_bytes) {
     if (module_index >= modules_.size()) return nullptr;
     CoverageBitmap& bm = modules_[module_index];
-    return bm.bits_ >= text_bytes && bm.bits_ > 0 ? bm.words_.data() : nullptr;
+    assert(bm.bits_ >= text_bytes);
+    return bm.words_.empty() ? nullptr : bm.words_.data();
   }
 
   const CoverageBitmap& executed(size_t module_index) const {

@@ -640,10 +640,10 @@ uint64_t Process::ExecSpanFused(const CodeCache::ModuleStream& stream_in,
   const isa::Instr* send = nullptr;
   uint64_t code_base = 0;
   uint64_t code_size = 0;
-  // Coverage target of the bound module: the bitmap's own words when it
-  // covers the whole text (so a segment ORs in place, no clamping), else
-  // nullptr and segments settle through RecordSpan. The tracker cannot
-  // resize mid-span for the same reason the module set cannot change.
+  // Coverage target of the bound module: its bitmap's own words, which
+  // cover the whole text, so a segment ORs in place; nullptr when
+  // coverage is off. The tracker cannot resize mid-span for the same
+  // reason the module set cannot change.
   uint64_t* cov_words = nullptr;
   const uint64_t* start_words = nullptr;
   auto bind = [&](const LoadedModule* m, const CodeCache::ModuleStream* st) {
@@ -696,9 +696,6 @@ uint64_t Process::ExecSpanFused(const CodeCache::ModuleStream& stream_in,
     executed += static_cast<uint64_t>((last) - seg_start) + 1;            \
     if (cov_words != nullptr) {                                            \
       OrSpanBits(cov_words, start_words, seg_start->offset, (last)->offset); \
-    } else if (coverage_ != nullptr) {                                     \
-      coverage_->RecordSpan(modp->index, seg_start->offset, (last)->offset,  \
-                            streamp->start_bits);                          \
     }                                                                      \
   } while (0)
 

@@ -182,6 +182,7 @@ class Process final : public kernel::KernelContext {
 
  private:
   friend class NativeFrame;
+  friend struct ProcessMemoryPeer;  // tests: the AddressSpace oracle
 
   void CaptureCore(ProcessCore* out) const;
   void RestoreCore(const ProcessCore& core);

@@ -9,8 +9,8 @@
 //     across both engines;
 //   - a fork-windows exploration, whose windows derive from those
 //     first-injection instants, reports identically on both engines;
-//   - a snapshot taken mid-segment (warmup not just after a control
-//     transfer) restores the exact instruction counter and coverage;
+//   - a snapshot taken mid-segment (the warmup's last instruction falls
+//     through) restores the exact instruction counter and coverage;
 //   - code-cache lifecycle: the decoded streams survive interposition
 //     reinstall, Machine::Reset, and post-run module loads.
 //
@@ -201,21 +201,47 @@ TEST(ExecDiff, DbSuiteForkWindowsExplorerIdenticalAcrossEngines) {
 
 // ---- snapshot taken mid-segment ---------------------------------------------
 
-/// Warmup counts land mid-segment almost always; this nudges one that
-/// happens to follow a control transfer forward until it does not, so the
-/// test exercises exactly the "counter re-materialized inside a fused
-/// segment" case the superblock engine must get right: the previous slot
-/// falls through (is not a terminator) into the one at pc.
-bool PcIsMidSegment(vm::Machine& machine, uint64_t pc) {
-  const vm::LoadedModule* mod = machine.loader().module_at(pc);
-  if (mod == nullptr) return false;
-  const vm::CodeCache::ModuleStream* stream =
-      machine.loader().code_cache().stream(mod->index);
-  if (stream == nullptr) return false;
-  uint32_t off = static_cast<uint32_t>(pc - mod->code_base);
-  uint32_t slot = stream->slot_of_offset[off];
-  if (slot == vm::CodeCache::kNoSlot || slot == 0) return false;
-  return !stream->instrs[slot - 1].is_terminator();
+/// True when `prev`, executed at `before`, completed by falling through
+/// to `after`: the superblock engine's LFI_NEXT, which keeps the open
+/// segment going (ALU and memory ops, an untaken Jcc, a returning KCALL, a
+/// SYSCALL with no handler). Anything that transfers control — a taken
+/// branch, a call (its return comes back through RET), a return, a
+/// syscall into its handler — opens a new segment at its target, even
+/// when that target is the next slot.
+bool FellThrough(const isa::Instr& prev, uint64_t before, uint64_t after) {
+  if (after != before + prev.size) return false;
+  if (prev.is_call()) return false;
+  if (prev.is_cond_branch()) return prev.rel_target() != prev.offset + prev.size;
+  return !prev.is_terminator();
+}
+
+/// The smallest warmup n >= `at_least` whose n-th instruction falls
+/// through into the next one, so Run(n) stops the superblock engine
+/// inside a fused segment: the "counter re-materialized mid-segment" case
+/// it must get right. Found by single-stepping a twin machine (execution
+/// is deterministic); 0 when no such n lies within 16 more steps.
+uint64_t MidSegmentWarmup(vm::ExecMode mode, uint64_t at_least) {
+  vm::Machine twin;
+  twin.SetExecMode(mode);
+  apps::DbSuiteMachineSetup()(twin);
+  auto pid = twin.CreateProcess(apps::kDbTestEntry);
+  if (!pid.ok()) return 0;
+  vm::Process* proc = twin.process(pid.value());
+  uint64_t n = proc->Run(at_least - 1);
+  for (int i = 0; i < 16 && proc->state() == vm::ProcState::Runnable; ++i) {
+    uint64_t before = proc->pc();
+    const vm::LoadedModule* mod = twin.loader().module_at(before);
+    if (mod == nullptr) return 0;
+    auto prev = isa::DecodeOne(mod->object.code,
+                               static_cast<uint32_t>(before - mod->code_base));
+    if (!prev.ok()) return 0;
+    n += proc->Run(1);
+    if (proc->state() == vm::ProcState::Runnable &&
+        FellThrough(prev.value(), before, proc->pc())) {
+      return n;
+    }
+  }
+  return 0;
 }
 
 struct SnapOutcome {
@@ -235,15 +261,11 @@ SnapOutcome RunSnapshotRoundTrip(vm::ExecMode mode) {
   EXPECT_TRUE(pid.ok());
   if (!pid.ok()) return out;
   vm::Process* proc = machine.process(pid.value());
-  uint64_t warm = proc->Run(1237);
-  // Nudge off segment boundaries (and off the rare mid-warmup exit).
-  for (int i = 0; i < 16 && proc->state() == vm::ProcState::Runnable &&
-                  !PcIsMidSegment(machine, proc->pc());
-       ++i) {
-    warm += proc->Run(1);
-  }
+  uint64_t target = MidSegmentWarmup(mode, 1237);
+  EXPECT_NE(target, 0u);
+  uint64_t warm = proc->Run(target);
+  EXPECT_EQ(warm, target);
   EXPECT_EQ(proc->state(), vm::ProcState::Runnable);
-  EXPECT_TRUE(PcIsMidSegment(machine, proc->pc()));
   out.warm_instructions = warm;
   out.warm_pc = proc->pc();
   machine.Snapshot();

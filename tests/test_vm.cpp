@@ -1062,5 +1062,169 @@ TEST(Process, UnknownSyscallNumberReturnsNosys) {
   EXPECT_EQ(RunAndGetExit(std::move(app), "main"), -E_NOSYS);
 }
 
+// ---- fast memory path vs AddressSpace ----------------------------------------
+
+}  // namespace
+
+// Reaches a process's AddressSpace and segment journals, so the tests
+// below can hold read_mem/write_mem (layout arithmetic first) against the
+// AddressSpace search that the reference engine's LOAD/STORE use.
+struct ProcessMemoryPeer {
+  static AddressSpace& space(Process& p) { return p.space_; }
+  static std::vector<const DirtyMap*> journals(const Process& p) {
+    return {&p.stack_dirty_, &p.heap_dirty_, &p.tls_dirty_};
+  }
+};
+
+namespace {
+
+sso::SharedObject ModuleWithData(const std::string& name,
+                                 const std::string& fn, uint32_t data_bytes) {
+  CodeBuilder b;
+  b.reserve_data(data_bytes);
+  b.begin_function(fn);
+  b.mov_ri(Reg::R0, 0);
+  b.leave_ret();
+  b.end_function();
+  return sso::FromCodeUnit(name, b.Finish());
+}
+
+/// A machine with libc, an app whose data section ends mid-page, and one
+/// process. Every writable byte holds an address-derived pattern (so a
+/// misplaced pointer reads wrong bytes), and a snapshot has left every
+/// dirty journal enabled and clean.
+struct MemRig {
+  Machine machine;
+  Process* proc = nullptr;
+
+  explicit MemRig(uint64_t heap_cap) {
+    machine.Load(libc::BuildLibc());
+    machine.Load(ModuleWithData("app.so", "main", 5000));
+    auto pid = machine.CreateProcess("main", heap_cap);
+    EXPECT_TRUE(pid.ok());
+    proc = machine.process(pid.value());
+    for (const auto& [base, size] : WritableRegions()) {
+      std::vector<uint8_t> bytes(size);
+      for (uint64_t i = 0; i < size; ++i) {
+        bytes[i] = static_cast<uint8_t>((base + i) * 0x9E3779B1u >> 13);
+      }
+      EXPECT_TRUE(space().write(base, bytes.data(), size));
+    }
+    machine.Snapshot();
+  }
+
+  AddressSpace& space() { return ProcessMemoryPeer::space(*proc); }
+
+  std::vector<std::pair<uint64_t, uint64_t>> WritableRegions() {
+    std::vector<std::pair<uint64_t, uint64_t>> out = {
+        {kStackBase, kStackSize}, {kTlsBase, kTlsSize}};
+    if (uint64_t heap = proc->heap_bytes()) out.push_back({kHeapBase, heap});
+    for (const auto& mod : machine.loader().modules()) {
+      if (!mod->data_runtime.empty()) {
+        out.push_back({mod->data_base, mod->data_runtime.size()});
+      }
+    }
+    return out;
+  }
+
+  /// Journal-dirty pages of every segment and every module's data.
+  std::vector<std::vector<uint64_t>> DirtyPages() {
+    std::vector<const DirtyMap*> maps = ProcessMemoryPeer::journals(*proc);
+    for (const auto& mod : machine.loader().modules()) {
+      maps.push_back(&mod->data_dirty);
+    }
+    std::vector<std::vector<uint64_t>> out;
+    for (const DirtyMap* map : maps) {
+      out.emplace_back();
+      map->ForEachDirtyPage([&](uint64_t page) { out.back().push_back(page); });
+    }
+    return out;
+  }
+};
+
+/// Addresses around every edge of every region of `rig` (first byte, one
+/// before, one past the end, the last 8 bytes, straddling the end), for
+/// both the code and data of each module, plus wild addresses.
+std::vector<std::pair<uint64_t, uint64_t>> EdgeProbes(MemRig& rig) {
+  std::vector<std::pair<uint64_t, uint64_t>> regions = {
+      {kStackBase, kStackSize}, {kHeapBase, rig.proc->heap_bytes()},
+      {kTlsBase, kTlsSize}};
+  for (const auto& mod : rig.machine.loader().modules()) {
+    regions.push_back({mod->code_base, mod->object.code.size()});
+    regions.push_back({mod->data_base, mod->data_runtime.size()});
+  }
+  std::vector<std::pair<uint64_t, uint64_t>> probes;  // {addr, n}
+  for (const auto& [base, size] : regions) {
+    for (uint64_t addr : {base - 1, base, base + 1, base + size / 2,
+                          base + size - 8, base + size - 1, base + size,
+                          base + size + 1}) {
+      probes.push_back({addr, size});
+    }
+  }
+  size_t next_module = rig.machine.loader().modules().size();
+  for (uint64_t addr : {uint64_t{0}, kModuleBase - 1, kNativeStubBase,
+                        ModuleCodeBase(next_module), kExitSentinel,
+                        ~uint64_t{0} - 3}) {
+    probes.push_back({addr, 64});
+  }
+  return probes;
+}
+
+/// Run every probe at lengths 0, 1, 8, 13, 4101 and the region size on
+/// both rigs: `fast` through Process::read_mem/write_mem, `oracle`
+/// through the AddressSpace alone. Verdicts, bytes read, bytes written
+/// and dirty pages must match after every access.
+void ExpectFastMemAgrees(MemRig& fast, MemRig& oracle) {
+  std::vector<std::pair<uint64_t, uint64_t>> probes = EdgeProbes(fast);
+  ASSERT_EQ(probes, EdgeProbes(oracle));
+  uint8_t salt = 0;
+  for (const auto& [addr, n] : probes) {
+    for (uint64_t len : {uint64_t{0}, uint64_t{1}, uint64_t{8}, uint64_t{13},
+                         uint64_t{4101}, n}) {
+      SCOPED_TRACE(testing::Message() << std::hex << "addr=" << addr
+                                      << " len=" << std::dec << len);
+      std::vector<uint8_t> got(len, 0xCC), want(len, 0xCC);
+      EXPECT_EQ(fast.proc->read_mem(addr, got.data(), len),
+                oracle.space().read(addr, want.data(), len));
+      EXPECT_EQ(got, want);
+
+      std::vector<uint8_t> payload(len);
+      for (uint8_t& byte : payload) byte = ++salt;
+      EXPECT_EQ(fast.proc->write_mem(addr, payload.data(), len),
+                oracle.space().write(addr, payload.data(), len));
+      got.assign(len, 0xCC);
+      want.assign(len, 0xCC);
+      EXPECT_EQ(fast.space().read(addr, got.data(), len),
+                oracle.space().read(addr, want.data(), len));
+      EXPECT_EQ(got, want);
+      EXPECT_EQ(fast.DirtyPages(), oracle.DirtyPages());
+    }
+  }
+  EXPECT_EQ(fast.proc->StateDigest(), oracle.proc->StateDigest());
+  for (size_t m = 0; m < fast.machine.loader().modules().size(); ++m) {
+    EXPECT_EQ(fast.machine.loader().modules()[m]->data_runtime,
+              oracle.machine.loader().modules()[m]->data_runtime);
+  }
+}
+
+TEST(FastMemAgreement, MatchesAddressSpaceAtEverySegmentEdge) {
+  for (uint64_t heap_cap : {uint64_t{3 * DirtyMap::kPageSize + 24},
+                            uint64_t{0}}) {
+    SCOPED_TRACE(heap_cap);
+    MemRig fast(heap_cap), oracle(heap_cap);
+    ExpectFastMemAgrees(fast, oracle);
+  }
+}
+
+TEST(FastMemAgreement, MatchesAddressSpaceForModuleLoadedSinceRemap) {
+  // The process mapped its AddressSpace before this load, so the new
+  // module is not in it yet; the fast path must defer to that verdict
+  // for the whole module band rather than reach the new module early.
+  MemRig fast(1 << 16), oracle(1 << 16);
+  fast.machine.Load(ModuleWithData("late.so", "late", 100));
+  oracle.machine.Load(ModuleWithData("late.so", "late", 100));
+  ExpectFastMemAgrees(fast, oracle);
+}
+
 }  // namespace
 }  // namespace lfi::vm
