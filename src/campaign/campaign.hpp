@@ -140,9 +140,13 @@ struct CampaignReport {
   std::string ToText() const;
 };
 
+/// Largest worker-thread count a campaign accepts, from the CLI (--jobs)
+/// or from a fabric peer (the wire's options reader).
+inline constexpr int kMaxJobs = 1'000'000;
+
 struct CampaignOptions {
-  /// Worker threads; 0 = hardware concurrency. Scenario i runs on worker
-  /// slot i % jobs (ParallelFor).
+  /// Worker threads, 0..kMaxJobs; 0 = hardware concurrency. Scenario i
+  /// runs on worker slot i % jobs (ParallelFor).
   int jobs = 1;
   std::string entry = "main";
   uint64_t max_instructions = 50'000'000;

@@ -1,6 +1,7 @@
 #include "core/scenario.hpp"
 
 #include <cstdint>
+#include <utility>
 
 #include "util/errno_table.hpp"
 #include "util/strings.hpp"
@@ -103,7 +104,7 @@ std::string Plan::ToXml() const {
     if (t.retval) fn->set_attr("retval", Format("%lld", (long long)*t.retval));
     if (t.errno_value) fn->set_attr("errno", ErrnoName(*t.errno_value));
     fn->set_attr("calloriginal", t.call_original ? "true" : "false");
-    if (t.max_injections >= 0) {
+    if (t.max_injections != -1) {
       fn->set_attr("maxinjections", Format("%d", t.max_injections));
     }
     if (!t.stacktrace.empty()) {
@@ -142,15 +143,90 @@ std::string Plan::ToXml() const {
   return root.serialize();
 }
 
+namespace {
+
+constexpr const char* kWantMaxInjections = "-1 for unlimited, or a count";
+constexpr const char* kWantArgument = "1..255";
+static_assert(kMaxModifyArgument == 255, "kWantArgument spells the cap");
+constexpr const char* kWantReg = "R0..R7, SP, BP";
+constexpr const char* kWantBit = "0..63";
+constexpr const char* kWantPid = "a pid >= 1";
+constexpr const char* kWantWend = "a uint64 > wbegin";
+
+/// FromXml's wording for a bad field, spelled once: `text` is the attribute
+/// text FromXml could not parse, or the stored value ValidatePlan refuses.
+std::string Bad(const char* field, std::string_view text,
+                const std::string& fn, const char* want) {
+  return "plan: bad " + std::string(field) + " \"" + std::string(text) +
+         "\"" + (fn.empty() ? "" : " for " + fn) + " (want " + want + ")";
+}
+
+/// Parse a decimal attribute into an int field. A value the field cannot
+/// hold is malformed, never narrowed; the field's range is ValidatePlan's.
+bool ParseIntField(std::string_view text, int* out) {
+  int64_t value = 0;
+  if (!ParseInt(text, &value) || !std::in_range<int>(value)) return false;
+  *out = static_cast<int>(value);
+  return true;
+}
+
+}  // namespace
+
+Status ValidatePlan(const Plan& plan) {
+  for (const FunctionTrigger& t : plan.triggers) {
+    if (t.function.empty()) return Err("plan: <function> without name");
+    if (t.mode == FunctionTrigger::Mode::CallCount && t.inject_call == 0) {
+      return Err("plan: inject must be >= 1 for " + t.function +
+                 " (call counts are 1-based)");
+    }
+    // Negated so that NaN fails too.
+    if (t.mode == FunctionTrigger::Mode::Probability &&
+        !(t.probability >= 0.0 && t.probability <= 1.0)) {
+      return Err(Bad("probability", Format("%g", t.probability), t.function,
+                     "a number in [0,1]"));
+    }
+    if (t.max_injections < -1) {
+      return Err(Bad("maxinjections", std::to_string(t.max_injections),
+                     t.function, kWantMaxInjections));
+    }
+    for (const ArgModification& m : t.modifications) {
+      if (m.argument < 1 || m.argument > kMaxModifyArgument) {
+        return Err(Bad("modify argument", std::to_string(m.argument),
+                       t.function, kWantArgument));
+      }
+    }
+  }
+  for (const SeuFault& s : plan.seus) {
+    if (s.target == SeuFault::Target::Reg &&
+        (s.reg < 0 || s.reg >= kSeuNumRegs)) {
+      return Err(Bad("seu reg", std::to_string(s.reg), "", kWantReg));
+    }
+    if (s.target == SeuFault::Target::Data && s.module.empty()) {
+      return Err("plan: <seu target=\"data\"> without module");
+    }
+    if (s.bit < 0 || s.bit > 63) {
+      return Err(Bad("seu bit", std::to_string(s.bit), "", kWantBit));
+    }
+    if (s.pid < 1) {
+      return Err(Bad("seu pid", std::to_string(s.pid), "", kWantPid));
+    }
+    if (s.window_end != 0 && s.window_end <= s.window_begin) {
+      return Err(Bad("seu wend", std::to_string(s.window_end), "", kWantWend));
+    }
+  }
+  return Status::Ok();
+}
+
 Result<Plan> Plan::FromXml(std::string_view text) {
   auto parsed = xml::Parse(text);
   if (!parsed.ok()) return Err(parsed.error());
   const xml::Node& root = *parsed.value();
   if (root.name() != "plan") return Err("plan: root must be <plan>");
   Plan plan;
-  // Every attribute is validated, not best-effort coerced: a malformed
-  // plan must fail loudly here instead of silently running a different
-  // scenario (a mis-parsed probability or call count corrupts exactly the
+  // Every attribute is parsed strictly, not best-effort coerced, and the
+  // parsed plan goes through ValidatePlan: a malformed plan must fail
+  // loudly here instead of silently running a different scenario (a
+  // mis-parsed probability or call count corrupts exactly the
   // replay/minimization artifacts the explorer persists).
   if (auto seed = root.attr("seed")) {
     if (!ParseUint(*seed, &plan.seed)) {
@@ -160,23 +236,16 @@ Result<Plan> Plan::FromXml(std::string_view text) {
   for (const xml::Node* fn : root.children_named("function")) {
     FunctionTrigger t;
     t.function = fn->attr_or("name", "");
-    if (t.function.empty()) return Err("plan: <function> without name");
     if (auto inject = fn->attr("inject")) {
       t.mode = FunctionTrigger::Mode::CallCount;
       if (!ParseUint(*inject, &t.inject_call)) {
         return Err("plan: bad inject \"" + *inject + "\" for " + t.function +
                    " (want a uint64 call number)");
       }
-      if (t.inject_call == 0) {
-        return Err("plan: inject must be >= 1 for " + t.function +
-                   " (call counts are 1-based)");
-      }
     } else if (auto prob = fn->attr("probability")) {
       t.mode = FunctionTrigger::Mode::Probability;
-      if (!ParseDouble(*prob, &t.probability) || t.probability < 0.0 ||
-          t.probability > 1.0) {
-        return Err("plan: bad probability \"" + *prob + "\" for " +
-                   t.function + " (want a number in [0,1])");
+      if (!ParseDouble(*prob, &t.probability)) {
+        return Err(Bad("probability", *prob, t.function, "a number in [0,1]"));
       }
     } else {
       std::string mode = fn->attr_or("mode", "always");
@@ -195,8 +264,12 @@ Result<Plan> Plan::FromXml(std::string_view text) {
     if (auto en = fn->attr("errno")) {
       auto value = ErrnoFromName(*en);
       if (!value) {
+        // A number, or "E<number>" (how ErrnoName spells a value that has
+        // no name, so ToXml's output parses back).
+        std::string_view number = *en;
+        if (StartsWith(number, "E")) number.remove_prefix(1);
         int64_t raw = 0;
-        if (!ParseInt(*en, &raw) || raw < INT32_MIN || raw > INT32_MAX) {
+        if (!ParseInt(number, &raw) || !std::in_range<int32_t>(raw)) {
           return Err("plan: bad errno " + *en);
         }
         value = static_cast<int32_t>(raw);
@@ -210,21 +283,18 @@ Result<Plan> Plan::FromXml(std::string_view text) {
     }
     t.call_original = call_original == "true";
     if (auto mi = fn->attr("maxinjections")) {
-      int64_t value = 0;
-      if (!ParseInt(*mi, &value) || value < -1 || value > INT32_MAX) {
-        return Err("plan: bad maxinjections \"" + *mi + "\" for " +
-                   t.function + " (want -1 for unlimited, or a count)");
+      if (!ParseIntField(*mi, &t.max_injections)) {
+        return Err(Bad("maxinjections", *mi, t.function, kWantMaxInjections));
       }
-      t.max_injections = static_cast<int>(value);
     }
     if (const xml::Node* st = fn->child("stacktrace")) {
       for (const xml::Node* frame : st->children_named("frame")) {
         FrameCondition cond;
         std::string_view content = Trim(frame->text());
         if (StartsWith(content, "0x") || StartsWith(content, "0X")) {
-          int64_t addr = 0;
-          if (!ParseInt(content, &addr)) return Err("plan: bad frame address");
-          cond.address = static_cast<uint64_t>(addr);
+          uint64_t addr = 0;
+          if (!ParseUint(content, &addr)) return Err("plan: bad frame address");
+          cond.address = addr;
         } else {
           cond.symbol = std::string(content);
         }
@@ -234,14 +304,9 @@ Result<Plan> Plan::FromXml(std::string_view text) {
     for (const xml::Node* mod : fn->children_named("modify")) {
       ArgModification m;
       std::string argument = mod->attr_or("argument", "");
-      int64_t arg_index = 0;
-      if (!ParseInt(argument, &arg_index) || arg_index < 1 ||
-          arg_index > kMaxModifyArgument) {
-        return Err("plan: bad modify argument \"" + argument + "\" for " +
-                   t.function + " (want 1.." +
-                   std::to_string(kMaxModifyArgument) + ")");
+      if (!ParseIntField(argument, &m.argument)) {
+        return Err(Bad("modify argument", argument, t.function, kWantArgument));
       }
-      m.argument = static_cast<int>(arg_index);
       auto op = ArgOpFromName(mod->attr_or("op", "set"));
       if (!op) return Err("plan: bad modify op");
       m.op = *op;
@@ -268,7 +333,7 @@ Result<Plan> Plan::FromXml(std::string_view text) {
       std::string reg = node->attr_or("reg", "");
       auto parsed_reg = SeuRegFromName(reg);
       if (!parsed_reg) {
-        return Err("plan: bad seu reg \"" + reg + "\" (want R0..R7, SP, BP)");
+        return Err(Bad("seu reg", reg, "", kWantReg));
       }
       s.reg = *parsed_reg;
     } else {
@@ -280,28 +345,21 @@ Result<Plan> Plan::FromXml(std::string_view text) {
       }
       if (s.target == SeuFault::Target::Data) {
         s.module = node->attr_or("module", "");
-        if (s.module.empty()) {
-          return Err("plan: <seu target=\"data\"> without module");
-        }
       }
     }
     std::string bit = node->attr_or("bit", "");
-    int64_t bit_index = 0;
-    if (!ParseInt(bit, &bit_index) || bit_index < 0 || bit_index > 63) {
-      return Err("plan: bad seu bit \"" + bit + "\" (want 0..63)");
+    if (!ParseIntField(bit, &s.bit)) {
+      return Err(Bad("seu bit", bit, "", kWantBit));
     }
-    s.bit = static_cast<int>(bit_index);
     std::string at = node->attr_or("at", "");
     if (!ParseUint(at, &s.at_instruction)) {
       return Err("plan: bad seu at \"" + at +
                  "\" (want a uint64 instruction instant)");
     }
     if (auto pid = node->attr("pid")) {
-      int64_t value = 0;
-      if (!ParseInt(*pid, &value) || value < 1 || value > INT32_MAX) {
-        return Err("plan: bad seu pid \"" + *pid + "\" (want a pid >= 1)");
+      if (!ParseIntField(*pid, &s.pid)) {
+        return Err(Bad("seu pid", *pid, "", kWantPid));
       }
-      s.pid = static_cast<int>(value);
     }
     if (auto wmodule = node->attr("wmodule")) {
       s.window_module = *wmodule;
@@ -309,14 +367,15 @@ Result<Plan> Plan::FromXml(std::string_view text) {
       if (!ParseUint(wbegin, &s.window_begin)) {
         return Err("plan: bad seu wbegin \"" + wbegin + "\" (want a uint64)");
       }
+      // A gated window needs a non-zero end: 0 means ungated.
       std::string wend = node->attr_or("wend", "");
-      if (!ParseUint(wend, &s.window_end) || s.window_end <= s.window_begin) {
-        return Err("plan: bad seu wend \"" + wend +
-                   "\" (want a uint64 > wbegin)");
+      if (!ParseUint(wend, &s.window_end) || s.window_end == 0) {
+        return Err(Bad("seu wend", wend, "", kWantWend));
       }
     }
     plan.seus.push_back(std::move(s));
   }
+  if (Status st = ValidatePlan(plan); !st.ok()) return Err(st.error());
   return plan;
 }
 

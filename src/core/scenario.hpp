@@ -130,6 +130,15 @@ struct Plan {
   static Result<Plan> FromXml(std::string_view xml);
 };
 
+/// The one plan-acceptance rule, whichever way a plan arrives: Plan::FromXml
+/// runs it after parsing, and the fabric's wire decoder on every plan it
+/// decodes (batch scenarios and result replays alike), so a worker never
+/// runs a plan its own CLI would refuse. It checks each field's meaning
+/// (ranges, a data flip's module), not its spelling, and only the fields
+/// that matter for the trigger mode and SEU target. Errors keep FromXml's
+/// wording.
+Status ValidatePlan(const Plan& plan);
+
 const char* ArgOpName(ArgModification::Op op);
 std::optional<ArgModification::Op> ArgOpFromName(std::string_view name);
 

@@ -144,9 +144,8 @@ FabricCoordinator::~FabricCoordinator() {
 Status FabricCoordinator::Handshake(Connection& conn) {
   int one = 1;
   ::setsockopt(conn.fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-  std::vector<uint8_t> hello;
-  PutU32(hello, kWireVersion);
-  if (auto st = WriteFrame(conn.fd, MsgType::Hello, hello); !st.ok()) {
+  if (auto st = WriteFrame(conn.fd, MsgType::Hello, Encode(HelloMsg{}));
+      !st.ok()) {
     return st;
   }
   auto reply = ReadFrame(conn.fd, kReplyTimeoutMs);
@@ -154,9 +153,8 @@ Status FabricCoordinator::Handshake(Connection& conn) {
   if (reply.value().type != MsgType::Hello) {
     return Err("fabric: expected Hello from worker");
   }
-  Reader r(reply.value().payload);
-  uint32_t version = 0;
-  if (!r.U32(&version) || version != kWireVersion) {
+  auto hello = Decode<HelloMsg>(reply.value().payload);
+  if (!hello.ok() || hello.value().version != kWireVersion) {
     return Err("fabric: worker protocol version mismatch");
   }
   ConfigureMsg msg;
@@ -167,17 +165,16 @@ Status FabricCoordinator::Handshake(Connection& conn) {
   // parallelism comes from the worker *count*. `lfi serve --jobs` can
   // override this worker-side.
   msg.options.jobs = 1;
-  if (auto st = WriteFrame(conn.fd, MsgType::Configure, EncodeConfigure(msg));
+  if (auto st = WriteFrame(conn.fd, MsgType::Configure, Encode(msg));
       !st.ok()) {
     return st;
   }
   auto ack = ReadFrame(conn.fd, kReplyTimeoutMs);
   if (!ack.ok()) return Err(ack.error());
   if (ack.value().type == MsgType::Error) {
-    Reader er(ack.value().payload);
-    std::string message;
-    (void)er.Str(&message);
-    return Err("fabric: worker rejected configure: " + message);
+    auto error = Decode<ErrorMsg>(ack.value().payload);
+    return Err("fabric: worker rejected configure: " +
+               (error.ok() ? error.value().message : error.error()));
   }
   if (ack.value().type != MsgType::ConfigureOk) {
     return Err("fabric: expected ConfigureOk from worker");

@@ -9,7 +9,11 @@
 #include <algorithm>
 #include <bit>
 #include <chrono>
+#include <concepts>
 #include <cstring>
+#include <limits>
+#include <type_traits>
+#include <utility>
 
 #include "sso/sso.hpp"
 
@@ -17,608 +21,450 @@ namespace lfi::serve {
 
 namespace {
 
-/// Largest element count a decoder will accept for a collection: every
-/// encoded element costs at least one byte, so a count beyond the bytes
-/// actually present is malformed — reject before reserving.
-bool PlausibleCount(const Reader& r, uint64_t count) {
-  return count <= r.size - r.pos;
-}
+// -- the two Io types ---------------------------------------------------------
+// A field visitor Fields(io, value) names a payload's fields in wire order,
+// once. Instantiated with a Writer it appends them; with a Reader it parses
+// and checks them. Both take the same calls, so a schema reads the same in
+// either direction: U8/U32/U64/I64/F64 are fixed-width little-endian
+// integers (F64 the exact IEEE-754 bit pattern), Str/Bytes a u32 length
+// then the bytes, Bool a 0/1 byte, Enum a u8 up to a maximum, Opt a Bool
+// presence flag then the value, Seq a u32 count then the elements.
 
-}  // namespace
+/// Appends fields to a payload. Never fails: every call returns true.
+class Writer {
+ public:
+  static constexpr bool kReading = false;
 
-// -- primitive encode/decode -------------------------------------------------
+  explicit Writer(std::vector<uint8_t>& out) : out_(out) {}
 
-void PutU8(std::vector<uint8_t>& out, uint8_t v) { out.push_back(v); }
-
-void PutU32(std::vector<uint8_t>& out, uint32_t v) {
-  uint8_t bytes[4];
-  for (int i = 0; i < 4; ++i) bytes[i] = static_cast<uint8_t>(v >> (8 * i));
-  out.insert(out.end(), bytes, bytes + 4);
-}
-
-void PutU64(std::vector<uint8_t>& out, uint64_t v) {
-  uint8_t bytes[8];
-  for (int i = 0; i < 8; ++i) bytes[i] = static_cast<uint8_t>(v >> (8 * i));
-  out.insert(out.end(), bytes, bytes + 8);
-}
-
-void PutI64(std::vector<uint8_t>& out, int64_t v) {
-  PutU64(out, static_cast<uint64_t>(v));
-}
-
-void PutF64(std::vector<uint8_t>& out, double v) {
-  PutU64(out, std::bit_cast<uint64_t>(v));
-}
-
-void PutStr(std::vector<uint8_t>& out, const std::string& v) {
-  PutU32(out, static_cast<uint32_t>(v.size()));
-  out.insert(out.end(), v.begin(), v.end());
-}
-
-void PutBytes(std::vector<uint8_t>& out, const std::vector<uint8_t>& v) {
-  PutU32(out, static_cast<uint32_t>(v.size()));
-  out.insert(out.end(), v.begin(), v.end());
-}
-
-bool Reader::U8(uint8_t* v) {
-  if (pos + 1 > size) return false;
-  *v = data[pos++];
-  return true;
-}
-
-bool Reader::U32(uint32_t* v) {
-  if (pos + 4 > size) return false;
-  uint32_t out = 0;
-  for (int i = 0; i < 4; ++i) out |= uint32_t{data[pos + i]} << (8 * i);
-  pos += 4;
-  *v = out;
-  return true;
-}
-
-bool Reader::U64(uint64_t* v) {
-  if (pos + 8 > size) return false;
-  uint64_t out = 0;
-  for (int i = 0; i < 8; ++i) out |= uint64_t{data[pos + i]} << (8 * i);
-  pos += 8;
-  *v = out;
-  return true;
-}
-
-bool Reader::I64(int64_t* v) {
-  uint64_t raw = 0;
-  if (!U64(&raw)) return false;
-  *v = static_cast<int64_t>(raw);
-  return true;
-}
-
-bool Reader::F64(double* v) {
-  uint64_t raw = 0;
-  if (!U64(&raw)) return false;
-  *v = std::bit_cast<double>(raw);
-  return true;
-}
-
-bool Reader::Str(std::string* v) {
-  uint32_t len = 0;
-  if (!U32(&len) || pos + len > size) return false;
-  v->assign(reinterpret_cast<const char*>(data + pos), len);
-  pos += len;
-  return true;
-}
-
-bool Reader::Bytes(std::vector<uint8_t>* v) {
-  uint32_t len = 0;
-  if (!U32(&len) || pos + len > size) return false;
-  v->assign(data + pos, data + pos + len);
-  pos += len;
-  return true;
-}
-
-// -- plan --------------------------------------------------------------------
-
-void EncodePlan(std::vector<uint8_t>& out, const core::Plan& plan) {
-  PutU64(out, plan.seed);
-  PutU32(out, static_cast<uint32_t>(plan.triggers.size()));
-  for (const core::FunctionTrigger& t : plan.triggers) {
-    PutStr(out, t.function);
-    PutU8(out, static_cast<uint8_t>(t.mode));
-    PutU64(out, t.inject_call);
-    PutF64(out, t.probability);
-    PutU8(out, t.retval.has_value() ? 1 : 0);
-    if (t.retval) PutI64(out, *t.retval);
-    PutU8(out, t.errno_value.has_value() ? 1 : 0);
-    if (t.errno_value) PutI64(out, *t.errno_value);
-    PutU8(out, t.call_original ? 1 : 0);
-    PutI64(out, t.max_injections);
-    PutU32(out, static_cast<uint32_t>(t.stacktrace.size()));
-    for (const core::FrameCondition& f : t.stacktrace) {
-      PutU8(out, f.address.has_value() ? 1 : 0);
-      if (f.address) PutU64(out, *f.address);
-      PutStr(out, f.symbol);
-    }
-    PutU32(out, static_cast<uint32_t>(t.modifications.size()));
-    for (const core::ArgModification& m : t.modifications) {
-      PutI64(out, m.argument);
-      PutU8(out, static_cast<uint8_t>(m.op));
-      PutI64(out, m.value);
-    }
+  bool U8(uint8_t v) {
+    out_.push_back(v);
+    return true;
   }
-  PutU32(out, static_cast<uint32_t>(plan.seus.size()));
-  for (const core::SeuFault& s : plan.seus) {
-    PutU8(out, static_cast<uint8_t>(s.target));
-    PutI64(out, s.reg);
-    PutU64(out, s.offset);
-    PutStr(out, s.module);
-    PutI64(out, s.bit);
-    PutU64(out, s.at_instruction);
-    PutI64(out, s.pid);
-    PutStr(out, s.window_module);
-    PutU64(out, s.window_begin);
-    PutU64(out, s.window_end);
+  bool U32(uint32_t v) { return Le(v); }
+  template <class T>
+  bool U64(T v) {
+    return Le(static_cast<uint64_t>(v));
   }
-}
+  template <class T>
+  bool I64(T v, T = 0, T = 0) {
+    return Le(static_cast<uint64_t>(static_cast<int64_t>(v)));
+  }
+  bool F64(double v) { return Le(std::bit_cast<uint64_t>(v)); }
+  template <class E>
+  bool Enum(E v, E /*max*/) {
+    return U8(static_cast<uint8_t>(v));
+  }
+  bool Bool(bool v) { return Enum(v, true); }
+  bool Str(const std::string& v) { return Blob(v); }
+  bool Bytes(const std::vector<uint8_t>& v) { return Blob(v); }
+  /// One flags byte: the i-th bool is the i-th set bit of `mask`.
+  template <class... B>
+  bool Bits(uint8_t mask, const B&... bits) {
+    uint8_t byte = 0;
+    unsigned rest = mask;
+    ((byte |= bits ? static_cast<uint8_t>(rest & -rest) : 0, rest &= rest - 1),
+     ...);
+    return U8(byte);
+  }
+  template <class T, class F>
+  bool Opt(const std::optional<T>& v, F field) {
+    return Bool(v.has_value()) && (!v || field(*this, *v));
+  }
+  bool Count(size_t n) { return U32(static_cast<uint32_t>(n)); }
+  template <class C, class F>
+  bool Seq(const C& items, F field) {
+    Count(items.size());
+    for (const auto& item : items) field(*this, item);
+    return true;
+  }
+  bool Valid(const core::Plan&) { return true; }
 
-Result<core::Plan> DecodePlan(Reader& r) {
-  core::Plan plan;
-  uint32_t triggers = 0;
-  if (!r.U64(&plan.seed) || !r.U32(&triggers) || !PlausibleCount(r, triggers)) {
-    return Err("wire: truncated plan");
+ private:
+  template <class T>
+  bool Le(T v) {
+    uint8_t bytes[sizeof(T)];
+    for (size_t i = 0; i < sizeof(T); ++i) {
+      bytes[i] = static_cast<uint8_t>(v >> (8 * i));
+    }
+    out_.insert(out_.end(), bytes, bytes + sizeof(T));
+    return true;
   }
-  plan.triggers.reserve(triggers);
-  for (uint32_t i = 0; i < triggers; ++i) {
-    core::FunctionTrigger t;
-    uint8_t mode = 0, has_retval = 0, has_errno = 0, call_original = 0;
-    int64_t max_injections = -1;
-    if (!r.Str(&t.function) || !r.U8(&mode) || !r.U64(&t.inject_call) ||
-        !r.F64(&t.probability) || !r.U8(&has_retval)) {
-      return Err("wire: truncated trigger");
-    }
-    if (mode > static_cast<uint8_t>(core::FunctionTrigger::Mode::Rotate)) {
-      return Err("wire: bad trigger mode");
-    }
-    t.mode = static_cast<core::FunctionTrigger::Mode>(mode);
-    if (has_retval) {
-      int64_t v = 0;
-      if (!r.I64(&v)) return Err("wire: truncated trigger");
-      t.retval = v;
-    }
-    if (!r.U8(&has_errno)) return Err("wire: truncated trigger");
-    if (has_errno) {
-      int64_t v = 0;
-      if (!r.I64(&v)) return Err("wire: truncated trigger");
-      t.errno_value = static_cast<int32_t>(v);
-    }
-    if (!r.U8(&call_original) || !r.I64(&max_injections)) {
-      return Err("wire: truncated trigger");
-    }
-    t.call_original = call_original != 0;
-    t.max_injections = static_cast<int>(max_injections);
-    uint32_t frames = 0;
-    if (!r.U32(&frames) || !PlausibleCount(r, frames)) {
-      return Err("wire: truncated stacktrace");
-    }
-    for (uint32_t f = 0; f < frames; ++f) {
-      core::FrameCondition cond;
-      uint8_t has_address = 0;
-      if (!r.U8(&has_address)) return Err("wire: truncated stacktrace");
-      if (has_address) {
-        uint64_t addr = 0;
-        if (!r.U64(&addr)) return Err("wire: truncated stacktrace");
-        cond.address = addr;
+  template <class C>
+  bool Blob(const C& v) {
+    Count(v.size());
+    out_.insert(out_.end(), v.begin(), v.end());
+    return true;
+  }
+
+  std::vector<uint8_t>& out_;
+};
+
+/// Parses fields from a received payload and checks each before it is
+/// trusted. The first failure is kept in error() and every later call on
+/// the chain is skipped by the visitors' &&.
+class Reader {
+ public:
+  static constexpr bool kReading = true;
+
+  explicit Reader(const std::vector<uint8_t>& buf)
+      : begin_(buf.data()), pos_(buf.data()), end_(buf.data() + buf.size()) {}
+
+  bool U8(uint8_t& v) { return Le(v); }
+  bool U32(uint32_t& v) { return Le(v); }
+  template <class T>
+  bool U64(T& v) {
+    uint64_t raw = 0;
+    if (!Le(raw)) return false;
+    if (!std::in_range<T>(raw)) return Fail("value out of range");
+    v = static_cast<T>(raw);
+    return true;
+  }
+  /// An i64 into a field of type T, which must hold it, and which must lie
+  /// in [lo, hi] when the schema bounds it.
+  template <class T>
+  bool I64(T& v, T lo = std::numeric_limits<T>::min(),
+           T hi = std::numeric_limits<T>::max()) {
+    uint64_t raw = 0;
+    if (!Le(raw)) return false;
+    const auto value = static_cast<int64_t>(raw);
+    if (value < lo || value > hi) return Fail("value out of range");
+    v = static_cast<T>(value);
+    return true;
+  }
+  bool F64(double& v) {
+    uint64_t raw = 0;
+    if (!Le(raw)) return false;
+    v = std::bit_cast<double>(raw);
+    return true;
+  }
+  template <class E>
+  bool Enum(E& v, E max) {
+    uint8_t byte = 0;
+    if (!U8(byte)) return false;
+    if (byte > static_cast<uint8_t>(max)) return Fail("value out of range");
+    v = static_cast<E>(byte);
+    return true;
+  }
+  /// Only 0 and 1: the writer sends nothing else, so a payload that
+  /// decodes re-encodes to the same bytes.
+  bool Bool(bool& v) { return Enum(v, true); }
+  bool Str(std::string& v) { return Blob(v); }
+  bool Bytes(std::vector<uint8_t>& v) { return Blob(v); }
+  /// Bits outside `mask` are undefined: a peer setting them speaks a
+  /// protocol this build does not.
+  template <class... B>
+  bool Bits(uint8_t mask, B&... bits) {
+    uint8_t byte = 0;
+    if (!U8(byte)) return false;
+    if ((byte & ~mask) != 0) return Fail("unknown flag bits");
+    unsigned rest = mask;
+    ((bits = (byte & rest & -rest) != 0, rest &= rest - 1), ...);
+    return true;
+  }
+  template <class T, class F>
+  bool Opt(std::optional<T>& v, F field) {
+    bool present = false;
+    if (!Bool(present)) return false;
+    return !present || field(*this, v.emplace());
+  }
+  /// A collection count. Every encoded element costs at least one byte, so
+  /// a count beyond the bytes actually present is malformed.
+  bool Count(uint32_t& n) {
+    if (!U32(n)) return false;
+    return n <= left() || Fail("count exceeds payload");
+  }
+  /// Elements are appended one at a time, never reserved for the count.
+  /// Map keys must strictly ascend, as a std::map writes them.
+  template <class C, class F>
+  bool Seq(C& items, F field) {
+    uint32_t n = 0;
+    if (!Count(n)) return false;
+    for (uint32_t i = 0; i < n; ++i) {
+      if constexpr (requires { typename C::mapped_type; }) {
+        std::pair<typename C::key_type, typename C::mapped_type> kv;
+        if (!field(*this, kv)) return false;
+        if (!items.empty() && !(items.rbegin()->first < kv.first)) {
+          return Fail("map keys out of order");
+        }
+        items.emplace_hint(items.end(), std::move(kv));
+      } else if (!field(*this, items.emplace_back())) {
+        return false;
       }
-      if (!r.Str(&cond.symbol)) return Err("wire: truncated stacktrace");
-      t.stacktrace.push_back(std::move(cond));
     }
-    uint32_t mods = 0;
-    if (!r.U32(&mods) || !PlausibleCount(r, mods)) {
-      return Err("wire: truncated modifications");
-    }
-    for (uint32_t m = 0; m < mods; ++m) {
-      core::ArgModification mod;
-      int64_t argument = 0, value = 0;
-      uint8_t op = 0;
-      if (!r.I64(&argument) || !r.U8(&op) || !r.I64(&value)) {
-        return Err("wire: truncated modification");
-      }
-      if (op > static_cast<uint8_t>(core::ArgModification::Op::Xor)) {
-        return Err("wire: bad modification op");
-      }
-      mod.argument = static_cast<int>(argument);
-      mod.op = static_cast<core::ArgModification::Op>(op);
-      mod.value = value;
-      t.modifications.push_back(mod);
-    }
-    plan.triggers.push_back(std::move(t));
+    return true;
   }
-  uint32_t seus = 0;
-  if (!r.U32(&seus) || !PlausibleCount(r, seus)) {
-    return Err("wire: truncated plan");
+  bool Valid(const core::Plan& plan) {
+    Status st = core::ValidatePlan(plan);
+    return st.ok() || Fail(st.error());
   }
-  plan.seus.reserve(seus);
-  for (uint32_t i = 0; i < seus; ++i) {
-    core::SeuFault s;
-    uint8_t target = 0;
-    int64_t reg = 0, bit = 0, pid = 1;
-    if (!r.U8(&target) || !r.I64(&reg) || !r.U64(&s.offset) ||
-        !r.Str(&s.module) || !r.I64(&bit) || !r.U64(&s.at_instruction) ||
-        !r.I64(&pid) || !r.Str(&s.window_module) || !r.U64(&s.window_begin) ||
-        !r.U64(&s.window_end)) {
-      return Err("wire: truncated seu");
-    }
-    if (target > static_cast<uint8_t>(core::SeuFault::Target::Data)) {
-      return Err("wire: bad seu target");
-    }
-    if (bit < 0 || bit > 63) return Err("wire: bad seu bit");
-    s.target = static_cast<core::SeuFault::Target>(target);
-    s.reg = static_cast<int>(reg);
-    s.bit = static_cast<int>(bit);
-    s.pid = static_cast<int>(pid);
-    plan.seus.push_back(std::move(s));
+
+  size_t left() const { return static_cast<size_t>(end_ - pos_); }
+  bool AtEnd() const { return pos_ == end_; }
+  bool Fail(std::string message) {
+    error_ = std::move(message) + " at byte " + std::to_string(pos_ - begin_);
+    return false;
   }
-  return plan;
+  bool Truncated() { return Fail("truncated"); }
+  const std::string& error() const { return error_; }
+
+ private:
+  template <class T>
+  bool Le(T& v) {
+    if (left() < sizeof(T)) return Truncated();
+    T out = 0;
+    for (size_t i = 0; i < sizeof(T); ++i) out |= T(pos_[i]) << (8 * i);
+    pos_ += sizeof(T);
+    v = out;
+    return true;
+  }
+  template <class C>
+  bool Blob(C& v) {
+    uint32_t len = 0;
+    if (!U32(len)) return false;
+    if (len > left()) return Truncated();
+    const auto* data = reinterpret_cast<const typename C::value_type*>(pos_);
+    v.assign(data, data + len);
+    pos_ += len;
+    return true;
+  }
+
+  const uint8_t* begin_;
+  const uint8_t* pos_;
+  const uint8_t* end_;
+  std::string error_;
+};
+
+// -- schemas ------------------------------------------------------------------
+// One Fields overload per wire type, in wire order. `Is<T, U>` lets one
+// template serve both a const value (Writer) and a mutable one (Reader).
+
+template <class T, class U>
+concept Is = std::same_as<std::remove_const_t<T>, U>;
+
+// Element codecs for Seq and Opt.
+constexpr auto kU64 = [](auto& io, auto& v) { return io.U64(v); };
+constexpr auto kI64 = [](auto& io, auto& v) { return io.I64(v); };
+constexpr auto kStr = [](auto& io, auto& v) { return io.Str(v); };
+constexpr auto kBytes = [](auto& io, auto& v) { return io.Bytes(v); };
+constexpr auto kFields = [](auto& io, auto& v) { return Fields(io, v); };
+/// (module name, bitmap) pairs, in a map or a vector.
+constexpr auto kNamedBitmap = [](auto& io, auto& kv) {
+  return io.Str(kv.first) && Fields(io, kv.second);
+};
+
+template <class Io, Is<core::FrameCondition> F>
+bool Fields(Io& io, F& f) {
+  return io.Opt(f.address, kU64) && io.Str(f.symbol);
 }
 
-// -- scenario ----------------------------------------------------------------
-
-void EncodeScenario(std::vector<uint8_t>& out,
-                    const campaign::Scenario& scenario) {
-  PutStr(out, scenario.name);
-  EncodePlan(out, scenario.plan);
-  PutStr(out, scenario.entry);
-  PutU64(out, scenario.heap_cap_bytes);
-  PutU8(out, scenario.warmup_instructions.has_value() ? 1 : 0);
-  if (scenario.warmup_instructions) PutU64(out, *scenario.warmup_instructions);
+template <class Io, Is<core::ArgModification> M>
+bool Fields(Io& io, M& m) {
+  return io.I64(m.argument) &&
+         io.Enum(m.op, core::ArgModification::Op::Xor) && io.I64(m.value);
 }
 
-Result<campaign::Scenario> DecodeScenario(Reader& r) {
-  campaign::Scenario s;
-  if (!r.Str(&s.name)) return Err("wire: truncated scenario");
-  auto plan = DecodePlan(r);
-  if (!plan.ok()) return Err(plan.error());
-  s.plan = std::move(plan).take();
-  uint8_t has_warmup = 0;
-  if (!r.Str(&s.entry) || !r.U64(&s.heap_cap_bytes) || !r.U8(&has_warmup)) {
-    return Err("wire: truncated scenario");
-  }
-  if (has_warmup) {
-    uint64_t w = 0;
-    if (!r.U64(&w)) return Err("wire: truncated scenario");
-    s.warmup_instructions = w;
-  }
-  return s;
+template <class Io, Is<core::FunctionTrigger> T>
+bool Fields(Io& io, T& t) {
+  return io.Str(t.function) &&
+         io.Enum(t.mode, core::FunctionTrigger::Mode::Rotate) &&
+         io.U64(t.inject_call) && io.F64(t.probability) &&
+         io.Opt(t.retval, kI64) && io.Opt(t.errno_value, kI64) &&
+         io.Bool(t.call_original) && io.I64(t.max_injections) &&
+         io.Seq(t.stacktrace, kFields) && io.Seq(t.modifications, kFields);
 }
 
-// -- campaign options --------------------------------------------------------
-
-/// The options flag bits EncodeOptions defines: 0-3, 5 and 6.
-constexpr uint8_t kOptionFlagsMask = 0b0110'1111;
-
-void EncodeOptions(std::vector<uint8_t>& out,
-                   const campaign::CampaignOptions& options) {
-  PutI64(out, options.jobs);
-  PutStr(out, options.entry);
-  PutU64(out, options.max_instructions);
-  PutU64(out, options.default_heap_cap);
-  uint8_t flags = 0;
-  if (options.track_coverage) flags |= 1u << 0;
-  if (options.collect_scenario_coverage) flags |= 1u << 1;
-  if (options.collect_replays) flags |= 1u << 2;
-  if (options.snapshot) flags |= 1u << 3;
-  if (options.collect_state_digest) flags |= 1u << 5;
-  if (options.controller.feasible_only) flags |= 1u << 6;
-  PutU8(out, flags);
-  PutU64(out, options.warmup_instructions);
-  PutU8(out, options.exec_mode.has_value() ? 1 : 0);
-  if (options.exec_mode) PutU8(out, static_cast<uint8_t>(*options.exec_mode));
-  PutU8(out, options.controller.log_enabled ? 1 : 0);
-  PutU8(out, options.controller.log_backtraces ? 1 : 0);
-  PutU64(out, options.controller.log_capacity);
+template <class Io, Is<core::SeuFault> S>
+bool Fields(Io& io, S& s) {
+  return io.Enum(s.target, core::SeuFault::Target::Data) && io.I64(s.reg) &&
+         io.U64(s.offset) && io.Str(s.module) && io.I64(s.bit) &&
+         io.U64(s.at_instruction) && io.I64(s.pid) &&
+         io.Str(s.window_module) && io.U64(s.window_begin) &&
+         io.U64(s.window_end);
 }
 
-Result<campaign::CampaignOptions> DecodeOptions(Reader& r) {
-  campaign::CampaignOptions o;
-  int64_t jobs = 1;
-  uint8_t flags = 0, has_exec = 0, log_enabled = 0, log_backtraces = 0;
-  uint64_t log_capacity = 0;
-  if (!r.I64(&jobs) || !r.Str(&o.entry) || !r.U64(&o.max_instructions) ||
-      !r.U64(&o.default_heap_cap) || !r.U8(&flags) ||
-      !r.U64(&o.warmup_instructions) || !r.U8(&has_exec)) {
-    return Err("wire: truncated options");
-  }
-  // Bit 4 (the retired flat-vs-tree snapshot switch) and bit 7 are
-  // undefined; a peer setting them speaks a protocol this build does not.
-  if ((flags & ~kOptionFlagsMask) != 0) {
-    return Err("wire: unknown options flags");
-  }
-  o.jobs = static_cast<int>(jobs);
-  o.track_coverage = (flags & (1u << 0)) != 0;
-  o.collect_scenario_coverage = (flags & (1u << 1)) != 0;
-  o.collect_replays = (flags & (1u << 2)) != 0;
-  o.snapshot = (flags & (1u << 3)) != 0;
-  o.collect_state_digest = (flags & (1u << 5)) != 0;
-  o.controller.feasible_only = (flags & (1u << 6)) != 0;
-  if (has_exec) {
-    uint8_t mode = 0;
-    if (!r.U8(&mode) ||
-        mode > static_cast<uint8_t>(vm::ExecMode::Reference)) {
-      return Err("wire: bad exec mode");
-    }
-    o.exec_mode = static_cast<vm::ExecMode>(mode);
-  }
-  if (!r.U8(&log_enabled) || !r.U8(&log_backtraces) || !r.U64(&log_capacity)) {
-    return Err("wire: truncated options");
-  }
-  o.controller.log_enabled = log_enabled != 0;
-  o.controller.log_backtraces = log_backtraces != 0;
-  o.controller.log_capacity = static_cast<size_t>(log_capacity);
-  return o;
+template <class Io, Is<core::Plan> P>
+bool Fields(Io& io, P& p) {
+  return io.U64(p.seed) && io.Seq(p.triggers, kFields) &&
+         io.Seq(p.seus, kFields) && io.Valid(p);
 }
 
-// -- coverage bitmap ---------------------------------------------------------
+template <class Io, Is<campaign::Scenario> S>
+bool Fields(Io& io, S& s) {
+  return io.Str(s.name) && Fields(io, s.plan) && io.Str(s.entry) &&
+         io.U64(s.heap_cap_bytes) && io.Opt(s.warmup_instructions, kU64);
+}
 
-void EncodeBitmap(std::vector<uint8_t>& out, const vm::CoverageBitmap& bitmap) {
+template <class Io, Is<campaign::CampaignOptions> O>
+bool Fields(Io& io, O& o) {
+  // Flag bits 0-3, 5 and 6; bit 4 (the retired flat-vs-tree snapshot
+  // switch) and bit 7 are undefined.
+  return io.I64(o.jobs, 0, campaign::kMaxJobs) && io.Str(o.entry) &&
+         io.U64(o.max_instructions) && io.U64(o.default_heap_cap) &&
+         io.Bits(0b0110'1111, o.track_coverage, o.collect_scenario_coverage,
+                 o.collect_replays, o.snapshot, o.collect_state_digest,
+                 o.controller.feasible_only) &&
+         io.U64(o.warmup_instructions) &&
+         io.Opt(o.exec_mode,
+                [](auto& io, auto& mode) {
+                  return io.Enum(mode, vm::ExecMode::Reference);
+                }) &&
+         io.Bool(o.controller.log_enabled) &&
+         io.Bool(o.controller.log_backtraces) &&
+         io.U64(o.controller.log_capacity);
+}
+
+// A coverage bitmap is word-sparse (v5): [bits u64] [n u32] then n x
+// ([word index u32] [word u64]), the non-zero 64-bit words only, indices
+// strictly ascending, bits at or past `bits` clear.
+bool Fields(Writer& io, const vm::CoverageBitmap& bitmap) {
   const std::vector<uint64_t>& words = bitmap.words();
   uint32_t nonzero = 0;
   for (uint64_t word : words) nonzero += word != 0;
-  PutU64(out, bitmap.size_bits());
-  PutU32(out, nonzero);
+  io.U64(bitmap.size_bits());
+  io.U32(nonzero);
   for (size_t w = 0; w < words.size(); ++w) {
     if (words[w] == 0) continue;
-    PutU32(out, static_cast<uint32_t>(w));
-    PutU64(out, words[w]);
+    io.U32(static_cast<uint32_t>(w));
+    io.U64(words[w]);
   }
+  return true;
 }
 
-Result<vm::CoverageBitmap> DecodeBitmap(Reader& r) {
+bool Fields(Reader& io, vm::CoverageBitmap& bitmap) {
   uint64_t bits = 0;
   uint32_t count = 0;
-  if (!r.U64(&bits) || !r.U32(&count)) return Err("wire: truncated bitmap");
+  if (!io.U64(bits) || !io.U32(count)) return false;
   // A bitmap covers one module's code section; cap it before allocating so
   // a hostile peer cannot size it.
-  if (bits > sso::kMaxCodeBytes) return Err("wire: bitmap too large");
+  if (bits > sso::kMaxCodeBytes) return io.Fail("bitmap too large");
   const uint64_t word_count = (bits + 63) / 64;
   // Each sent word costs 12 bytes: (index u32, word u64).
-  if (count > word_count || uint64_t{count} * 12 > r.size - r.pos) {
-    return Err("wire: truncated bitmap");
-  }
-  vm::CoverageBitmap bitmap(static_cast<size_t>(bits));
+  if (count > word_count) return io.Fail("bitmap word count above its size");
+  if (uint64_t{count} * 12 > io.left()) return io.Truncated();
+  bitmap = vm::CoverageBitmap(static_cast<size_t>(bits));
   uint64_t next = 0;  // smallest index the next word may carry
   for (uint32_t i = 0; i < count; ++i) {
     uint32_t index = 0;
     uint64_t word = 0;
-    if (!r.U32(&index) || !r.U64(&word)) return Err("wire: truncated bitmap");
+    if (!io.U32(index) || !io.U64(word)) return false;
     if (index < next || index >= word_count) {
-      return Err("wire: bitmap word index out of order or range");
+      return io.Fail("bitmap word index out of order or range");
     }
-    if (word == 0) return Err("wire: zero bitmap word");
+    if (word == 0) return io.Fail("zero bitmap word");
     if (index == word_count - 1 && bits % 64 != 0 &&
         (word >> (bits % 64)) != 0) {
-      return Err("wire: bitmap offset out of range");
+      return io.Fail("bitmap offset out of range");
     }
     bitmap.OrWord(index, word);
     next = uint64_t{index} + 1;
   }
-  return bitmap;
+  return true;
 }
 
-// -- scenario result ---------------------------------------------------------
-
-void EncodeResult(std::vector<uint8_t>& out,
-                  const campaign::ScenarioResult& result) {
-  PutU64(out, result.index);
-  PutStr(out, result.name);
-  PutU8(out, static_cast<uint8_t>(result.status));
-  PutI64(out, result.exit_code);
-  PutU8(out, static_cast<uint8_t>(result.signal));
-  PutStr(out, result.fault_message);
-  PutU64(out, result.injections);
-  PutU64(out, result.instructions);
-  PutF64(out, result.seconds);
-  PutU64(out, result.covered_offsets);
-  PutU32(out, static_cast<uint32_t>(result.covered_by_module.size()));
-  for (const auto& [mod, n] : result.covered_by_module) {
-    PutStr(out, mod);
-    PutU64(out, n);
-  }
-  PutU32(out, static_cast<uint32_t>(result.coverage.size()));
-  for (const auto& [mod, bitmap] : result.coverage) {
-    PutStr(out, mod);
-    EncodeBitmap(out, bitmap);
-  }
-  PutU32(out, static_cast<uint32_t>(result.fault_frames.size()));
-  for (const std::string& frame : result.fault_frames) PutStr(out, frame);
-  PutU64(out, result.crash_site_hash);
-  PutU64(out, result.crash_hash);
-  EncodePlan(out, result.replay);
-  PutU64(out, result.first_injection_instructions);
-  PutU8(out, result.snapshot_fallback ? 1 : 0);
-  PutU64(out, result.restore_pages);
-  PutU64(out, result.restore_nodes_walked);
-  PutU64(out, result.state_digest);
-  PutU32(out, result.seu_landed);
+template <class Io, Is<campaign::ScenarioResult> R>
+bool Fields(Io& io, R& r) {
+  return io.U64(r.index) && io.Str(r.name) &&
+         io.Enum(r.status, campaign::ScenarioStatus::SetupError) &&
+         io.I64(r.exit_code) && io.Enum(r.signal, vm::Signal::Ill) &&
+         io.Str(r.fault_message) && io.U64(r.injections) &&
+         io.U64(r.instructions) && io.F64(r.seconds) &&
+         io.U64(r.covered_offsets) &&
+         io.Seq(r.covered_by_module,
+                [](auto& io, auto& kv) {
+                  return io.Str(kv.first) && io.U64(kv.second);
+                }) &&
+         io.Seq(r.coverage, kNamedBitmap) && io.Seq(r.fault_frames, kStr) &&
+         io.U64(r.crash_site_hash) && io.U64(r.crash_hash) &&
+         Fields(io, r.replay) && io.U64(r.first_injection_instructions) &&
+         io.Bool(r.snapshot_fallback) && io.U64(r.restore_pages) &&
+         io.U64(r.restore_nodes_walked) && io.U64(r.state_digest) &&
+         io.U32(r.seu_landed);
 }
 
-Result<campaign::ScenarioResult> DecodeResult(Reader& r) {
-  campaign::ScenarioResult res;
-  uint64_t index = 0;
-  uint8_t status = 0, signal = 0, snapshot_fallback = 0;
-  uint32_t n = 0;
-  if (!r.U64(&index) || !r.Str(&res.name) || !r.U8(&status) ||
-      !r.I64(&res.exit_code) || !r.U8(&signal) || !r.Str(&res.fault_message) ||
-      !r.U64(&res.injections) || !r.U64(&res.instructions) ||
-      !r.F64(&res.seconds) || !r.U64(&res.covered_offsets)) {
-    return Err("wire: truncated result");
-  }
-  if (status > static_cast<uint8_t>(campaign::ScenarioStatus::SetupError) ||
-      signal > static_cast<uint8_t>(vm::Signal::Ill)) {
-    return Err("wire: bad result enum");
-  }
-  res.index = static_cast<size_t>(index);
-  res.status = static_cast<campaign::ScenarioStatus>(status);
-  res.signal = static_cast<vm::Signal>(signal);
-  if (!r.U32(&n) || !PlausibleCount(r, n)) return Err("wire: truncated result");
-  for (uint32_t i = 0; i < n; ++i) {
-    std::string mod;
-    uint64_t count = 0;
-    if (!r.Str(&mod) || !r.U64(&count)) return Err("wire: truncated result");
-    res.covered_by_module[mod] = static_cast<size_t>(count);
-  }
-  if (!r.U32(&n) || !PlausibleCount(r, n)) return Err("wire: truncated result");
-  for (uint32_t i = 0; i < n; ++i) {
-    std::string mod;
-    if (!r.Str(&mod)) return Err("wire: truncated result");
-    auto bitmap = DecodeBitmap(r);
-    if (!bitmap.ok()) return Err(bitmap.error());
-    res.coverage.emplace(std::move(mod), std::move(bitmap).take());
-  }
-  if (!r.U32(&n) || !PlausibleCount(r, n)) return Err("wire: truncated result");
-  for (uint32_t i = 0; i < n; ++i) {
-    std::string frame;
-    if (!r.Str(&frame)) return Err("wire: truncated result");
-    res.fault_frames.push_back(std::move(frame));
-  }
-  if (!r.U64(&res.crash_site_hash) || !r.U64(&res.crash_hash)) {
-    return Err("wire: truncated result");
-  }
-  auto replay = DecodePlan(r);
-  if (!replay.ok()) return Err(replay.error());
-  res.replay = std::move(replay).take();
-  if (!r.U64(&res.first_injection_instructions) || !r.U8(&snapshot_fallback) ||
-      !r.U64(&res.restore_pages) || !r.U64(&res.restore_nodes_walked) ||
-      !r.U64(&res.state_digest) || !r.U32(&res.seu_landed)) {
-    return Err("wire: truncated result");
-  }
-  res.snapshot_fallback = snapshot_fallback != 0;
-  return res;
+// A profile travels as its canonical XML and is parsed on arrival.
+bool Fields(Writer& io, const core::FaultProfile& profile) {
+  return io.Str(profile.ToXml());
 }
 
-// -- messages ----------------------------------------------------------------
-
-std::vector<uint8_t> EncodeConfigure(const ConfigureMsg& msg) {
-  std::vector<uint8_t> out;
-  PutU32(out, static_cast<uint32_t>(msg.target.modules.size()));
-  for (const std::vector<uint8_t>& mod : msg.target.modules) {
-    PutBytes(out, mod);
-  }
-  PutU32(out, static_cast<uint32_t>(msg.target.files.size()));
-  for (const auto& [path, contents] : msg.target.files) {
-    PutStr(out, path);
-    PutBytes(out, contents);
-  }
-  PutU32(out, static_cast<uint32_t>(msg.target.ports.size()));
-  for (int64_t port : msg.target.ports) PutI64(out, port);
-  PutU32(out, static_cast<uint32_t>(msg.profiles.size()));
-  for (const core::FaultProfile& profile : msg.profiles) {
-    PutStr(out, profile.ToXml());
-  }
-  EncodeOptions(out, msg.options);
-  return out;
+bool Fields(Reader& io, core::FaultProfile& profile) {
+  std::string xml;
+  if (!io.Str(xml)) return false;
+  auto parsed = core::FaultProfile::FromXml(xml);
+  if (!parsed.ok()) return io.Fail("configure profile: " + parsed.error());
+  profile = std::move(parsed).take();
+  return true;
 }
 
-Result<ConfigureMsg> DecodeConfigure(const std::vector<uint8_t>& payload) {
-  Reader r(payload);
-  ConfigureMsg msg;
-  uint32_t n = 0;
-  if (!r.U32(&n) || !PlausibleCount(r, n)) return Err("wire: bad configure");
+template <class Io, Is<HelloMsg> M>
+bool Fields(Io& io, M& m) {
+  return io.U32(m.version);
+}
+
+template <class Io, Is<ErrorMsg> M>
+bool Fields(Io& io, M& m) {
+  return io.Str(m.message);
+}
+
+template <class Io, Is<ConfigureMsg> M>
+bool Fields(Io& io, M& m) {
+  return io.Seq(m.target.modules, kBytes) &&
+         io.Seq(m.target.files,
+                [](auto& io, auto& file) {
+                  return io.Str(file.first) && io.Bytes(file.second);
+                }) &&
+         io.Seq(m.target.ports, kI64) && io.Seq(m.profiles, kFields) &&
+         Fields(io, m.options);
+}
+
+template <class Io, Is<BatchMsg> M>
+bool Fields(Io& io, M& m) {
+  // One count for the two parallel vectors: (index u64, scenario) each.
+  uint32_t n = static_cast<uint32_t>(m.scenarios.size());
+  if (!io.Count(n)) return false;
   for (uint32_t i = 0; i < n; ++i) {
-    std::vector<uint8_t> mod;
-    if (!r.Bytes(&mod)) return Err("wire: bad configure module");
-    msg.target.modules.push_back(std::move(mod));
-  }
-  if (!r.U32(&n) || !PlausibleCount(r, n)) return Err("wire: bad configure");
-  for (uint32_t i = 0; i < n; ++i) {
-    std::string path;
-    std::vector<uint8_t> contents;
-    if (!r.Str(&path) || !r.Bytes(&contents)) {
-      return Err("wire: bad configure file");
+    if constexpr (Io::kReading) {
+      m.indices.emplace_back();
+      m.scenarios.emplace_back();
     }
-    msg.target.files.emplace_back(std::move(path), std::move(contents));
+    if (!io.U64(m.indices[i]) || !Fields(io, m.scenarios[i])) return false;
   }
-  if (!r.U32(&n) || !PlausibleCount(r, n)) return Err("wire: bad configure");
-  for (uint32_t i = 0; i < n; ++i) {
-    int64_t port = 0;
-    if (!r.I64(&port)) return Err("wire: bad configure port");
-    msg.target.ports.push_back(port);
-  }
-  if (!r.U32(&n) || !PlausibleCount(r, n)) return Err("wire: bad configure");
-  for (uint32_t i = 0; i < n; ++i) {
-    std::string xml;
-    if (!r.Str(&xml)) return Err("wire: bad configure profile");
-    auto profile = core::FaultProfile::FromXml(xml);
-    if (!profile.ok()) {
-      return Err("wire: configure profile: " + profile.error());
-    }
-    msg.profiles.push_back(std::move(profile).take());
-  }
-  auto options = DecodeOptions(r);
-  if (!options.ok()) return Err(options.error());
-  msg.options = std::move(options).take();
-  if (!r.AtEnd()) return Err("wire: trailing bytes in configure");
-  return msg;
+  return true;
 }
 
-std::vector<uint8_t> EncodeBatch(const BatchMsg& msg) {
+template <class Io, Is<BatchResultMsg> M>
+bool Fields(Io& io, M& m) {
+  return io.Seq(m.results, kFields) && io.Seq(m.coverage, kNamedBitmap);
+}
+
+}  // namespace
+
+template <class T>
+std::vector<uint8_t> Encode(const T& value) {
   std::vector<uint8_t> out;
-  PutU32(out, static_cast<uint32_t>(msg.scenarios.size()));
-  for (size_t i = 0; i < msg.scenarios.size(); ++i) {
-    PutU64(out, msg.indices[i]);
-    EncodeScenario(out, msg.scenarios[i]);
-  }
+  Writer writer(out);
+  Fields(writer, value);
   return out;
 }
 
-Result<BatchMsg> DecodeBatch(const std::vector<uint8_t>& payload) {
-  Reader r(payload);
-  BatchMsg msg;
-  uint32_t n = 0;
-  if (!r.U32(&n) || !PlausibleCount(r, n)) return Err("wire: bad batch");
-  for (uint32_t i = 0; i < n; ++i) {
-    uint64_t index = 0;
-    if (!r.U64(&index)) return Err("wire: bad batch index");
-    auto scenario = DecodeScenario(r);
-    if (!scenario.ok()) return Err(scenario.error());
-    msg.indices.push_back(index);
-    msg.scenarios.push_back(std::move(scenario).take());
-  }
-  if (!r.AtEnd()) return Err("wire: trailing bytes in batch");
-  return msg;
+template <class T>
+Result<T> Decode(const std::vector<uint8_t>& payload) {
+  Reader reader(payload);
+  T value;
+  if (!Fields(reader, value)) return Err("wire: " + reader.error());
+  if (!reader.AtEnd()) return Err("wire: trailing bytes after payload");
+  return value;
 }
 
-std::vector<uint8_t> EncodeBatchResult(const BatchResultMsg& msg) {
-  std::vector<uint8_t> out;
-  PutU32(out, static_cast<uint32_t>(msg.results.size()));
-  for (const campaign::ScenarioResult& res : msg.results) {
-    EncodeResult(out, res);
-  }
-  PutU32(out, static_cast<uint32_t>(msg.coverage.size()));
-  for (const auto& [mod, bitmap] : msg.coverage) {
-    PutStr(out, mod);
-    EncodeBitmap(out, bitmap);
-  }
-  return out;
-}
-
-Result<BatchResultMsg> DecodeBatchResult(const std::vector<uint8_t>& payload) {
-  Reader r(payload);
-  BatchResultMsg msg;
-  uint32_t n = 0;
-  if (!r.U32(&n) || !PlausibleCount(r, n)) return Err("wire: bad batch result");
-  for (uint32_t i = 0; i < n; ++i) {
-    auto res = DecodeResult(r);
-    if (!res.ok()) return Err(res.error());
-    msg.results.push_back(std::move(res).take());
-  }
-  if (!r.U32(&n) || !PlausibleCount(r, n)) return Err("wire: bad batch result");
-  for (uint32_t i = 0; i < n; ++i) {
-    std::string mod;
-    if (!r.Str(&mod)) return Err("wire: bad batch result");
-    auto bitmap = DecodeBitmap(r);
-    if (!bitmap.ok()) return Err(bitmap.error());
-    msg.coverage.emplace_back(std::move(mod), std::move(bitmap).take());
-  }
-  if (!r.AtEnd()) return Err("wire: trailing bytes in batch result");
-  return msg;
-}
+#define LFI_WIRE_TYPE(T)                                   \
+  template std::vector<uint8_t> Encode<T>(const T&);       \
+  template Result<T> Decode<T>(const std::vector<uint8_t>&);
+LFI_WIRE_TYPE(HelloMsg)
+LFI_WIRE_TYPE(ErrorMsg)
+LFI_WIRE_TYPE(ConfigureMsg)
+LFI_WIRE_TYPE(BatchMsg)
+LFI_WIRE_TYPE(BatchResultMsg)
+#undef LFI_WIRE_TYPE
 
 // -- machine setup from a spec -----------------------------------------------
 
@@ -699,9 +545,10 @@ Status ReadAll(int fd, uint8_t* data, size_t size,
 
 void AppendFrame(std::vector<uint8_t>& out, MsgType type,
                  const std::vector<uint8_t>& payload) {
-  PutU32(out, kWireMagic);
-  PutU8(out, static_cast<uint8_t>(type));
-  PutU32(out, static_cast<uint32_t>(payload.size()));
+  Writer header(out);
+  header.U32(kWireMagic);
+  header.U8(static_cast<uint8_t>(type));
+  header.U32(static_cast<uint32_t>(payload.size()));
   out.insert(out.end(), payload.begin(), payload.end());
 }
 
@@ -727,9 +574,9 @@ Result<Frame> ReadFrame(int fd, int timeout_ms) {
   Reader r(buf);
   uint32_t magic = 0, length = 0;
   uint8_t type = 0;
-  r.U32(&magic);
-  r.U8(&type);
-  r.U32(&length);
+  r.U32(magic);
+  r.U8(type);
+  r.U32(length);
   if (magic != kWireMagic) return Err("wire: bad magic");
   if (type < static_cast<uint8_t>(MsgType::Hello) ||
       type > static_cast<uint8_t>(MsgType::Shutdown)) {

@@ -84,57 +84,23 @@ struct TargetSpec {
 /// local-fallback runner, so "who executed it" cannot change the machine.
 Result<campaign::MachineSetup> MakeSetup(const TargetSpec& spec);
 
-// -- payload encoding --------------------------------------------------------
-// Encode* appends to `out`; Decode* reads from a cursor and fails (Status /
-// Result error) on truncated or malformed input instead of asserting —
-// frames come from the network.
+// -- payloads ----------------------------------------------------------------
+// Each wire type is described once, by a field visitor in wire.cpp that a
+// writer and a reader both instantiate, so the directions cannot drift. The
+// reader owns every check: count caps, enum maxima, option flag bits, 0/1
+// bools, and checked narrowing (an i64 that does not fit its field is an
+// error, never a wrap). Every plan it decodes, batch scenario or result
+// replay, must pass core::ValidatePlan, as every XML plan must.
 
-/// Cursor over a received payload.
-struct Reader {
-  const uint8_t* data = nullptr;
-  size_t size = 0;
-  size_t pos = 0;
-
-  explicit Reader(const std::vector<uint8_t>& buf)
-      : data(buf.data()), size(buf.size()) {}
-
-  bool U8(uint8_t* v);
-  bool U32(uint32_t* v);
-  bool U64(uint64_t* v);
-  bool I64(int64_t* v);
-  bool F64(double* v);  // exact bit pattern
-  bool Str(std::string* v);
-  bool Bytes(std::vector<uint8_t>* v);
-  /// All input consumed? Decoders check this so trailing garbage is an
-  /// error, not silently ignored.
-  bool AtEnd() const { return pos == size; }
+/// Hello payload, both directions: the sender's protocol version.
+struct HelloMsg {
+  uint32_t version = kWireVersion;
 };
 
-void PutU8(std::vector<uint8_t>& out, uint8_t v);
-void PutU32(std::vector<uint8_t>& out, uint32_t v);
-void PutU64(std::vector<uint8_t>& out, uint64_t v);
-void PutI64(std::vector<uint8_t>& out, int64_t v);
-void PutF64(std::vector<uint8_t>& out, double v);  // exact bit pattern
-void PutStr(std::vector<uint8_t>& out, const std::string& v);
-void PutBytes(std::vector<uint8_t>& out, const std::vector<uint8_t>& v);
-
-void EncodePlan(std::vector<uint8_t>& out, const core::Plan& plan);
-Result<core::Plan> DecodePlan(Reader& r);
-
-void EncodeScenario(std::vector<uint8_t>& out,
-                    const campaign::Scenario& scenario);
-Result<campaign::Scenario> DecodeScenario(Reader& r);
-
-void EncodeOptions(std::vector<uint8_t>& out,
-                   const campaign::CampaignOptions& options);
-Result<campaign::CampaignOptions> DecodeOptions(Reader& r);
-
-void EncodeBitmap(std::vector<uint8_t>& out, const vm::CoverageBitmap& bitmap);
-Result<vm::CoverageBitmap> DecodeBitmap(Reader& r);
-
-void EncodeResult(std::vector<uint8_t>& out,
-                  const campaign::ScenarioResult& result);
-Result<campaign::ScenarioResult> DecodeResult(Reader& r);
+/// Error payload, worker -> coordinator.
+struct ErrorMsg {
+  std::string message;
+};
 
 /// Configure payload: target spec + fault profiles (canonical XML — the
 /// profile format carries no floating point) + campaign options.
@@ -143,16 +109,12 @@ struct ConfigureMsg {
   std::vector<core::FaultProfile> profiles;
   campaign::CampaignOptions options;
 };
-std::vector<uint8_t> EncodeConfigure(const ConfigureMsg& msg);
-Result<ConfigureMsg> DecodeConfigure(const std::vector<uint8_t>& payload);
 
 /// RunBatch payload: scenarios tagged with their campaign-global indices.
 struct BatchMsg {
   std::vector<uint64_t> indices;  // parallel to `scenarios`
   std::vector<campaign::Scenario> scenarios;
 };
-std::vector<uint8_t> EncodeBatch(const BatchMsg& msg);
-Result<BatchMsg> DecodeBatch(const std::vector<uint8_t>& payload);
 
 /// BatchResult payload: one ScenarioResult per batch scenario (its .index
 /// already global) plus the batch's union coverage per module name.
@@ -160,8 +122,30 @@ struct BatchResultMsg {
   std::vector<campaign::ScenarioResult> results;
   std::vector<std::pair<std::string, vm::CoverageBitmap>> coverage;
 };
-std::vector<uint8_t> EncodeBatchResult(const BatchResultMsg& msg);
-Result<BatchResultMsg> DecodeBatchResult(const std::vector<uint8_t>& payload);
+
+/// Encode one message payload (any of the *Msg structs above).
+template <class T>
+std::vector<uint8_t> Encode(const T& value);
+
+/// Decode one message payload. Fails (never asserts) on truncated,
+/// malformed, or trailing input — payloads come from the network.
+template <class T>
+Result<T> Decode(const std::vector<uint8_t>& payload);
+
+// Named forms of Encode/Decode for the batch messages.
+inline std::vector<uint8_t> EncodeBatch(const BatchMsg& msg) {
+  return Encode(msg);
+}
+inline Result<BatchMsg> DecodeBatch(const std::vector<uint8_t>& payload) {
+  return Decode<BatchMsg>(payload);
+}
+inline std::vector<uint8_t> EncodeBatchResult(const BatchResultMsg& msg) {
+  return Encode(msg);
+}
+inline Result<BatchResultMsg> DecodeBatchResult(
+    const std::vector<uint8_t>& payload) {
+  return Decode<BatchResultMsg>(payload);
+}
 
 // -- frame I/O ---------------------------------------------------------------
 

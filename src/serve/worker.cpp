@@ -22,9 +22,7 @@ namespace lfi::serve {
 namespace {
 
 Status SendError(int fd, const std::string& message) {
-  std::vector<uint8_t> payload;
-  PutStr(payload, message);
-  return WriteFrame(fd, MsgType::Error, payload);
+  return WriteFrame(fd, MsgType::Error, Encode(ErrorMsg{message}));
 }
 
 }  // namespace
@@ -96,16 +94,15 @@ Status WorkerServer::ServeConnection(int fd) {
     }
     switch (frame.value().type) {
       case MsgType::Hello: {
-        std::vector<uint8_t> payload;
-        PutU32(payload, kWireVersion);
-        if (auto st = WriteFrame(fd, MsgType::Hello, payload); !st.ok()) {
+        if (auto st = WriteFrame(fd, MsgType::Hello, Encode(HelloMsg{}));
+            !st.ok()) {
           outcome = st;
           goto done;
         }
         break;
       }
       case MsgType::Configure: {
-        auto msg = DecodeConfigure(frame.value().payload);
+        auto msg = Decode<ConfigureMsg>(frame.value().payload);
         if (!msg.ok()) {
           (void)SendError(fd, msg.error());
           outcome = Err(msg.error());

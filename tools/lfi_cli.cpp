@@ -536,7 +536,7 @@ std::vector<Flag> ExecFlags(Command command, ExecArgs& a) {
        {"--profile", "xml", Append(&a.profile_paths)}},
       {kAllCommands, {"--seed", "n", Count("--seed", &a.seed)}},
       {kAllCommands,
-       {"--jobs", "N", Count("--jobs", &a.opts.jobs, 1'000'000)}},
+       {"--jobs", "N", Count("--jobs", &a.opts.jobs, campaign::kMaxJobs)}},
       {kAllCommands,
        {"--warmup", "instructions",
         Count("--warmup", &a.opts.warmup_instructions)}},
@@ -660,7 +660,7 @@ Dispatch BuildDispatch(const FabricSpec& fspec, const TargetImage& target,
 std::vector<Flag> ServeFlags(serve::WorkerConfig& config, bool& once) {
   return {
       {"--port", "N", Count("--port", &config.port, 65535)},
-      {"--jobs", "N", Count("--jobs", &config.jobs, 1'000'000)},
+      {"--jobs", "N", Count("--jobs", &config.jobs, campaign::kMaxJobs)},
       {"--once", nullptr, Set(&once)},
       // Deterministic crash hook for tests/CI: hard-close the connection
       // after N scenarios, like a kill -9 at a reproducible instant.
