@@ -33,14 +33,16 @@ const Region* AddressSpace::find(uint64_t addr, uint64_t len) const {
 bool AddressSpace::read(uint64_t addr, void* out, uint64_t len) const {
   const Region* r = find(addr, len);
   if (!r) return false;
-  std::memcpy(out, r->backing + (addr - r->base), len);
+  if (len != 0) std::memcpy(out, r->backing + (addr - r->base), len);
   return true;
 }
 
 bool AddressSpace::write(uint64_t addr, const void* src, uint64_t len) {
   const Region* r = find(addr, len);
   if (!r || !r->writable) return false;
-  std::memcpy(const_cast<uint8_t*>(r->backing) + (addr - r->base), src, len);
+  if (len != 0) {
+    std::memcpy(const_cast<uint8_t*>(r->backing) + (addr - r->base), src, len);
+  }
   if (r->dirty) r->dirty->Mark(addr - r->base, len);
   return true;
 }

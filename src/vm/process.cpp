@@ -217,7 +217,7 @@ LFI_ALWAYS_INLINE bool Process::PopT(int64_t* v) {
 
 bool Process::read_mem(uint64_t addr, void* out, uint64_t len) {
   if (const uint8_t* p = FastMemPtr(addr, len, /*for_write=*/false)) {
-    std::memcpy(out, p, len);
+    if (len != 0) std::memcpy(out, p, len);
     return true;
   }
   return space_.read(addr, out, len);
@@ -225,7 +225,7 @@ bool Process::read_mem(uint64_t addr, void* out, uint64_t len) {
 
 bool Process::write_mem(uint64_t addr, const void* src, uint64_t len) {
   if (uint8_t* p = FastMemPtr(addr, len, /*for_write=*/true)) {
-    std::memcpy(p, src, len);
+    if (len != 0) std::memcpy(p, src, len);
     return true;
   }
   return space_.write(addr, src, len);

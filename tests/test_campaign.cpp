@@ -1,12 +1,12 @@
-// Campaign engine tests: determinism across worker counts, report
-// aggregation, and machine reset/reuse.
+// Campaign engine tests: report aggregation, crash triage fields, and
+// machine reset/reuse. Report identity across jobs counts, engines,
+// snapshot modes and the fabric is test_matrix's.
 #include <gtest/gtest.h>
 
 #include <atomic>
 
 #include "apps/workloads.hpp"
 #include "campaign/runner.hpp"
-#include "core/scenario_gen.hpp"
 #include "isa/codebuilder.hpp"
 #include "libc/libc_builder.hpp"
 #include "test_helpers.hpp"
@@ -16,44 +16,8 @@ namespace {
 
 using isa::CodeBuilder;
 using isa::Reg;
-
-/// A demo target with an unchecked read(): open /cfg, read 64 bytes,
-/// abort on a negative count (the classic LFI victim).
-sso::SharedObject BuildReaderApp() {
-  CodeBuilder b;
-  uint32_t path = b.emit_data({'/', 'c', 'f', 'g', 0});
-  uint32_t buf = b.reserve_data(128);
-  b.begin_function("main");
-  b.sub_ri(Reg::SP, 16);
-  b.mov_ri(Reg::R2, libc::O_RDONLY);
-  b.lea_data(Reg::R1, static_cast<int32_t>(path));
-  b.push(Reg::R2);
-  b.push(Reg::R1);
-  b.call_sym("open");
-  b.add_ri(Reg::SP, 16);
-  b.store(Reg::BP, -8, Reg::R0);
-  b.load(Reg::R1, Reg::BP, -8);
-  b.lea_data(Reg::R2, static_cast<int32_t>(buf));
-  b.mov_ri(Reg::R3, 64);
-  b.push(Reg::R3);
-  b.push(Reg::R2);
-  b.push(Reg::R1);
-  b.call_sym("read");
-  b.add_ri(Reg::SP, 24);
-  auto ok = b.new_label();
-  b.cmp_ri(Reg::R0, 0);
-  b.jge(ok);
-  b.call_sym("abort");
-  b.bind(ok);
-  b.load(Reg::R1, Reg::BP, -8);
-  b.push(Reg::R1);
-  b.call_sym("close");
-  b.add_ri(Reg::SP, 8);
-  b.mov_ri(Reg::R0, 0);
-  b.leave_ret();
-  b.end_function();
-  return sso::FromCodeUnit("readerapp.so", b.Finish(), {libc::kLibcName});
-}
+using test::RandomScenarios;
+using test::ReaderSetup;
 
 /// Appends 8 bytes to /log and exits with the resulting file size — a
 /// canary for state leaking between scenarios on a reused machine.
@@ -98,28 +62,6 @@ sso::SharedObject BuildAppenderApp() {
   return sso::FromCodeUnit("appender.so", b.Finish(), {libc::kLibcName});
 }
 
-MachineSetup ReaderSetup() {
-  auto libc_so = std::make_shared<const sso::SharedObject>(libc::BuildLibc());
-  auto app = std::make_shared<const sso::SharedObject>(BuildReaderApp());
-  return [libc_so, app](vm::Machine& machine) {
-    machine.Load(*libc_so);
-    machine.Load(*app);
-    machine.kernel().add_file("/cfg", std::vector<uint8_t>(64, 'x'));
-  };
-}
-
-std::vector<Scenario> RandomScenarios(size_t count, double p, uint64_t base) {
-  const std::vector<core::FaultProfile>& profiles = apps::LibcProfiles();
-  std::vector<Scenario> scenarios;
-  for (size_t i = 0; i < count; ++i) {
-    Scenario s;
-    s.name = "s" + std::to_string(i);
-    s.plan = core::GenerateRandom(profiles, p, DeriveSeed(base, i));
-    scenarios.push_back(std::move(s));
-  }
-  return scenarios;
-}
-
 CampaignReport RunReaderCampaign(const std::vector<Scenario>& scenarios,
                                  int jobs) {
   CampaignOptions opts;
@@ -127,69 +69,6 @@ CampaignReport RunReaderCampaign(const std::vector<Scenario>& scenarios,
   opts.track_coverage = true;
   CampaignRunner runner(ReaderSetup(), apps::LibcProfiles(), opts);
   return runner.Run(scenarios);
-}
-
-void ExpectSameResults(const CampaignReport& a, const CampaignReport& b) {
-  ASSERT_EQ(a.results.size(), b.results.size());
-  for (size_t i = 0; i < a.results.size(); ++i) {
-    const ScenarioResult& ra = a.results[i];
-    const ScenarioResult& rb = b.results[i];
-    EXPECT_EQ(ra.index, rb.index) << "scenario " << i;
-    EXPECT_EQ(ra.status, rb.status) << "scenario " << i;
-    EXPECT_EQ(ra.injections, rb.injections) << "scenario " << i;
-    EXPECT_EQ(ra.exit_code, rb.exit_code) << "scenario " << i;
-    EXPECT_EQ(ra.instructions, rb.instructions) << "scenario " << i;
-    EXPECT_EQ(ra.covered_offsets, rb.covered_offsets) << "scenario " << i;
-    EXPECT_EQ(ra.covered_by_module, rb.covered_by_module) << "scenario " << i;
-    EXPECT_EQ(ra.signal, rb.signal) << "scenario " << i;
-    EXPECT_EQ(ra.crash_hash, rb.crash_hash) << "scenario " << i;
-    EXPECT_EQ(ra.crash_site_hash, rb.crash_site_hash) << "scenario " << i;
-    EXPECT_EQ(ra.fault_frames, rb.fault_frames) << "scenario " << i;
-  }
-  EXPECT_EQ(a.coverage, b.coverage);
-  EXPECT_EQ(a.crashes, b.crashes);
-  EXPECT_EQ(a.total_injections, b.total_injections);
-}
-
-// Same scenario set, any worker count: bit-identical per-scenario results.
-// This is the --jobs 1 vs --jobs 8 acceptance check; jobs=3 does not
-// divide the set, so the slots run unequal scenario counts.
-TEST(Campaign, DeterministicAcrossJobCounts) {
-  std::vector<Scenario> scenarios = RandomScenarios(64, 0.3, 42);
-  CampaignReport serial = RunReaderCampaign(scenarios, 1);
-  CampaignReport parallel = RunReaderCampaign(scenarios, 8);
-  CampaignReport uneven = RunReaderCampaign(scenarios, 3);
-
-  // The set must actually exercise injection paths for this to mean much.
-  EXPECT_GT(serial.total_injections, 0u);
-  EXPECT_GT(serial.crashes, 0u);
-  ExpectSameResults(serial, parallel);
-  ExpectSameResults(serial, uneven);
-}
-
-// The merged union coverage must be bit-identical for 1 vs. N workers:
-// per-slot bitmaps are OR-merged after the join, and OR is
-// order-independent. This is the --jobs acceptance check for coverage.
-TEST(Campaign, MergedCoverageIdenticalAcrossJobCounts) {
-  std::vector<Scenario> scenarios = RandomScenarios(24, 0.3, 11);
-  CampaignReport serial = RunReaderCampaign(scenarios, 1);
-  CampaignReport parallel = RunReaderCampaign(scenarios, 4);
-  CampaignReport three = RunReaderCampaign(scenarios, 3);
-
-  // Coverage must actually exist for the comparison to mean anything.
-  ASSERT_FALSE(serial.coverage.empty());
-  size_t union_offsets = 0;
-  for (const auto& [name, bitmap] : serial.coverage) {
-    union_offsets += bitmap.Count();
-  }
-  EXPECT_GT(union_offsets, 0u);
-  // The app module's bitmap is populated, not just libc's.
-  auto app_it = serial.coverage.find("readerapp.so");
-  ASSERT_NE(app_it, serial.coverage.end());
-  EXPECT_GT(app_it->second.Count(), 0u);
-
-  EXPECT_EQ(serial.coverage, parallel.coverage);
-  EXPECT_EQ(serial.coverage, three.coverage);
 }
 
 // The per-module coverage breakdown must account for every covered

@@ -3,18 +3,18 @@
 // to the reference decode-per-step path (ExecMode::Reference), the
 // semantic oracle.
 //
-//   - db-suite and Pidgin runs: instruction counts (including the
-//     first-injection instant a native stub reads mid-span), exits,
-//     faults, coverage bitmaps, injection logs, and replay XML equal
-//     across both engines;
-//   - a fork-windows exploration, whose windows derive from those
-//     first-injection instants, reports identically on both engines;
+//   - db-suite runs: instruction counts (including the first-injection
+//     instant a native stub reads mid-span), exits, faults, coverage
+//     bitmaps, formatted injection logs, and replay XML equal across both
+//     engines;
 //   - a snapshot taken mid-segment (the warmup's last instruction falls
 //     through) restores the exact instruction counter and coverage;
 //   - code-cache lifecycle: the decoded streams survive interposition
 //     reinstall, Machine::Reset, and post-run module loads.
 //
-// Synthetic-program fuzzing lives in test_superblock.cpp.
+// Whole campaigns and explorations (fork windows included) on both engines
+// are test_matrix's rows; synthetic-program fuzzing lives in
+// test_superblock.cpp.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -22,12 +22,8 @@
 #include <vector>
 
 #include "apps/dbserver.hpp"
-#include "apps/pidgin.hpp"
 #include "apps/workloads.hpp"
-#include "campaign/explorer.hpp"
-#include "campaign/runner.hpp"
 #include "core/controller.hpp"
-#include "core/faultloads.hpp"
 #include "core/scenario_gen.hpp"
 #include "libc/libc_builder.hpp"
 #include "test_helpers.hpp"
@@ -121,81 +117,6 @@ TEST(ExecDiff, DbSuiteIdenticalAcrossEngines) {
     ExpectIdentical(sb, ref);
     EXPECT_GT(sb.total_instructions, 0u);
     EXPECT_GT(ref.first_injection_instructions, 0u);
-  }
-}
-
-/// Pidgin under the paper's scenario (random I/O faults, p=0.1), run the
-/// way `lfi campaign --exec` runs it: a warm PlanRunner on `mode`.
-campaign::PlanRunner PidginRunner(vm::ExecMode mode) {
-  campaign::CampaignOptions opts;
-  opts.exec_mode = mode;
-  opts.entry = apps::kPidginEntry;
-  opts.default_heap_cap = 1 << 20;  // so the huge bogus malloc() fails
-  opts.collect_replays = true;
-  return campaign::PlanRunner(
-      apps::PidginMachineSetup(),
-      std::make_shared<const std::vector<core::FaultProfile>>(
-          apps::LibcProfiles()),
-      opts);
-}
-
-TEST(ExecDiff, PidginScenarioIdenticalAcrossEngines) {
-  campaign::PlanRunner ref_runner = PidginRunner(vm::ExecMode::Reference);
-  campaign::PlanRunner fast_runner = PidginRunner(vm::ExecMode::Superblock);
-  auto aborted = [](const campaign::ScenarioResult& r) {
-    return r.status == campaign::ScenarioStatus::Crashed &&
-           r.signal == vm::Signal::Abort;
-  };
-  bool any_abort = false;
-  for (uint64_t seed = 1; seed <= 6; ++seed) {
-    SCOPED_TRACE("seed=" + std::to_string(seed));
-    core::Plan plan = core::FileIoFaultload(apps::LibcProfiles(), 0.1, seed);
-    campaign::ScenarioResult ref = ref_runner.Run(plan);
-    campaign::ScenarioResult fast = fast_runner.Run(plan);
-    EXPECT_EQ(aborted(fast), aborted(ref));
-    EXPECT_EQ(fast.status == campaign::ScenarioStatus::Deadlocked,
-              ref.status == campaign::ScenarioStatus::Deadlocked);
-    EXPECT_EQ(fast.exit_code, ref.exit_code);
-    EXPECT_EQ(fast.fault_message, ref.fault_message);
-    EXPECT_EQ(fast.first_injection_instructions,
-              ref.first_injection_instructions);
-    EXPECT_EQ(fast.injections, ref.injections);
-    EXPECT_EQ(fast.replay.ToXml(), ref.replay.ToXml());
-    any_abort |= aborted(ref);
-  }
-  // The bug should still fire somewhere in this seed range on both engines.
-  EXPECT_TRUE(any_abort);
-}
-
-/// Fork windows open each mutant's fault window at its parent's quantum-
-/// floored first-injection instant, so the whole exploration — rounds,
-/// corpus, crash windows — is only engine-invariant if both engines report
-/// that instant exactly.
-TEST(ExecDiff, DbSuiteForkWindowsExplorerIdenticalAcrossEngines) {
-  auto explore = [](vm::ExecMode mode) {
-    campaign::ExplorerOptions opts;
-    opts.rounds = 3;
-    opts.scenarios_per_round = 32;
-    opts.seed = 3;
-    opts.fork_windows = true;
-    opts.campaign.entry = apps::kDbTestEntry;
-    opts.campaign.jobs = 2;
-    opts.campaign.exec_mode = mode;
-    campaign::Explorer explorer(apps::DbSuiteMachineSetup(),
-                                apps::LibcProfiles(), opts);
-    return explorer.Explore();
-  };
-  campaign::ExplorerReport ref = explore(vm::ExecMode::Reference);
-  campaign::ExplorerReport sb = explore(vm::ExecMode::Superblock);
-  EXPECT_EQ(sb.ToText(), ref.ToText());
-  ASSERT_EQ(sb.corpus.size(), ref.corpus.size());
-  for (size_t i = 0; i < ref.corpus.size(); ++i) {
-    EXPECT_EQ(sb.corpus[i].ToXml(), ref.corpus[i].ToXml());
-  }
-  ASSERT_EQ(sb.crashes.size(), ref.crashes.size());
-  for (size_t i = 0; i < ref.crashes.size(); ++i) {
-    EXPECT_EQ(sb.crashes[i].window, ref.crashes[i].window);
-    EXPECT_EQ(sb.crashes[i].minimized.ToXml(), ref.crashes[i].minimized.ToXml());
   }
 }
 

@@ -1,7 +1,7 @@
-// Explorer tests: jobs-invariance of the whole exploration (union bitmap,
-// crash-hash set, minimized plans), the closed-loop-beats-open-loop
-// acceptance check on the Pidgin target, and crash triage/minimization
-// end to end on a small crashing target.
+// Explorer tests: the closed-loop-beats-open-loop acceptance check on the
+// Pidgin target, crash triage and minimization end to end on a small
+// crashing target, and the fitness seam. The exploration's identity across
+// jobs counts, engines, snapshot modes and the fabric is test_matrix's.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -16,62 +16,12 @@
 #include "campaign/explorer.hpp"
 #include "core/replay.hpp"
 #include "core/scenario_gen.hpp"
-#include "isa/codebuilder.hpp"
-#include "libc/libc_builder.hpp"
+#include "test_helpers.hpp"
 
 namespace lfi::campaign {
 namespace {
 
-using isa::CodeBuilder;
-using isa::Reg;
-
-/// A demo target with an unchecked read(): open /cfg, read 64 bytes,
-/// abort on a negative count (the classic LFI victim).
-sso::SharedObject BuildReaderApp() {
-  CodeBuilder b;
-  uint32_t path = b.emit_data({'/', 'c', 'f', 'g', 0});
-  uint32_t buf = b.reserve_data(128);
-  b.begin_function("main");
-  b.sub_ri(Reg::SP, 16);
-  b.mov_ri(Reg::R2, libc::O_RDONLY);
-  b.lea_data(Reg::R1, static_cast<int32_t>(path));
-  b.push(Reg::R2);
-  b.push(Reg::R1);
-  b.call_sym("open");
-  b.add_ri(Reg::SP, 16);
-  b.store(Reg::BP, -8, Reg::R0);
-  b.load(Reg::R1, Reg::BP, -8);
-  b.lea_data(Reg::R2, static_cast<int32_t>(buf));
-  b.mov_ri(Reg::R3, 64);
-  b.push(Reg::R3);
-  b.push(Reg::R2);
-  b.push(Reg::R1);
-  b.call_sym("read");
-  b.add_ri(Reg::SP, 24);
-  auto ok = b.new_label();
-  b.cmp_ri(Reg::R0, 0);
-  b.jge(ok);
-  b.call_sym("abort");
-  b.bind(ok);
-  b.load(Reg::R1, Reg::BP, -8);
-  b.push(Reg::R1);
-  b.call_sym("close");
-  b.add_ri(Reg::SP, 8);
-  b.mov_ri(Reg::R0, 0);
-  b.leave_ret();
-  b.end_function();
-  return sso::FromCodeUnit("readerapp.so", b.Finish(), {libc::kLibcName});
-}
-
-MachineSetup ReaderSetup() {
-  auto libc_so = std::make_shared<const sso::SharedObject>(libc::BuildLibc());
-  auto app = std::make_shared<const sso::SharedObject>(BuildReaderApp());
-  return [libc_so, app](vm::Machine& machine) {
-    machine.Load(*libc_so);
-    machine.Load(*app);
-    machine.kernel().add_file("/cfg", std::vector<uint8_t>(64, 'x'));
-  };
-}
+using test::ReaderSetup;
 
 ExplorerReport ExploreReader(int jobs, uint64_t seed) {
   ExplorerOptions opts;
@@ -82,71 +32,6 @@ ExplorerReport ExploreReader(int jobs, uint64_t seed) {
   opts.campaign.jobs = jobs;
   Explorer explorer(ReaderSetup(), apps::LibcProfiles(), opts);
   return explorer.Explore();
-}
-
-/// Directed-mode exploration of the reader target: CFG-distance fitness
-/// plus the feasible-only injection gate, with execution knobs exposed so
-/// the determinism matrix (jobs / engines / snapshot modes) can vary them.
-ExplorerReport ExploreReaderDirected(int jobs, uint64_t seed,
-                                     std::optional<vm::ExecMode> mode = {},
-                                     bool snapshot = false) {
-  ExplorerOptions opts;
-  opts.rounds = 3;
-  opts.scenarios_per_round = 10;
-  opts.seed = seed;
-  opts.seed_probability = 0.3;
-  opts.fitness = FitnessKind::CfgDistance;
-  opts.campaign.controller.feasible_only = true;
-  opts.campaign.jobs = jobs;
-  opts.campaign.exec_mode = mode;
-  opts.campaign.snapshot = snapshot;
-  Explorer explorer(ReaderSetup(), apps::LibcProfiles(), opts);
-  return explorer.Explore();
-}
-
-void ExpectSameExploration(const ExplorerReport& a, const ExplorerReport& b) {
-  // Union coverage: bit-identical per module.
-  EXPECT_EQ(a.coverage, b.coverage);
-  // Round stats: every jobs-invariant field.
-  ASSERT_EQ(a.rounds.size(), b.rounds.size());
-  for (size_t i = 0; i < a.rounds.size(); ++i) {
-    EXPECT_EQ(a.rounds[i].crashes, b.rounds[i].crashes) << "round " << i;
-    EXPECT_EQ(a.rounds[i].new_crash_buckets, b.rounds[i].new_crash_buckets);
-    EXPECT_EQ(a.rounds[i].winners, b.rounds[i].winners) << "round " << i;
-    EXPECT_EQ(a.rounds[i].new_offsets, b.rounds[i].new_offsets);
-    EXPECT_EQ(a.rounds[i].union_offsets, b.rounds[i].union_offsets);
-    EXPECT_EQ(a.rounds[i].corpus_size, b.rounds[i].corpus_size);
-  }
-  // Corpus: same plans in the same admission order.
-  ASSERT_EQ(a.corpus.size(), b.corpus.size());
-  for (size_t i = 0; i < a.corpus.size(); ++i) {
-    EXPECT_EQ(a.corpus[i].ToXml(), b.corpus[i].ToXml()) << "corpus " << i;
-  }
-  // Crashes: same buckets, same minimized reproducers.
-  ASSERT_EQ(a.crashes.size(), b.crashes.size());
-  for (size_t i = 0; i < a.crashes.size(); ++i) {
-    EXPECT_EQ(a.crashes[i].hash, b.crashes[i].hash) << "crash " << i;
-    EXPECT_EQ(a.crashes[i].site_hash, b.crashes[i].site_hash);
-    EXPECT_EQ(a.crashes[i].signature, b.crashes[i].signature);
-    EXPECT_EQ(a.crashes[i].count, b.crashes[i].count);
-    EXPECT_EQ(a.crashes[i].first_round, b.crashes[i].first_round);
-    EXPECT_EQ(a.crashes[i].replay.ToXml(), b.crashes[i].replay.ToXml());
-    EXPECT_EQ(a.crashes[i].minimized.ToXml(), b.crashes[i].minimized.ToXml());
-    EXPECT_EQ(a.crashes[i].minimize_runs, b.crashes[i].minimize_runs);
-  }
-}
-
-// Same seed, any jobs count: bit-identical corpus-union bitmap, identical
-// crash-hash set, identical minimized plans. This is the exploration
-// analogue of Campaign.DeterministicAcrossJobCounts.
-TEST(Explorer, DeterministicAcrossJobCounts) {
-  ExplorerReport serial = ExploreReader(1, 42);
-  ExplorerReport parallel = ExploreReader(4, 42);
-
-  // The exploration must be non-trivial for the comparison to mean much.
-  EXPECT_GT(serial.union_offsets(), 0u);
-  ASSERT_FALSE(serial.crashes.empty());
-  ExpectSameExploration(serial, parallel);
 }
 
 // Minimization runs on one warm oracle per worker slot, not one machine
@@ -288,30 +173,6 @@ TEST(Explorer, UnionCoverageIsMonotone) {
     prev = rs.union_offsets;
   }
   EXPECT_EQ(report.union_offsets(), prev);
-}
-
-// The fitness seam must not disturb the jobs-invariance contract:
-// CFG-distance selection (with feasible-only injection) is bit-identical
-// for any jobs count, exactly like coverage fitness.
-TEST(Explorer, CfgDistanceDeterministicAcrossJobCounts) {
-  ExplorerReport serial = ExploreReaderDirected(1, 42);
-  ExplorerReport parallel = ExploreReaderDirected(4, 42);
-  EXPECT_GT(serial.union_offsets(), 0u);
-  ExpectSameExploration(serial, parallel);
-}
-
-// ... and across execution engines and snapshot modes: the fitness only
-// consumes engine-invariant inputs (bitmaps, block graphs), so the whole
-// directed exploration is identical under every execution strategy.
-TEST(Explorer, CfgDistanceBitIdenticalAcrossEnginesAndSnapshotModes) {
-  ExplorerReport base = ExploreReaderDirected(2, 9);
-  ExplorerReport reference =
-      ExploreReaderDirected(2, 9, vm::ExecMode::Reference);
-  ExplorerReport snapshot =
-      ExploreReaderDirected(2, 9, {}, /*snapshot=*/true);
-  EXPECT_GT(base.union_offsets(), 0u);
-  ExpectSameExploration(base, reference);
-  ExpectSameExploration(base, snapshot);
 }
 
 TEST(Fitness, ParseAndName) {

@@ -1,11 +1,13 @@
-// Campaign fabric integration tests: the distributed invariance story.
+// Campaign fabric integration tests: the distributed invariance story
+// under stress.
 //
 // Every test here asserts the same thing from a different angle: a
-// campaign (or exploration) fanned out across worker *processes* — with
-// batching, pipelining, worker death, retries, and local fallback in play —
-// produces results bit-identical to a single in-process run. The fabric
-// may change how long things take and where they execute; it may not
-// change one byte of what comes back.
+// campaign fanned out across worker *processes* — with batching,
+// pipelining, worker death, retries, and local fallback in play — produces
+// results bit-identical to a single in-process run. The fabric may change
+// how long things take and where they execute; it may not change one byte
+// of what comes back. The healthy two-worker fabric, snapshot execution
+// and explorer rounds through it are test_matrix's fabric cells.
 #include <gtest/gtest.h>
 #include <signal.h>
 #include <sys/socket.h>
@@ -13,14 +15,11 @@
 #include <unistd.h>
 
 #include "apps/workloads.hpp"
-#include "campaign/explorer.hpp"
 #include "campaign/runner.hpp"
-#include "core/scenario_gen.hpp"
-#include "isa/codebuilder.hpp"
-#include "libc/libc_builder.hpp"
 #include "serve/coordinator.hpp"
 #include "serve/worker.hpp"
 #include "serve/wire.hpp"
+#include "test_helpers.hpp"
 
 namespace lfi::serve {
 namespace {
@@ -28,56 +27,9 @@ namespace {
 using campaign::CampaignOptions;
 using campaign::CampaignReport;
 using campaign::Scenario;
-using campaign::ScenarioResult;
-using isa::CodeBuilder;
-using isa::Reg;
-
-/// The classic LFI victim (same shape as test_campaign's): open /cfg,
-/// read 64 bytes unchecked, abort on a negative count.
-sso::SharedObject BuildReaderApp() {
-  CodeBuilder b;
-  uint32_t path = b.emit_data({'/', 'c', 'f', 'g', 0});
-  uint32_t buf = b.reserve_data(128);
-  b.begin_function("main");
-  b.sub_ri(Reg::SP, 16);
-  b.mov_ri(Reg::R2, libc::O_RDONLY);
-  b.lea_data(Reg::R1, static_cast<int32_t>(path));
-  b.push(Reg::R2);
-  b.push(Reg::R1);
-  b.call_sym("open");
-  b.add_ri(Reg::SP, 16);
-  b.store(Reg::BP, -8, Reg::R0);
-  b.load(Reg::R1, Reg::BP, -8);
-  b.lea_data(Reg::R2, static_cast<int32_t>(buf));
-  b.mov_ri(Reg::R3, 64);
-  b.push(Reg::R3);
-  b.push(Reg::R2);
-  b.push(Reg::R1);
-  b.call_sym("read");
-  b.add_ri(Reg::SP, 24);
-  auto ok = b.new_label();
-  b.cmp_ri(Reg::R0, 0);
-  b.jge(ok);
-  b.call_sym("abort");
-  b.bind(ok);
-  b.load(Reg::R1, Reg::BP, -8);
-  b.push(Reg::R1);
-  b.call_sym("close");
-  b.add_ri(Reg::SP, 8);
-  b.mov_ri(Reg::R0, 0);
-  b.leave_ret();
-  b.end_function();
-  return sso::FromCodeUnit("readerapp.so", b.Finish(), {libc::kLibcName});
-}
-
-/// The serializable target both sides of the fabric build machines from.
-TargetSpec ReaderSpec() {
-  TargetSpec spec;
-  spec.modules.push_back(libc::BuildLibc().Serialize());
-  spec.modules.push_back(BuildReaderApp().Serialize());
-  spec.files.emplace_back("/cfg", std::vector<uint8_t>(64, 'x'));
-  return spec;
-}
+using test::ExpectSameCampaign;
+using test::RandomScenarios;
+using test::ReaderSpec;
 
 CampaignOptions BaseOptions() {
   CampaignOptions opts;
@@ -88,75 +40,22 @@ CampaignOptions BaseOptions() {
   return opts;
 }
 
-std::vector<Scenario> RandomScenarios(size_t count, double p, uint64_t base) {
-  const std::vector<core::FaultProfile>& profiles = apps::LibcProfiles();
-  std::vector<Scenario> scenarios;
-  for (size_t i = 0; i < count; ++i) {
-    Scenario s;
-    s.name = "s" + std::to_string(i);
-    s.plan = core::GenerateRandom(profiles, p, campaign::DeriveSeed(base, i));
-    scenarios.push_back(std::move(s));
-  }
-  return scenarios;
-}
-
 /// The in-process ground truth every fabric run is compared against.
 CampaignReport InProcessBaseline(const std::vector<Scenario>& scenarios,
                                  CampaignOptions opts) {
-  auto setup = MakeSetup(ReaderSpec());
-  EXPECT_TRUE(setup.ok());
-  campaign::CampaignRunner runner(std::move(setup).take(),
-                                  apps::LibcProfiles(), opts);
+  campaign::CampaignRunner runner(test::ReaderSetup(), apps::LibcProfiles(),
+                                  opts);
   return runner.Run(scenarios);
-}
-
-/// Full determinism-relevant comparison (timing and restore telemetry are
-/// explicitly not part of the identity contract). Includes the fields the
-/// explorer consumes: per-scenario bitmaps, replays, fork windows.
-void ExpectSameResults(const CampaignReport& a, const CampaignReport& b) {
-  ASSERT_EQ(a.results.size(), b.results.size());
-  for (size_t i = 0; i < a.results.size(); ++i) {
-    const ScenarioResult& ra = a.results[i];
-    const ScenarioResult& rb = b.results[i];
-    EXPECT_EQ(ra.index, rb.index) << "scenario " << i;
-    EXPECT_EQ(ra.name, rb.name) << "scenario " << i;
-    EXPECT_EQ(ra.status, rb.status) << "scenario " << i;
-    EXPECT_EQ(ra.exit_code, rb.exit_code) << "scenario " << i;
-    EXPECT_EQ(ra.signal, rb.signal) << "scenario " << i;
-    EXPECT_EQ(ra.fault_message, rb.fault_message) << "scenario " << i;
-    EXPECT_EQ(ra.injections, rb.injections) << "scenario " << i;
-    EXPECT_EQ(ra.instructions, rb.instructions) << "scenario " << i;
-    EXPECT_EQ(ra.covered_offsets, rb.covered_offsets) << "scenario " << i;
-    EXPECT_EQ(ra.covered_by_module, rb.covered_by_module) << "scenario " << i;
-    EXPECT_EQ(ra.coverage, rb.coverage) << "scenario " << i;
-    EXPECT_EQ(ra.fault_frames, rb.fault_frames) << "scenario " << i;
-    EXPECT_EQ(ra.crash_site_hash, rb.crash_site_hash) << "scenario " << i;
-    EXPECT_EQ(ra.crash_hash, rb.crash_hash) << "scenario " << i;
-    EXPECT_EQ(ra.replay.ToXml(), rb.replay.ToXml()) << "scenario " << i;
-    EXPECT_EQ(ra.first_injection_instructions,
-              rb.first_injection_instructions)
-        << "scenario " << i;
-    EXPECT_EQ(ra.snapshot_fallback, rb.snapshot_fallback) << "scenario " << i;
-  }
-  EXPECT_EQ(a.coverage, b.coverage);
-  EXPECT_EQ(a.scenarios, b.scenarios);
-  EXPECT_EQ(a.crashes, b.crashes);
-  EXPECT_EQ(a.deadlocks, b.deadlocks);
-  EXPECT_EQ(a.budget_spent, b.budget_spent);
-  EXPECT_EQ(a.setup_errors, b.setup_errors);
-  EXPECT_EQ(a.snapshot_fallbacks, b.snapshot_fallbacks);
-  EXPECT_EQ(a.total_injections, b.total_injections);
-  EXPECT_EQ(a.total_instructions, b.total_instructions);
 }
 
 void ReapWorker(const LocalWorker& worker) {
   ::waitpid(worker.pid, nullptr, WNOHANG);
 }
 
-// Coordinator + 1, 2 and 4 real worker processes. 32 scenarios cut into
-// several guided batches (16/8/4/4 on one worker, more on several), so
-// every connection pipelines multiple dispatches: byte-identical to
-// --jobs 1 for every worker count.
+// Coordinator + 1 and 4 real worker processes (2 is test_matrix's reader
+// row). 32 scenarios cut into several guided batches (16/8/4/4 on one
+// worker, more on several), so every connection pipelines multiple
+// dispatches: byte-identical to --jobs 1 for every worker count.
 class LocalWorkersMatchInProcess : public ::testing::TestWithParam<size_t> {};
 
 TEST_P(LocalWorkersMatchInProcess, Run) {
@@ -179,7 +78,7 @@ TEST_P(LocalWorkersMatchInProcess, Run) {
   ASSERT_EQ(fabric.live_workers(), GetParam());
 
   CampaignReport distributed = fabric.Run(scenarios);
-  ExpectSameResults(baseline, distributed);
+  ExpectSameCampaign(baseline, distributed);
   EXPECT_GE(fabric.stats().batches_dispatched, 4u);
   EXPECT_EQ(fabric.stats().scenarios_remote, scenarios.size());
   EXPECT_EQ(fabric.stats().scenarios_local, 0u);
@@ -188,7 +87,7 @@ TEST_P(LocalWorkersMatchInProcess, Run) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Fabric, LocalWorkersMatchInProcess,
-                         ::testing::Values(1, 2, 4),
+                         ::testing::Values(1, 4),
                          ::testing::PrintToStringParamName());
 
 // The worker pool persists across Run calls (explorer rounds): a second
@@ -200,9 +99,9 @@ TEST(Fabric, RepeatedRunsReuseWarmWorkers) {
   ASSERT_TRUE(w1.ok()) << w1.error();
   FabricCoordinator fabric(ReaderSpec(), apps::LibcProfiles(), BaseOptions());
   ASSERT_TRUE(fabric.AddWorkerFd(w1.value().fd, "w1").ok());
-  ExpectSameResults(InProcessBaseline(first, BaseOptions()),
+  ExpectSameCampaign(InProcessBaseline(first, BaseOptions()),
                     fabric.Run(first));
-  ExpectSameResults(InProcessBaseline(second, BaseOptions()),
+  ExpectSameCampaign(InProcessBaseline(second, BaseOptions()),
                     fabric.Run(second));
   EXPECT_EQ(fabric.stats().workers_lost, 0u);
   ReapWorker(w1.value());
@@ -231,7 +130,7 @@ TEST(Fabric, AbortingWorkerShardIsRetriedElsewhere) {
   ASSERT_TRUE(fabric.AddWorkerFd(w2.value().fd, "healthy").ok());
 
   CampaignReport distributed = fabric.Run(scenarios);
-  ExpectSameResults(baseline, distributed);
+  ExpectSameCampaign(baseline, distributed);
   EXPECT_GE(fabric.stats().workers_lost, 1u);
   EXPECT_GE(fabric.stats().batches_retried, 1u);
   EXPECT_EQ(fabric.stats().scenarios_local, 0u);
@@ -261,7 +160,7 @@ TEST(Fabric, SigkilledWorkerProcessDoesNotChangeTheReport) {
   ::waitpid(w1.value().pid, nullptr, 0);
 
   CampaignReport distributed = fabric.Run(scenarios);
-  ExpectSameResults(baseline, distributed);
+  ExpectSameCampaign(baseline, distributed);
   EXPECT_GE(fabric.stats().workers_lost, 1u);
   ReapWorker(w2.value());
 }
@@ -291,7 +190,7 @@ TEST(Fabric, IdleSurvivorTakesRequeuedWork) {
   ASSERT_TRUE(fabric.AddWorkerFd(w2.value().fd, "slow").ok());
 
   CampaignReport distributed = fabric.Run(scenarios);
-  ExpectSameResults(baseline, distributed);
+  ExpectSameCampaign(baseline, distributed);
   EXPECT_EQ(fabric.stats().workers_lost, 1u);
   EXPECT_GE(fabric.stats().batches_retried, 1u);
   EXPECT_EQ(fabric.stats().scenarios_local, 0u);
@@ -352,7 +251,7 @@ TEST(Fabric, FramesLargerThanSocketBuffersDoNotDeadlock) {
   ASSERT_GT(EncodeBatchResult(reply).size(), 4u * 4096u);
 
   CampaignReport distributed = fabric.Run(scenarios);
-  ExpectSameResults(baseline, distributed);
+  ExpectSameCampaign(baseline, distributed);
   EXPECT_EQ(fabric.stats().workers_lost, 0u);
   EXPECT_EQ(fabric.stats().scenarios_remote, scenarios.size());
   ::waitpid(pid, nullptr, WNOHANG);
@@ -384,7 +283,7 @@ TEST(Fabric, GuidedBatchesPlaceEveryIndexOnce) {
     for (size_t i = 0; i < sets.size(); ++i) {
       SCOPED_TRACE("scenarios " + std::to_string(sets[i].size()));
       size_t remote = fabric.stats().scenarios_remote;
-      ExpectSameResults(baselines[i], fabric.Run(sets[i]));
+      ExpectSameCampaign(baselines[i], fabric.Run(sets[i]));
       EXPECT_EQ(fabric.stats().scenarios_remote - remote, sets[i].size());
     }
     EXPECT_EQ(fabric.stats().scenarios_local, 0u);
@@ -401,7 +300,7 @@ TEST(Fabric, NoWorkersDegradesToInProcess) {
   FabricCoordinator fabric(ReaderSpec(), apps::LibcProfiles(), BaseOptions());
   EXPECT_EQ(fabric.live_workers(), 0u);
   CampaignReport distributed = fabric.Run(scenarios);
-  ExpectSameResults(baseline, distributed);
+  ExpectSameCampaign(baseline, distributed);
   EXPECT_EQ(fabric.stats().scenarios_local, scenarios.size());
   EXPECT_EQ(fabric.stats().scenarios_remote, 0u);
 }
@@ -420,147 +319,11 @@ TEST(Fabric, AllWorkersDeadFallsBackToLocalTail) {
   ASSERT_TRUE(fabric.AddWorkerFd(w1.value().fd, "dying").ok());
 
   CampaignReport distributed = fabric.Run(scenarios);
-  ExpectSameResults(baseline, distributed);
+  ExpectSameCampaign(baseline, distributed);
   EXPECT_EQ(fabric.stats().workers_lost, 1u);
   EXPECT_GT(fabric.stats().scenarios_local, 0u);
   EXPECT_EQ(fabric.live_workers(), 0u);
   ReapWorker(w1.value());
-}
-
-// Snapshot execution through the fabric: worker machines warm their own
-// snapshot trees; reports stay identical to the in-process snapshot run
-// (which is itself identical to cold — the existing invariant chain).
-TEST(Fabric, SnapshotExecutionIsIdenticalThroughTheFabric) {
-  CampaignOptions opts = BaseOptions();
-  opts.snapshot = true;
-  opts.warmup_instructions = 64;
-  std::vector<Scenario> scenarios = RandomScenarios(16, 0.3, 21);
-  CampaignReport baseline = InProcessBaseline(scenarios, opts);
-
-  auto w1 = SpawnLocalWorker();
-  auto w2 = SpawnLocalWorker();
-  ASSERT_TRUE(w1.ok()) << w1.error();
-  ASSERT_TRUE(w2.ok()) << w2.error();
-  FabricCoordinator fabric(ReaderSpec(), apps::LibcProfiles(), opts);
-  ASSERT_TRUE(fabric.AddWorkerFd(w1.value().fd, "w1").ok());
-  ASSERT_TRUE(fabric.AddWorkerFd(w2.value().fd, "w2").ok());
-  CampaignReport distributed = fabric.Run(scenarios);
-  ExpectSameResults(baseline, distributed);
-  ReapWorker(w1.value());
-  ReapWorker(w2.value());
-}
-
-void ExpectSameExplorerReports(const campaign::ExplorerReport& a,
-                               const campaign::ExplorerReport& b) {
-  ASSERT_EQ(a.rounds.size(), b.rounds.size());
-  for (size_t i = 0; i < a.rounds.size(); ++i) {
-    EXPECT_EQ(a.rounds[i].scenarios, b.rounds[i].scenarios) << "round " << i;
-    EXPECT_EQ(a.rounds[i].crashes, b.rounds[i].crashes) << "round " << i;
-    EXPECT_EQ(a.rounds[i].new_crash_buckets, b.rounds[i].new_crash_buckets)
-        << "round " << i;
-    EXPECT_EQ(a.rounds[i].winners, b.rounds[i].winners) << "round " << i;
-    EXPECT_EQ(a.rounds[i].new_offsets, b.rounds[i].new_offsets)
-        << "round " << i;
-    EXPECT_EQ(a.rounds[i].union_offsets, b.rounds[i].union_offsets)
-        << "round " << i;
-    EXPECT_EQ(a.rounds[i].corpus_size, b.rounds[i].corpus_size)
-        << "round " << i;
-  }
-  EXPECT_EQ(a.coverage, b.coverage);
-  ASSERT_EQ(a.corpus.size(), b.corpus.size());
-  for (size_t i = 0; i < a.corpus.size(); ++i) {
-    EXPECT_EQ(a.corpus[i].ToXml(), b.corpus[i].ToXml()) << "corpus " << i;
-  }
-  ASSERT_EQ(a.crashes.size(), b.crashes.size());
-  for (size_t i = 0; i < a.crashes.size(); ++i) {
-    EXPECT_EQ(a.crashes[i].hash, b.crashes[i].hash) << "crash " << i;
-    EXPECT_EQ(a.crashes[i].site_hash, b.crashes[i].site_hash) << "crash " << i;
-    EXPECT_EQ(a.crashes[i].signature, b.crashes[i].signature) << "crash " << i;
-    EXPECT_EQ(a.crashes[i].count, b.crashes[i].count) << "crash " << i;
-    EXPECT_EQ(a.crashes[i].minimized.ToXml(), b.crashes[i].minimized.ToXml())
-        << "crash " << i;
-    EXPECT_EQ(a.crashes[i].reproduces, b.crashes[i].reproduces)
-        << "crash " << i;
-  }
-  EXPECT_EQ(a.ToText(), b.ToText());
-}
-
-// The whole closed loop through the fabric: explorer rounds fan out to
-// worker processes via ExplorerOptions::dispatch, and the exploration —
-// union bitmap, corpus, crash buckets, minimized reproducers — is
-// bit-identical to the purely in-process run.
-TEST(Fabric, ExplorerRoundsThroughFabricAreBitIdentical) {
-  campaign::ExplorerOptions eopts;
-  eopts.rounds = 3;
-  eopts.scenarios_per_round = 10;
-  eopts.seed = 11;
-  eopts.campaign.jobs = 1;
-
-  auto setup = MakeSetup(ReaderSpec());
-  ASSERT_TRUE(setup.ok());
-  campaign::Explorer plain(setup.value(), apps::LibcProfiles(), eopts);
-  campaign::ExplorerReport baseline = plain.Explore();
-  ASSERT_FALSE(baseline.crashes.empty());
-
-  auto w1 = SpawnLocalWorker();
-  auto w2 = SpawnLocalWorker();
-  ASSERT_TRUE(w1.ok()) << w1.error();
-  ASSERT_TRUE(w2.ok()) << w2.error();
-  FabricCoordinator fabric(ReaderSpec(), apps::LibcProfiles(),
-                           campaign::Explorer::DispatchOptions(eopts.campaign));
-  ASSERT_TRUE(fabric.AddWorkerFd(w1.value().fd, "w1").ok());
-  ASSERT_TRUE(fabric.AddWorkerFd(w2.value().fd, "w2").ok());
-
-  campaign::ExplorerOptions fabric_eopts = eopts;
-  fabric_eopts.dispatch = &fabric;
-  campaign::Explorer through(setup.value(), apps::LibcProfiles(),
-                             fabric_eopts);
-  campaign::ExplorerReport distributed = through.Explore();
-
-  ExpectSameExplorerReports(baseline, distributed);
-  EXPECT_GT(fabric.stats().scenarios_remote, 0u);
-  ReapWorker(w1.value());
-  ReapWorker(w2.value());
-}
-
-// Directed mode over the wire: CFG-distance fitness with the feasible-only
-// gate. Fitness runs on the coordinating side from worker-shipped bitmaps,
-// and feasible_only must ride the options frame so remote TriggerEngines
-// gate exactly like local ones — any drift shows up as report divergence.
-TEST(Fabric, DirectedExplorerRoundsThroughFabricAreBitIdentical) {
-  campaign::ExplorerOptions eopts;
-  eopts.rounds = 3;
-  eopts.scenarios_per_round = 10;
-  eopts.seed = 11;
-  eopts.fitness = campaign::FitnessKind::CfgDistance;
-  eopts.campaign.controller.feasible_only = true;
-  eopts.campaign.jobs = 1;
-
-  auto setup = MakeSetup(ReaderSpec());
-  ASSERT_TRUE(setup.ok());
-  campaign::Explorer plain(setup.value(), apps::LibcProfiles(), eopts);
-  campaign::ExplorerReport baseline = plain.Explore();
-  ASSERT_GT(baseline.union_offsets(), 0u);
-
-  auto w1 = SpawnLocalWorker();
-  auto w2 = SpawnLocalWorker();
-  ASSERT_TRUE(w1.ok()) << w1.error();
-  ASSERT_TRUE(w2.ok()) << w2.error();
-  FabricCoordinator fabric(ReaderSpec(), apps::LibcProfiles(),
-                           campaign::Explorer::DispatchOptions(eopts.campaign));
-  ASSERT_TRUE(fabric.AddWorkerFd(w1.value().fd, "w1").ok());
-  ASSERT_TRUE(fabric.AddWorkerFd(w2.value().fd, "w2").ok());
-
-  campaign::ExplorerOptions fabric_eopts = eopts;
-  fabric_eopts.dispatch = &fabric;
-  campaign::Explorer through(setup.value(), apps::LibcProfiles(),
-                             fabric_eopts);
-  campaign::ExplorerReport distributed = through.Explore();
-
-  ExpectSameExplorerReports(baseline, distributed);
-  EXPECT_GT(fabric.stats().scenarios_remote, 0u);
-  ReapWorker(w1.value());
-  ReapWorker(w2.value());
 }
 
 }  // namespace
