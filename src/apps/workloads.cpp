@@ -248,26 +248,24 @@ CoverageReport RunDbTestSuite(bool with_lfi, int runs, double probability,
 }
 
 PidginRunResult RunPidginWithPlan(const core::Plan& plan) {
-  vm::Machine machine;
-  machine.Load(libc::BuildLibc());
-  machine.Load(BuildPidgin());
-
-  core::Controller controller(machine);
-  (void)controller.Install(plan, LibcProfiles());
-
-  // A modest heap cap so the huge bogus malloc() fails, as Pidgin's did.
-  auto pid = machine.CreateProcess(kPidginEntry, /*heap_cap_bytes=*/1 << 20);
+  // The campaign defaults: a 50M-instruction budget and a modest heap cap,
+  // so the huge bogus malloc() fails, as Pidgin's did.
+  campaign::CampaignOptions opts;
+  opts.entry = kPidginEntry;
+  opts.collect_replays = true;
+  campaign::PlanRunner runner(
+      PidginMachineSetup(),
+      std::make_shared<const std::vector<core::FaultProfile>>(LibcProfiles()),
+      opts);
+  campaign::ScenarioResult run = runner.Run(plan);
   PidginRunResult result;
-  if (!pid.ok()) return result;
-  vm::RunOutcome outcome = machine.Run(50'000'000);
-  result.deadlocked = outcome == vm::RunOutcome::Deadlock;
-  vm::Process* parent = machine.process(pid.value());
-  result.aborted = parent->state() == vm::ProcState::Faulted &&
-                   parent->signal() == vm::Signal::Abort;
-  result.exit_code = parent->exit_code();
-  result.fault_message = parent->fault_message();
-  result.injections = controller.log().size();
-  result.replay = controller.GenerateReplay();
+  result.aborted = run.status == campaign::ScenarioStatus::Crashed &&
+                   run.signal == vm::Signal::Abort;
+  result.deadlocked = run.status == campaign::ScenarioStatus::Deadlocked;
+  result.exit_code = run.exit_code;
+  result.fault_message = run.fault_message;
+  result.injections = run.injections;
+  result.replay = std::move(run.replay);
   return result;
 }
 

@@ -60,14 +60,15 @@ CoverageReport RunDbTestSuite(bool with_lfi, int runs, double probability,
 
 struct PidginRunResult {
   bool aborted = false;        // SIGABRT observed (the bug fired)
-  bool deadlocked = false;
+  bool deadlocked = false;     // ScenarioStatus::Deadlocked (a crash wins)
   int64_t exit_code = 0;
   std::string fault_message;
   size_t injections = 0;
   core::Plan replay;           // replay script for this run
 };
 
-/// Run Pidgin under a scenario; reports the outcome and the replay script.
+/// Run Pidgin under a scenario on a campaign::PlanRunner; reports the
+/// outcome and the replay script.
 PidginRunResult RunPidginWithPlan(const core::Plan& plan);
 
 /// Run Pidgin under the paper's scenario (random I/O faults, p=0.1) with

@@ -31,15 +31,17 @@ size_t ExplorerReport::union_offsets() const {
   return total;
 }
 
+std::string RoundStats::ToText() const {
+  return Format(
+      "round %zu: %zu scenarios, %zu crashed (%zu new buckets), "
+      "%zu winners, +%zu offsets, union %zu offsets, corpus %zu\n",
+      round + 1, scenarios, crashes, new_crash_buckets, winners, new_offsets,
+      union_offsets, corpus_size);
+}
+
 std::string ExplorerReport::ToText() const {
   std::string out;
-  for (const RoundStats& rs : rounds) {
-    out += Format(
-        "round %zu: %zu scenarios, %zu crashed (%zu new buckets), "
-        "%zu winners, +%zu offsets, union %zu offsets, corpus %zu\n",
-        rs.round + 1, rs.scenarios, rs.crashes, rs.new_crash_buckets,
-        rs.winners, rs.new_offsets, rs.union_offsets, rs.corpus_size);
-  }
+  for (const RoundStats& rs : rounds) out += rs.ToText();
   out += Format("explorer: %zu unique crash bucket(s), union %zu offsets, "
                 "corpus %zu plan(s)\n",
                 crashes.size(), union_offsets(), corpus.size());

@@ -49,6 +49,9 @@ struct RoundStats {
   size_t new_offsets = 0;     // offsets first covered this round
   size_t union_offsets = 0;   // cumulative corpus-union popcount
   size_t corpus_size = 0;     // corpus after this round
+
+  /// The round's report line (ExplorerReport::ToText, `lfi explore`).
+  std::string ToText() const;
 };
 
 /// One deduplicated crash with its replay and minimized reproducer.

@@ -28,8 +28,7 @@ bool PlanNamesEntry(const core::Plan& plan, const std::string& entry) {
 }  // namespace
 
 bool PrepareMachineSnapshot(vm::Machine& machine,
-                            const CampaignOptions& options,
-                            SnapshotTreeState* tree) {
+                            const CampaignOptions& options) {
   if (!options.snapshot) return false;
   machine.Reset();
   auto pid = machine.CreateProcess(options.entry, options.default_heap_cap);
@@ -38,152 +37,7 @@ bool PrepareMachineSnapshot(vm::Machine& machine,
     machine.Run(options.warmup_instructions);
   }
   machine.Snapshot();  // fresh tree, root at the campaign-wide window
-  if (tree != nullptr) {
-    tree->windows.clear();
-    tree->windows[options.warmup_instructions] = machine.current_snapshot();
-  }
   return true;
-}
-
-ScenarioResult RunScenarioOn(
-    vm::Machine& machine, core::Controller& controller,
-    const Scenario& scenario, const CampaignOptions& options,
-    const std::shared_ptr<const std::vector<core::FaultProfile>>& profiles,
-    vm::CoverageTracker* tracker, const std::vector<std::string>& module_names,
-    SnapshotTreeState& tree) {
-  ScenarioResult result;
-  result.name = scenario.name;
-
-  const std::string& entry =
-      scenario.entry.empty() ? options.entry : scenario.entry;
-  uint64_t heap_cap = scenario.heap_cap_bytes != 0 ? scenario.heap_cap_bytes
-                                                   : options.default_heap_cap;
-  const uint64_t warmup =
-      scenario.warmup_instructions.value_or(options.warmup_instructions);
-  // The per-worker snapshot tree was taken for the campaign-wide entry/heap
-  // configuration, rooted at the campaign-wide window; scenarios that
-  // deviate from the configuration — or whose window opens before the root
-  // (no window at-or-below theirs) — run cold.
-  auto window = tree.windows.upper_bound(warmup);
-  bool use_snapshot = options.snapshot && window != tree.windows.begin() &&
-                      entry == options.entry &&
-                      heap_cap == options.default_heap_cap &&
-                      !PlanNamesEntry(scenario.plan, entry);
-
-  auto begin = Clock::now();
-  bool setup_failed = false;
-  auto setup_fail = [&](const std::string& error) {
-    result.status = ScenarioStatus::SetupError;
-    result.fault_message = error;
-    setup_failed = true;
-  };
-  auto install = [&]() {
-    if (auto st = controller.Install(scenario.plan, profiles); !st.ok()) {
-      setup_fail(st.error());
-    }
-  };
-
-  const vm::SnapshotRestoreStats stats_before = machine.restore_stats();
-  int primary_pid = 0;
-  if (use_snapshot) {
-    // Window-local restore: the greatest window at-or-below this
-    // scenario's. A first visit to a deeper window runs the gap fault-free
-    // once and captures a node for every scenario after. A snapshot
-    // without a live entry process (possible through the raw Machine API,
-    // never through PrepareMachineSnapshot) can't serve scenarios; run
-    // cold. Restores are exact, so everything below reproduces the cold
-    // prefix bit-for-bit (Run targets are absolute instruction counts
-    // measured in whole scheduler rounds).
-    --window;
-    use_snapshot =
-        machine.RestoreTo(window->second) && !machine.processes().empty();
-    if (use_snapshot) {
-      controller.Reset();
-      if (window->first < warmup) {
-        machine.Run(warmup);
-        tree.windows[warmup] = machine.PushSnapshot();
-      }
-    }
-  }
-  if (use_snapshot) {
-    // The machine sits at the scenario's fault-window entry point (entry
-    // process created, warmup prefix executed); only the plan changes.
-    install();
-    if (!setup_failed) primary_pid = machine.processes().front()->pid();
-  } else {
-    machine.Reset();
-    controller.Reset();
-    if (warmup > 0) {
-      // Windowed execution, cold: the fault-free prefix runs before the
-      // plan installs — exactly what a snapshot restore reproduces.
-      auto pid = machine.CreateProcess(entry, heap_cap);
-      if (!pid.ok()) {
-        setup_fail(pid.error());
-      } else {
-        machine.Run(warmup);
-        install();
-        primary_pid = pid.value();
-      }
-    } else {
-      install();
-      if (!setup_failed) {
-        auto pid = machine.CreateProcess(entry, heap_cap);
-        if (!pid.ok()) setup_fail(pid.error());
-        else primary_pid = pid.value();
-      }
-    }
-  }
-  result.snapshot_fallback = options.snapshot && !use_snapshot;
-  {
-    const vm::SnapshotRestoreStats& stats_after = machine.restore_stats();
-    result.restore_pages =
-        stats_after.pages_restored - stats_before.pages_restored;
-    result.restore_nodes_walked =
-        stats_after.nodes_walked - stats_before.nodes_walked;
-  }
-  if (setup_failed) return result;
-
-  vm::RunOutcome outcome = machine.Run(options.max_instructions);
-  result.seconds = Seconds(begin, Clock::now());
-  result.instructions = machine.total_instructions();
-  result.injections = controller.log().size();
-  result.first_injection_instructions = controller.first_injection_instructions();
-  result.seu_landed = controller.seu_landed();
-  if (options.collect_state_digest) result.state_digest = machine.StateDigest();
-  if (options.collect_replays) result.replay = controller.GenerateReplay();
-
-  vm::Process* primary = machine.process(primary_pid);
-  result.exit_code = primary->exit_code();
-  result.signal = primary->signal();
-  result.fault_message = primary->fault_message();
-  if (primary->state() == vm::ProcState::Faulted) {
-    result.status = ScenarioStatus::Crashed;
-    result.fault_frames = FaultFrames(*primary);
-    result.crash_site_hash = CrashSiteHash(result.signal, result.fault_frames);
-    result.crash_hash =
-        CrashHash(result.signal, result.fault_frames, controller.log());
-  } else if (outcome == vm::RunOutcome::Deadlock) {
-    result.status = ScenarioStatus::Deadlocked;
-  } else if (outcome == vm::RunOutcome::BudgetSpent) {
-    result.status = ScenarioStatus::BudgetSpent;
-  } else {
-    result.status = ScenarioStatus::Exited;
-  }
-
-  if (tracker != nullptr) {
-    // One popcount per module: the total is the sum of the per-module
-    // counts, over every tracker module, named or not.
-    for (size_t m = 0; m < tracker->module_count(); ++m) {
-      size_t covered = tracker->covered(m);
-      result.covered_offsets += covered;
-      if (covered == 0 || m >= module_names.size()) continue;
-      result.covered_by_module[module_names[m]] = covered;
-      if (options.collect_scenario_coverage) {
-        result.coverage[module_names[m]] = tracker->executed(m);
-      }
-    }
-  }
-  return result;
 }
 
 PlanRunner::PlanRunner(
@@ -206,12 +60,148 @@ PlanRunner::PlanRunner(
   // the fault-window entry point, so scenarios skip reset + process
   // construction (and the warmup prefix) entirely, and the tree grows
   // window-local nodes as scenarios visit deeper windows.
-  PrepareMachineSnapshot(machine_, options_, &tree_state_);
+  if (PrepareMachineSnapshot(machine_, options_)) {
+    windows_[options_.warmup_instructions] = machine_.current_snapshot();
+  }
 }
 
 ScenarioResult PlanRunner::Run(const Scenario& scenario) {
-  return RunScenarioOn(machine_, *controller_, scenario, options_, profiles_,
-                       tracker_, module_names_, tree_state_);
+  ScenarioResult result;
+  result.name = scenario.name;
+
+  const std::string& entry =
+      scenario.entry.empty() ? options_.entry : scenario.entry;
+  uint64_t heap_cap = scenario.heap_cap_bytes != 0 ? scenario.heap_cap_bytes
+                                                   : options_.default_heap_cap;
+  const uint64_t warmup =
+      scenario.warmup_instructions.value_or(options_.warmup_instructions);
+  // The snapshot tree was taken for the campaign-wide entry/heap
+  // configuration, rooted at the campaign-wide window; scenarios that
+  // deviate from the configuration — or whose window opens before the root
+  // (no window at-or-below theirs) — run cold.
+  auto window = windows_.upper_bound(warmup);
+  bool use_snapshot = options_.snapshot && window != windows_.begin() &&
+                      entry == options_.entry &&
+                      heap_cap == options_.default_heap_cap &&
+                      !PlanNamesEntry(scenario.plan, entry);
+
+  auto begin = Clock::now();
+  bool setup_failed = false;
+  auto setup_fail = [&](const std::string& error) {
+    result.status = ScenarioStatus::SetupError;
+    result.fault_message = error;
+    setup_failed = true;
+  };
+  auto install = [&]() {
+    if (auto st = controller_->Install(scenario.plan, profiles_); !st.ok()) {
+      setup_fail(st.error());
+    }
+  };
+
+  const vm::SnapshotRestoreStats stats_before = machine_.restore_stats();
+  int primary_pid = 0;
+  if (use_snapshot) {
+    // Window-local restore: the greatest window at-or-below this
+    // scenario's. A first visit to a deeper window runs the gap fault-free
+    // once and captures a node for every scenario after. A snapshot
+    // without a live entry process (possible through the raw Machine API,
+    // never through PrepareMachineSnapshot) can't serve scenarios; run
+    // cold. Restores are exact, so everything below reproduces the cold
+    // prefix bit-for-bit (Run targets are absolute instruction counts
+    // measured in whole scheduler rounds).
+    --window;
+    use_snapshot =
+        machine_.RestoreTo(window->second) && !machine_.processes().empty();
+    if (use_snapshot) {
+      controller_->Reset();
+      if (window->first < warmup) {
+        machine_.Run(warmup);
+        windows_[warmup] = machine_.PushSnapshot();
+      }
+    }
+  }
+  if (use_snapshot) {
+    // The machine sits at the scenario's fault-window entry point (entry
+    // process created, warmup prefix executed); only the plan changes.
+    install();
+    if (!setup_failed) primary_pid = machine_.processes().front()->pid();
+  } else {
+    machine_.Reset();
+    controller_->Reset();
+    if (warmup > 0) {
+      // Windowed execution, cold: the fault-free prefix runs before the
+      // plan installs — exactly what a snapshot restore reproduces.
+      auto pid = machine_.CreateProcess(entry, heap_cap);
+      if (!pid.ok()) {
+        setup_fail(pid.error());
+      } else {
+        machine_.Run(warmup);
+        install();
+        primary_pid = pid.value();
+      }
+    } else {
+      install();
+      if (!setup_failed) {
+        auto pid = machine_.CreateProcess(entry, heap_cap);
+        if (!pid.ok()) setup_fail(pid.error());
+        else primary_pid = pid.value();
+      }
+    }
+  }
+  result.snapshot_fallback = options_.snapshot && !use_snapshot;
+  {
+    const vm::SnapshotRestoreStats& stats_after = machine_.restore_stats();
+    result.restore_pages =
+        stats_after.pages_restored - stats_before.pages_restored;
+    result.restore_nodes_walked =
+        stats_after.nodes_walked - stats_before.nodes_walked;
+  }
+  if (setup_failed) return result;
+
+  vm::RunOutcome outcome = machine_.Run(options_.max_instructions);
+  result.seconds = Seconds(begin, Clock::now());
+  result.instructions = machine_.total_instructions();
+  result.injections = controller_->log().size();
+  result.first_injection_instructions =
+      controller_->first_injection_instructions();
+  result.seu_landed = controller_->seu_landed();
+  if (options_.collect_state_digest) {
+    result.state_digest = machine_.StateDigest();
+  }
+  if (options_.collect_replays) result.replay = controller_->GenerateReplay();
+
+  vm::Process* primary = machine_.process(primary_pid);
+  result.exit_code = primary->exit_code();
+  result.signal = primary->signal();
+  result.fault_message = primary->fault_message();
+  if (primary->state() == vm::ProcState::Faulted) {
+    result.status = ScenarioStatus::Crashed;
+    result.fault_frames = FaultFrames(*primary);
+    result.crash_site_hash = CrashSiteHash(result.signal, result.fault_frames);
+    result.crash_hash =
+        CrashHash(result.signal, result.fault_frames, controller_->log());
+  } else if (outcome == vm::RunOutcome::Deadlock) {
+    result.status = ScenarioStatus::Deadlocked;
+  } else if (outcome == vm::RunOutcome::BudgetSpent) {
+    result.status = ScenarioStatus::BudgetSpent;
+  } else {
+    result.status = ScenarioStatus::Exited;
+  }
+
+  if (tracker_ != nullptr) {
+    // One popcount per module: the total is the sum of the per-module
+    // counts, over every tracker module, named or not.
+    for (size_t m = 0; m < tracker_->module_count(); ++m) {
+      size_t covered = tracker_->covered(m);
+      result.covered_offsets += covered;
+      if (covered == 0 || m >= module_names_.size()) continue;
+      result.covered_by_module[module_names_[m]] = covered;
+      if (options_.collect_scenario_coverage) {
+        result.coverage[module_names_[m]] = tracker_->executed(m);
+      }
+    }
+  }
+  return result;
 }
 
 ScenarioResult PlanRunner::Run(const core::Plan& plan, const std::string& name,

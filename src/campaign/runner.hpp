@@ -41,53 +41,26 @@ namespace lfi::campaign {
 /// shared objects up front and capture them by value).
 using MachineSetup = std::function<void(vm::Machine&)>;
 
-/// Per-worker snapshot tree bookkeeping (CampaignOptions::snapshot): which
-/// tree node sits at each fault window. Keyed by absolute warmup
-/// instruction count; the campaign-wide warmup is the root window, and
-/// deeper windows are pushed lazily by the first scenario that needs them.
-/// Worker-local — never shared across threads — and restore-exactness
-/// keeps results independent of which windows a worker happened to build,
-/// so reports stay jobs-invariant.
-struct SnapshotTreeState {
-  std::map<uint64_t, vm::SnapshotId> windows;
-};
-
-/// Execute one scenario on a reused machine/controller pair: reset both,
-/// install the plan, run, classify, and (when `tracker` is non-null)
-/// collect this scenario's coverage. Crashed scenarios get their fault
-/// frames and triage hashes filled. `module_names` maps the machine's
-/// dense module index to its name for per-module accounting. The result's
-/// `index` is left 0 — callers place it. PlanRunner::Run's per-scenario
-/// step. `tree` is the machine's window->node map, filled by
-/// PrepareMachineSnapshot and grown here (unused on cold runs).
-ScenarioResult RunScenarioOn(
-    vm::Machine& machine, core::Controller& controller,
-    const Scenario& scenario, const CampaignOptions& options,
-    const std::shared_ptr<const std::vector<core::FaultProfile>>& profiles,
-    vm::CoverageTracker* tracker, const std::vector<std::string>& module_names,
-    SnapshotTreeState& tree);
-
 /// Warm `machine` to the campaign's fault-window entry point and take the
-/// per-worker snapshot RunScenarioOn restores from: reset, create the
+/// per-worker snapshot PlanRunner::Run restores from: reset, create the
 /// campaign entry process, run `options.warmup_instructions` of fault-free
 /// prefix, snapshot. No-op (returns false, machine untouched beyond a
 /// Reset) when options.snapshot is off or the entry does not resolve — the
 /// scenarios then run cold and report the same SetupError either way.
 /// Call after machine setup + Checkpoint (and EnableCoverage, so the
 /// snapshot carries the prefix's coverage).
-/// Pass the worker's `tree` so the base window (options.warmup_instructions
-/// -> root node) gets recorded for RunScenarioOn.
 bool PrepareMachineSnapshot(vm::Machine& machine,
-                            const CampaignOptions& options,
-                            SnapshotTreeState* tree = nullptr);
+                            const CampaignOptions& options);
 
 /// One warm machine: builds the target once (setup, checkpoint, coverage,
-/// snapshot warm), then Run() executes one scenario per call through
-/// RunScenarioOn, which resets or restores the machine and controller
-/// first. Campaign worker slots and the explorer's minimization oracles
-/// are both PlanRunners, so a one-off plan run and a campaign slot are the
-/// same computation, and any sequence of Runs on one PlanRunner gives the
-/// same per-scenario results as fresh machines would.
+/// snapshot warm), then Run() executes one scenario per call: reset or
+/// restore the machine and controller, install the plan, run, classify,
+/// and collect the scenario's coverage. Crashed scenarios get their fault
+/// frames and triage hashes filled; the result's `index` is left 0 for the
+/// caller to place. Campaign worker slots, the explorer's minimization
+/// oracles and `lfi test` are all PlanRunners, so a one-off plan run and a
+/// campaign slot are the same computation, and any sequence of Runs on one
+/// PlanRunner gives the same per-scenario results as fresh machines would.
 class PlanRunner {
  public:
   PlanRunner(MachineSetup setup,
@@ -106,6 +79,8 @@ class PlanRunner {
   /// The last Run's coverage (null unless options.track_coverage), indexed
   /// by dense module index; module_names() names the indices.
   const vm::CoverageTracker* tracker() const { return tracker_; }
+  /// The last Run's injection log.
+  const core::InjectionLog& log() const { return controller_->log(); }
   const std::vector<std::string>& module_names() const { return module_names_; }
 
  private:
@@ -115,8 +90,12 @@ class PlanRunner {
   vm::CoverageTracker* tracker_ = nullptr;
   std::vector<std::string> module_names_;
   std::unique_ptr<core::Controller> controller_;
-  /// Window-local snapshot nodes, grown across every Run.
-  SnapshotTreeState tree_state_;
+  /// Snapshot tree bookkeeping (options.snapshot): the node at each fault
+  /// window, keyed by absolute warmup instruction count. The campaign-wide
+  /// warmup is the root window; deeper windows are pushed by the first Run
+  /// that needs them. Restore-exactness keeps results independent of which
+  /// windows this runner happened to build, so reports stay jobs-invariant.
+  std::map<uint64_t, vm::SnapshotId> windows_;
 };
 
 /// Anything that can execute a scenario set and produce a CampaignReport.

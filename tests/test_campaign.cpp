@@ -5,6 +5,7 @@
 
 #include <atomic>
 
+#include "apps/pidgin.hpp"
 #include "apps/workloads.hpp"
 #include "campaign/runner.hpp"
 #include "isa/codebuilder.hpp"
@@ -133,6 +134,31 @@ TEST(Campaign, RunnerIsReusable) {
     EXPECT_EQ(first.results[i].injections, second.results[i].injections);
     EXPECT_EQ(first.results[i].status, second.results[i].status);
   }
+}
+
+// PlanRunner::log() holds the last Run's records only: a warm runner
+// resets its controller before every plan, so after two different plans
+// its log is the second plan's log on a fresh runner.
+TEST(Campaign, PlanRunnerLogHoldsOnlyTheLastRun) {
+  std::vector<Scenario> plans = RandomScenarios(2, 0.1, 7);
+  auto profiles = std::make_shared<const std::vector<core::FaultProfile>>(
+      apps::LibcProfiles());
+  CampaignOptions opts;
+  opts.entry = apps::kPidginEntry;
+  PlanRunner warm(apps::PidginMachineSetup(), profiles, opts);
+  ScenarioResult first = warm.Run(plans[0].plan);
+  EXPECT_EQ(warm.log().size(), first.injections);
+  ScenarioResult second = warm.Run(plans[1].plan);
+  EXPECT_EQ(warm.log().size(), second.injections);
+  // Two different non-zero counts, or the checks above show nothing.
+  ASSERT_GT(first.injections, 0u);
+  ASSERT_GT(second.injections, 0u);
+  ASSERT_NE(first.injections, second.injections);
+
+  PlanRunner fresh(apps::PidginMachineSetup(), profiles, opts);
+  ScenarioResult alone = fresh.Run(plans[1].plan);
+  EXPECT_EQ(second.injections, alone.injections);
+  EXPECT_EQ(warm.log().ToText(), fresh.log().ToText());
 }
 
 // A worker reuses one machine across all its scenarios; the kernel

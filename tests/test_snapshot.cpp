@@ -39,8 +39,9 @@ CampaignReport RunCampaign(const MachineSetup& setup,
   return runner.Run(scenarios);
 }
 
-// PlanRunner (the explorer's minimization oracle) shares RunScenarioOn, so
-// one-off plan runs must also be identical under snapshot execution —
+// PlanRunner::Run is the campaign slots' per-scenario path and also the
+// explorer's minimization oracle, so one-off plan runs must also be
+// identical under snapshot execution —
 // including right after Machine::Reset invalidated the live processes
 // (PlanRunner's machine is reused across Run calls).
 TEST(SnapshotDiff, PlanRunnerIdenticalAndSurvivesReset) {

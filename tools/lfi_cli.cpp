@@ -1,17 +1,16 @@
 // The `lfi` command-line tool — the paper's two-command workflow (§6.1:
 // "it requires issuing two commands, one for profiling and one for running
-// the tests"), plus utilities for working with synthetic binaries.
+// the tests"), plus utilities for working with synthetic binaries:
 //
-//   lfi demo-assets <dir>                 write libc/kernel/demo-app binaries
-//   lfi disasm <lib.sso>                  objdump-style listing
+//   lfi demo-assets <dir>
 //   lfi profile <target.sso> [deps...] -o profile.xml
-//   lfi generate (--random p | --exhaustive) [--seed n] <profile.xml...>
-//                -o plan.xml
-//   lfi test --app <app.sso> --entry <symbol> --plan <plan.xml>
-//            --profile <profile.xml> [--lib <dep.sso>]... [--file path]...
+//   lfi generate --random 0.3 --seed 9 profile.xml -o plan.xml
+//   lfi test --app <app.sso> --plan plan.xml --profile profile.xml
 //
-// Exit codes from `lfi test`: 0 = target exited cleanly, 3 = target
-// crashed under injection (a finding!), 1 = usage/setup error.
+// `lfi` with no arguments prints every subcommand's flags. Exit codes from
+// `lfi test`: 0 = target exited cleanly, 3 = target crashed under
+// injection (a finding!) or otherwise failed to exit, 1 = usage/setup
+// error.
 #include <algorithm>
 #include <cerrno>
 #include <cstdio>
@@ -28,7 +27,6 @@
 #include "campaign/explorer.hpp"
 #include "campaign/runner.hpp"
 #include "campaign/seu.hpp"
-#include "core/controller.hpp"
 #include "core/profiler.hpp"
 #include "core/scenario_gen.hpp"
 #include "isa/codebuilder.hpp"
@@ -44,15 +42,9 @@ using namespace lfi;
 
 namespace {
 
-bool ReadFile(const std::string& path, std::vector<uint8_t>* out) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return false;
-  out->assign(std::istreambuf_iterator<char>(in),
-              std::istreambuf_iterator<char>());
-  return true;
-}
-
-bool ReadTextFile(const std::string& path, std::string* out) {
+/// Read a whole file into `out`: bytes (std::vector<uint8_t>) or text.
+template <typename Container>
+bool ReadFile(const std::string& path, Container* out) {
   std::ifstream in(path, std::ios::binary);
   if (!in) return false;
   out->assign(std::istreambuf_iterator<char>(in),
@@ -83,12 +75,21 @@ Status LoadProfiles(const std::vector<std::string>& paths,
                     std::vector<core::FaultProfile>* out) {
   for (const std::string& path : paths) {
     std::string text;
-    if (!ReadTextFile(path, &text)) return Err("cannot read " + path);
+    if (!ReadFile(path, &text)) return Err("cannot read " + path);
     auto profile = core::FaultProfile::FromXml(text);
     if (!profile.ok()) return Err(path + ": " + profile.error());
     out->push_back(std::move(profile).take());
   }
   return Status::Ok();
+}
+
+/// Load and validate one plan XML file.
+Result<core::Plan> LoadPlan(const std::string& path) {
+  std::string text;
+  if (!ReadFile(path, &text)) return Err("cannot read " + path);
+  auto plan = core::Plan::FromXml(text);
+  if (!plan.ok()) return Err(path + ": " + plan.error());
+  return plan;
 }
 
 // Every numeric flag parses through the strict util::Parse{Uint,Double}-
@@ -167,177 +168,8 @@ int CmdDisasm(const std::vector<std::string>& args) {
   return 0;
 }
 
-int CmdProfile(const std::vector<std::string>& args) {
-  std::vector<std::string> inputs;
-  std::string out_path;
-  core::ProfilerOptions popts;
-  for (size_t i = 0; i < args.size(); ++i) {
-    if (args[i] == "-o" && i + 1 < args.size()) {
-      out_path = args[++i];
-    } else if (args[i] == "--max-states" && i + 1 < args.size()) {
-      // Per-query G' exploration budget: when a function's state walk
-      // exceeds it, its returns degrade to "unknown" instead of hanging
-      // the profiler on adversarial control flow.
-      auto v = ParseCountFlag("--max-states", args[++i]);
-      if (!v.ok()) return Fail("profile: " + v.error());
-      if (v.value() == 0) return Fail("profile: --max-states must be > 0");
-      popts.analysis.max_states = v.value();
-    } else {
-      inputs.push_back(args[i]);
-    }
-  }
-  if (inputs.empty()) return Fail("profile: missing target .sso");
-
-  std::vector<sso::SharedObject> objects;
-  for (const std::string& path : inputs) {
-    auto so = LoadSso(path);
-    if (!so.ok()) return Fail(so.error());
-    objects.push_back(std::move(so).take());
-  }
-  sso::SharedObject kernel_img = kernel::BuildKernelImage();
-  analysis::Workspace ws;
-  ws.SetKernel(&kernel_img);
-  for (const auto& so : objects) ws.AddModule(&so);
-
-  core::Profiler profiler(ws, popts);
-  auto profile = profiler.ProfileLibrary(objects[0]);
-  if (!profile.ok()) return Fail(profile.error());
-  std::string xml = profile.value().ToXml();
-  if (out_path.empty()) {
-    std::printf("%s", xml.c_str());
-  } else if (!WriteFile(out_path, xml.data(), xml.size())) {
-    return Fail("cannot write " + out_path);
-  }
-  std::fprintf(stderr,
-               "profiled %zu functions in %.2f ms (%llu G' states)\n",
-               profiler.stats().functions_profiled,
-               profiler.stats().total_time.count() / 1e6,
-               (unsigned long long)profiler.stats().states_explored);
-  return 0;
-}
-
-int CmdGenerate(const std::vector<std::string>& args) {
-  double probability = -1;
-  bool exhaustive = false;
-  uint64_t seed = 1;
-  std::string out_path;
-  std::vector<std::string> inputs;
-  for (size_t i = 0; i < args.size(); ++i) {
-    if (args[i] == "--random" && i + 1 < args.size()) {
-      auto p = ParseProbabilityFlag("--random", args[++i]);
-      if (!p.ok()) return Fail("generate: " + p.error());
-      probability = p.value();
-    } else if (args[i] == "--exhaustive") {
-      exhaustive = true;
-    } else if (args[i] == "--seed" && i + 1 < args.size()) {
-      // The seed is the reproducibility anchor of a generated plan; a
-      // silently-coerced "--seed abc" (0) or "--seed 12x" (12) would
-      // produce a plan nobody can regenerate from their notes.
-      auto v = ParseCountFlag("--seed", args[++i]);
-      if (!v.ok()) return Fail("generate: " + v.error());
-      seed = v.value();
-    } else if (args[i] == "-o" && i + 1 < args.size()) {
-      out_path = args[++i];
-    } else {
-      inputs.push_back(args[i]);
-    }
-  }
-  if (inputs.empty()) return Fail("generate: missing profile.xml");
-  if (!exhaustive && probability < 0) {
-    return Fail("generate: need --random <p> or --exhaustive");
-  }
-  std::vector<core::FaultProfile> profiles;
-  if (auto st = LoadProfiles(inputs, &profiles); !st.ok()) {
-    return Fail(st.error());
-  }
-  core::Plan plan = exhaustive
-                        ? core::GenerateExhaustive(profiles)
-                        : core::GenerateRandom(profiles, probability, seed);
-  std::string xml = plan.ToXml();
-  if (out_path.empty()) {
-    std::printf("%s", xml.c_str());
-  } else if (!WriteFile(out_path, xml.data(), xml.size())) {
-    return Fail("cannot write " + out_path);
-  }
-  std::fprintf(stderr, "generated %zu triggers\n", plan.triggers.size());
-  return 0;
-}
-
-int CmdTest(const std::vector<std::string>& args) {
-  std::string app_path, entry = "main", plan_path, replay_out;
-  std::vector<std::string> lib_paths, profile_paths, vfs_files;
-  for (size_t i = 0; i < args.size(); ++i) {
-    auto next = [&]() -> std::string {
-      return i + 1 < args.size() ? args[++i] : std::string();
-    };
-    if (args[i] == "--app") app_path = next();
-    else if (args[i] == "--entry") entry = next();
-    else if (args[i] == "--plan") plan_path = next();
-    else if (args[i] == "--profile") profile_paths.push_back(next());
-    else if (args[i] == "--lib") lib_paths.push_back(next());
-    else if (args[i] == "--file") vfs_files.push_back(next());
-    else if (args[i] == "--replay-out") replay_out = next();
-    else return Fail("test: unknown argument " + args[i]);
-  }
-  if (app_path.empty() || plan_path.empty()) {
-    return Fail("test: need --app and --plan");
-  }
-
-  vm::Machine machine;
-  machine.Load(libc::BuildLibc());
-  for (const std::string& path : lib_paths) {
-    auto so = LoadSso(path);
-    if (!so.ok()) return Fail(so.error());
-    machine.Load(std::move(so).take());
-  }
-  auto app = LoadSso(app_path);
-  if (!app.ok()) return Fail(app.error());
-  machine.Load(std::move(app).take());
-  for (const std::string& path : vfs_files) {
-    machine.kernel().add_file(path, std::vector<uint8_t>(256, 'x'));
-  }
-
-  std::string plan_text;
-  if (!ReadTextFile(plan_path, &plan_text)) {
-    return Fail("cannot read " + plan_path);
-  }
-  auto plan = core::Plan::FromXml(plan_text);
-  if (!plan.ok()) return Fail(plan_path + ": " + plan.error());
-  std::vector<core::FaultProfile> profiles;
-  if (auto st = LoadProfiles(profile_paths, &profiles); !st.ok()) {
-    return Fail(st.error());
-  }
-
-  core::Controller controller(machine);
-  if (auto st = controller.Install(plan.value(), std::move(profiles));
-      !st.ok()) {
-    return Fail(st.error());
-  }
-  auto pid = machine.CreateProcess(entry);
-  if (!pid.ok()) return Fail(pid.error());
-  auto info = machine.RunToCompletion(pid.value());
-
-  std::printf("-- injection log --\n%s", controller.log().ToText().c_str());
-  if (!replay_out.empty()) {
-    std::string xml = controller.GenerateReplay().ToXml();
-    if (!WriteFile(replay_out, xml.data(), xml.size())) {
-      return Fail("cannot write " + replay_out);
-    }
-    std::printf("replay script written to %s\n", replay_out.c_str());
-  }
-  if (info.state == vm::ProcState::Exited) {
-    std::printf("target exited with code %lld after %zu injections\n",
-                (long long)info.exit_code, controller.log().size());
-    return 0;
-  }
-  std::printf("TARGET CRASHED: %s (%s) after %zu injections\n",
-              vm::SignalName(info.signal), info.fault_message.c_str(),
-              controller.log().size());
-  return 3;
-}
-
-/// Target image shared by the campaign/seu/explore subcommands: libc, the
-/// user libs and the app (load order, app last) plus the VFS files to
+/// Target image shared by the test/campaign/seu/explore subcommands: libc,
+/// the user libs and the app (load order, app last) plus the VFS files to
 /// seed, built once; workers load copies via setup().
 struct TargetImage {
   std::shared_ptr<const std::vector<sso::SharedObject>> modules;
@@ -406,9 +238,10 @@ Status ParseConnectList(const std::string& value, FabricSpec* spec) {
 }
 
 // ---- flag tables ---------------------------------------------------------
-// campaign, seu and explore parse through one table each: the shared
-// execution flags (ExecFlags) followed by their own. The same tables
-// generate the usage text, so a flag cannot be parsed and undocumented.
+// Every subcommand but demo-assets and disasm parses through one table:
+// test, campaign, seu and explore start from the shared execution flags
+// (ExecFlags) and add their own. The same tables generate the usage text,
+// so a flag cannot be parsed and undocumented.
 
 /// How a flag applies its value (empty for a switch).
 using Apply = std::function<Status(const std::string&)>;
@@ -421,15 +254,24 @@ struct Flag {
   Apply apply;
 };
 
-/// Walk `args` against `flags`: every argument must name a flag, and a
-/// valued flag takes the next argument as its value.
+/// Walk `args` against `flags`: a valued flag takes the next argument as
+/// its value, and every other argument must name a flag — except, when
+/// `positional` is given, one that does not start with '-', which is
+/// collected there.
 Status ParseFlags(const std::vector<std::string>& args,
-                  const std::vector<Flag>& flags) {
+                  const std::vector<Flag>& flags,
+                  std::vector<std::string>* positional = nullptr) {
   for (size_t i = 0; i < args.size(); ++i) {
     auto flag = std::find_if(flags.begin(), flags.end(), [&](const Flag& f) {
       return args[i] == f.name;
     });
-    if (flag == flags.end()) return Err("unknown argument " + args[i]);
+    if (flag == flags.end()) {
+      if (positional == nullptr || args[i].rfind('-', 0) == 0) {
+        return Err("unknown argument " + args[i]);
+      }
+      positional->push_back(args[i]);
+      continue;
+    }
     std::string value;
     if (flag->value != nullptr) {
       if (i + 1 == args.size()) return Err(args[i] + " needs a value");
@@ -495,6 +337,16 @@ Apply Count(const char* flag, T* out, uint64_t max = UINT64_MAX,
   };
 }
 
+/// A strict probability in [0, 1] (ParseProbabilityFlag).
+Apply Probability(const char* flag, double* out) {
+  return [=](const std::string& v) -> Status {
+    auto p = ParseProbabilityFlag(flag, v);
+    if (!p.ok()) return Err(p.error());
+    *out = p.value();
+    return Status::Ok();
+  };
+}
+
 /// An output path: a real value, not another flag (a misparse would
 /// create a file or directory named "--foo").
 Apply StorePath(const char* flag, const char* what, std::string* out) {
@@ -512,11 +364,14 @@ enum Command : unsigned {
   kCampaign = 1u << 0,
   kSeu = 1u << 1,
   kExplore = 1u << 2,
-  kAllCommands = kCampaign | kSeu | kExplore,
+  kTest = 1u << 3,
+  kScenarioSets = kCampaign | kSeu | kExplore,
+  kAllCommands = kScenarioSets | kTest,
 };
 
-/// The execution knobs campaign, seu and explore share: the target, its
-/// fault profiles, the seed, the campaign options, and the fabric.
+/// The execution knobs the running subcommands share: the target, its
+/// fault profiles, the seed, the campaign options, and the fabric. test
+/// takes only the target and its profiles.
 struct ExecArgs {
   std::string app_path;
   std::vector<std::string> lib_paths, profile_paths, vfs_files;
@@ -532,16 +387,16 @@ std::vector<Flag> ExecFlags(Command command, ExecArgs& a) {
       {kAllCommands, {"--entry", "sym", Store(&a.opts.entry)}},
       {kAllCommands, {"--lib", "sso", Append(&a.lib_paths)}},
       {kAllCommands, {"--file", "path", Append(&a.vfs_files)}},
-      {kCampaign | kExplore,
+      {kCampaign | kExplore | kTest,
        {"--profile", "xml", Append(&a.profile_paths)}},
-      {kAllCommands, {"--seed", "n", Count("--seed", &a.seed)}},
-      {kAllCommands,
+      {kScenarioSets, {"--seed", "n", Count("--seed", &a.seed)}},
+      {kScenarioSets,
        {"--jobs", "N", Count("--jobs", &a.opts.jobs, campaign::kMaxJobs)}},
-      {kAllCommands,
+      {kScenarioSets,
        {"--warmup", "instructions",
         Count("--warmup", &a.opts.warmup_instructions)}},
-      {kAllCommands, {"--snapshot", nullptr, Set(&a.opts.snapshot)}},
-      {kAllCommands,
+      {kScenarioSets, {"--snapshot", nullptr, Set(&a.opts.snapshot)}},
+      {kScenarioSets,
        {"--exec", "superblock|reference",
         [&a](const std::string& v) -> Status {
           auto mode = vm::ParseExecMode(v);
@@ -554,9 +409,9 @@ std::vector<Flag> ExecFlags(Command command, ExecArgs& a) {
         }}},
       {kCampaign | kExplore,
        {"--feasible-only", nullptr, Set(&a.opts.controller.feasible_only)}},
-      {kAllCommands,
+      {kScenarioSets,
        {"--workers", "N", Count("--workers", &a.fabric.workers, 64)}},
-      {kAllCommands,
+      {kScenarioSets,
        {"--connect", "host:port[,host:port...]",
         [&a](const std::string& v) { return ParseConnectList(v, &a.fabric); }}},
   };
@@ -579,6 +434,177 @@ Result<TargetImage> LoadTarget(const ExecArgs& a) {
   if (!app.ok()) return Err(app.error());
   libs.push_back(std::move(app).take());
   return MakeTarget(std::move(libs), a.vfs_files);
+}
+
+struct ProfileArgs {
+  std::string out_path;
+  core::ProfilerOptions popts;
+};
+
+std::vector<Flag> ProfileFlags(ProfileArgs& a) {
+  return {
+      {"-o", "profile.xml",
+       StorePath("-o", "an output file path", &a.out_path)},
+      // Per-query G' exploration budget: when a function's state walk
+      // exceeds it, its returns degrade to "unknown" instead of hanging
+      // the profiler on adversarial control flow.
+      {"--max-states", "N",
+       Count("--max-states", &a.popts.analysis.max_states, UINT64_MAX, true)},
+  };
+}
+
+int CmdProfile(const std::vector<std::string>& args) {
+  ProfileArgs a;
+  std::vector<std::string> inputs;
+  if (auto st = ParseFlags(args, ProfileFlags(a), &inputs); !st.ok()) {
+    return Fail("profile: " + st.error());
+  }
+  if (inputs.empty()) return Fail("profile: missing target .sso");
+
+  std::vector<sso::SharedObject> objects;
+  for (const std::string& path : inputs) {
+    auto so = LoadSso(path);
+    if (!so.ok()) return Fail(so.error());
+    objects.push_back(std::move(so).take());
+  }
+  sso::SharedObject kernel_img = kernel::BuildKernelImage();
+  analysis::Workspace ws;
+  ws.SetKernel(&kernel_img);
+  for (const auto& so : objects) ws.AddModule(&so);
+
+  core::Profiler profiler(ws, a.popts);
+  auto profile = profiler.ProfileLibrary(objects[0]);
+  if (!profile.ok()) return Fail(profile.error());
+  std::string xml = profile.value().ToXml();
+  if (a.out_path.empty()) {
+    std::printf("%s", xml.c_str());
+  } else if (!WriteFile(a.out_path, xml.data(), xml.size())) {
+    return Fail("cannot write " + a.out_path);
+  }
+  std::fprintf(stderr,
+               "profiled %zu functions in %.2f ms (%llu G' states)\n",
+               profiler.stats().functions_profiled,
+               profiler.stats().total_time.count() / 1e6,
+               (unsigned long long)profiler.stats().states_explored);
+  return 0;
+}
+
+struct GenerateArgs {
+  double probability = -1;
+  bool exhaustive = false;
+  uint64_t seed = 1;
+  std::string out_path;
+};
+
+std::vector<Flag> GenerateFlags(GenerateArgs& a) {
+  return {
+      {"--random", "p", Probability("--random", &a.probability)},
+      {"--exhaustive", nullptr, Set(&a.exhaustive)},
+      // The seed is the reproducibility anchor of a generated plan; a
+      // silently-coerced "--seed abc" (0) or "--seed 12x" (12) would
+      // produce a plan nobody can regenerate from their notes.
+      {"--seed", "n", Count("--seed", &a.seed)},
+      {"-o", "plan.xml", StorePath("-o", "an output file path", &a.out_path)},
+  };
+}
+
+int CmdGenerate(const std::vector<std::string>& args) {
+  GenerateArgs a;
+  std::vector<std::string> inputs;
+  if (auto st = ParseFlags(args, GenerateFlags(a), &inputs); !st.ok()) {
+    return Fail("generate: " + st.error());
+  }
+  if (inputs.empty()) return Fail("generate: missing profile.xml");
+  if (!a.exhaustive && a.probability < 0) {
+    return Fail("generate: need --random <p> or --exhaustive");
+  }
+  std::vector<core::FaultProfile> profiles;
+  if (auto st = LoadProfiles(inputs, &profiles); !st.ok()) {
+    return Fail(st.error());
+  }
+  core::Plan plan = a.exhaustive
+                        ? core::GenerateExhaustive(profiles)
+                        : core::GenerateRandom(profiles, a.probability, a.seed);
+  std::string xml = plan.ToXml();
+  if (a.out_path.empty()) {
+    std::printf("%s", xml.c_str());
+  } else if (!WriteFile(a.out_path, xml.data(), xml.size())) {
+    return Fail("cannot write " + a.out_path);
+  }
+  std::fprintf(stderr, "generated %zu triggers\n", plan.triggers.size());
+  return 0;
+}
+
+struct TestArgs {
+  ExecArgs exec;
+  std::string plan_path, replay_out;
+};
+
+std::vector<Flag> TestFlags(TestArgs& a) {
+  std::vector<Flag> flags = ExecFlags(kTest, a.exec);
+  flags.insert(flags.end(), {
+      {"--plan", "xml", Store(&a.plan_path)},
+      {"--replay-out", "xml",
+       StorePath("--replay-out", "an output file path", &a.replay_out)},
+  });
+  return flags;
+}
+
+// lfi test: run the target once under one plan on a campaign::PlanRunner;
+// print the injection log, then the verdict (exit codes: file header).
+int CmdTest(const std::vector<std::string>& args) {
+  TestArgs a;
+  if (auto st = ParseFlags(args, TestFlags(a)); !st.ok()) {
+    return Fail("test: " + st.error());
+  }
+  if (a.exec.app_path.empty() || a.plan_path.empty()) {
+    return Fail("test: need --app and --plan");
+  }
+  auto target = LoadTarget(a.exec);
+  if (!target.ok()) return Fail(target.error());
+  auto plan = LoadPlan(a.plan_path);
+  if (!plan.ok()) return Fail(plan.error());
+  std::vector<core::FaultProfile> profiles;
+  if (auto st = LoadProfiles(a.exec.profile_paths, &profiles); !st.ok()) {
+    return Fail(st.error());
+  }
+
+  campaign::CampaignOptions& opts = a.exec.opts;
+  opts.max_instructions = 100'000'000;
+  opts.collect_replays = true;
+  campaign::PlanRunner runner(
+      target.value().setup(),
+      std::make_shared<const std::vector<core::FaultProfile>>(
+          std::move(profiles)),
+      opts);
+  campaign::ScenarioResult result = runner.Run(plan.value());
+  if (result.status == campaign::ScenarioStatus::SetupError) {
+    return Fail(result.fault_message);
+  }
+
+  std::printf("-- injection log --\n%s", runner.log().ToText().c_str());
+  if (!a.replay_out.empty()) {
+    std::string xml = result.replay.ToXml();
+    if (!WriteFile(a.replay_out, xml.data(), xml.size())) {
+      return Fail("cannot write " + a.replay_out);
+    }
+    std::printf("replay script written to %s\n", a.replay_out.c_str());
+  }
+  if (result.status == campaign::ScenarioStatus::Exited) {
+    std::printf("target exited with code %lld after %zu injections\n",
+                (long long)result.exit_code, result.injections);
+    return 0;
+  }
+  if (result.status == campaign::ScenarioStatus::Crashed) {
+    std::printf("TARGET CRASHED: %s (%s) after %zu injections\n",
+                vm::SignalName(result.signal), result.fault_message.c_str(),
+                result.injections);
+  } else {
+    std::printf("target stopped (%s) after %zu injections\n",
+                campaign::ScenarioStatusName(result.status),
+                result.injections);
+  }
+  return 3;
 }
 
 void PrintFabricStats(const serve::FabricStats& fs) {
@@ -704,13 +730,7 @@ struct CampaignArgs {
 std::vector<Flag> CampaignFlags(CampaignArgs& a) {
   std::vector<Flag> flags = ExecFlags(kCampaign, a.exec);
   flags.insert(flags.end(), {
-      {"--random", "p",
-       [&a](const std::string& v) -> Status {
-         auto p = ParseProbabilityFlag("--random", v);
-         if (!p.ok()) return Err(p.error());
-         a.probability = p.value();
-         return Status::Ok();
-       }},
+      {"--random", "p", Probability("--random", &a.probability)},
       {"--exhaustive", nullptr, Set(&a.exhaustive)},
       {"--scenarios", "N", Count("--scenarios", &a.scenarios, 1'000'000)},
       {"--budget", "instructions",
@@ -1021,12 +1041,7 @@ std::vector<Flag> ExploreFlags(ExploreArgs& a) {
       {"--corpus-dir", "dir",
        StorePath("--corpus-dir", "a directory path", &a.corpus_dir)},
       {"--probability", "p",
-       [&e](const std::string& v) -> Status {
-         auto p = ParseProbabilityFlag("--probability", v);
-         if (!p.ok()) return Err(p.error());
-         e.seed_probability = p.value();
-         return Status::Ok();
-       }},
+       Probability("--probability", &e.seed_probability)},
       {"--no-minimize", nullptr, Set(&e.minimize_crashes, false)},
       {"--fork-windows", nullptr, Set(&e.fork_windows)},
       {"--fitness", "coverage|cfg-distance",
@@ -1071,10 +1086,8 @@ int CmdExplore(const std::vector<std::string>& args) {
   namespace fs = std::filesystem;
   if (!corpus_dir.empty() && fs::is_directory(corpus_dir)) {
     for (const std::string& path : ListCorpusFiles(corpus_dir, "plan-")) {
-      std::string text;
-      if (!ReadTextFile(path, &text)) return Fail("cannot read " + path);
-      auto plan = core::Plan::FromXml(text);
-      if (!plan.ok()) return Fail(path + ": " + plan.error());
+      auto plan = LoadPlan(path);
+      if (!plan.ok()) return Fail(plan.error());
       initial_corpus.push_back(std::move(plan).take());
     }
     if (!initial_corpus.empty()) {
@@ -1086,11 +1099,7 @@ int CmdExplore(const std::vector<std::string>& args) {
   eopts.seed = a.exec.seed;
   eopts.campaign = a.exec.opts;
   eopts.on_round = [](const campaign::RoundStats& rs) {
-    std::printf(
-        "round %zu: %zu scenarios, %zu crashed (%zu new buckets), "
-        "%zu winners, +%zu offsets, union %zu offsets, corpus %zu\n",
-        rs.round + 1, rs.scenarios, rs.crashes, rs.new_crash_buckets,
-        rs.winners, rs.new_offsets, rs.union_offsets, rs.corpus_size);
+    std::printf("%s", rs.ToText().c_str());
     std::fflush(stdout);
   };
   // Every exploration round fans out through the dispatch, configured with
@@ -1159,6 +1168,9 @@ int CmdExplore(const std::vector<std::string>& args) {
 int main(int argc, char** argv) {
   std::vector<std::string> args(argv + 1, argv + argc);
   if (args.empty()) {
+    ProfileArgs profile_args;
+    GenerateArgs generate_args;
+    TestArgs test_args;
     CampaignArgs campaign_args;
     SeuArgs seu_args;
     ExploreArgs explore_args;
@@ -1168,12 +1180,11 @@ int main(int argc, char** argv) {
         "usage: lfi <command> [args]\n"
         "  demo-assets <dir>     write demo libc/kernel/app binaries\n"
         "  disasm <lib.sso>      disassemble a synthetic shared object\n"
-        "  profile <sso...> [-o profile.xml] [--max-states N]\n"
-        "  generate (--random p | --exhaustive) [--seed n] <profile.xml...>"
-        " [-o plan.xml]\n"
-        "  test --app <sso> --plan <plan.xml> [--entry sym] [--profile xml]\n"
-        "       [--lib sso]... [--file path]... [--replay-out plan.xml]\n"
-        "%s%s%s%s",
+        "%s%s%s%s%s%s%s",
+        Usage("profile <sso...>", ProfileFlags(profile_args)).c_str(),
+        Usage("generate <profile.xml...>", GenerateFlags(generate_args))
+            .c_str(),
+        Usage("test", TestFlags(test_args)).c_str(),
         Usage("campaign", CampaignFlags(campaign_args)).c_str(),
         Usage("explore", ExploreFlags(explore_args)).c_str(),
         Usage("seu", SeuFlags(seu_args)).c_str(),
