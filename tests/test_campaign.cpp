@@ -8,6 +8,7 @@
 #include "apps/pidgin.hpp"
 #include "apps/workloads.hpp"
 #include "campaign/runner.hpp"
+#include "campaign/triage.hpp"
 #include "isa/codebuilder.hpp"
 #include "libc/libc_builder.hpp"
 #include "test_helpers.hpp"
@@ -103,37 +104,26 @@ TEST(Campaign, PerModuleCoverageSumsToPopcount) {
   }
 }
 
-// Crashed scenarios carry their triage identity; non-crashed ones don't.
-TEST(Campaign, CrashedScenariosCarryTriageHashes) {
-  std::vector<Scenario> scenarios = RandomScenarios(32, 0.3, 42);
-  CampaignReport report = RunReaderCampaign(scenarios, 2);
-  ASSERT_GT(report.crashes, 0u);
-  for (const ScenarioResult& r : report.results) {
-    if (r.status == ScenarioStatus::Crashed) {
-      EXPECT_NE(r.crash_hash, 0u) << r.name;
-      EXPECT_NE(r.crash_site_hash, 0u) << r.name;
-      EXPECT_FALSE(r.fault_frames.empty()) << r.name;
-    } else {
-      EXPECT_EQ(r.crash_hash, 0u) << r.name;
-      EXPECT_EQ(r.crash_site_hash, 0u) << r.name;
-      EXPECT_TRUE(r.fault_frames.empty()) << r.name;
+// A bucket keys on the signal, the frames and the set of distinct faults:
+// not on how often a fault fired, and a pass-through is not a replacement.
+TEST(Campaign, CrashHashKeysOnSiteAndDistinctFaults) {
+  const std::vector<std::string> frames = {"read+0x12", "main+0x40"};
+  EXPECT_NE(CrashSiteHash(vm::Signal::Segv, frames),
+            CrashSiteHash(vm::Signal::Abort, frames));
+  auto hash = [&](const std::vector<bool>& call_original) {
+    core::InjectionLog log;
+    for (bool original : call_original) {
+      core::InjectionRecord r;
+      r.function = log.Intern("read");
+      r.has_retval = true;
+      r.retval = -1;
+      r.call_original = original;
+      log.Add(r);
     }
-  }
-}
-
-// Re-running a campaign on the same runner starts from the same state.
-TEST(Campaign, RunnerIsReusable) {
-  std::vector<Scenario> scenarios = RandomScenarios(16, 0.3, 7);
-  CampaignOptions opts;
-  opts.jobs = 2;
-  CampaignRunner runner(ReaderSetup(), apps::LibcProfiles(), opts);
-  CampaignReport first = runner.Run(scenarios);
-  CampaignReport second = runner.Run(scenarios);
-  ASSERT_EQ(first.results.size(), second.results.size());
-  for (size_t i = 0; i < first.results.size(); ++i) {
-    EXPECT_EQ(first.results[i].injections, second.results[i].injections);
-    EXPECT_EQ(first.results[i].status, second.results[i].status);
-  }
+    return CrashHash(vm::Signal::Segv, frames, log);
+  };
+  EXPECT_EQ(hash({false}), hash({false, false}));
+  EXPECT_NE(hash({false}), hash({true}));
 }
 
 // PlanRunner::log() holds the last Run's records only: a warm runner
@@ -218,34 +208,6 @@ TEST(Campaign, ReportAggregation) {
   EXPECT_EQ(report.total_injections, 3u);
   EXPECT_EQ(report.total_instructions, 150u);
   EXPECT_DOUBLE_EQ(report.cpu_seconds, 0.5);
-}
-
-TEST(Campaign, AggregatesMatchPerScenarioSums) {
-  std::vector<Scenario> scenarios = RandomScenarios(20, 0.3, 5);
-  CampaignReport report = RunReaderCampaign(scenarios, 4);
-  size_t crashes = 0;
-  uint64_t injections = 0, instructions = 0;
-  for (const ScenarioResult& r : report.results) {
-    crashes += r.status == ScenarioStatus::Crashed ? 1 : 0;
-    injections += r.injections;
-    instructions += r.instructions;
-  }
-  EXPECT_EQ(report.crashes, crashes);
-  EXPECT_EQ(report.total_injections, injections);
-  EXPECT_EQ(report.total_instructions, instructions);
-  EXPECT_EQ(report.scenarios, 20u);
-}
-
-TEST(Campaign, DeriveSeedSpreads) {
-  // Adjacent indices and bases must land far apart — seeds feed each
-  // scenario's trigger RNG directly.
-  std::set<uint64_t> seeds;
-  for (uint64_t base = 0; base < 8; ++base) {
-    for (uint64_t i = 0; i < 64; ++i) {
-      seeds.insert(DeriveSeed(base, i));
-    }
-  }
-  EXPECT_EQ(seeds.size(), 8u * 64u);
 }
 
 TEST(Campaign, ParallelForCoversAllIndices) {

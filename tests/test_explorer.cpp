@@ -101,12 +101,6 @@ void ExpectWarmOracleIsolated(const MachineSetup& setup,
   }
 }
 
-TEST(Explorer, WarmOracleMinimizesLikeAFreshOneCold) {
-  ExplorerReport report = ExploreReader(1, 42);
-  ASSERT_GE(report.crashes.size(), 2u);
-  ExpectWarmOracleIsolated(ReaderSetup(), report, CampaignOptions{});
-}
-
 // Snapshot plus fork windows on db-suite (long enough runs that mutants
 // fork past the first window): crashes sit at different fault windows, so
 // the warm oracle's snapshot tree grows deeper nodes from crash to crash.
@@ -232,6 +226,14 @@ TEST(Fitness, CfgDistanceScoresProximityToErrorBlocks) {
   }
   EXPECT_GT(high_scorer_picks, 100u);
   EXPECT_LT(high_scorer_picks, 200u);  // low scorers still reproduce
+
+  // A block scores 1/(1 + distance): main's entry block alone sits at
+  // least one edge from the abort guard, so it scores below one.
+  vm::CoverageBitmap entry(1 << 14);
+  entry.Set(0);
+  fitness.BeginRound({{{"readerapp.so", entry}}}, {});
+  EXPECT_GT(fitness.scores()[0], 0.0);
+  EXPECT_LT(fitness.scores()[0], 1.0);
 }
 
 // Acceptance (ISSUE 3): on the Pidgin target, 3 explorer rounds reach

@@ -179,21 +179,6 @@ TEST_F(PipelineTest, ReplayScriptReproducesInjectionSequence) {
   }
 }
 
-TEST_F(PipelineTest, ReplayPlanSurvivesXmlRoundTrip) {
-  core::Plan plan = core::GenerateRandomSubset(LibcProfiles(), {"read"},
-                                               0.9, 3);
-  core::Controller* controller = nullptr;
-  RunUnder(plan, &controller);
-  core::Plan replay = controller->GenerateReplay();
-  auto parsed = core::Plan::FromXml(replay.ToXml());
-  ASSERT_TRUE(parsed.ok()) << parsed.error();
-  core::Controller* again = nullptr;
-  auto r1 = RunUnder(replay, &again);
-  auto r2 = RunUnder(parsed.value(), &again);
-  EXPECT_EQ(r1.state, r2.state);
-  EXPECT_EQ(r1.exit_code, r2.exit_code);
-}
-
 TEST_F(PipelineTest, FaultloadsDriveInjectionsThroughProfiles) {
   core::Plan plan = core::FileIoFaultload(LibcProfiles(), 1.0, 5);
   core::Controller* controller = nullptr;

@@ -20,6 +20,7 @@
 #include "apps/seu_guest.hpp"
 #include "campaign/runner.hpp"
 #include "campaign/seu.hpp"
+#include "core/controller.hpp"
 #include "core/scenario.hpp"
 #include "isa/codebuilder.hpp"
 #include "isa/harden.hpp"
@@ -40,61 +41,6 @@ using isa::CodeBuilder;
 using isa::Reg;
 
 // ---- <seu> plan XML --------------------------------------------------------
-
-TEST(SeuXml, RoundTripAllTargets) {
-  Plan plan;
-  plan.seed = 9;
-  SeuFault reg;
-  reg.target = SeuFault::Target::Reg;
-  reg.reg = 9;  // BP
-  reg.bit = 63;
-  reg.at_instruction = 123456789;
-  reg.window_module = "app.so";
-  reg.window_begin = 0x40;
-  reg.window_end = 0x80;
-  SeuFault stack;
-  stack.target = SeuFault::Target::Stack;
-  stack.offset = 0xF8;
-  stack.bit = 0;
-  stack.at_instruction = 1;
-  SeuFault heap;
-  heap.target = SeuFault::Target::Heap;
-  heap.offset = 4096;
-  heap.bit = 31;
-  heap.at_instruction = 77;
-  heap.pid = 3;
-  SeuFault data;
-  data.target = SeuFault::Target::Data;
-  data.module = "libc.so";
-  data.offset = 16;
-  data.bit = 7;
-  data.at_instruction = 500;
-  plan.seus = {reg, stack, heap, data};
-
-  auto parsed = Plan::FromXml(plan.ToXml());
-  ASSERT_TRUE(parsed.ok()) << parsed.error();
-  ASSERT_EQ(parsed.value().seus.size(), 4u);
-  const SeuFault& r = parsed.value().seus[0];
-  EXPECT_EQ(r.target, SeuFault::Target::Reg);
-  EXPECT_EQ(r.reg, 9);
-  EXPECT_EQ(r.bit, 63);
-  EXPECT_EQ(r.at_instruction, 123456789u);
-  EXPECT_EQ(r.window_module, "app.so");
-  EXPECT_EQ(r.window_begin, 0x40u);
-  EXPECT_EQ(r.window_end, 0x80u);
-  const SeuFault& s = parsed.value().seus[1];
-  EXPECT_EQ(s.target, SeuFault::Target::Stack);
-  EXPECT_EQ(s.offset, 0xF8u);
-  EXPECT_EQ(s.bit, 0);
-  const SeuFault& h = parsed.value().seus[2];
-  EXPECT_EQ(h.target, SeuFault::Target::Heap);
-  EXPECT_EQ(h.pid, 3);
-  const SeuFault& d = parsed.value().seus[3];
-  EXPECT_EQ(d.target, SeuFault::Target::Data);
-  EXPECT_EQ(d.module, "libc.so");
-  // Serialization is a fixpoint.
-  EXPECT_EQ(parsed.value().ToXml(), plan.ToXml());
-}
 
 TEST(SeuXml, RejectsMalformedFaults) {
   auto bad = [](const char* xml) {
@@ -181,6 +127,71 @@ TEST(InstructionStop, MidRunDigestIdenticalAcrossEngines) {
   }
 }
 
+// ---- landing ---------------------------------------------------------------
+
+/// Runs `plan` on a guest whose main adds to R0 twenty times; `pc_rel`
+/// receives main's module-relative pc at instant 5, where the flips land.
+void RunAdds(vm::Machine& machine, core::Controller& controller,
+             const Plan& plan, uint64_t* pc_rel) {
+  CodeBuilder b;
+  b.begin_function("main");
+  for (int i = 0; i < 20; ++i) b.add_ri(Reg::R0, 1);
+  b.leave_ret();
+  b.end_function();
+  machine.Load(sso::FromCodeUnit("adds.so", b.Finish()));
+  EXPECT_TRUE(controller.Install(plan, nullptr).ok());
+  const uint64_t base = machine.loader().module_named("adds.so")->code_base;
+  machine.ArmInstructionStop(5, [base, pc_rel](vm::Machine& m) {
+    *pc_rel = m.processes().front()->pc() - base;
+  });
+  EXPECT_TRUE(machine.CreateProcess("main").ok());
+  machine.Run();
+}
+
+// A flip lands in the segment its target names, and a windowed flip only
+// while the pc is inside [window_begin, window_end).
+TEST(SeuLanding, TargetsAndWindowsAreExact) {
+  SeuFault stack;
+  stack.target = SeuFault::Target::Stack;
+  stack.offset = 64;
+  stack.bit = 3;
+  stack.at_instruction = 5;
+  SeuFault heap = stack;
+  heap.target = SeuFault::Target::Heap;
+  heap.bit = 5;
+  Plan plan;
+  plan.seus = {stack, heap};
+  uint64_t pc_rel = 0;
+  {
+    vm::Machine machine;
+    core::Controller controller(machine);
+    RunAdds(machine, controller, plan, &pc_rel);
+    EXPECT_EQ(controller.seu_landed(), 2u);
+    vm::Process& proc = *machine.processes().front();
+    uint64_t word = 0;
+    ASSERT_TRUE(proc.read_mem(vm::kStackBase + 64, &word, 8));
+    EXPECT_EQ(word, 8u);
+    ASSERT_TRUE(proc.read_mem(vm::kHeapBase + 64, &word, 8));
+    EXPECT_EQ(word, 32u);
+  }
+  for (uint64_t past_end : {0, 1}) {
+    SeuFault reg;
+    reg.target = SeuFault::Target::Reg;
+    reg.reg = 3;
+    reg.at_instruction = 5;
+    reg.window_module = "adds.so";
+    reg.window_end = pc_rel + past_end;
+    Plan windowed;
+    windowed.seus = {reg};
+    vm::Machine machine;
+    core::Controller controller(machine);
+    uint64_t at = 0;
+    RunAdds(machine, controller, windowed, &at);
+    ASSERT_EQ(at, pc_rel);
+    EXPECT_EQ(controller.seu_landed(), past_end) << "window end " << pc_rel;
+  }
+}
+
 // ---- outcome classification ------------------------------------------------
 
 TEST(SeuClassify, Taxonomy) {
@@ -229,6 +240,14 @@ TEST(SeuClassify, Taxonomy) {
   r.state_digest = odd.state_digest;
   EXPECT_EQ(campaign::ClassifySeu(r, odd, detect),
             campaign::SeuOutcome::Masked);
+
+  // A campaign counts the flips that never landed.
+  CampaignReport report;
+  report.results.resize(2);
+  report.results[1].seu_landed = 1;
+  EXPECT_EQ(campaign::ClassifyCampaign(report, golden, detect)
+                .counts.not_landed,
+            1u);
 }
 
 // ---- SIHFT transforms ------------------------------------------------------

@@ -53,11 +53,17 @@ TEST(SnapshotDiff, PlanRunnerIdenticalAndSurvivesReset) {
   PlanRunner cold_runner(apps::PidginMachineSetup(), profiles, cold);
   PlanRunner snap_runner(apps::PidginMachineSetup(), profiles, snap);
   auto scenarios = RandomScenarios(6, 0.1, 61);
-  for (size_t i = 0; i < scenarios.size(); ++i) {
-    SCOPED_TRACE("plan " + std::to_string(i));
-    ScenarioResult a = cold_runner.Run(scenarios[i].plan, scenarios[i].name);
-    ScenarioResult b = snap_runner.Run(scenarios[i].plan, scenarios[i].name);
-    ExpectSameScenario(a, b, /*both_snapshot=*/false);
+  // Window 1 opens one instruction past the root's window 0: its prefix
+  // ends a scheduler round later, so it must not reuse the root's node.
+  for (uint64_t window : {0, 1}) {
+    for (size_t i = 0; i < scenarios.size(); ++i) {
+      SCOPED_TRACE("plan " + std::to_string(i) + " at window " +
+                   std::to_string(window));
+      const core::Plan& plan = scenarios[i].plan;
+      ScenarioResult a = cold_runner.Run(plan, scenarios[i].name, window);
+      ScenarioResult b = snap_runner.Run(plan, scenarios[i].name, window);
+      ExpectSameScenario(a, b, /*both_snapshot=*/false);
+    }
   }
 }
 

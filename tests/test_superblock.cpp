@@ -6,15 +6,15 @@
 // engine (the decode-per-step semantic oracle):
 //
 //   - a seeded random-program differential fuzzer: every generated program
-//     (branches, calls, faults, wild jumps, syscalls) must leave identical
-//     registers, memory digests, instruction counts, and coverage on both
-//     engines — failures dump the program as a reproducer;
-//   - a property test that mid-instruction jump targets fall back to
-//     DecodeOne with the exact reference fault;
+//     (branches, calls, faults, wild and mid-instruction jumps, syscalls)
+//     must leave identical registers, memory digests, instruction counts,
+//     coverage and fault messages on both engines — failures dump the
+//     program as a reproducer;
 //   - guest arithmetic that wraps identically on both engines.
 //
-// Differential runs of the tier-1 workloads, the mid-segment snapshot
-// round trip, and code-cache lifecycle tests live in test_exec_diff.cpp.
+// Whole tier-1 campaigns on both engines are test_matrix's rows; the
+// mid-segment snapshot round trip and code-cache lifecycle tests live in
+// test_exec_diff.cpp.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -286,41 +286,7 @@ TEST(SuperblockFuzz, RandomProgramsIdenticalAcrossEngines) {
   EXPECT_EQ(divergences, 0);
 }
 
-// ---- decode fallback ---------------------------------------------------------
-
-/// A jump into the middle of an instruction has no decoded slot; the
-/// superblock engine must take the DecodeOne fallback and fault with the
-/// exact reference message.
-TEST(SuperblockProperty, MidInstructionJumpFallsBackToDecodeOne) {
-  auto build = [] {
-    CodeBuilder b;
-    b.begin_function("main");
-    // Prologue is 5 bytes (push bp; mov bp, sp); this MOV_RI sits at
-    // offset 5, so its imm64 begins at offset 7. The low imm byte 0xFF is
-    // not a valid opcode — jumping there must SIGILL identically on both
-    // engines.
-    b.mov_ri(Reg::R2, 0xFF);
-    b.mov_ri(Reg::R3, static_cast<int64_t>(vm::ModuleCodeBase(1) + 7));
-    b.jmp_ind(Reg::R3);
-    b.leave_ret();
-    b.end_function();
-    return sso::FromCodeUnit("app.so", b.Finish());
-  };
-  auto run = [&](vm::ExecMode mode) {
-    vm::Machine machine;  // kernel is module 0, app is module 1
-    machine.SetExecMode(mode);
-    machine.Load(build());
-    return test::RunEntry(machine, "main");
-  };
-  test::RunResult ref = run(vm::ExecMode::Reference);
-  EXPECT_EQ(ref.state, vm::ProcState::Faulted);
-  EXPECT_EQ(ref.signal, vm::Signal::Ill);
-  EXPECT_NE(ref.fault.find("unknown opcode"), std::string::npos) << ref.fault;
-  test::RunResult fast = run(vm::ExecMode::Superblock);
-  EXPECT_EQ(fast.state, ref.state);
-  EXPECT_EQ(fast.signal, ref.signal);
-  EXPECT_EQ(fast.fault, ref.fault);
-}
+// ---- guest arithmetic --------------------------------------------------------
 
 /// Guest arithmetic wraps two's-complement, and the host computes it
 /// unsigned: a MUL_RI / ADD_RR / SUB_RR / NEG past the int64 limits (and a

@@ -347,11 +347,11 @@ Apply Probability(const char* flag, double* out) {
   };
 }
 
-/// An output path: a real value, not another flag (a misparse would
-/// create a file or directory named "--foo").
+/// An output path: a real value, not a flag or a dash-led name (a misparse
+/// would create a file or directory named "--foo" or "-x").
 Apply StorePath(const char* flag, const char* what, std::string* out) {
   return [=](const std::string& v) -> Status {
-    if (v.empty() || v.rfind("--", 0) == 0) {
+    if (v.empty() || v[0] == '-') {
       return Err(std::string(flag) + " needs " + what + ", got \"" + v + "\"");
     }
     *out = v;
