@@ -147,6 +147,7 @@ TEST(TriggerEngine, StackTraceConditionMatchesSymbols) {
   t.stacktrace.push_back(frame);
   plan.triggers.push_back(t);
   TriggerEngine engine(plan, {});
+  EXPECT_TRUE(engine.needs_backtrace("readdir"));
 
   // Wrong caller: no injection (call_count still advances).
   auto wrong = engine.OnCall("readdir", [] {
@@ -160,6 +161,13 @@ TEST(TriggerEngine, StackTraceConditionMatchesSymbols) {
     return Backtrace{{0x1000, "refresh_files"}, {0x2000, "main"}};
   });
   EXPECT_TRUE(right.has_value());
+
+  // Re-armed for a plan without the condition, stubs stop collecting
+  // backtraces for the function.
+  Plan plain;
+  plain.triggers.push_back(CallCountTrigger("readdir", 1, 0, E_BADF));
+  engine.Rearm(plain);
+  EXPECT_FALSE(engine.needs_backtrace("readdir"));
 }
 
 TEST(TriggerEngine, StackTraceConditionMatchesAddresses) {

@@ -508,6 +508,8 @@ size_t NonZeroBytes(Process& proc, uint64_t base, uint64_t len) {
 TEST(MachineSnapshotTree, RestoreTelemetryAccumulates) {
   Machine machine;
   machine.Load(CounterApp());
+  EXPECT_FALSE(machine.RestoreSnapshot());  // nothing captured yet
+  EXPECT_FALSE(machine.RestoreTo(0));
   auto pid = machine.CreateProcess("main");
   ASSERT_TRUE(pid.ok());
   SnapshotId root = machine.PushSnapshot();
@@ -521,16 +523,19 @@ TEST(MachineSnapshotTree, RestoreTelemetryAccumulates) {
   const uint64_t v = 0x99;
   ASSERT_TRUE(proc.write_mem(data, &v, 8));
   ASSERT_TRUE(proc.write_mem(heap, &v, 8));
-  machine.PushSnapshot();
+  SnapshotId child = machine.PushSnapshot();
   ASSERT_TRUE(machine.RestoreTo(root));
   EXPECT_EQ(NonZeroBytes(proc, data, 8), 0u);
   EXPECT_EQ(NonZeroBytes(proc, heap, 8), 0u);
   machine.RunToCompletion(pid.value());
   ASSERT_TRUE(machine.RestoreTo(root));
+  EXPECT_FALSE(machine.RestoreTo(child + 1));  // past the last node
   const SnapshotRestoreStats& stats = machine.restore_stats();
   EXPECT_EQ(stats.restores, 2u);
   EXPECT_GT(stats.pages_restored, 0u);  // the run dirtied at least 1 page
   EXPECT_GT(stats.nodes_walked, 0u);
+  machine.Snapshot();  // the flat API starts a fresh one-node tree
+  EXPECT_EQ(machine.snapshot_node_count(), 1u);
 }
 
 // ---- segment recycling --------------------------------------------------------

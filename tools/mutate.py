@@ -31,6 +31,8 @@ import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 MUTANTS = os.path.join(ROOT, "tools", "mutants.json")
+JOBS = os.cpu_count() or 1  # build jobs and concurrent test binaries
+TIMEOUT = 60  # seconds per test binary
 
 FAILED = re.compile(r"^\[  FAILED  \] (\S+\.\S+?)(?:,| \(|$)")
 RUN = re.compile(r"^\[ RUN      \] (\S+)")
@@ -93,23 +95,23 @@ def test_binaries(work):
                   if name.startswith("test_") and name.endswith(".cpp"))
 
 
-def build(src, build_dir, targets, jobs):
+def build(src, build_dir, targets):
     if not os.path.exists(os.path.join(build_dir, "CMakeCache.txt")):
         gen = ["-G", "Ninja"] if shutil.which("ninja") else []
         subprocess.run(["cmake", "-S", src, "-B", build_dir, *gen,
                         "-DCMAKE_BUILD_TYPE=RelWithDebInfo"],
                        check=True, capture_output=True)
-    r = subprocess.run(["cmake", "--build", build_dir, "-j", str(jobs),
+    r = subprocess.run(["cmake", "--build", build_dir, "-j", str(JOBS),
                         "--target", *targets], capture_output=True, text=True)
     return r.returncode == 0, r.stdout + r.stderr
 
 
-def run_binary(build_dir, name, timeout):
+def run_binary(build_dir, name):
     """Returns the cases this binary reports as failed: a `[  FAILED  ]`
     case, or the case that was running when it crashed or timed out."""
     try:
         r = subprocess.run([os.path.join(build_dir, name)], cwd=build_dir,
-                           capture_output=True, text=True, timeout=timeout,
+                           capture_output=True, text=True, timeout=TIMEOUT,
                            errors="replace")
         out, verdict = r.stdout, None if r.returncode in (0, 1) else "crash"
     except subprocess.TimeoutExpired as e:
@@ -128,10 +130,9 @@ def run_binary(build_dir, name, timeout):
     return {f"{name}:{case}" for case in failed}
 
 
-def run_all(build_dir, binaries, jobs, timeout):
-    with concurrent.futures.ThreadPoolExecutor(jobs) as pool:
-        results = pool.map(lambda b: run_binary(build_dir, b, timeout),
-                           binaries)
+def run_all(build_dir, binaries):
+    with concurrent.futures.ThreadPoolExecutor(JOBS) as pool:
+        results = pool.map(lambda b: run_binary(build_dir, b), binaries)
         return sorted(set().union(*results))
 
 
@@ -142,10 +143,6 @@ def main():
     ap.add_argument("--only", help="comma-separated mutant ids to run")
     ap.add_argument("--workdir", help="work directory to build in (reused "
                     "across runs; default: a fresh temporary one)")
-    ap.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
-                    help="build jobs and concurrent test binaries")
-    ap.add_argument("--timeout", type=float, default=60,
-                    help="seconds per test binary")
     ap.add_argument("--json", help="write the killer table here")
     args = ap.parse_args()
 
@@ -174,12 +171,12 @@ def main():
     binaries = test_binaries(src)
 
     begin = time.monotonic()
-    ok, log = build(src, build_dir, binaries, args.jobs)
+    ok, log = build(src, build_dir, binaries)
     if not ok:
         print(log[-4000:], "\nmutate: the unmutated tree does not build",
               file=sys.stderr)
         return 2
-    failing = run_all(build_dir, binaries, args.jobs, args.timeout)
+    failing = run_all(build_dir, binaries)
     if failing:
         print("mutate: the unmutated tree fails:", *failing, sep="\n  ",
               file=sys.stderr)
@@ -197,9 +194,8 @@ def main():
         with open(path, "w") as f:
             f.write(original.replace(m["match"], m["replace"]))
         try:
-            ok, log = build(src, build_dir, binaries, args.jobs)
-            killers = run_all(build_dir, binaries, args.jobs,
-                              args.timeout) if ok else None
+            ok, log = build(src, build_dir, binaries)
+            killers = run_all(build_dir, binaries) if ok else None
         finally:
             # Restored now, recompiled together with the next mutant.
             with open(path, "w") as f:
@@ -217,7 +213,7 @@ def main():
 
     if args.workdir:
         # Rebuild the restored tree so the reused directory starts clean.
-        build(src, build_dir, binaries, args.jobs)
+        build(src, build_dir, binaries)
     sole = {}
     for e in table:
         if e["killers"] and len(e["killers"]) == 1:
