@@ -154,8 +154,8 @@ campaign::MachineSetup JournalSetup() {
   auto libc_so = std::make_shared<const sso::SharedObject>(libc::BuildLibc());
   auto app = std::make_shared<const sso::SharedObject>(BuildJournalApp());
   return [libc_so, app](vm::Machine& machine) {
-    machine.Load(*libc_so);
-    machine.Load(*app);
+    machine.Load(*libc_so).value();
+    machine.Load(*app).value();
     machine.kernel().add_file("/db", std::vector<uint8_t>(64, 'd'));
     machine.kernel().add_file("/log", {});
   };

@@ -94,7 +94,7 @@ sso::SharedObject BuildSpinLoop(int64_t iters) {
 EngineRun RunSpin(vm::ExecMode mode, int64_t iters) {
   vm::Machine machine;
   machine.SetExecMode(mode);
-  machine.Load(BuildSpinLoop(iters));
+  machine.Load(BuildSpinLoop(iters)).value();
   auto pid = machine.CreateProcess("main");
   EngineRun run;
   if (!pid.ok()) return run;
@@ -109,11 +109,11 @@ EngineRun RunOltp(vm::ExecMode mode, int transactions, bool coverage = false) {
   vm::Machine machine;
   machine.SetExecMode(mode);
   if (coverage) machine.EnableCoverage();
-  machine.Load(libc::BuildLibc());
+  machine.Load(libc::BuildLibc()).value();
   apps::DbConfig config;
   config.transactions = transactions;
   for (sso::SharedObject& so : apps::BuildDbServer(config)) {
-    machine.Load(std::move(so));
+    machine.Load(std::move(so)).value();
   }
   machine.kernel().add_file(apps::kDbDataPath,
                             std::vector<uint8_t>(4096, uint8_t{0}));

@@ -105,8 +105,8 @@ int main() {
               plan.triggers.size());
 
   vm::Machine machine;
-  machine.Load(libc::BuildLibc());
-  machine.Load(BuildCopyTool());
+  machine.Load(libc::BuildLibc()).value();
+  machine.Load(BuildCopyTool()).value();
   machine.kernel().add_file("/in", std::vector<uint8_t>(64, 'x'));
 
   core::Controller controller(machine);

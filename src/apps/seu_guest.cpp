@@ -187,7 +187,7 @@ std::function<void(vm::Machine&)> SeuGuestMachineSetup(HardeningMode mode) {
     return [](vm::Machine&) {};
   }
   auto guest = std::make_shared<sso::SharedObject>(std::move(built.value()));
-  return [guest](vm::Machine& machine) { machine.Load(*guest); };
+  return [guest](vm::Machine& machine) { machine.Load(*guest).value(); };
 }
 
 }  // namespace lfi::apps

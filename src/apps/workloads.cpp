@@ -86,16 +86,16 @@ std::function<void(vm::Machine&)> PidginMachineSetup() {
   auto libc_so = std::make_shared<const sso::SharedObject>(libc::BuildLibc());
   auto pidgin = std::make_shared<const sso::SharedObject>(BuildPidgin());
   return [libc_so, pidgin](vm::Machine& machine) {
-    machine.Load(*libc_so);
-    machine.Load(*pidgin);
+    machine.Load(*libc_so).value();
+    machine.Load(*pidgin).value();
   };
 }
 
 std::function<void(vm::Machine&)> DbSuiteMachineSetup() {
   auto libc_so = std::make_shared<const sso::SharedObject>(libc::BuildLibc());
   return [libc_so](vm::Machine& machine) {
-    machine.Load(*libc_so);
-    for (const sso::SharedObject& so : DbSuiteModules()) machine.Load(so);
+    machine.Load(*libc_so).value();
+    for (const sso::SharedObject& so : DbSuiteModules()) machine.Load(so).value();
     AddDbFiles(machine);
   };
 }
@@ -118,10 +118,10 @@ std::vector<core::FaultProfile> ProfileStandardLibs(
 WebBenchResult RunWebBench(int requests, bool php_mode, int trigger_count,
                            uint64_t seed) {
   vm::Machine machine;
-  machine.Load(libc::BuildLibc());
-  machine.Load(BuildLibApr());
-  machine.Load(BuildLibAprUtil());
-  machine.Load(BuildWebServer(requests, php_mode));
+  machine.Load(libc::BuildLibc()).value();
+  machine.Load(BuildLibApr()).value();
+  machine.Load(BuildLibAprUtil()).value();
+  machine.Load(BuildWebServer(requests, php_mode)).value();
   AddWebFiles(machine);
 
   core::ControllerOptions copts;
@@ -148,12 +148,12 @@ WebBenchResult RunWebBench(int requests, bool php_mode, int trigger_count,
 OltpBenchResult RunOltpBench(int transactions, bool read_write,
                              int trigger_count, uint64_t seed) {
   vm::Machine machine;
-  machine.Load(libc::BuildLibc());
+  machine.Load(libc::BuildLibc()).value();
   DbConfig config;
   config.transactions = transactions;
   config.read_write = read_write;
   for (sso::SharedObject& so : BuildDbServer(config)) {
-    machine.Load(std::move(so));
+    machine.Load(std::move(so)).value();
   }
   AddDbFiles(machine);
 

@@ -73,13 +73,16 @@ Status Controller::Install(const Plan& plan,
 Status Controller::Install(
     const Plan& plan,
     std::shared_ptr<const std::vector<FaultProfile>> profiles) {
-  // Drop any previous installation first: stale stubs in the loader would
-  // otherwise keep pointers into the stub states re-armed below.
-  Uninstall();
-  installed_ = true;
   static const auto kNoProfiles =
       std::make_shared<const std::vector<FaultProfile>>();
   if (!profiles) profiles = kNoProfiles;
+  if (profiles == profiles_ && Rearms(plan)) {
+    Rearm(plan);
+    return Status::Ok();
+  }
+  // Drop any previous installation first: stale stubs in the loader would
+  // otherwise keep pointers into the stub states rebuilt below.
+  Uninstall();
   // The profile index is per (controller, profile set): a campaign hands
   // every scenario the same shared set, so it is built once.
   if (profiles != profiles_ || !profile_index_) {
@@ -97,7 +100,7 @@ Status Controller::Install(
     engine_ = std::make_unique<TriggerEngine>(plan, machine_.symbols(),
                                               *profile_index_);
   }
-  armed_ = true;
+  installed_ = armed_ = registered_ = true;
   std::span<TriggerEngine::FunctionState> functions =
       engine_->function_states();
   stubs_.resize(functions.size());
@@ -127,6 +130,28 @@ Status Controller::Install(
   }
   ArmSeus(plan);
   return Status::Ok();
+}
+
+void Controller::Rearm(const Plan& plan) {
+  // The registered stubs already serve this trigger list: reset the
+  // engine's counts and RNG and switch the stubs back on.
+  Disarm();
+  engine_->Restart(plan.seed);
+  machine_.loader().SetInterpositionEnabled(true);
+  installed_ = armed_ = true;
+  ArmSeus(plan);
+}
+
+bool Controller::Rearms(const Plan& plan) const {
+  return registered_ && engine_ && engine_->SameTriggers(plan);
+}
+
+bool Controller::Interposes(std::string_view function) const {
+  const util::SymbolId id = machine_.symbols().Find(function);
+  for (const StubState& stub : stubs_) {
+    if (stub.symbol == id) return true;
+  }
+  return false;
 }
 
 vm::NativeAction Controller::OnStubCall(StubState& state,
@@ -313,16 +338,23 @@ void Controller::ApplySeu(const SeuFault& seu) {
   }
 }
 
-void Controller::Uninstall() {
-  if (!installed_) return;  // Reset() then Install(): clear once
+void Controller::Disarm() {
+  if (!installed_) return;  // Reset() then Install(): disarm once
   installed_ = false;
-  machine_.loader().ClearNatives();
+  machine_.loader().SetInterpositionEnabled(false);
   machine_.ClearInstructionStops();
   seus_.clear();
 }
 
+void Controller::Uninstall() {
+  Disarm();
+  registered_ = false;
+  machine_.loader().ClearNatives();
+  machine_.loader().SetInterpositionEnabled(true);
+}
+
 void Controller::Reset() {
-  Uninstall();
+  Disarm();
   armed_ = false;
   log_.Clear();
   first_injection_instructions_ = 0;

@@ -15,6 +15,7 @@
 
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/injection_log.hpp"
@@ -52,7 +53,12 @@ class Controller {
   /// Synthesize and install interposition stubs for `plan`.
   /// Call before creating the process under test (like LD_PRELOAD, the shim
   /// must be in place when the program starts — though re-resolution makes
-  /// late installs work too).
+  /// late installs work too). When the plan's trigger list equals the
+  /// registered one field for field (Rearms), Install re-arms in place:
+  /// it reseeds the engine, zeroes its counts and cursors, re-arms the
+  /// plan's SEUs and switches the registered stubs back on, and copies,
+  /// interns and registers nothing. Either way the result is the state a
+  /// fresh controller would reach.
   Status Install(const Plan& plan, std::vector<FaultProfile> profiles);
 
   /// Same, sharing an immutable profile set instead of copying it — the
@@ -61,17 +67,28 @@ class Controller {
   Status Install(const Plan& plan,
                  std::shared_ptr<const std::vector<FaultProfile>> profiles);
 
+  /// Whether Install(plan) with the profile set of the last Install
+  /// re-arms in place.
+  bool Rearms(const Plan& plan) const;
+  /// Install(plan) with the last Install's profile set, for a caller that
+  /// already knows Rearms(plan) holds: skips the trigger comparison.
+  void Rearm(const Plan& plan);
+  /// Whether the registered stubs interpose `function`. Exact for a plan
+  /// that Rearms: its trigger list names the registered functions.
+  bool Interposes(std::string_view function) const;
+
   /// Remove all stubs (the loader then resolves to the originals again).
-  /// A no-op when nothing was installed since the last Uninstall.
   void Uninstall();
 
-  /// Return to the pre-Install state: remove stubs, disarm the trigger
-  /// engine (engine() is nullptr until the next Install), clear the
-  /// injection log (sequence numbers restart). The profile index, the
-  /// engine and the stub states stay allocated, and the next Install
-  /// re-arms them in place; the engine is rebuilt only when the profile
-  /// set changes. Pairs with vm::Machine::Reset for scenario-to-scenario
-  /// reuse.
+  /// Return to the pre-Install state: no stub is active (the registered
+  /// stubs stay in the loader but interposition is off, so calls resolve
+  /// to the originals and a fault-free gap can run before the next
+  /// Install), the trigger engine is disarmed (engine() is nullptr until
+  /// the next Install), the armed SEU stops are dropped and the injection
+  /// log is cleared (sequence numbers restart). The profile index, the
+  /// engine and the stub states stay allocated for the next Install; the
+  /// engine is rebuilt only when the profile set changes. Pairs with
+  /// vm::Machine::Reset and RestoreTo for scenario-to-scenario reuse.
   void Reset();
 
   /// How many times Install built a ProfileIndex: once per distinct
@@ -108,6 +125,9 @@ class Controller {
  private:
   struct StubState;
 
+  /// Switch the stubs off and drop the armed SEU stops; a no-op when
+  /// nothing was installed since.
+  void Disarm();
   /// Arm the plan's SEU flips as precise machine instruction stops.
   void ArmSeus(const Plan& plan);
   /// Stop callback: flip the addressed bit if the gate admits it.
@@ -129,9 +149,13 @@ class Controller {
   /// Machine SymbolId -> injection-log id, interned on first sight (log
   /// ids survive log_.Clear()).
   std::vector<util::SymbolId> log_ids_;
-  /// Whether the loader may hold stubs Uninstall must clear. Starts true:
-  /// the first Install clears whatever was registered before it.
+  /// Whether stubs may be active or SEU stops armed, which Disarm must
+  /// undo. Starts true: the first Install clears whatever was registered
+  /// before it.
   bool installed_ = true;
+  /// Whether the loader holds stubs_ for the engine's trigger list (active
+  /// or not): Install re-arms instead of registering.
+  bool registered_ = false;
   InjectionLog log_;
   uint64_t first_injection_instructions_ = 0;
   /// One per planned function. Registered stubs point into this vector,

@@ -43,6 +43,7 @@ struct ArgModification {
   int64_t value = 0;
 
   int64_t Apply(int64_t current) const;
+  bool operator==(const ArgModification&) const = default;
 };
 
 /// One backtrace frame condition: matches a hex address (0x...) or an
@@ -50,6 +51,8 @@ struct ArgModification {
 struct FrameCondition {
   std::optional<uint64_t> address;
   std::string symbol;
+
+  bool operator==(const FrameCondition&) const = default;
 };
 
 struct FunctionTrigger {
@@ -76,6 +79,9 @@ struct FunctionTrigger {
 
   /// Stop firing after this many injections; -1 = unlimited.
   int max_injections = -1;
+
+  /// Field for field: equal trigger lists arm identical engines.
+  bool operator==(const FunctionTrigger&) const = default;
 };
 
 /// One single-event upset: flip exactly one bit of one architectural word

@@ -25,19 +25,37 @@ TriggerEngine::TriggerEngine(const Plan& plan,
   Rearm(plan);
 }
 
+void TriggerEngine::Restart(uint64_t seed) {
+  rng_ = Rng(seed);
+  // Same list: the per-function layout is already right; zero the counts.
+  auto unfired = [](TriggerState& ts) {
+    ts.fired = 0;
+    ts.rotate_index = 0;
+  };
+  for (FunctionState& st : function_states()) {
+    st.call_count_ = 0;
+    st.cursor_ = 0;
+    for (IndexedTrigger& t : st.indexed_) unfired(t.state);
+    for (TriggerState& t : st.general_) unfired(t);
+  }
+}
+
 void TriggerEngine::Rearm(const Plan& plan) {
+  if (SameTriggers(plan)) {
+    Restart(plan.seed);
+    return;
+  }
+  rng_ = Rng(plan.seed);
   // One intern per trigger, skipped where the previous plan's trigger at
-  // the same index named the same function (plan_ is still that plan).
+  // the same index named the same function (triggers_ is still that list).
   trigger_symbols_.resize(plan.triggers.size());
   for (size_t i = 0; i < plan.triggers.size(); ++i) {
     const std::string& function = plan.triggers[i].function;
-    if (i >= plan_.triggers.size() || plan_.triggers[i].function != function) {
+    if (i >= triggers_.size() || triggers_[i].function != function) {
       trigger_symbols_[i] = symbols_->Intern(function);
     }
   }
-  plan_ = plan;
-  rng_ = Rng(plan_.seed);
-  injections_ = 0;
+  triggers_ = plan.triggers;
 
   // slot_of_ maps a table id to its state_ entry (first-appearance order).
   live_ = 0;
@@ -56,8 +74,8 @@ void TriggerEngine::Rearm(const Plan& plan) {
     st.injectables_ = entry ? &entry->injectables : nullptr;
     st.any_stack_conditions_ = false;
   }
-  for (size_t i = 0; i < plan_.triggers.size(); ++i) {
-    const FunctionTrigger& t = plan_.triggers[i];
+  for (size_t i = 0; i < triggers_.size(); ++i) {
+    const FunctionTrigger& t = triggers_[i];
     FunctionState& st = state_[slot_of_[trigger_symbols_[i]]];
     TriggerState ts{i, 0, 0};
     // Plain call-count triggers are kept sorted by their fire count and
@@ -99,10 +117,6 @@ const TriggerEngine::FunctionState* TriggerEngine::find_state(
   return nullptr;
 }
 
-bool TriggerEngine::has_triggers_for(std::string_view function) const {
-  return find_state(function) != nullptr;
-}
-
 bool TriggerEngine::needs_backtrace(std::string_view function) const {
   const FunctionState* st = find_state(function);
   return st != nullptr && st->any_stack_conditions_;
@@ -120,19 +134,6 @@ std::vector<std::string> TriggerEngine::functions() const {
 uint64_t TriggerEngine::call_count(std::string_view function) const {
   const FunctionState* st = find_state(function);
   return st == nullptr ? 0 : st->call_count_;
-}
-
-std::optional<TriggerEngine::StateView> TriggerEngine::InspectState(
-    std::string_view function) const {
-  const FunctionState* st = find_state(function);
-  if (st == nullptr) return std::nullopt;
-  StateView view;
-  view.call_count = st->call_count_;
-  view.indexed_triggers = st->indexed_.size();
-  view.general_triggers = st->general_.size();
-  view.injectables = st->injectables_ ? st->injectables_->size() : 0;
-  view.any_stack_conditions = st->any_stack_conditions_;
-  return view;
 }
 
 bool TriggerEngine::Matches(const FunctionTrigger& trigger,
@@ -195,7 +196,6 @@ std::optional<InjectionDecision> TriggerEngine::Fire(
     d.call_original = true;
   }
   ++ts.fired;
-  ++injections_;
   return d;
 }
 
@@ -218,14 +218,14 @@ std::optional<InjectionDecision> TriggerEngine::OnCall(
   for (; i < st.indexed_.size() && st.indexed_[i].inject_call == st.call_count_;
        ++i) {
     TriggerState& ts = st.indexed_[i].state;
-    const FunctionTrigger& trigger = plan_.triggers[ts.plan_index];
+    const FunctionTrigger& trigger = triggers_[ts.plan_index];
     if (trigger.max_injections >= 0 && ts.fired >= trigger.max_injections) {
       continue;
     }
     return Fire(trigger, ts, st);
   }
   for (TriggerState& ts : st.general_) {
-    const FunctionTrigger& trigger = plan_.triggers[ts.plan_index];
+    const FunctionTrigger& trigger = triggers_[ts.plan_index];
     if (trigger.max_injections >= 0 && ts.fired >= trigger.max_injections) {
       continue;
     }

@@ -80,13 +80,21 @@ class TriggerEngine {
 
   /// Arm the engine for `plan` against the same table and index, exactly as
   /// if it had been constructed for it: the RNG is reseeded and every count
-  /// starts at zero. This is the Controller's per-Install path: O(plan
-  /// triggers), and the plan copy and per-function state reuse the
-  /// previous plan's storage. Trigger i keeps its symbol id when it names
-  /// the same function as the previous plan's trigger i, so re-arming a
-  /// plan over the same functions does no table lookup. Invalidates every
-  /// FunctionState handle.
+  /// starts at zero. When the plan's trigger list equals the armed one
+  /// field for field (a random faultload's plans differ only in their
+  /// seed), this is Restart: nothing is copied and every FunctionState
+  /// handle stays valid. Otherwise the list is copied into the previous
+  /// plan's storage, trigger i keeps its symbol id when it names the same
+  /// function as the previous plan's trigger i, and every handle is
+  /// invalidated.
   void Rearm(const Plan& plan);
+  /// Whether Rearm(plan) would keep every handle: the armed trigger list
+  /// equals `plan`'s.
+  bool SameTriggers(const Plan& plan) const { return plan.triggers == triggers_; }
+  /// Rearm for a plan known to have the armed trigger list: reseed the
+  /// RNG with `seed` and zero every count, fire count and cursor. This is
+  /// the Controller's re-arm path.
+  void Restart(uint64_t seed);
 
   /// Opaque per-function handle; lets a stub skip the name lookup on the
   /// hot path (resolved once at install time). The trigger plumbing is
@@ -135,26 +143,12 @@ class TriggerEngine {
   std::optional<InjectionDecision> OnCall(const std::string& function,
                                           const BacktraceProvider& backtrace);
 
-  bool has_triggers_for(std::string_view function) const;
   /// True if any trigger on `function` needs a backtrace to evaluate.
   bool needs_backtrace(std::string_view function) const;
   /// All function names with at least one trigger.
   std::vector<std::string> functions() const;
 
   uint64_t call_count(std::string_view function) const;
-  uint64_t injection_count() const { return injections_; }
-  const Plan& plan() const { return plan_; }
-
-  /// Narrow test-only window into the per-function plumbing; production
-  /// callers use the opaque FunctionState handle instead.
-  struct StateView {
-    uint64_t call_count = 0;
-    size_t indexed_triggers = 0;
-    size_t general_triggers = 0;
-    size_t injectables = 0;
-    bool any_stack_conditions = false;
-  };
-  std::optional<StateView> InspectState(std::string_view function) const;
 
  private:
   bool Matches(const FunctionTrigger& trigger, const FunctionState& st,
@@ -163,7 +157,8 @@ class TriggerEngine {
                                         TriggerState& ts, FunctionState& st);
   const FunctionState* find_state(std::string_view function) const;
 
-  Plan plan_;
+  /// The armed plan's triggers (OnCall indexes them by plan position).
+  std::vector<FunctionTrigger> triggers_;
   /// Standalone engines own their table and index; shared-index engines
   /// leave these empty.
   std::unique_ptr<util::SymbolTable> own_symbols_;
@@ -180,7 +175,6 @@ class TriggerEngine {
   std::vector<FunctionState> state_;
   size_t live_ = 0;
   mutable Rng rng_;
-  uint64_t injections_ = 0;
 };
 
 }  // namespace lfi::core

@@ -1,6 +1,7 @@
 #include "kernel/kernel_runtime.hpp"
 
 #include <algorithm>
+#include <utility>
 
 namespace lfi::kernel {
 
@@ -12,6 +13,20 @@ constexpr int64_t kO_CREAT = 0x40;
 constexpr int64_t kO_TRUNC = 0x200;
 constexpr int64_t kO_APPEND = 0x400;
 }  // namespace
+
+void ByteQueue::Reserve(uint64_t bytes) {
+  if (bytes <= ring_.size()) return;
+  uint64_t cap = std::max<uint64_t>(ring_.size(), 64);
+  while (cap < bytes) cap *= 2;
+  std::vector<uint8_t> grown(cap);
+  const uint64_t first = std::min(size_, ring_.size() - head_);
+  std::copy_n(ring_.begin() + static_cast<ptrdiff_t>(head_), first,
+              grown.begin());
+  std::copy_n(ring_.begin(), size_ - first,
+              grown.begin() + static_cast<ptrdiff_t>(first));
+  ring_ = std::move(grown);
+  head_ = 0;
+}
 
 KernelRuntime::KernelRuntime() = default;
 
@@ -25,126 +40,183 @@ void KernelRuntime::Reset() {
   // No checkpoint: drop per-run state but keep the configured filesystem
   // and listening ports (the historical contract — configuration done
   // before the implicit first-CreateProcess checkpoint must survive).
-  fds_.clear();
-  next_fd_.clear();
-  pipes_.clear();
-  sockets_.clear();
-  exited_.clear();
-  kcalls_ = 0;
+  state_.procs.clear();
+  state_.pipes.clear();
+  state_.sockets.clear();
+  state_.kcalls = 0;
 }
 
-KernelRuntime::State KernelRuntime::CaptureState() const {
-  return State{files_,   listening_, fds_,    next_fd_,
-               pipes_,   sockets_,   exited_, kcalls_};
+KernelRuntime::State KernelRuntime::CaptureState() const { return state_; }
+
+void KernelRuntime::RestoreState(const State& state) { state_ = state; }
+
+KernelRuntime::File* KernelRuntime::FindFile(const std::string& path) {
+  return const_cast<File*>(std::as_const(*this).FindFile(path));
 }
 
-void KernelRuntime::RestoreState(const State& state) {
-  files_ = state.files;
-  listening_ = state.listening;
-  fds_ = state.fds;
-  next_fd_ = state.next_fd;
-  pipes_ = state.pipes;
-  sockets_ = state.sockets;
-  exited_ = state.exited;
-  kcalls_ = state.kcalls;
+const KernelRuntime::File* KernelRuntime::FindFile(
+    const std::string& path) const {
+  const std::vector<uint32_t>& order = state_.files_by_path;
+  auto it = std::lower_bound(
+      order.begin(), order.end(), path, [&](uint32_t slot, const std::string& p) {
+        return state_.files[slot].path < p;
+      });
+  if (it == order.end() || state_.files[*it].path != path) return nullptr;
+  return &state_.files[*it];
+}
+
+uint32_t KernelRuntime::FileSlot(const std::string& path) {
+  std::vector<uint32_t>& order = state_.files_by_path;
+  auto it = std::lower_bound(
+      order.begin(), order.end(), path, [&](uint32_t slot, const std::string& p) {
+        return state_.files[slot].path < p;
+      });
+  if (it != order.end() && state_.files[*it].path == path) return *it;
+  const auto slot = static_cast<uint32_t>(state_.files.size());
+  File& file = state_.files.Add();
+  file.path = path;
+  file.exists = false;
+  order.insert(it, slot);
+  return slot;
+}
+
+std::vector<uint8_t>& KernelRuntime::FileData(const OpenFile& f) {
+  File& file = state_.files[f.id];
+  file.exists = true;
+  return file.data;
 }
 
 void KernelRuntime::add_file(const std::string& path,
                              std::vector<uint8_t> contents) {
-  files_[path] = std::move(contents);
+  File& file = state_.files[FileSlot(path)];
+  file.data = std::move(contents);
+  file.exists = true;
 }
 
 bool KernelRuntime::has_file(const std::string& path) const {
-  return files_.count(path) > 0;
+  const File* file = FindFile(path);
+  return file != nullptr && file->exists;
 }
 
 std::vector<uint8_t> KernelRuntime::file_contents(
     const std::string& path) const {
-  auto it = files_.find(path);
-  return it == files_.end() ? std::vector<uint8_t>{} : it->second;
+  const File* file = FindFile(path);
+  return file != nullptr && file->exists ? file->data : std::vector<uint8_t>{};
 }
 
 bool KernelRuntime::feed_socket(int pid, int64_t fd,
                                 const std::vector<uint8_t>& bytes) {
   OpenFile* f = GetFd(pid, fd);
   if (!f || f->kind != FdKind::Socket) return false;
-  Socket& s = sockets_[static_cast<size_t>(f->sock_id)];
-  s.rx.insert(s.rx.end(), bytes.begin(), bytes.end());
+  state_.sockets[f->id].rx.PushFrom(
+      bytes.size(), [&](uint8_t* dst, uint64_t off, uint64_t len) {
+        std::copy_n(bytes.begin() + static_cast<ptrdiff_t>(off), len, dst);
+        return true;
+      });
   return true;
 }
 
 std::vector<uint8_t> KernelRuntime::socket_sent(int pid, int64_t fd) const {
-  auto pit = fds_.find(pid);
-  if (pit == fds_.end()) return {};
-  auto fit = pit->second.find(fd);
-  if (fit == pit->second.end() || fit->second.kind != FdKind::Socket) return {};
-  return sockets_[static_cast<size_t>(fit->second.sock_id)].tx;
+  const ProcTable* proc = FindProc(pid);
+  if (proc == nullptr) return {};
+  for (const OpenFile& f : proc->fds) {
+    if (f.fd == fd) {
+      return f.kind == FdKind::Socket ? state_.sockets[f.id].tx
+                                      : std::vector<uint8_t>{};
+    }
+  }
+  return {};
 }
 
 void KernelRuntime::on_process_exit(int pid, int64_t code) {
-  auto it = fds_.find(pid);
-  if (it != fds_.end()) {
-    std::vector<int64_t> open;
-    for (const auto& [fd, file] : it->second) open.push_back(fd);
-    for (int64_t fd : open) CloseFd(pid, fd);
-    fds_.erase(pid);
-  }
-  exited_[pid] = code;
+  ProcTable& proc = Proc(pid);
+  for (const OpenFile& f : proc.fds) Release(f);
+  proc.fds.clear();
+  proc.exited = true;
+  proc.exit_code = code;
 }
 
 std::optional<int64_t> KernelRuntime::exit_code(int pid) const {
-  auto it = exited_.find(pid);
-  if (it == exited_.end()) return std::nullopt;
-  return it->second;
+  const ProcTable* proc = FindProc(pid);
+  if (proc == nullptr || !proc->exited) return std::nullopt;
+  return proc->exit_code;
 }
 
 size_t KernelRuntime::open_fd_count(int pid) const {
-  auto it = fds_.find(pid);
-  return it == fds_.end() ? 0 : it->second.size();
+  const ProcTable* proc = FindProc(pid);
+  return proc == nullptr ? 0 : proc->fds.size();
+}
+
+KernelRuntime::ProcTable* KernelRuntime::FindProc(int pid) {
+  return const_cast<ProcTable*>(std::as_const(*this).FindProc(pid));
+}
+
+const KernelRuntime::ProcTable* KernelRuntime::FindProc(int pid) const {
+  if (pid < 0 || static_cast<size_t>(pid) >= state_.procs.size()) {
+    return nullptr;
+  }
+  return &state_.procs[static_cast<size_t>(pid)];
+}
+
+KernelRuntime::ProcTable& KernelRuntime::Proc(int pid) {
+  const size_t index = static_cast<size_t>(std::max(pid, 0));
+  while (state_.procs.size() <= index) state_.procs.Add();
+  return state_.procs[index];
 }
 
 KernelRuntime::OpenFile* KernelRuntime::GetFd(int pid, int64_t fd) {
-  auto pit = fds_.find(pid);
-  if (pit == fds_.end()) return nullptr;
-  auto fit = pit->second.find(fd);
-  return fit == pit->second.end() ? nullptr : &fit->second;
+  ProcTable* proc = FindProc(pid);
+  if (proc == nullptr) return nullptr;
+  for (OpenFile& f : proc->fds) {
+    if (f.fd == fd) return &f;
+  }
+  return nullptr;
 }
 
 int64_t KernelRuntime::AllocFd(int pid, OpenFile file) {
-  if (fds_[pid].size() >= static_cast<size_t>(kMaxFdsPerProcess)) return -1;
-  int64_t fd = next_fd_.count(pid) ? next_fd_[pid] : 3;  // 0-2 reserved
-  next_fd_[pid] = fd + 1;
-  fds_[pid].emplace(fd, std::move(file));
-  return fd;
+  ProcTable& proc = Proc(pid);
+  if (proc.fds.size() >= static_cast<size_t>(kMaxFdsPerProcess)) return -1;
+  // next_fd is above every open descriptor, so appending keeps fds sorted.
+  file.fd = proc.next_fd++;
+  proc.fds.push_back(file);
+  return file.fd;
+}
+
+void KernelRuntime::Release(const OpenFile& f) {
+  if (f.kind == FdKind::PipeRead) {
+    state_.pipes[f.id].readers--;
+  } else if (f.kind == FdKind::PipeWrite) {
+    state_.pipes[f.id].writers--;
+  } else if (f.kind == FdKind::Socket) {
+    state_.sockets[f.id].connected = false;
+  }
 }
 
 void KernelRuntime::CloseFd(int pid, int64_t fd) {
-  OpenFile* f = GetFd(pid, fd);
-  if (!f) return;
-  if (f->kind == FdKind::PipeRead) {
-    pipes_[static_cast<size_t>(f->pipe_id)].readers--;
-  } else if (f->kind == FdKind::PipeWrite) {
-    pipes_[static_cast<size_t>(f->pipe_id)].writers--;
-  } else if (f->kind == FdKind::Socket) {
-    sockets_[static_cast<size_t>(f->sock_id)].connected = false;
+  ProcTable* proc = FindProc(pid);
+  if (proc == nullptr) return;
+  for (auto it = proc->fds.begin(); it != proc->fds.end(); ++it) {
+    if (it->fd == fd) {
+      Release(*it);
+      proc->fds.erase(it);
+      return;
+    }
   }
-  fds_[pid].erase(fd);
 }
 
-std::optional<std::string> KernelRuntime::ReadPath(KernelContext& ctx,
-                                                   uint64_t addr) {
-  std::string path;
+bool KernelRuntime::ReadPath(KernelContext& ctx, uint64_t addr) {
+  path_.clear();
   for (uint64_t i = 0; i < 4096; ++i) {
     char c = 0;
-    if (!ctx.read_mem(addr + i, &c, 1)) return std::nullopt;
-    if (c == '\0') return path;
-    path.push_back(c);
+    if (!ctx.read_mem(addr + i, &c, 1)) return false;
+    if (c == '\0') return true;
+    path_.push_back(c);
   }
-  return std::nullopt;  // unterminated
+  return false;  // unterminated
 }
 
 KResult KernelRuntime::Invoke(uint16_t number, KernelContext& ctx) {
-  ++kcalls_;
+  ++state_.kcalls;
   switch (static_cast<Sys>(number)) {
     case Sys::EXIT:
       ctx.request_exit(ctx.reg(isa::Reg::R1));
@@ -172,25 +244,52 @@ KResult KernelRuntime::Invoke(uint16_t number, KernelContext& ctx) {
   return KResult::Fail(E_NOSYS);
 }
 
+namespace {
+/// Guest-memory adapters for ByteQueue and bulk copies: offset `off` of a
+/// transfer maps to guest address `base + off`.
+auto GuestReader(KernelContext& ctx, uint64_t base) {
+  return [&ctx, base](uint8_t* dst, uint64_t off, uint64_t len) {
+    return ctx.read_mem(base + off, dst, len);
+  };
+}
+auto GuestWriter(KernelContext& ctx, uint64_t base) {
+  return [&ctx, base](const uint8_t* src, uint64_t off, uint64_t len) {
+    return ctx.write_mem(base + off, src, len);
+  };
+}
+/// Copy `len` guest bytes at `base` into `dst` in one read; on a fault,
+/// byte by byte, so exactly the bytes before the faulting one land.
+bool ReadGuest(KernelContext& ctx, uint64_t base, uint8_t* dst, uint64_t len) {
+  if (len == 0 || ctx.read_mem(base, dst, len)) return true;
+  for (uint64_t i = 0; i < len; ++i) {
+    if (!ctx.read_mem(base + i, dst + i, 1)) return false;
+  }
+  return true;
+}
+}  // namespace
+
 KResult KernelRuntime::DoOpen(KernelContext& ctx) {
-  auto path = ReadPath(ctx, static_cast<uint64_t>(ctx.reg(isa::Reg::R1)));
-  if (!path) return KResult::Fail(E_ACCES);
+  if (!ReadPath(ctx, static_cast<uint64_t>(ctx.reg(isa::Reg::R1)))) {
+    return KResult::Fail(E_ACCES);
+  }
   int64_t flags = ctx.reg(isa::Reg::R2);
-  auto it = files_.find(*path);
-  if (it == files_.end()) {
-    if (!(flags & kO_CREAT)) return KResult::Fail(E_NOENT);
-    files_[*path] = {};
-    it = files_.find(*path);
-  } else if (flags & kO_TRUNC) {
-    it->second.clear();
+  const File* found = FindFile(path_);
+  if ((found == nullptr || !found->exists) && !(flags & kO_CREAT)) {
+    return KResult::Fail(E_NOENT);
   }
   OpenFile f;
   f.kind = FdKind::File;
-  f.path = *path;
-  f.pos = (flags & kO_APPEND) ? it->second.size() : 0;
+  f.id = FileSlot(path_);
+  File& file = state_.files[f.id];
+  if (!file.exists) {
+    file.exists = true;
+  } else if (flags & kO_TRUNC) {
+    file.data.clear();
+  }
+  f.pos = (flags & kO_APPEND) ? file.data.size() : 0;
   (void)kO_WRONLY;
   (void)kO_RDWR;
-  int64_t fd = AllocFd(ctx.pid(), std::move(f));
+  int64_t fd = AllocFd(ctx.pid(), f);
   if (fd < 0) return KResult::Fail(E_MFILE);
   return KResult::Ok(fd);
 }
@@ -209,7 +308,7 @@ KResult KernelRuntime::DoRead(KernelContext& ctx) {
   OpenFile* f = GetFd(ctx.pid(), fd);
   if (!f) return KResult::Fail(E_BADF);
   if (f->kind == FdKind::File) {
-    const auto& data = files_[f->path];
+    const auto& data = FileData(*f);
     if (f->pos >= data.size()) return KResult::Ok(0);
     uint64_t n = std::min<uint64_t>(count, data.size() - f->pos);
     if (n && !ctx.write_mem(buf, data.data() + f->pos, n)) {
@@ -219,17 +318,13 @@ KResult KernelRuntime::DoRead(KernelContext& ctx) {
     return KResult::Ok(static_cast<int64_t>(n));
   }
   if (f->kind == FdKind::PipeRead) {
-    Pipe& p = pipes_[static_cast<size_t>(f->pipe_id)];
+    Pipe& p = state_.pipes[f->id];
     if (p.buf.empty()) {
       if (p.writers == 0) return KResult::Ok(0);  // EOF
       return KResult::Block();
     }
     uint64_t n = std::min<uint64_t>(count, p.buf.size());
-    for (uint64_t i = 0; i < n; ++i) {
-      uint8_t byte = p.buf.front();
-      p.buf.pop_front();
-      if (!ctx.write_mem(buf + i, &byte, 1)) return KResult::Fail(E_IO);
-    }
+    if (!p.buf.PopTo(n, GuestWriter(ctx, buf))) return KResult::Fail(E_IO);
     return KResult::Ok(static_cast<int64_t>(n));
   }
   return KResult::Fail(E_BADF);  // read() on a socket/pipe-write end
@@ -242,7 +337,7 @@ KResult KernelRuntime::DoWrite(KernelContext& ctx) {
   OpenFile* f = GetFd(ctx.pid(), fd);
   if (!f) return KResult::Fail(E_BADF);
   if (f->kind == FdKind::File) {
-    auto& data = files_[f->path];
+    auto& data = FileData(*f);
     // The file ends at pos + count, which must stay under the cap. Written
     // without the sum so a guest-chosen count or far-seeked pos cannot wrap
     // it past the check into a huge resize.
@@ -251,24 +346,18 @@ KResult KernelRuntime::DoWrite(KernelContext& ctx) {
       return KResult::Fail(E_NOSPC);
     }
     if (f->pos + count > data.size()) data.resize(f->pos + count);
-    for (uint64_t i = 0; i < count; ++i) {
-      uint8_t byte = 0;
-      if (!ctx.read_mem(buf + i, &byte, 1)) return KResult::Fail(E_IO);
-      data[f->pos + i] = byte;
+    if (!ReadGuest(ctx, buf, data.data() + f->pos, count)) {
+      return KResult::Fail(E_IO);
     }
     f->pos += count;
     return KResult::Ok(static_cast<int64_t>(count));
   }
   if (f->kind == FdKind::PipeWrite) {
-    Pipe& p = pipes_[static_cast<size_t>(f->pipe_id)];
+    Pipe& p = state_.pipes[f->id];
     if (p.readers == 0) return KResult::Fail(E_PIPE);
     if (p.buf.size() >= kPipeCapacity) return KResult::Block();
     uint64_t n = std::min<uint64_t>(count, kPipeCapacity - p.buf.size());
-    for (uint64_t i = 0; i < n; ++i) {
-      uint8_t byte = 0;
-      if (!ctx.read_mem(buf + i, &byte, 1)) return KResult::Fail(E_IO);
-      p.buf.push_back(byte);
-    }
+    if (!p.buf.PushFrom(n, GuestReader(ctx, buf))) return KResult::Fail(E_IO);
     return KResult::Ok(static_cast<int64_t>(n));
   }
   return KResult::Fail(E_BADF);
@@ -280,7 +369,7 @@ KResult KernelRuntime::DoLseek(KernelContext& ctx) {
   int64_t whence = ctx.reg(isa::Reg::R3);  // 0=SET, 1=CUR, 2=END
   OpenFile* f = GetFd(ctx.pid(), fd);
   if (!f || f->kind != FdKind::File) return KResult::Fail(E_BADF);
-  const auto& data = files_[f->path];
+  const auto& data = FileData(*f);
   int64_t base = whence == 0   ? 0
                  : whence == 1 ? static_cast<int64_t>(f->pos)
                  : whence == 2 ? static_cast<int64_t>(data.size())
@@ -295,25 +384,28 @@ KResult KernelRuntime::DoLseek(KernelContext& ctx) {
 }
 
 KResult KernelRuntime::DoStat(KernelContext& ctx) {
-  auto path = ReadPath(ctx, static_cast<uint64_t>(ctx.reg(isa::Reg::R1)));
-  if (!path) return KResult::Fail(E_ACCES);
-  auto it = files_.find(*path);
-  if (it == files_.end()) return KResult::Fail(E_NOENT);
+  if (!ReadPath(ctx, static_cast<uint64_t>(ctx.reg(isa::Reg::R1)))) {
+    return KResult::Fail(E_ACCES);
+  }
+  const File* file = FindFile(path_);
+  if (file == nullptr || !file->exists) return KResult::Fail(E_NOENT);
   // stat() reports the size through the output pointer in R2 (if non-null).
   uint64_t out = static_cast<uint64_t>(ctx.reg(isa::Reg::R2));
   if (out != 0) {
-    int64_t size = static_cast<int64_t>(it->second.size());
+    int64_t size = static_cast<int64_t>(file->data.size());
     if (!ctx.write_mem(out, &size, 8)) return KResult::Fail(E_ACCES);
   }
-  return KResult::Ok(static_cast<int64_t>(it->second.size()));
+  return KResult::Ok(static_cast<int64_t>(file->data.size()));
 }
 
 KResult KernelRuntime::DoUnlink(KernelContext& ctx) {
-  auto path = ReadPath(ctx, static_cast<uint64_t>(ctx.reg(isa::Reg::R1)));
-  if (!path) return KResult::Fail(E_ACCES);
-  auto it = files_.find(*path);
-  if (it == files_.end()) return KResult::Fail(E_NOENT);
-  files_.erase(it);
+  if (!ReadPath(ctx, static_cast<uint64_t>(ctx.reg(isa::Reg::R1)))) {
+    return KResult::Fail(E_ACCES);
+  }
+  File* file = FindFile(path_);
+  if (file == nullptr || !file->exists) return KResult::Fail(E_NOENT);
+  file->exists = false;
+  file->data.clear();
   return KResult::Ok(0);
 }
 
@@ -341,14 +433,14 @@ KResult KernelRuntime::DoFree(KernelContext& ctx) {
 KResult KernelRuntime::DoPipe(KernelContext& ctx) {
   uint64_t out = static_cast<uint64_t>(ctx.reg(isa::Reg::R1));
   if (out == 0) return KResult::Fail(E_FAULT);
-  pipes_.push_back(Pipe{});
-  int pipe_id = static_cast<int>(pipes_.size() - 1);
+  const auto pipe_id = static_cast<uint32_t>(state_.pipes.size());
+  state_.pipes.Add();
   OpenFile rd;
   rd.kind = FdKind::PipeRead;
-  rd.pipe_id = pipe_id;
+  rd.id = pipe_id;
   OpenFile wr;
   wr.kind = FdKind::PipeWrite;
-  wr.pipe_id = pipe_id;
+  wr.id = pipe_id;
   int64_t rfd = AllocFd(ctx.pid(), rd);
   if (rfd < 0) return KResult::Fail(E_MFILE);
   int64_t wfd = AllocFd(ctx.pid(), wr);
@@ -356,8 +448,8 @@ KResult KernelRuntime::DoPipe(KernelContext& ctx) {
     CloseFd(ctx.pid(), rfd);
     return KResult::Fail(E_MFILE);
   }
-  pipes_[static_cast<size_t>(pipe_id)].readers = 1;
-  pipes_[static_cast<size_t>(pipe_id)].writers = 1;
+  state_.pipes[pipe_id].readers = 1;
+  state_.pipes[pipe_id].writers = 1;
   if (!ctx.write_mem(out, &rfd, 8) || !ctx.write_mem(out + 8, &wfd, 8)) {
     return KResult::Fail(E_FAULT);
   }
@@ -366,19 +458,21 @@ KResult KernelRuntime::DoPipe(KernelContext& ctx) {
 
 KResult KernelRuntime::DoSpawn(KernelContext& ctx) {
   if (!spawn_) return KResult::Fail(E_AGAIN);
-  auto symbol = ReadPath(ctx, static_cast<uint64_t>(ctx.reg(isa::Reg::R1)));
-  if (!symbol) return KResult::Fail(E_NOENT);
-  auto pid = spawn_(*symbol);
+  if (!ReadPath(ctx, static_cast<uint64_t>(ctx.reg(isa::Reg::R1)))) {
+    return KResult::Fail(E_NOENT);
+  }
+  auto pid = spawn_(path_);
   if (!pid.ok()) return KResult::Fail(E_NOENT);
   // The child inherits the parent's open pipe descriptors (fork-lite):
-  // duplicate the parent's fd table entries that refer to pipes.
-  for (const auto& [fd, file] : fds_[ctx.pid()]) {
+  // duplicate the parent's fd table entries that refer to pipes. Both
+  // tables are ascending, so the child's stays sorted.
+  ProcTable& child = Proc(pid.value());
+  const ProcTable& parent = Proc(ctx.pid());  // after child: no regrowth
+  for (const OpenFile& file : parent.fds) {
     if (file.kind == FdKind::PipeRead || file.kind == FdKind::PipeWrite) {
-      fds_[pid.value()].emplace(fd, file);
-      next_fd_[pid.value()] =
-          std::max(next_fd_.count(pid.value()) ? next_fd_[pid.value()] : 3,
-                   fd + 1);
-      Pipe& p = pipes_[static_cast<size_t>(file.pipe_id)];
+      child.fds.push_back(file);
+      child.next_fd = std::max(child.next_fd, file.fd + 1);
+      Pipe& p = state_.pipes[file.id];
       if (file.kind == FdKind::PipeRead) p.readers++;
       else p.writers++;
     }
@@ -387,10 +481,11 @@ KResult KernelRuntime::DoSpawn(KernelContext& ctx) {
 }
 
 KResult KernelRuntime::DoSocket(KernelContext& ctx) {
-  sockets_.push_back(Socket{});
+  const auto sock_id = static_cast<uint32_t>(state_.sockets.size());
+  state_.sockets.Add();
   OpenFile f;
   f.kind = FdKind::Socket;
-  f.sock_id = static_cast<int>(sockets_.size() - 1);
+  f.id = sock_id;
   int64_t fd = AllocFd(ctx.pid(), f);
   if (fd < 0) return KResult::Fail(E_MFILE);
   return KResult::Ok(fd);
@@ -401,11 +496,11 @@ KResult KernelRuntime::DoConnect(KernelContext& ctx) {
   int64_t port = ctx.reg(isa::Reg::R2);
   OpenFile* f = GetFd(ctx.pid(), fd);
   if (!f || f->kind != FdKind::Socket) return KResult::Fail(E_BADF);
-  if (std::find(listening_.begin(), listening_.end(), port) ==
-      listening_.end()) {
+  const std::vector<int64_t>& listening = state_.listening;
+  if (std::find(listening.begin(), listening.end(), port) == listening.end()) {
     return KResult::Fail(E_CONNREFUSED);
   }
-  sockets_[static_cast<size_t>(f->sock_id)].connected = true;
+  state_.sockets[f->id].connected = true;
   return KResult::Ok(0);
 }
 
@@ -415,7 +510,7 @@ KResult KernelRuntime::DoSend(KernelContext& ctx) {
   uint64_t count = static_cast<uint64_t>(ctx.reg(isa::Reg::R3));
   OpenFile* f = GetFd(ctx.pid(), fd);
   if (!f || f->kind != FdKind::Socket) return KResult::Fail(E_BADF);
-  Socket& s = sockets_[static_cast<size_t>(f->sock_id)];
+  Socket& s = state_.sockets[f->id];
   if (s.reset) return KResult::Fail(E_CONNRESET);
   if (!s.connected) return KResult::Fail(E_PIPE);
   for (uint64_t i = 0; i < count; ++i) {
@@ -432,22 +527,21 @@ KResult KernelRuntime::DoRecv(KernelContext& ctx) {
   uint64_t count = static_cast<uint64_t>(ctx.reg(isa::Reg::R3));
   OpenFile* f = GetFd(ctx.pid(), fd);
   if (!f || f->kind != FdKind::Socket) return KResult::Fail(E_BADF);
-  Socket& s = sockets_[static_cast<size_t>(f->sock_id)];
+  Socket& s = state_.sockets[f->id];
   if (s.reset) return KResult::Fail(E_CONNRESET);
   if (s.rx.empty()) return KResult::Ok(0);  // no data: synthetic EOF
   uint64_t n = std::min<uint64_t>(count, s.rx.size());
-  for (uint64_t i = 0; i < n; ++i) {
-    uint8_t byte = s.rx.front();
-    s.rx.pop_front();
-    if (!ctx.write_mem(buf + i, &byte, 1)) return KResult::Fail(E_CONNRESET);
+  if (!s.rx.PopTo(n, GuestWriter(ctx, buf))) {
+    return KResult::Fail(E_CONNRESET);
   }
   return KResult::Ok(static_cast<int64_t>(n));
 }
 
 KResult KernelRuntime::DoWait(KernelContext& ctx) {
   int pid = static_cast<int>(ctx.reg(isa::Reg::R1));
-  auto it = exited_.find(pid);
-  if (it != exited_.end()) return KResult::Ok(it->second);
+  if (const ProcTable* proc = FindProc(pid); proc && proc->exited) {
+    return KResult::Ok(proc->exit_code);
+  }
   // Unknown pid vs still-running is distinguished by the scheduler having
   // registered the pid at spawn; the runtime only sees exit records, so a
   // never-spawned pid blocks forever — the Machine run loop detects global

@@ -8,10 +8,9 @@
 // by vm::Process — keeping this module independent of the VM.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
-#include <deque>
 #include <functional>
-#include <map>
 #include <optional>
 #include <string>
 #include <vector>
@@ -51,42 +50,150 @@ struct KResult {
 /// File descriptor kinds.
 enum class FdKind { File, PipeRead, PipeWrite, Socket };
 
+/// A FIFO of bytes (pipe contents, a socket's receive queue): a ring over
+/// storage that only grows. A queue assigned from another keeps its
+/// storage when that is large enough, so a pipe restored by a snapshot
+/// writes into the capacity it already had.
+class ByteQueue {
+ public:
+  size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
+  void clear() { head_ = size_ = 0; }
+  /// Append `n` bytes read by `read(dst, offset, len)` (a false return is
+  /// a fault at that offset). Bytes before a fault stay queued, as a
+  /// byte-at-a-time copy would leave them; returns false on a fault.
+  template <typename Read>
+  bool PushFrom(uint64_t n, Read&& read);
+  /// Remove up to `n` bytes, handing them to `write(src, offset, len)` in
+  /// order. A false return is a fault at that offset: the bytes before it
+  /// and the faulting byte itself are consumed; returns false.
+  template <typename Write>
+  bool PopTo(uint64_t n, Write&& write);
+
+ private:
+  /// Grow the ring to hold `bytes`, unwrapping the contents.
+  void Reserve(uint64_t bytes);
+
+  std::vector<uint8_t> ring_;  // capacity: ring_.size(), a power of two
+  uint64_t head_ = 0;
+  uint64_t size_ = 0;
+};
+
+/// A vector whose slots past size() keep their storage: copy-assignment
+/// copies element-wise into the slots it already has, and Add() reuses a
+/// spare slot. A copy (a snapshot) holds only the live slots. This is what
+/// lets a kernel state be restored without allocating once it is warm.
+template <typename T>
+class Slots {
+ public:
+  Slots() = default;
+  Slots(const Slots& other) : items_(other.begin(), other.end()),
+                              size_(other.size_) {}
+  Slots& operator=(const Slots& other) {
+    if (this == &other) return *this;
+    for (size_t i = 0; i < other.size_; ++i) {
+      if (i < items_.size()) items_[i] = other.items_[i];
+      else items_.push_back(other.items_[i]);
+    }
+    size_ = other.size_;
+    return *this;
+  }
+
+  size_t size() const { return size_; }
+  T& operator[](size_t i) { return items_[i]; }
+  const T& operator[](size_t i) const { return items_[i]; }
+  const T* begin() const { return items_.data(); }
+  const T* end() const { return items_.data() + size_; }
+  /// Append a slot in its cleared state (T::Clear keeps storage).
+  T& Add() {
+    if (size_ == items_.size()) items_.emplace_back();
+    else items_[size_].Clear();
+    return items_[size_++];
+  }
+  /// Drop every slot (storage stays for later Adds).
+  void clear() { size_ = 0; }
+
+ private:
+  std::vector<T> items_;
+  size_t size_ = 0;
+};
+
 class KernelRuntime {
  public:
+  /// One open descriptor. `id` indexes the state's files, pipes or sockets
+  /// by kind; a file is named by its slot, so the descriptor holds no path.
   struct OpenFile {
+    int64_t fd = 0;
     FdKind kind = FdKind::File;
-    std::string path;   // File
-    uint64_t pos = 0;   // File
-    int pipe_id = -1;   // Pipe*
-    int sock_id = -1;   // Socket
+    uint32_t id = 0;
+    uint64_t pos = 0;  // File
+  };
+
+  /// One in-memory file. Unlinking keeps the slot (and its name) with
+  /// `exists` off, because descriptors refer to files by name: I/O on a
+  /// descriptor of an unlinked file recreates it empty.
+  struct File {
+    std::string path;
+    std::vector<uint8_t> data;
+    bool exists = true;
+    void Clear() {
+      path.clear();
+      data.clear();
+      exists = true;
+    }
+  };
+
+  /// One process's kernel-side state, indexed by pid. A cleared slot is
+  /// indistinguishable from a pid the kernel never saw.
+  struct ProcTable {
+    std::vector<OpenFile> fds;  // ascending fd
+    int64_t next_fd = 3;        // 0-2 reserved
+    bool exited = false;
+    int64_t exit_code = 0;
+    void Clear() {
+      fds.clear();
+      next_fd = 3;
+      exited = false;
+      exit_code = 0;
+    }
   };
 
   struct Pipe {
-    std::deque<uint8_t> buf;
+    ByteQueue buf;
     int readers = 0;
     int writers = 0;
+    void Clear() {
+      buf.clear();
+      readers = writers = 0;
+    }
   };
 
   struct Socket {
-    std::deque<uint8_t> rx;
+    ByteQueue rx;
     std::vector<uint8_t> tx;
     bool connected = false;
     bool reset = false;
+    void Clear() {
+      rx.clear();
+      tx.clear();
+      connected = reset = false;
+    }
   };
 
-  /// The kernel's complete mutable state: filesystem, listening ports, fd
-  /// tables, pipes, sockets, the exit table, and the kcall counter. What
-  /// Checkpoint() pins and what vm::Machine::Snapshot() carries — a
-  /// restored machine resumes mid-run with its descriptors and counters
-  /// exactly as they were.
+  /// The kernel's complete mutable state: filesystem, listening ports,
+  /// per-pid tables, pipes, sockets and the kcall counter. One
+  /// representation serves the live kernel, Checkpoint() and every
+  /// vm::Machine snapshot node: a restored machine resumes mid-run with
+  /// its descriptors and counters exactly as they were, and restoring
+  /// into a warm kernel reuses its storage.
   struct State {
-    std::map<std::string, std::vector<uint8_t>> files;
+    Slots<File> files;
+    /// File slots ordered by path, for lookup by name.
+    std::vector<uint32_t> files_by_path;
     std::vector<int64_t> listening;
-    std::map<int, std::map<int64_t, OpenFile>> fds;
-    std::map<int, int64_t> next_fd;
-    std::vector<Pipe> pipes;
-    std::vector<Socket> sockets;
-    std::map<int, int64_t> exited;
+    Slots<ProcTable> procs;  // index: pid
+    Slots<Pipe> pipes;
+    Slots<Socket> sockets;
     uint64_t kcalls = 0;
   };
 
@@ -119,7 +226,7 @@ class KernelRuntime {
   std::vector<uint8_t> file_contents(const std::string& path) const;
 
   /// Mark a TCP-like port as listening, so connect() to it succeeds.
-  void listen(int64_t port) { listening_.insert(listening_.end(), port); }
+  void listen(int64_t port) { state_.listening.push_back(port); }
 
   /// Queue bytes that a subsequent recv() on `(pid, fd)` will observe.
   bool feed_socket(int pid, int64_t fd, const std::vector<uint8_t>& bytes);
@@ -142,7 +249,7 @@ class KernelRuntime {
   size_t open_fd_count(int pid) const;
 
   /// Total number of KCALLs serviced (used by efficiency accounting).
-  uint64_t kcall_count() const { return kcalls_; }
+  uint64_t kcall_count() const { return state_.kcalls; }
 
  private:
   // Syscall implementations (args already fetched from ctx).
@@ -164,27 +271,83 @@ class KernelRuntime {
   KResult DoRecv(KernelContext& ctx);
   KResult DoWait(KernelContext& ctx);
 
-  /// Read a NUL-terminated string (capped) from process memory.
-  std::optional<std::string> ReadPath(KernelContext& ctx, uint64_t addr);
+  /// Read a NUL-terminated string (capped) from process memory into
+  /// path_; false on a fault or a missing terminator.
+  bool ReadPath(KernelContext& ctx, uint64_t addr);
 
+  /// File slot named `path`, or nullptr when it never existed.
+  File* FindFile(const std::string& path);
+  const File* FindFile(const std::string& path) const;
+  /// File slot named `path`, created (not existing) on first sight.
+  uint32_t FileSlot(const std::string& path);
+  /// The file behind a descriptor, recreated empty if it was unlinked.
+  std::vector<uint8_t>& FileData(const OpenFile& f);
+
+  /// The pid's table, or nullptr for a pid the kernel has no slot for.
+  ProcTable* FindProc(int pid);
+  const ProcTable* FindProc(int pid) const;
+  /// The pid's table, adding cleared slots up to it.
+  ProcTable& Proc(int pid);
   OpenFile* GetFd(int pid, int64_t fd);
   int64_t AllocFd(int pid, OpenFile file);
   void CloseFd(int pid, int64_t fd);
+  /// Release a descriptor's hold on its pipe or socket.
+  void Release(const OpenFile& f);
 
-  std::map<std::string, std::vector<uint8_t>> files_;
+  State state_;
   /// Full state captured by Checkpoint().
   std::optional<State> checkpoint_;
-  std::map<int, std::map<int64_t, OpenFile>> fds_;   // pid -> fd table
-  std::map<int, int64_t> next_fd_;
-  std::vector<Pipe> pipes_;
-  std::vector<Socket> sockets_;
-  std::vector<int64_t> listening_;
-  std::map<int, int64_t> exited_;                    // pid -> exit code
   SpawnHook spawn_;
-  uint64_t kcalls_ = 0;
+  std::string path_;  // ReadPath scratch
 
   static constexpr int64_t kMaxFdsPerProcess = 64;
   static constexpr size_t kPipeCapacity = 65536;
 };
+
+template <typename Read>
+bool ByteQueue::PushFrom(uint64_t n, Read&& read) {
+  Reserve(size_ + n);
+  const uint64_t mask = ring_.size() - 1;
+  uint64_t done = 0;
+  while (done < n) {
+    // The free space from the tail runs to the end of storage, then wraps.
+    const uint64_t tail = (head_ + size_) & mask;
+    const uint64_t len = std::min(n - done, ring_.size() - tail);
+    if (!read(ring_.data() + tail, done, len)) {
+      // Find the faulting byte: everything before it is queued.
+      for (uint64_t i = 0; i < len; ++i) {
+        if (!read(ring_.data() + tail + i, done + i, 1)) return false;
+        ++size_;
+      }
+    } else {
+      size_ += len;
+    }
+    done += len;
+  }
+  return true;
+}
+
+template <typename Write>
+bool ByteQueue::PopTo(uint64_t n, Write&& write) {
+  n = std::min(n, size_);
+  const uint64_t mask = ring_.size() - 1;
+  uint64_t done = 0;
+  while (done < n) {
+    const uint64_t len = std::min(n - done, ring_.size() - head_);
+    if (!write(ring_.data() + head_, done, len)) {
+      for (uint64_t i = 0; i < len; ++i) {
+        const bool ok = write(ring_.data() + head_, done + i, 1);
+        head_ = (head_ + 1) & mask;
+        --size_;
+        if (!ok) return false;
+      }
+    } else {
+      head_ = (head_ + len) & mask;
+      size_ -= len;
+    }
+    done += len;
+  }
+  return true;
+}
 
 }  // namespace lfi::kernel

@@ -480,7 +480,7 @@ Result<campaign::MachineSetup> MakeSetup(const TargetSpec& spec) {
   auto ports = std::make_shared<std::vector<int64_t>>(spec.ports);
   return campaign::MachineSetup(
       [modules, files, ports](vm::Machine& machine) {
-        for (const sso::SharedObject& so : *modules) machine.Load(so);
+        for (const sso::SharedObject& so : *modules) machine.Load(so).value();
         for (const auto& [path, contents] : *files) {
           machine.kernel().add_file(path, contents);
         }

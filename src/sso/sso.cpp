@@ -157,27 +157,33 @@ Result<SharedObject> SharedObject::Parse(const std::vector<uint8_t>& bytes) {
       !r.strtab(&so.imports) || !r.strtab(&so.needed)) {
     return Err("sso: truncated object");
   }
-  if (so.code.size() > kMaxCodeBytes) return Err("sso: code section too big");
-  if (so.data.size() > kMaxDataBytes) return Err("sso: data section too big");
-  if (so.tls_size > kMaxTlsBytes) return Err("sso: TLS reservation too big");
   uint32_t nrelocs = 0;
   if (!r.u32(&nrelocs)) return Err("sso: truncated object");
   for (uint32_t i = 0; i < nrelocs; ++i) {
     uint32_t data_off = 0, code_off = 0;
     if (!r.u32(&data_off) || !r.u32(&code_off)) return Err("sso: bad reloc");
+    so.data_relocs.emplace_back(data_off, code_off);
+  }
+  if (Status st = CheckLimits(so); !st.ok()) return Err(st.error());
+  if (r.pos() != r.size()) return Err("sso: trailing bytes");
+  return so;
+}
+
+Status CheckLimits(const SharedObject& so) {
+  if (so.code.size() > kMaxCodeBytes) return Err("sso: code section too big");
+  if (so.data.size() > kMaxDataBytes) return Err("sso: data section too big");
+  if (so.tls_size > kMaxTlsBytes) return Err("sso: TLS reservation too big");
+  for (const auto& [data_off, code_off] : so.data_relocs) {
     // 64-bit: a u32 `data_off + 8` wraps for offsets near 2^32.
     if (uint64_t{data_off} + 8 > so.data.size() ||
         code_off >= so.code.size()) {
       return Err("sso: reloc out of range");
     }
-    so.data_relocs.emplace_back(data_off, code_off);
   }
-  if (r.pos() != r.size()) return Err("sso: trailing bytes");
-  // Validate symbol offsets against the code section.
   for (const auto& s : so.exports) {
     if (s.offset > so.code.size()) return Err("sso: symbol out of range: " + s.name);
   }
-  return so;
+  return Status::Ok();
 }
 
 std::string SharedObject::Disassembly() const {

@@ -26,11 +26,17 @@ namespace lfi::sso {
 /// Load limits of the synthetic platform's module layout (vm/memory.hpp,
 /// static_assert'ed there): code must end at or before the module's data
 /// base, data before the next module's code, and one module's TLS slice
-/// must fit the process TLS segment. Parse rejects any object beyond them,
-/// so every parsed object maps without overlap.
+/// must fit the process TLS segment. CheckLimits holds them; Parse and
+/// vm::Loader::Load both refuse an object beyond them, so every loaded
+/// object maps without overlap.
 inline constexpr uint64_t kMaxCodeBytes = 0x8'0000;
 inline constexpr uint64_t kMaxDataBytes = 0x8'0000;
 inline constexpr uint32_t kMaxTlsBytes = 4096;
+
+struct SharedObject;
+/// The load limits above, plus relocations that stay inside the data
+/// section and point into code, and exports inside code.
+Status CheckLimits(const SharedObject& so);
 
 struct SharedObject {
   std::string name;                  // e.g. "libc.so"

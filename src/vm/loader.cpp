@@ -1,7 +1,6 @@
 #include "vm/loader.hpp"
 
 #include <algorithm>
-#include <cassert>
 
 #include "util/strings.hpp"
 
@@ -11,13 +10,8 @@ static_assert(sso::kMaxCodeBytes == kModuleDataDelta);
 static_assert(sso::kMaxDataBytes == kModuleSpacing - kModuleDataDelta);
 static_assert(sso::kMaxTlsBytes == kTlsSize);
 
-size_t Loader::Load(sso::SharedObject object) {
-  // Objects from outside the process were validated by SharedObject::Parse
-  // against the sso load limits; in-process builders stay within them by
-  // construction. The asserts below document the contract.
-  assert(object.code.size() <= sso::kMaxCodeBytes && "code section too big");
-  assert(object.data.size() <= sso::kMaxDataBytes && "data section too big");
-  assert(object.tls_size <= sso::kMaxTlsBytes && "TLS reservation too big");
+Result<size_t> Loader::Load(sso::SharedObject object) {
+  if (Status st = sso::CheckLimits(object); !st.ok()) return Err(st.error());
   auto mod = std::make_unique<LoadedModule>();
   mod->index = modules_.size();
   mod->code_base = ModuleCodeBase(mod->index);
@@ -32,7 +26,6 @@ size_t Loader::Load(sso::SharedObject object) {
   // Apply relative relocations: function-pointer slots in the data section.
   for (const auto& [data_off, code_off] : mod->object.data_relocs) {
     uint64_t addr = mod->code_base + code_off;
-    assert(uint64_t{data_off} + 8 <= mod->data_runtime.size());
     for (int i = 0; i < 8; ++i) {
       mod->data_runtime[data_off + static_cast<uint32_t>(i)] =
           static_cast<uint8_t>(addr >> (8 * i));
@@ -165,7 +158,10 @@ std::string Loader::Symbolize(uint64_t addr) const {
 }
 
 const NativeFn* Loader::native(size_t id) const {
-  return id < natives_.size() ? &natives_[id].fn : nullptr;
+  // Switched-off stubs are gone as far as execution is concerned: a call
+  // through a stale stub address faults as if they were cleared.
+  return interpose_enabled_ && id < natives_.size() ? &natives_[id].fn
+                                                     : nullptr;
 }
 
 const std::string& Loader::native_name(size_t id) const {

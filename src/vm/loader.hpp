@@ -101,8 +101,9 @@ struct LoadedModule {
 class Loader {
  public:
   /// Map a shared object; modules are searched in load order.
-  /// Returns the module index.
-  size_t Load(sso::SharedObject object);
+  /// Returns the module index, or sso::CheckLimits' error for an object
+  /// that does not fit the module layout (nothing is mapped then).
+  Result<size_t> Load(sso::SharedObject object);
 
   /// Restore every module's data section to its freshly-loaded (relocated)
   /// state. Module data is mapped writable into all processes, so this is
@@ -116,7 +117,9 @@ class Loader {
   uint64_t RegisterNative(SymbolId id, NativeFn fn);
   /// Remove all interposition stubs (keeps modules loaded).
   void ClearNatives();
-  /// Toggle interposition without unregistering (baseline measurements).
+  /// Toggle interposition without unregistering: while off, every name
+  /// resolves to its original and no stub runs (core::Controller::Reset
+  /// parks a plan's stubs this way).
   void SetInterpositionEnabled(bool enabled);
   bool interposition_enabled() const { return interpose_enabled_; }
 

@@ -11,7 +11,7 @@ namespace lfi::vm {
 Machine::~Machine() = default;
 
 Machine::Machine() {
-  size_t kidx = loader_.Load(kernel::BuildKernelImage());
+  size_t kidx = loader_.Load(kernel::BuildKernelImage()).value();
   const LoadedModule& kmod = *loader_.modules()[kidx];
   for (const auto& spec : kernel::SyscallTable()) {
     const isa::Symbol* sym = kmod.object.find_export(kernel::HandlerName(spec));
@@ -35,7 +35,7 @@ void Machine::SetExecMode(ExecMode mode) {
 }
 
 void Machine::Reset() {
-  procs_.clear();
+  RetireFrom(0);
   exit_reported_.clear();
   total_instructions_ = 0;
   loader_.ResetData();
@@ -133,14 +133,15 @@ bool Machine::RestoreTo(SnapshotId target) {
   // both sides of the tree path to their common ancestor. With no current
   // position (after Reset()) this is the target's whole ancestor chain —
   // everything may differ.
-  const std::vector<SnapshotId> path =
-      TreePathBetween(tree, current_node_, target);
+  std::vector<SnapshotId>& path = restore_path_;
+  TreePathBetween(tree, current_node_, target, &path);
   restore_stats_.nodes_walked += path.size();
+  std::vector<uint32_t>& pages = restore_pages_;
 
   for (size_t m = 0; m < tree.module_count; ++m) {
     LoadedModule& mod = *loader_.modules()[m];
     if (mod.data_runtime.empty()) continue;
-    std::vector<uint32_t> pages;
+    pages.clear();
     if (mod.data_dirty.enabled()) {
       mod.data_dirty.ForEachDirtyPage(
           [&](uint64_t p) { pages.push_back(static_cast<uint32_t>(p)); });
@@ -183,15 +184,11 @@ bool Machine::RestoreTo(SnapshotId target) {
         procs_[i]->heap_bytes() == tps.heap_bytes &&
         procs_[i]->dirty_tracking_enabled();
     if (in_place) {
-      procs_[i]->RestoreFromTree(tree, target, i, path, &restore_stats_);
+      procs_[i]->RestoreFromTree(tree, target, i, path, &restore_stats_,
+                                 &pages);
     } else {
-      ProcessSnapshot ps = MaterializeProcess(tree, target, i);
-      auto proc = std::make_unique<Process>(tps.core.pid, loader_, kernel_,
-                                            syscall_targets_, tps.heap_bytes,
-                                            &segment_pool_);
-      proc->set_exec_mode(exec_mode_);
-      if (coverage_) proc->set_coverage(coverage_.get());
-      proc->RestoreFromSnapshot(ps);
+      std::unique_ptr<Process> proc = NewProcess(tps.core.pid, tps.heap_bytes);
+      proc->MaterializeFromTree(tree, target, i);
       auto seg_pages = [](uint64_t bytes) {
         return (bytes + DirtyMap::kPageSize - 1) >> DirtyMap::kPageBits;
       };
@@ -199,13 +196,14 @@ bool Machine::RestoreTo(SnapshotId target) {
                                        seg_pages(tps.heap_bytes) +
                                        seg_pages(tps.tls_bytes);
       if (i < procs_.size()) {
+        Retire(std::move(procs_[i]));
         procs_[i] = std::move(proc);
       } else {
         procs_.push_back(std::move(proc));
       }
     }
   }
-  procs_.resize(want);  // drop scenario-spawned extras
+  RetireFrom(want);  // drop scenario-spawned extras
 
   exit_reported_ = node.exit_reported;
   total_instructions_ = node.total_instructions;
@@ -243,15 +241,43 @@ Result<int> Machine::CreateProcess(const std::string& entry,
     return Err("machine: cannot resolve entry symbol: " + entry);
   }
   int pid = static_cast<int>(procs_.size()) + 1;
-  auto proc = std::make_unique<Process>(pid, loader_, kernel_,
-                                        syscall_targets_, heap_cap_bytes,
-                                        &segment_pool_);
-  proc->set_exec_mode(exec_mode_);
+  std::unique_ptr<Process> proc = NewProcess(pid, heap_cap_bytes);
   proc->Start(target.addr);
-  if (coverage_) proc->set_coverage(coverage_.get());
   procs_.push_back(std::move(proc));
   exit_reported_.push_back(false);
   return pid;
+}
+
+std::unique_ptr<Process> Machine::NewProcess(int pid,
+                                             uint64_t heap_cap_bytes) {
+  std::unique_ptr<Process> proc;
+  const uint64_t heap_bytes = Process::HeapBytesFor(heap_cap_bytes);
+  for (auto it = spare_procs_.begin(); it != spare_procs_.end(); ++it) {
+    if ((*it)->heap_bytes() == heap_bytes) {
+      proc = std::move(*it);
+      spare_procs_.erase(it);
+      proc->Recycle(pid);
+      break;
+    }
+  }
+  if (!proc) {
+    proc = std::make_unique<Process>(pid, loader_, kernel_, syscall_targets_,
+                                     heap_cap_bytes);
+  }
+  proc->set_exec_mode(exec_mode_);
+  proc->set_coverage(coverage_.get());
+  return proc;
+}
+
+void Machine::Retire(std::unique_ptr<Process> proc) {
+  if (spare_procs_.size() < kMaxSpareProcs) {
+    spare_procs_.push_back(std::move(proc));
+  }
+}
+
+void Machine::RetireFrom(size_t first) {
+  for (size_t i = first; i < procs_.size(); ++i) Retire(std::move(procs_[i]));
+  procs_.resize(std::min(first, procs_.size()));
 }
 
 Process* Machine::process(int pid) {

@@ -42,9 +42,10 @@ class Machine {
   SymbolTable& symbols() { return loader_.symbols(); }
   const SymbolTable& symbols() const { return loader_.symbols(); }
 
-  /// Load a shared object (order defines symbol search order).
-  size_t Load(sso::SharedObject object) {
-    size_t index = loader_.Load(std::move(object));
+  /// Load a shared object (order defines symbol search order). Fails,
+  /// loading nothing, for an object beyond sso::CheckLimits.
+  Result<size_t> Load(sso::SharedObject object) {
+    Result<size_t> index = loader_.Load(std::move(object));
     SyncCoverageModules();
     return index;
   }
@@ -178,9 +179,19 @@ class Machine {
   /// the SYSCALL opcode is an index, not a tree search.
   std::vector<uint64_t> syscall_targets_;
   ExecMode exec_mode_ = ExecMode::Superblock;
-  /// Recycles process stack/heap/TLS buffers across scenarios and spawns
-  /// (declared before procs_ so it outlives them at destruction).
-  SegmentPool segment_pool_;
+  /// A process for `pid`: a retired one with the same heap size,
+  /// Recycle()d, or a new one. Either way exec mode and coverage are set.
+  std::unique_ptr<Process> NewProcess(int pid, uint64_t heap_cap_bytes);
+  /// Retire procs_[first..] into the spare pool and drop their slots.
+  void RetireFrom(size_t first);
+  /// Keep `proc` for a later NewProcess (dropped beyond a small cap).
+  void Retire(std::unique_ptr<Process> proc);
+
+  /// The process pool: processes destroyed by Reset or a restore, kept
+  /// whole (segments, dirty maps, address space, shadow capacity) so the
+  /// next spawn or rebuild reuses one instead of allocating.
+  std::vector<std::unique_ptr<Process>> spare_procs_;
+  static constexpr size_t kMaxSpareProcs = 8;
   std::vector<std::unique_ptr<Process>> procs_;
   std::vector<bool> exit_reported_;
   uint64_t total_instructions_ = 0;
@@ -191,6 +202,10 @@ class Machine {
   /// (no tree yet, or after Reset()).
   SnapshotId current_node_ = kNoSnapshot;
   SnapshotRestoreStats restore_stats_;
+  /// RestoreTo's scratch (tree path, page sets), kept so warm restores
+  /// allocate nothing.
+  std::vector<SnapshotId> restore_path_;
+  std::vector<uint32_t> restore_pages_;
   uint64_t default_heap_cap_ = 1 << 20;
 
   struct InstructionStop {

@@ -4,7 +4,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <new>
-#include <utility>
 
 namespace lfi::vm {
 
@@ -60,39 +59,7 @@ Segment::Segment(uint64_t bytes)
   if (bytes > 0 && data_ == nullptr) throw std::bad_alloc();
 }
 
-Segment::Segment(Segment&& other) noexcept
-    : data_(std::move(other.data_)), size_(std::exchange(other.size_, 0)) {}
-
-Segment& Segment::operator=(Segment&& other) noexcept {
-  data_ = std::move(other.data_);
-  size_ = std::exchange(other.size_, 0);
-  return *this;
-}
-
 void Segment::Free::operator()(uint8_t* p) const { std::free(p); }
-
-Segment SegmentPool::Acquire(uint64_t bytes) {
-  for (size_t i = 0; i < free_.size(); ++i) {
-    if (free_[i].size() == bytes) {
-      Segment buffer = std::move(free_[i]);
-      free_.erase(free_.begin() + static_cast<ptrdiff_t>(i));
-      return buffer;
-    }
-  }
-  return Segment(bytes);
-}
-
-void SegmentPool::Release(Segment buffer, const DirtyMap& written) {
-  if (buffer.empty() || free_.size() >= kMaxFree) return;
-  const uint64_t bytes = buffer.size();
-  written.ForEachWrittenPage([&](uint64_t page) {
-    uint64_t off = page << DirtyMap::kPageBits;
-    if (off >= bytes) return;
-    std::memset(buffer.data() + off, 0,
-                std::min(DirtyMap::kPageSize, bytes - off));
-  });
-  free_.push_back(std::move(buffer));
-}
 
 const uint8_t* PageDelta::page(uint32_t page_index) const {
   auto it = std::lower_bound(pages.begin(), pages.end(), page_index);

@@ -61,8 +61,9 @@ inline size_t NativeStubIndex(uint64_t addr) {
 ///     the pages a scenario actually wrote.
 ///   - the written set: pages written since the segment buffer was last
 ///     zeroed. Live from construction with a segment size and never
-///     cleared, so every page outside it is still zero. This is what lets
-///     SegmentPool recycle a buffer by zeroing only those pages.
+///     cleared until its pages are zeroed, so every page outside it is
+///     still zero. This is what lets Process::Recycle clean a segment by
+///     zeroing only those pages.
 class DirtyMap {
  public:
   static constexpr uint64_t kPageBits = 12;  // 4 KiB pages
@@ -117,9 +118,11 @@ class DirtyMap {
     FillAll(written_, written_pages_);
   }
 
-  /// Clear the journal. The written set is only ever cleared by zeroing
-  /// the buffer it describes (SegmentPool::Release).
+  /// Clear the journal.
   void ClearAll() { std::fill(words_.begin(), words_.end(), 0); }
+  /// Forget the written set, once the caller has zeroed every page in it
+  /// (Process::Recycle).
+  void ClearWritten() { std::fill(written_.begin(), written_.end(), 0); }
 
   /// Invoke fn(page_index) for every journal-dirty page, ascending.
   template <typename Fn>
@@ -204,13 +207,13 @@ PageDelta CaptureAllPages(const uint8_t* mem, uint64_t bytes);
 /// buffer that starts all zero. The storage comes from calloc, so a fresh
 /// megabyte segment costs only the pages the process goes on to write
 /// (a large calloc is normally a fresh anonymous mapping, which the kernel
-/// zero-fills on first touch) instead of a whole-buffer fill. Move-only.
+/// zero-fills on first touch) instead of a whole-buffer fill. Neither
+/// copyable nor movable: the owning process's AddressSpace maps it.
 class Segment {
  public:
-  Segment() = default;
   explicit Segment(uint64_t bytes);
-  Segment(Segment&& other) noexcept;
-  Segment& operator=(Segment&& other) noexcept;
+  Segment(const Segment&) = delete;
+  Segment& operator=(const Segment&) = delete;
 
   uint8_t* data() { return data_.get(); }
   const uint8_t* data() const { return data_.get(); }
@@ -225,31 +228,6 @@ class Segment {
   };
   std::unique_ptr<uint8_t[], Free> data_;
   size_t size_ = 0;
-};
-
-/// Recycler for process memory segments (stack/heap/TLS buffers). Cycling
-/// megabyte-sized buffers through the allocator on every process
-/// construction mmap/munmaps them each time — 512 page faults per spawn —
-/// and the pattern degenerates further when a snapshot pins the primary
-/// process's segments between spawns. A buffer comes back with the
-/// written set of its segment's DirtyMap, and the pool zeroes exactly
-/// those pages, so recycling costs O(pages the process wrote) — a few
-/// pages for a short-lived process, not the whole megabyte.
-class SegmentPool {
- public:
-  /// A zeroed buffer of exactly `bytes` bytes. Recycled buffers were
-  /// cleaned on Release and fresh ones are calloc'd, so handing one out
-  /// touches no page.
-  Segment Acquire(uint64_t bytes);
-
-  /// Return a buffer for reuse (dropped beyond a small cap). `written`
-  /// must hold every page written since the buffer was acquired; those
-  /// pages are zeroed here.
-  void Release(Segment buffer, const DirtyMap& written);
-
- private:
-  static constexpr size_t kMaxFree = 16;
-  std::vector<Segment> free_;
 };
 
 /// One mapped region. `backing` must outlive the AddressSpace and must not

@@ -37,10 +37,6 @@ std::optional<ExecMode> ParseExecMode(std::string_view name) {
 }
 
 namespace {
-Segment AcquireSegment(SegmentPool* pool, uint64_t bytes) {
-  return pool ? pool->Acquire(bytes) : Segment(bytes);
-}
-
 // Two's-complement guest arithmetic (exec_ops.inc): computed in uint64_t,
 // where wrapping is defined, and converted back (modular since C++20).
 inline int64_t WrapAdd(int64_t a, int64_t b) {
@@ -59,19 +55,14 @@ inline int64_t WrapMul(int64_t a, int64_t b) {
 
 Process::Process(int pid, Loader& loader, kernel::KernelRuntime& kernel,
                  const std::vector<uint64_t>& syscall_targets,
-                 uint64_t heap_cap_bytes, SegmentPool* pool)
+                 uint64_t heap_cap_bytes)
     : pid_(pid),
       loader_(loader),
       kernel_(kernel),
       syscall_targets_(syscall_targets),
-      pool_(pool),
-      stack_mem_(AcquireSegment(pool, kStackSize)),
-      // The heap band ends where TLS begins; a larger cap would overlap
-      // the segments and break the layout arithmetic both engines (and
-      // AddressSpace resolution order) rely on.
-      heap_mem_(AcquireSegment(pool, std::min(heap_cap_bytes,
-                                              kTlsBase - kHeapBase))),
-      tls_mem_(AcquireSegment(pool, kTlsSize)),
+      stack_mem_(kStackSize),
+      heap_mem_(HeapBytesFor(heap_cap_bytes)),
+      tls_mem_(kTlsSize),
       stack_dirty_(stack_mem_.size()),
       heap_dirty_(heap_mem_.size()),
       tls_dirty_(tls_mem_.size()) {
@@ -80,11 +71,32 @@ Process::Process(int pid, Loader& loader, kernel::KernelRuntime& kernel,
   RemapIfNeeded();
 }
 
-Process::~Process() {
-  if (pool_ == nullptr) return;
-  pool_->Release(std::move(stack_mem_), stack_dirty_);
-  pool_->Release(std::move(heap_mem_), heap_dirty_);
-  pool_->Release(std::move(tls_mem_), tls_dirty_);
+void Process::Recycle(int pid) {
+  pid_ = pid;
+  std::fill(std::begin(regs_), std::end(regs_), 0);
+  flags_ = 0;
+  pc_ = 0;
+  state_ = ProcState::Runnable;
+  signal_ = Signal::None;
+  exit_code_ = 0;
+  pending_exit_ = false;
+  fault_message_.clear();
+  instructions_ = 0;
+  heap_cursor_ = 0;
+  shadow_.clear();
+  for (auto [dirty, mem] : {std::pair{&stack_dirty_, &stack_mem_},
+                            std::pair{&heap_dirty_, &heap_mem_},
+                            std::pair{&tls_dirty_, &tls_mem_}}) {
+    // Pages outside the written set are still zero.
+    dirty->ForEachWrittenPage([mem](uint64_t page) {
+      uint64_t off = page << DirtyMap::kPageBits;
+      std::memset(mem->data() + off, 0,
+                  std::min(DirtyMap::kPageSize, mem->size() - off));
+    });
+    dirty->ClearWritten();
+    dirty->Disable();
+  }
+  RemapIfNeeded();  // as at construction: modules may have loaded since
 }
 
 void Process::Start(uint64_t entry_addr) {
@@ -264,30 +276,53 @@ void Process::RestoreCore(const ProcessCore& core) {
   shadow_ = core.shadow;
 }
 
-void Process::RestoreFromSnapshot(const ProcessSnapshot& snap) {
-  assert(snap.stack.size() == stack_mem_.size() &&
-         snap.heap.size() == heap_mem_.size() &&
-         snap.tls.size() == tls_mem_.size() &&
+void Process::MaterializeFromTree(const SnapshotTree& tree,
+                                  SnapshotId target, size_t proc_index) {
+  const ProcessNodeState& tps = tree.nodes[target].procs[proc_index];
+  assert(tps.stack_bytes == stack_mem_.size() &&
+         tps.heap_bytes == heap_mem_.size() &&
+         tps.tls_bytes == tls_mem_.size() &&
          "snapshot/process segment size mismatch");
-  RestoreCore(snap.core);
-  auto segment = [&](DirtyMap& dirty, const std::vector<uint8_t>& image,
-                     Segment& mem) {
-    std::copy(image.begin(), image.end(), mem.begin());
-    // Only non-zero pages enter the written set: a zero image page left
-    // its target page zero, so recycling need not clean it.
-    for (uint64_t off = 0; off < mem.size(); off += DirtyMap::kPageSize) {
-      uint64_t len = std::min(DirtyMap::kPageSize, mem.size() - off);
-      const uint8_t* page = image.data() + off;
-      if (std::any_of(page, page + len, [](uint8_t b) { return b != 0; })) {
+  RestoreCore(tps.core);
+  // The deltas from the last full capture down to the target, applied
+  // oldest first so newer writes land on top. Walk up to the full node,
+  // then back down through the parent links' reverse.
+  SnapshotId oldest = target;
+  while (!tree.nodes[oldest].procs[proc_index].full &&
+         tree.nodes[oldest].parent != kNoSnapshot) {
+    oldest = tree.nodes[oldest].parent;
+  }
+  auto apply = [](const PageDelta& delta, DirtyMap& dirty, Segment& mem) {
+    for (size_t i = 0; i < delta.pages.size(); ++i) {
+      uint64_t off = uint64_t{delta.pages[i]} << DirtyMap::kPageBits;
+      if (off >= mem.size()) continue;
+      const uint64_t len = std::min(DirtyMap::kPageSize, mem.size() - off);
+      const uint8_t* src = delta.bytes.data() + i * DirtyMap::kPageSize;
+      std::memcpy(mem.data() + off, src, len);
+      // Only non-zero pages enter the written set: a zero image page left
+      // its target page zero, so recycling need not clean it.
+      if (std::any_of(src, src + len, [](uint8_t b) { return b != 0; })) {
         dirty.Mark(off, len);
       }
     }
-    dirty.Enable(mem.size());
-    dirty.ClearAll();  // Enable keeps stale marks; the copy covered them
   };
-  segment(stack_dirty_, snap.stack, stack_mem_);
-  segment(heap_dirty_, snap.heap, heap_mem_);
-  segment(tls_dirty_, snap.tls, tls_mem_);
+  for (SnapshotId id = oldest;;) {
+    const ProcessNodeState& ns = tree.nodes[id].procs[proc_index];
+    apply(ns.stack, stack_dirty_, stack_mem_);
+    apply(ns.heap, heap_dirty_, heap_mem_);
+    apply(ns.tls, tls_dirty_, tls_mem_);
+    if (id == target) break;
+    // Step one node toward the target: the child of `id` on its path.
+    SnapshotId next = target;
+    while (tree.nodes[next].parent != id) next = tree.nodes[next].parent;
+    id = next;
+  }
+  for (auto [dirty, mem] : {std::pair{&stack_dirty_, &stack_mem_},
+                            std::pair{&heap_dirty_, &heap_mem_},
+                            std::pair{&tls_dirty_, &tls_mem_}}) {
+    dirty->Enable(mem->size());
+    dirty->ClearAll();  // Enable keeps stale marks; the copy covered them
+  }
 }
 
 void Process::CaptureNode(ProcessNodeState* out, bool full) {
@@ -315,7 +350,8 @@ void Process::CaptureNode(ProcessNodeState* out, bool full) {
 void Process::RestoreFromTree(const SnapshotTree& tree, SnapshotId target,
                               size_t proc_index,
                               const std::vector<SnapshotId>& path,
-                              SnapshotRestoreStats* stats) {
+                              SnapshotRestoreStats* stats,
+                              std::vector<uint32_t>* scratch) {
   const ProcessNodeState& tps = tree.nodes[target].procs[proc_index];
   assert(tps.stack_bytes == stack_mem_.size() &&
          tps.heap_bytes == heap_mem_.size() &&
@@ -327,7 +363,8 @@ void Process::RestoreFromTree(const SnapshotTree& tree, SnapshotId target,
     // Pages that can differ from the target: written since the machine's
     // current node (journal), or captured by any node on the tree path
     // between current and target.
-    std::vector<uint32_t> pages;
+    std::vector<uint32_t>& pages = *scratch;
+    pages.clear();
     dirty.ForEachDirtyPage(
         [&](uint64_t p) { pages.push_back(static_cast<uint32_t>(p)); });
     for (SnapshotId id : path) {

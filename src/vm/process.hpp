@@ -19,6 +19,7 @@
 // engines, with the AddressSpace deciding everything it does not cover.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -35,7 +36,6 @@
 namespace lfi::vm {
 
 struct ProcessCore;
-struct ProcessSnapshot;
 struct ProcessNodeState;
 struct SnapshotTree;
 struct SnapshotRestoreStats;
@@ -65,12 +65,17 @@ struct Frame {
 
 class Process final : public kernel::KernelContext {
  public:
-  /// `pool` (optional) recycles the stack/heap/TLS buffers across process
-  /// lifetimes — it must outlive the process.
   Process(int pid, Loader& loader, kernel::KernelRuntime& kernel,
           const std::vector<uint64_t>& syscall_targets,
-          uint64_t heap_cap_bytes, SegmentPool* pool = nullptr);
-  ~Process() override;
+          uint64_t heap_cap_bytes);
+
+  /// Return to the state of a process just constructed with `pid` and the
+  /// same heap size: every written page is zeroed, the written sets and
+  /// journals are cleared, and registers, status, counters and the shadow
+  /// stack are reset. The segments, dirty maps, address space and shadow
+  /// capacity are kept — this is how vm::Machine's process pool reuses a
+  /// process for the next spawn or restore without allocating.
+  void Recycle(int pid);
 
   /// Point the process at its entry and push the exit sentinel.
   void Start(uint64_t entry_addr);
@@ -93,6 +98,13 @@ class Process final : public kernel::KernelContext {
   /// Actual heap segment size (the construction-time cap, clamped to the
   /// heap band). Snapshot restore matches processes by pid + heap size.
   uint64_t heap_bytes() const { return heap_mem_.size(); }
+  /// The heap segment size a process constructed with `heap_cap_bytes`
+  /// gets: the heap band ends where TLS begins, and a larger cap would
+  /// overlap the segments and break the layout arithmetic both engines
+  /// (and AddressSpace resolution order) rely on.
+  static uint64_t HeapBytesFor(uint64_t heap_cap_bytes) {
+    return std::min(heap_cap_bytes, kTlsBase - kHeapBase);
+  }
   const std::vector<Frame>& shadow_stack() const { return shadow_; }
 
   /// Wake a blocked process so the scheduler can retry its syscall.
@@ -143,9 +155,6 @@ class Process final : public kernel::KernelContext {
   const Loader& loader() const { return loader_; }
 
   // -- snapshot support ------------------------------------------------------
-  /// Return to the captured state, copying every segment wholesale and
-  /// restarting the write journals.
-  void RestoreFromSnapshot(const ProcessSnapshot& snap);
   /// Stop journaling writes (the owning machine dropped its snapshot).
   void DisableDirtyTracking() {
     stack_dirty_.Disable();
@@ -174,11 +183,21 @@ class Process final : public kernel::KernelContext {
   /// this process's journal-dirty pages, are the only ones that can
   /// differ, and each is sourced from its newest writer at-or-above
   /// target. Clears the journals. Requires matching segment sizes and
-  /// live journals (the machine falls back to MaterializeProcess +
-  /// RestoreFromSnapshot otherwise).
+  /// live journals (the machine falls back to MaterializeFromTree
+  /// otherwise). `pages` is scratch storage, kept by the caller so warm
+  /// restores allocate nothing.
   void RestoreFromTree(const SnapshotTree& tree, SnapshotId target,
                        size_t proc_index, const std::vector<SnapshotId>& path,
-                       SnapshotRestoreStats* stats);
+                       SnapshotRestoreStats* stats,
+                       std::vector<uint32_t>* pages);
+  /// Rebuild path: bring a freshly constructed (or Recycle()d) process
+  /// with the node's segment sizes to `tree.nodes[target].procs
+  /// [proc_index]`'s capture point by applying the deltas from the
+  /// process's last full capture down to the target, oldest first, and
+  /// start clean journals. For processes destroyed by Machine::Reset or
+  /// truncated by an earlier restore.
+  void MaterializeFromTree(const SnapshotTree& tree, SnapshotId target,
+                           size_t proc_index);
 
  private:
   friend class NativeFrame;
@@ -240,7 +259,6 @@ class Process final : public kernel::KernelContext {
   Loader& loader_;
   kernel::KernelRuntime& kernel_;
   const std::vector<uint64_t>& syscall_targets_;
-  SegmentPool* pool_ = nullptr;
 
   int64_t regs_[isa::kNumRegs] = {};
   int flags_ = 0;  // sign of last CMP: -1 / 0 / +1
@@ -258,7 +276,7 @@ class Process final : public kernel::KernelContext {
   Segment heap_mem_;
   Segment tls_mem_;
   /// Write tracking over the private segments: the written sets (live
-  /// from construction; the SegmentPool zeroes those pages on release)
+  /// from construction; Recycle zeroes those pages)
   /// and the snapshot journals (inert until a machine snapshot enables
   /// them). Every write path marks: FastMemPtr directly,
   /// AddressSpace::write through the Region::dirty pointers wired in

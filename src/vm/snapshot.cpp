@@ -6,10 +6,11 @@
 
 namespace lfi::vm {
 
-std::vector<SnapshotId> TreePathBetween(const SnapshotTree& tree,
-                                        SnapshotId a, SnapshotId b) {
-  std::vector<SnapshotId> path;
-  if (a == b) return path;
+void TreePathBetween(const SnapshotTree& tree, SnapshotId a, SnapshotId b,
+                     std::vector<SnapshotId>* out) {
+  std::vector<SnapshotId>& path = *out;
+  path.clear();
+  if (a == b) return;
   auto depth = [&](SnapshotId id) {
     return id == kNoSnapshot ? ~uint32_t{0} : tree.nodes[id].depth;
   };
@@ -28,7 +29,6 @@ std::vector<SnapshotId> TreePathBetween(const SnapshotTree& tree,
       break;  // both kNoSnapshot
     }
   }
-  return path;
 }
 
 const uint8_t* FindModulePage(const SnapshotTree& tree, SnapshotId target,
@@ -53,40 +53,6 @@ const uint8_t* FindProcPage(const SnapshotTree& tree, SnapshotId target,
     if (ps.full) break;  // a full node holds every live page of the segment
   }
   return nullptr;  // page beyond the segment's last full capture: untouched
-}
-
-ProcessSnapshot MaterializeProcess(const SnapshotTree& tree,
-                                   SnapshotId target, size_t proc_index) {
-  const ProcessNodeState& tps = tree.nodes[target].procs[proc_index];
-  ProcessSnapshot ps;
-  ps.core = tps.core;
-  ps.stack.assign(tps.stack_bytes, 0);
-  ps.heap.assign(tps.heap_bytes, 0);
-  ps.tls.assign(tps.tls_bytes, 0);
-  // Chain of deltas newest -> oldest, stopping at the process's last full
-  // capture (which holds every page, so nothing older matters).
-  std::vector<SnapshotId> chain;
-  for (SnapshotId id = target; id != kNoSnapshot; id = tree.nodes[id].parent) {
-    chain.push_back(id);
-    if (tree.nodes[id].procs[proc_index].full) break;
-  }
-  auto apply = [](const PageDelta& delta, std::vector<uint8_t>& mem) {
-    for (size_t i = 0; i < delta.pages.size(); ++i) {
-      uint64_t off = uint64_t{delta.pages[i]} << DirtyMap::kPageBits;
-      if (off >= mem.size()) continue;
-      std::memcpy(mem.data() + off,
-                  delta.bytes.data() + i * DirtyMap::kPageSize,
-                  std::min(DirtyMap::kPageSize, mem.size() - off));
-    }
-  };
-  // Oldest first so newer writes land on top.
-  for (auto it = chain.rbegin(); it != chain.rend(); ++it) {
-    const ProcessNodeState& ns = tree.nodes[*it].procs[proc_index];
-    apply(ns.stack, ps.stack);
-    apply(ns.heap, ps.heap);
-    apply(ns.tls, ps.tls);
-  }
-  return ps;
 }
 
 }  // namespace lfi::vm

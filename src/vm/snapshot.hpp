@@ -49,17 +49,6 @@ struct ProcessCore {
   std::vector<Frame> shadow;
 };
 
-/// Everything one Process needs to resume, with complete segment images —
-/// the materialized form used to rebuild a destroyed process (and the
-/// payload of the flat snapshot API). The owning process's dirty journals
-/// decide how much of the images a restore actually touches.
-struct ProcessSnapshot {
-  ProcessCore core;
-  std::vector<uint8_t> stack;
-  std::vector<uint8_t> heap;
-  std::vector<uint8_t> tls;
-};
-
 /// One process's slice of a tree node: scalar core in full, segments as
 /// page deltas against the parent node.
 struct ProcessNodeState {
@@ -116,9 +105,9 @@ struct SnapshotTree {
 /// Tree path between nodes `a` and `b`: every node strictly below their
 /// lowest common ancestor on either side, i.e. exactly the nodes whose
 /// deltas can make the two states differ. Either id may be kNoSnapshot
-/// (empty path).
-std::vector<SnapshotId> TreePathBetween(const SnapshotTree& tree,
-                                        SnapshotId a, SnapshotId b);
+/// (empty path). Overwrites `*path`, reusing its storage.
+void TreePathBetween(const SnapshotTree& tree, SnapshotId a, SnapshotId b,
+                     std::vector<SnapshotId>* path);
 
 /// Content of module `m`'s data page `page` at node `target`: newest
 /// writer at-or-above target. Never nullptr for a live tree (the root is
@@ -133,11 +122,5 @@ const uint8_t* FindProcPage(const SnapshotTree& tree, SnapshotId target,
                             size_t proc_index,
                             const PageDelta ProcessNodeState::*sel,
                             uint32_t page, uint64_t* nodes_walked);
-
-/// Materialize full segment images for process `proc_index` at node
-/// `target` by applying deltas root -> target: the rebuild path for
-/// processes destroyed by Machine::Reset or truncated by a restore.
-ProcessSnapshot MaterializeProcess(const SnapshotTree& tree,
-                                   SnapshotId target, size_t proc_index);
 
 }  // namespace lfi::vm

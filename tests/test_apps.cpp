@@ -38,9 +38,9 @@ TEST(WebServer, TriggersDoNotChangeWork) {
 
 TEST(WebServer, HotFunctionListNonEmptyAndResolvable) {
   vm::Machine machine;
-  machine.Load(libc::BuildLibc());
-  machine.Load(BuildLibApr());
-  machine.Load(BuildLibAprUtil());
+  machine.Load(libc::BuildLibc()).value();
+  machine.Load(BuildLibApr()).value();
+  machine.Load(BuildLibAprUtil()).value();
   for (const std::string& fn : WebHotFunctions()) {
     EXPECT_NE(machine.loader().ResolveName(fn).kind,
               vm::Target::Kind::Unresolved)

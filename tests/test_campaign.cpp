@@ -9,6 +9,7 @@
 #include "apps/workloads.hpp"
 #include "campaign/runner.hpp"
 #include "campaign/triage.hpp"
+#include "core/scenario_gen.hpp"
 #include "isa/codebuilder.hpp"
 #include "libc/libc_builder.hpp"
 #include "test_helpers.hpp"
@@ -154,12 +155,85 @@ TEST(Campaign, PlanRunnerLogHoldsOnlyTheLastRun) {
 // A worker reuses one machine across all its scenarios; the kernel
 // checkpoint must restore the filesystem between scenarios, or the
 // appender would see its own previous output and exit with 16, 24, ...
+/// Every ScenarioResult field but wall time and the restore telemetry
+/// (which depends on what the previous scenario dirtied).
+void ExpectSameResult(const ScenarioResult& a, const ScenarioResult& b) {
+  EXPECT_EQ(a.index, b.index);
+  EXPECT_EQ(a.name, b.name);
+  EXPECT_EQ(a.status, b.status);
+  EXPECT_EQ(a.exit_code, b.exit_code);
+  EXPECT_EQ(a.signal, b.signal);
+  EXPECT_EQ(a.fault_message, b.fault_message);
+  EXPECT_EQ(a.injections, b.injections);
+  EXPECT_EQ(a.instructions, b.instructions);
+  EXPECT_EQ(a.covered_offsets, b.covered_offsets);
+  EXPECT_EQ(a.covered_by_module, b.covered_by_module);
+  EXPECT_EQ(a.coverage, b.coverage);
+  EXPECT_EQ(a.fault_frames, b.fault_frames);
+  EXPECT_EQ(a.crash_site_hash, b.crash_site_hash);
+  EXPECT_EQ(a.crash_hash, b.crash_hash);
+  EXPECT_EQ(a.replay.ToXml(), b.replay.ToXml());
+  EXPECT_EQ(a.first_injection_instructions, b.first_injection_instructions);
+  EXPECT_EQ(a.snapshot_fallback, b.snapshot_fallback);
+  EXPECT_EQ(a.state_digest, b.state_digest);
+  EXPECT_EQ(a.seu_landed, b.seu_landed);
+}
+
+// A warm PlanRunner re-arms the registered stubs when a plan repeats the
+// trigger list and rebuilds them when it does not. Interleave both kinds —
+// the same triggers under a new seed, a changed probability, an added SEU,
+// a plan naming the entry (which runs cold) — and every result must equal
+// a fresh runner's.
+TEST(Campaign, RearmedPlansMatchAFreshRunner) {
+  CampaignOptions opts;
+  opts.entry = apps::kPidginEntry;
+  opts.snapshot = true;
+  opts.track_coverage = true;
+  opts.collect_scenario_coverage = true;
+  opts.collect_replays = true;
+  opts.collect_state_digest = true;
+  auto profiles = std::make_shared<const std::vector<core::FaultProfile>>(
+      apps::LibcProfiles());
+  const core::Plan base = core::GenerateRandom(*profiles, 0.3, 11);
+  ASSERT_FALSE(base.triggers.empty());
+  core::Plan reseeded = base;
+  reseeded.seed = 12;
+  core::Plan reweighted = base;
+  reweighted.triggers[0].probability = 0.9;
+  core::Plan flipped = base;
+  core::SeuFault seu;
+  seu.target = core::SeuFault::Target::Reg;
+  seu.reg = 3;
+  seu.bit = 5;
+  seu.at_instruction = 40;
+  flipped.seus.push_back(seu);
+  core::Plan names_entry = base;
+  names_entry.triggers.push_back(base.triggers[0]);
+  names_entry.triggers.back().function = apps::kPidginEntry;
+  const std::vector<const core::Plan*> order = {
+      &base,   &reseeded, &base,        &reweighted, &reweighted, &flipped,
+      &base,   &names_entry, &reseeded, &flipped,    &base};
+  PlanRunner warm(apps::PidginMachineSetup(), profiles, opts);
+  size_t injections = 0;
+  for (size_t i = 0; i < order.size(); ++i) {
+    SCOPED_TRACE(i);
+    PlanRunner fresh(apps::PidginMachineSetup(), profiles, opts);
+    ScenarioResult want = fresh.Run(*order[i]);
+    ScenarioResult got = warm.Run(*order[i]);
+    ExpectSameResult(got, want);
+    EXPECT_EQ(got.snapshot_fallback, order[i] == &names_entry);
+    EXPECT_EQ(got.seu_landed, order[i] == &flipped ? 1u : 0u);
+    injections += got.injections;
+  }
+  EXPECT_GT(injections, order.size());
+}
+
 TEST(Campaign, MachineResetIsolatesScenarios) {
   auto libc_so = std::make_shared<const sso::SharedObject>(libc::BuildLibc());
   auto app = std::make_shared<const sso::SharedObject>(BuildAppenderApp());
   MachineSetup setup = [libc_so, app](vm::Machine& machine) {
-    machine.Load(*libc_so);
-    machine.Load(*app);
+    machine.Load(*libc_so).value();
+    machine.Load(*app).value();
   };
   std::vector<Scenario> scenarios(6);
   for (size_t i = 0; i < scenarios.size(); ++i) {

@@ -49,8 +49,8 @@ Plan OneShot(const std::string& fn, uint64_t call, int64_t retval,
 
 TEST(Controller, InjectsRetvalOnNthCall) {
   vm::Machine machine;
-  machine.Load(libc::BuildLibc());
-  machine.Load(TwoCallApp());
+  machine.Load(libc::BuildLibc()).value();
+  machine.Load(TwoCallApp()).value();
   Controller controller(machine);
   ASSERT_TRUE(controller.Install(OneShot("getpid", 2, -55, std::nullopt), nullptr));
   auto r = test::RunEntry(machine, "main");
@@ -64,8 +64,8 @@ TEST(Controller, ReinstallReplacesPreviousPlan) {
   // stubs from plan A pointing into its (destroyed) engine would otherwise
   // survive in the loader and dangle.
   vm::Machine machine;
-  machine.Load(libc::BuildLibc());
-  machine.Load(TwoCallApp());
+  machine.Load(libc::BuildLibc()).value();
+  machine.Load(TwoCallApp()).value();
   Controller controller(machine);
   ASSERT_TRUE(controller.Install(OneShot("getpid", 1, -7, std::nullopt), nullptr));
   ASSERT_TRUE(controller.Install(OneShot("geterrno", 1, -9, std::nullopt), nullptr));
@@ -88,7 +88,7 @@ TEST(Controller, CallWithNoOriginalFails) {
   b.leave_ret();
   b.end_function();
   vm::Machine machine;
-  machine.Load(sso::FromCodeUnit("app.so", b.Finish()));
+  machine.Load(sso::FromCodeUnit("app.so", b.Finish())).value();
   Controller controller(machine);
   ASSERT_TRUE(
       controller.Install(OneShot("nowhere", 2, -5, std::nullopt), nullptr));
@@ -99,8 +99,8 @@ TEST(Controller, CallWithNoOriginalFails) {
 
 TEST(Controller, ErrnoSideEffectVisibleToApp) {
   vm::Machine machine;
-  machine.Load(libc::BuildLibc());
-  machine.Load(TwoCallApp());
+  machine.Load(libc::BuildLibc()).value();
+  machine.Load(TwoCallApp()).value();
   Controller controller(machine);
   ASSERT_TRUE(controller.Install(OneShot("getpid", 2, -1, E_IO), nullptr));
   auto r = test::RunEntry(machine, "main");
@@ -110,8 +110,8 @@ TEST(Controller, ErrnoSideEffectVisibleToApp) {
 
 TEST(Controller, CallOriginalStillRunsFunction) {
   vm::Machine machine;
-  machine.Load(libc::BuildLibc());
-  machine.Load(TwoCallApp());
+  machine.Load(libc::BuildLibc()).value();
+  machine.Load(TwoCallApp()).value();
   Controller controller(machine);
   ASSERT_TRUE(controller.Install(
       OneShot("getpid", 2, -99, std::nullopt, /*call_original=*/true), nullptr));
@@ -123,8 +123,8 @@ TEST(Controller, CallOriginalStillRunsFunction) {
 
 TEST(Controller, UninstallRestoresOriginals) {
   vm::Machine machine;
-  machine.Load(libc::BuildLibc());
-  machine.Load(TwoCallApp());
+  machine.Load(libc::BuildLibc()).value();
+  machine.Load(TwoCallApp()).value();
   Controller controller(machine);
   ASSERT_TRUE(controller.Install(OneShot("getpid", 1, -3, std::nullopt), nullptr));
   controller.Uninstall();
@@ -154,8 +154,8 @@ TEST(Controller, ArgumentModificationFlowsToOriginal) {
   // The paper's third §4 example: subtract 10 from read's byte count and
   // pass through. The kernel then sees count=90.
   vm::Machine machine;
-  machine.Load(libc::BuildLibc());
-  machine.Load(ReadApp());
+  machine.Load(libc::BuildLibc()).value();
+  machine.Load(ReadApp()).value();
   machine.kernel().add_file("/data", std::vector<uint8_t>(500, 1));
   // Replace fd 7 read by opening... simpler: the injected read is against
   // a bad fd, so modify the *count* and verify via the log; then check a
@@ -184,8 +184,8 @@ TEST(Controller, ArgumentModificationFlowsToOriginal) {
 
 TEST(Controller, LogRecordsBacktraces) {
   vm::Machine machine;
-  machine.Load(libc::BuildLibc());
-  machine.Load(TwoCallApp());
+  machine.Load(libc::BuildLibc()).value();
+  machine.Load(TwoCallApp()).value();
   Controller controller(machine);
   ASSERT_TRUE(controller.Install(OneShot("getpid", 1, -1, E_IO), nullptr));
   test::RunEntry(machine, "main");
@@ -199,8 +199,8 @@ TEST(Controller, LogRecordsBacktraces) {
 
 TEST(Controller, LogTextFormat) {
   vm::Machine machine;
-  machine.Load(libc::BuildLibc());
-  machine.Load(TwoCallApp());
+  machine.Load(libc::BuildLibc()).value();
+  machine.Load(TwoCallApp()).value();
   Controller controller(machine);
   ASSERT_TRUE(controller.Install(OneShot("getpid", 2, -1, E_BADF), nullptr));
   test::RunEntry(machine, "main");
@@ -213,8 +213,8 @@ TEST(Controller, LogTextFormat) {
 
 TEST(Controller, LoggingCanBeDisabled) {
   vm::Machine machine;
-  machine.Load(libc::BuildLibc());
-  machine.Load(TwoCallApp());
+  machine.Load(libc::BuildLibc()).value();
+  machine.Load(TwoCallApp()).value();
   ControllerOptions opts;
   opts.log_enabled = false;
   Controller controller(machine, opts);
@@ -226,8 +226,8 @@ TEST(Controller, LoggingCanBeDisabled) {
 TEST(Controller, ReplayReproducesSameOutcome) {
   auto run_with = [](const Plan& plan) {
     vm::Machine machine;
-    machine.Load(libc::BuildLibc());
-    machine.Load(TwoCallApp());
+    machine.Load(libc::BuildLibc()).value();
+    machine.Load(TwoCallApp()).value();
     Controller controller(machine);
     EXPECT_TRUE(controller.Install(plan, nullptr));
     auto r = test::RunEntry(machine, "main");
@@ -283,8 +283,8 @@ TEST(Controller, InterceptsCallsFromOtherLibraries) {
   b.end_function();
 
   vm::Machine machine;
-  machine.Load(libc::BuildLibc());
-  machine.Load(sso::FromCodeUnit("app.so", b.Finish(), {"libc.so"}));
+  machine.Load(libc::BuildLibc()).value();
+  machine.Load(sso::FromCodeUnit("app.so", b.Finish(), {"libc.so"})).value();
   Controller controller(machine);
   ASSERT_TRUE(controller.Install(OneShot("read", 1, -1, E_BADF), nullptr));
   auto r = test::RunEntry(machine, "main");
@@ -313,9 +313,9 @@ TEST(Controller, MultipleLibrariesInterposedSimultaneously) {
   b.end_function();
 
   vm::Machine machine;
-  machine.Load(libc::BuildLibc());
-  machine.Load(sso::FromCodeUnit("libapr.so", apr.Finish(), {"libc.so"}));
-  machine.Load(sso::FromCodeUnit("app.so", b.Finish(), {"libapr.so"}));
+  machine.Load(libc::BuildLibc()).value();
+  machine.Load(sso::FromCodeUnit("libapr.so", apr.Finish(), {"libc.so"})).value();
+  machine.Load(sso::FromCodeUnit("app.so", b.Finish(), {"libapr.so"})).value();
 
   Controller controller(machine);
   Plan plan;
@@ -356,8 +356,8 @@ TEST(Controller, RotatePlanDrawsFromProfiles) {
   profile.functions.push_back(fn);
 
   vm::Machine machine;
-  machine.Load(libc::BuildLibc());
-  machine.Load(TwoCallApp());
+  machine.Load(libc::BuildLibc()).value();
+  machine.Load(TwoCallApp()).value();
   Controller controller(machine);
   Plan plan;
   FunctionTrigger t;
@@ -391,8 +391,8 @@ TEST(Controller, InstallCostIsProportionalToThePlan) {
       std::vector<FaultProfile>{profile});
 
   vm::Machine machine;
-  machine.Load(libc::BuildLibc());
-  machine.Load(TwoCallApp());
+  machine.Load(libc::BuildLibc()).value();
+  machine.Load(TwoCallApp()).value();
   Controller controller(machine);
   auto pid = machine.CreateProcess("main");
   ASSERT_TRUE(pid.ok());
@@ -554,10 +554,10 @@ TEST(Controller, GlobalAndArgSideEffectsApplied) {
   b.end_function();
 
   vm::Machine machine;
-  machine.Load(libc::BuildLibc());
+  machine.Load(libc::BuildLibc()).value();
   size_t lib_idx = machine.Load(
-      sso::FromCodeUnit("libdev.so", lib.Finish(), {"libc.so"}));
-  machine.Load(sso::FromCodeUnit("app.so", b.Finish(), {"libdev.so"}));
+      sso::FromCodeUnit("libdev.so", lib.Finish(), {"libc.so"})).value();
+  machine.Load(sso::FromCodeUnit("app.so", b.Finish(), {"libdev.so"})).value();
   Controller controller(machine);
   ASSERT_TRUE(
       controller.Install(OneShot("dev_ioctl", 1, -1, std::nullopt), {profile}));

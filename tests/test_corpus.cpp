@@ -69,7 +69,7 @@ TEST(LibGen, GeneratedFunctionsActuallyReturnTheirCodes) {
   // code — including the indirect one the profiler cannot see.
   GeneratedLibrary lib = GenerateLibrary(SmallSpec());
   vm::Machine machine;
-  machine.Load(lib.object);
+  machine.Load(lib.object).value();
   isa::CodeBuilder b;
   b.begin_function("main");
   b.sub_ri(isa::Reg::SP, 16);
@@ -86,7 +86,7 @@ TEST(LibGen, GeneratedFunctionsActuallyReturnTheirCodes) {
   b.load(isa::Reg::R0, isa::Reg::BP, -8);
   b.leave_ret();
   b.end_function();
-  machine.Load(sso::FromCodeUnit("main.so", b.Finish(), {"libtest.so"}));
+  machine.Load(sso::FromCodeUnit("main.so", b.Finish(), {"libtest.so"})).value();
   auto r = test::RunEntry(machine, "main");
   ASSERT_EQ(r.state, vm::ProcState::Exited) << r.fault;
   EXPECT_EQ(r.exit_code, -3 + -7 + -13 + -11);  // selector order of emission

@@ -175,8 +175,8 @@ sso::SharedObject TwiceApp() {
 TEST(CodeCache, SurvivesReinstallAndReset) {
   vm::Machine machine;
   machine.SetExecMode(vm::ExecMode::Superblock);
-  machine.Load(libc::BuildLibc());
-  machine.Load(TwiceApp());
+  machine.Load(libc::BuildLibc()).value();
+  machine.Load(TwiceApp()).value();
 
   EXPECT_EQ(test::RunEntry(machine, "main").exit_code, 7);
 
@@ -198,7 +198,7 @@ TEST(CodeCache, SurvivesReinstallAndReset) {
   b2.mov_ri(Reg::R0, 42);
   b2.leave_ret();
   b2.end_function();
-  machine.Load(sso::FromCodeUnit("late.so", b2.Finish()));
+  machine.Load(sso::FromCodeUnit("late.so", b2.Finish())).value();
   machine.Reset();
   EXPECT_EQ(test::RunEntry(machine, "entry2").exit_code, 42);
 

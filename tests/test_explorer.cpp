@@ -121,6 +121,51 @@ TEST(Explorer, WarmOracleMinimizesLikeAFreshOneAcrossForkWindows) {
   ExpectWarmOracleIsolated(apps::DbSuiteMachineSetup(), report, opts.campaign);
 }
 
+/// Runs rounds through a CampaignRunner and keeps each round's population
+/// and results.
+class RecordingDispatch : public ScenarioDispatch {
+ public:
+  explicit RecordingDispatch(const CampaignOptions& campaign)
+      : runner_(apps::DbSuiteMachineSetup(), apps::LibcProfiles(),
+                Explorer::DispatchOptions(campaign)) {}
+  CampaignReport Run(const std::vector<Scenario>& scenarios) override {
+    populations.push_back(scenarios);
+    CampaignReport report = runner_.Run(scenarios);
+    results.push_back(report.results);
+    return report;
+  }
+  std::vector<std::vector<Scenario>> populations;
+  std::vector<std::vector<ScenarioResult>> results;
+
+ private:
+  CampaignRunner runner_;
+};
+
+// The fork window, pinned absolutely: one seed plan is admitted, and round
+// 1's one slot is its mutant, which opens its fault window at the last
+// quantum boundary strictly before the seed plan's first injection.
+TEST(Explorer, ForkWindowIsTheQuantumFloorOfTheFirstInjection) {
+  ExplorerOptions opts;
+  opts.rounds = 2;
+  opts.scenarios_per_round = 1;
+  opts.fork_windows = true;
+  opts.minimize_crashes = false;
+  opts.campaign.entry = apps::kDbTestEntry;
+  RecordingDispatch dispatch(opts.campaign);
+  opts.dispatch = &dispatch;
+  const core::Plan seed_plan =
+      core::GenerateRandom(apps::LibcProfiles(), 0.02, /*seed=*/1);
+  Explorer(apps::DbSuiteMachineSetup(), apps::LibcProfiles(), opts)
+      .Explore({seed_plan});
+  ASSERT_EQ(dispatch.populations.size(), 2u);
+  const uint64_t first = dispatch.results[0][0].first_injection_instructions;
+  ASSERT_GT(first, vm::Machine::kQuantum) << "the window must leave the entry";
+  const uint64_t floor =
+      vm::Machine::kQuantum * ((first - 1) / vm::Machine::kQuantum);
+  EXPECT_EQ(dispatch.populations[1][0].warmup_instructions, floor)
+      << "first injection at " << first;
+}
+
 // Every unique crash ships with a minimized reproducer that (a) is no
 // larger than the replay it came from, (b) still reproduces the same
 // crash site when run standalone, and (c) is 1-minimal per the oracle.

@@ -49,8 +49,8 @@ inline RunResult RunEntry(vm::Machine& machine, const std::string& entry) {
 /// Run `entry` of `app` on a fresh machine with libc loaded.
 inline RunResult RunProgram(sso::SharedObject app, const std::string& entry) {
   vm::Machine machine;
-  machine.Load(libc::BuildLibc());
-  machine.Load(std::move(app));
+  machine.Load(libc::BuildLibc()).value();
+  machine.Load(std::move(app)).value();
   return RunEntry(machine, entry);
 }
 

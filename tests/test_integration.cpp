@@ -86,8 +86,8 @@ class PipelineTest : public ::testing::Test {
                                   core::Controller** out = nullptr) {
     static std::unique_ptr<core::Controller> controller;
     auto machine = std::make_unique<vm::Machine>();
-    machine->Load(libc::BuildLibc());
-    machine->Load(BuggyCopyApp());
+    machine->Load(libc::BuildLibc()).value();
+    machine->Load(BuggyCopyApp()).value();
     machine->kernel().add_file("/src", std::vector<uint8_t>(100, 'a'));
     controller = std::make_unique<core::Controller>(*machine);
     EXPECT_TRUE(controller->Install(plan, LibcProfiles()));

@@ -132,6 +132,59 @@ class FakeContext : public KernelContext {
 
 uint16_t N(Sys s) { return static_cast<uint16_t>(s); }
 
+// A pipe is a ring that wraps and grows: uneven writes and reads make the
+// queued bytes wrap the ring's end, then a write queues more than the ring
+// holds while wrapped. Every byte comes out in order. A write whose source
+// runs off guest memory queues the bytes before the fault and fails EIO.
+TEST(KernelRuntime, PipeKeepsByteOrderAcrossWrapAndGrowth) {
+  KernelRuntime k;
+  FakeContext ctx;
+  ctx.regs_[1] = 0x100;
+  ASSERT_EQ(k.Invoke(N(Sys::PIPE), ctx).kind, KResult::Kind::Ok);
+  int64_t rfd = 0, wfd = 0;
+  memcpy(&rfd, ctx.mem_.data() + 0x100, 8);
+  memcpy(&wfd, ctx.mem_.data() + 0x108, 8);
+  EXPECT_EQ(rfd, 3);  // 0-2 are reserved
+  EXPECT_EQ(wfd, 4);
+  uint8_t next_in = 0, next_out = 0;
+  auto put = [&](int64_t n) {
+    for (int64_t i = 0; i < n; ++i) ctx.mem_[0x1000 + i] = next_in++;
+    ctx.regs_[1] = wfd;
+    ctx.regs_[2] = 0x1000;
+    ctx.regs_[3] = n;
+    KResult r = k.Invoke(N(Sys::WRITE), ctx);
+    ASSERT_EQ(r.kind, KResult::Kind::Ok);
+    ASSERT_EQ(r.value, n);
+  };
+  auto take = [&](int64_t n) {
+    ctx.regs_[1] = rfd;
+    ctx.regs_[2] = 0x2000;
+    ctx.regs_[3] = n;
+    KResult r = k.Invoke(N(Sys::READ), ctx);
+    ASSERT_EQ(r.kind, KResult::Kind::Ok);
+    ASSERT_EQ(r.value, n);
+    for (int64_t i = 0; i < n; ++i) {
+      EXPECT_EQ(ctx.mem_[0x2000 + i], next_out++) << "byte " << i;
+    }
+  };
+  put(48);
+  take(40);  // 8 queued at offset 40 of the 64-byte ring
+  put(48);   // the write wraps the ring's end
+  put(8);    // the free space starts past the wrap
+  put(20);   // grows while wrapped
+  take(84);
+  ctx.mem_[ctx.mem_.size() - 3] = next_in++;
+  ctx.mem_[ctx.mem_.size() - 2] = next_in++;
+  ctx.mem_[ctx.mem_.size() - 1] = next_in++;
+  ctx.regs_[1] = wfd;
+  ctx.regs_[2] = static_cast<int64_t>(ctx.mem_.size() - 3);
+  ctx.regs_[3] = 8;
+  KResult r = k.Invoke(N(Sys::WRITE), ctx);
+  EXPECT_EQ(r.kind, KResult::Kind::Fail);
+  EXPECT_EQ(r.error, E_IO);
+  take(3);
+}
+
 TEST(KernelRuntime, OpenMissingFileFailsENOENT) {
   KernelRuntime kr;
   FakeContext ctx;

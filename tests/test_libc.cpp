@@ -26,9 +26,9 @@ class LibcTest : public ::testing::Test {
     b.end_function();
     vm::Machine local;
     vm::Machine& machine = use ? *use : local;
-    machine.Load(BuildLibc());
+    machine.Load(BuildLibc()).value();
     machine.kernel().add_file("/tmp/file", {'h', 'e', 'l', 'l', 'o'});
-    machine.Load(sso::FromCodeUnit("app.so", b.Finish(), {kLibcName}));
+    machine.Load(sso::FromCodeUnit("app.so", b.Finish(), {kLibcName})).value();
     return RunEntry(machine, "main");
   }
 

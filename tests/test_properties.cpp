@@ -102,8 +102,8 @@ TEST_P(RuntimeGroundTruth, ProfiledCodesAreActuallyReturnable) {
     b.leave_ret();
     b.end_function();
     vm::Machine machine;
-    machine.Load(lib.object);
-    machine.Load(sso::FromCodeUnit("main.so", b.Finish(), {"libgt.so"}));
+    machine.Load(lib.object).value();
+    machine.Load(sso::FromCodeUnit("main.so", b.Finish(), {"libgt.so"})).value();
     auto r = test::RunEntry(machine, "main");
     ASSERT_EQ(r.state, vm::ProcState::Exited) << r.fault;
     returned.insert(r.exit_code);
@@ -198,8 +198,8 @@ TEST(SpawnAndWait, ParentReapsChildExitCode) {
   b.end_function();
 
   vm::Machine machine;
-  machine.Load(libc::BuildLibc());
-  machine.Load(sso::FromCodeUnit("app.so", b.Finish(), {"libc.so"}));
+  machine.Load(libc::BuildLibc()).value();
+  machine.Load(sso::FromCodeUnit("app.so", b.Finish(), {"libc.so"})).value();
   auto r = test::RunEntry(machine, "main");
   ASSERT_EQ(r.state, vm::ProcState::Exited) << r.fault;
   EXPECT_EQ(r.exit_code, 77);  // wait() returned the child's exit code
@@ -221,8 +221,8 @@ TEST(SpawnAndWait, InjectedSpawnFailureVisible) {
   b.end_function();
 
   vm::Machine machine;
-  machine.Load(libc::BuildLibc());
-  machine.Load(sso::FromCodeUnit("app.so", b.Finish(), {"libc.so"}));
+  machine.Load(libc::BuildLibc()).value();
+  machine.Load(sso::FromCodeUnit("app.so", b.Finish(), {"libc.so"})).value();
   core::Controller controller(machine);
   core::Plan plan;
   core::FunctionTrigger t;
@@ -275,8 +275,8 @@ TEST(ExhaustiveScenario, RotatesThroughAllCloseErrnos) {
       plan.triggers.end());
 
   vm::Machine machine;
-  machine.Load(libc::BuildLibc());
-  machine.Load(sso::FromCodeUnit("app.so", b.Finish(), {"libc.so"}));
+  machine.Load(libc::BuildLibc()).value();
+  machine.Load(sso::FromCodeUnit("app.so", b.Finish(), {"libc.so"})).value();
   core::Controller controller(machine);
   ASSERT_TRUE(controller.Install(plan, profiles));
   auto r = test::RunEntry(machine, "main");

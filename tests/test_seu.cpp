@@ -67,8 +67,8 @@ TEST(InstructionStop, FiresAtTheExactInstant) {
   auto guest = apps::BuildSeuGuest(apps::HardeningMode::None);
   ASSERT_TRUE(guest.ok());
   vm::Machine machine;
-  machine.Load(libc::BuildLibc());
-  machine.Load(guest.value());
+  machine.Load(libc::BuildLibc()).value();
+  machine.Load(guest.value()).value();
   std::vector<uint64_t> observed;
   for (uint64_t at : {1ull, 7ull, 1999ull, 2000ull, 2001ull, 5000ull}) {
     machine.ArmInstructionStop(at, [&observed](vm::Machine& m) {
@@ -89,8 +89,8 @@ TEST(InstructionStop, NeverDueStopsDoNotFireAndResetClears) {
   auto guest = apps::BuildSeuGuest(apps::HardeningMode::None);
   ASSERT_TRUE(guest.ok());
   vm::Machine machine;
-  machine.Load(libc::BuildLibc());
-  machine.Load(guest.value());
+  machine.Load(libc::BuildLibc()).value();
+  machine.Load(guest.value()).value();
   bool fired = false;
   machine.ArmInstructionStop(1'000'000'000,
                              [&fired](vm::Machine&) { fired = true; });
@@ -114,8 +114,8 @@ TEST(InstructionStop, MidRunDigestIdenticalAcrossEngines) {
       ASSERT_TRUE(guest.ok());
       vm::Machine machine;
       machine.SetExecMode(mode);
-      machine.Load(libc::BuildLibc());
-      machine.Load(guest.value());
+      machine.Load(libc::BuildLibc()).value();
+      machine.Load(guest.value()).value();
       machine.ArmInstructionStop(at, [&digests](vm::Machine& m) {
         digests.push_back(m.StateDigest());
       });
@@ -138,7 +138,7 @@ void RunAdds(vm::Machine& machine, core::Controller& controller,
   for (int i = 0; i < 20; ++i) b.add_ri(Reg::R0, 1);
   b.leave_ret();
   b.end_function();
-  machine.Load(sso::FromCodeUnit("adds.so", b.Finish()));
+  machine.Load(sso::FromCodeUnit("adds.so", b.Finish())).value();
   EXPECT_TRUE(controller.Install(plan, nullptr).ok());
   const uint64_t base = machine.loader().module_named("adds.so")->code_base;
   machine.ArmInstructionStop(5, [base, pc_rel](vm::Machine& m) {

@@ -220,7 +220,7 @@ FuzzOutcome RunFuzzProgram(const sso::SharedObject& program,
                            vm::ExecMode mode) {
   vm::Machine machine;
   machine.SetExecMode(mode);
-  machine.Load(program);
+  machine.Load(program).value();
   vm::CoverageTracker* cov = machine.EnableCoverage();
   FuzzOutcome out;
   auto pid = machine.CreateProcess("main");
@@ -329,7 +329,7 @@ TEST(GuestArithmetic, WrapsIdenticallyOnBothEngines) {
     SCOPED_TRACE(vm::ExecModeName(mode));
     vm::Machine machine;
     machine.SetExecMode(mode);
-    machine.Load(build());
+    machine.Load(build()).value();
     test::RunResult r = test::RunEntry(machine, "main");
     ASSERT_EQ(r.state, vm::ProcState::Exited) << r.fault;
     EXPECT_EQ(r.exit_code, static_cast<int64_t>(expected));

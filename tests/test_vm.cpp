@@ -160,8 +160,8 @@ TEST(VmExec, TlsIsSeparatePerModule) {
   app.leave_ret();
   app.end_function();
   Machine machine;
-  machine.Load(sso::FromCodeUnit("lib.so", lib.Finish()));
-  machine.Load(sso::FromCodeUnit("app.so", app.Finish(), {"lib.so"}));
+  machine.Load(sso::FromCodeUnit("lib.so", lib.Finish())).value();
+  machine.Load(sso::FromCodeUnit("app.so", app.Finish(), {"lib.so"})).value();
   EXPECT_EQ(test::RunEntry(machine, "main").exit_code, 0);
 }
 
@@ -235,7 +235,7 @@ TEST(VmFaults, StackOverflowDetected) {
 
 TEST(Loader, InterpositionDisableRestoresOriginal) {
   Machine machine;
-  machine.Load(libc::BuildLibc());
+  machine.Load(libc::BuildLibc()).value();
   machine.loader().RegisterNative("getpid", [](NativeFrame&) {
     return NativeAction::Ret(999);
   });
@@ -245,14 +245,61 @@ TEST(Loader, InterpositionDisableRestoresOriginal) {
   b.call_named("getpid", {});
   b.leave_ret();
   b.end_function();
-  machine.Load(sso::FromCodeUnit("app.so", b.Finish(), {"libc.so"}));
+  machine.Load(sso::FromCodeUnit("app.so", b.Finish(), {"libc.so"})).value();
   test::RunResult r = test::RunEntry(machine, "main");
   EXPECT_EQ(r.exit_code, 1);
 }
 
+// Every load limit is a checked error, not an assert: an object beyond one
+// is refused with CheckLimits' message and maps nothing, so a later load
+// still gets the next module index.
+TEST(Loader, RefusesObjectsBeyondTheLoadLimits) {
+  auto base = [] {
+    CodeBuilder b;
+    b.reserve_data(16);
+    b.begin_function("main");
+    b.leave_ret();
+    b.end_function();
+    return sso::FromCodeUnit("app.so", b.Finish());
+  };
+  struct Case {
+    const char* error;
+    void (*corrupt)(sso::SharedObject&);
+  };
+  const Case cases[] = {
+      {"sso: code section too big",
+       [](sso::SharedObject& so) { so.code.resize(sso::kMaxCodeBytes + 1); }},
+      {"sso: data section too big",
+       [](sso::SharedObject& so) { so.data.resize(sso::kMaxDataBytes + 1); }},
+      {"sso: TLS reservation too big",
+       [](sso::SharedObject& so) { so.tls_size = sso::kMaxTlsBytes + 1; }},
+      {"sso: reloc out of range",
+       [](sso::SharedObject& so) { so.data_relocs.emplace_back(9, 0); }},
+      {"sso: reloc out of range",
+       [](sso::SharedObject& so) {
+         so.data_relocs.emplace_back(0, static_cast<uint32_t>(so.code.size()));
+       }},
+      {"sso: symbol out of range: main",
+       [](sso::SharedObject& so) {
+         so.exports[0].offset = static_cast<uint32_t>(so.code.size() + 1);
+       }},
+  };
+  for (const Case& c : cases) {
+    Machine machine;
+    const size_t modules = machine.loader().modules().size();
+    sso::SharedObject bad = base();
+    c.corrupt(bad);
+    auto index = machine.Load(bad);
+    ASSERT_FALSE(index.ok()) << c.error;
+    EXPECT_EQ(index.error(), c.error);
+    EXPECT_EQ(machine.loader().modules().size(), modules);
+    EXPECT_EQ(machine.Load(base()).value(), modules);
+  }
+}
+
 TEST(Loader, SymbolizeNamesFunctions) {
   Machine machine;
-  machine.Load(libc::BuildLibc());
+  machine.Load(libc::BuildLibc()).value();
   Target read = machine.loader().ResolveNextName("read");
   EXPECT_EQ(machine.loader().Symbolize(read.addr), "read");
   EXPECT_EQ(machine.loader().Symbolize(read.addr + 3).substr(0, 5), "read+");
@@ -260,7 +307,7 @@ TEST(Loader, SymbolizeNamesFunctions) {
 
 TEST(Loader, BacktraceReflectsCallChain) {
   Machine machine;
-  machine.Load(libc::BuildLibc());
+  machine.Load(libc::BuildLibc()).value();
   std::vector<std::string> symbols;
   machine.loader().RegisterNative("probe", [&](NativeFrame& f) {
     for (const auto& [addr, sym] : f.backtrace()) symbols.push_back(sym);
@@ -275,7 +322,7 @@ TEST(Loader, BacktraceReflectsCallChain) {
   b.call_named("inner", {});
   b.leave_ret();
   b.end_function();
-  machine.Load(sso::FromCodeUnit("app.so", b.Finish()));
+  machine.Load(sso::FromCodeUnit("app.so", b.Finish())).value();
   test::RunEntry(machine, "main");
   ASSERT_GE(symbols.size(), 2u);
   EXPECT_EQ(symbols[0], "inner");
@@ -307,8 +354,8 @@ TEST(Machine, DetectsDeadlockOnSelfPipe) {
   b.end_function();
 
   Machine machine;
-  machine.Load(libc::BuildLibc());
-  machine.Load(sso::FromCodeUnit("app.so", b.Finish(), {"libc.so"}));
+  machine.Load(libc::BuildLibc()).value();
+  machine.Load(sso::FromCodeUnit("app.so", b.Finish(), {"libc.so"})).value();
   ASSERT_TRUE(machine.CreateProcess("main").ok());
   EXPECT_EQ(machine.Run(10'000'000), RunOutcome::Deadlock);
 }
@@ -322,7 +369,7 @@ TEST(Machine, BudgetExhaustionReported) {
   b.jmp(loop);
   b.end_function();
   Machine machine;
-  machine.Load(sso::FromCodeUnit("app.so", b.Finish()));
+  machine.Load(sso::FromCodeUnit("app.so", b.Finish())).value();
   ASSERT_TRUE(machine.CreateProcess("main").ok());
   EXPECT_EQ(machine.Run(10'000), RunOutcome::BudgetSpent);
   EXPECT_GE(machine.total_instructions(), 10'000u);
@@ -344,8 +391,8 @@ TEST(Coverage, TracksExecutedOffsetsOnly) {
   b.end_function();
 
   Machine machine;
-  machine.Load(libc::BuildLibc());
-  size_t app_idx = machine.Load(sso::FromCodeUnit("app.so", b.Finish()));
+  machine.Load(libc::BuildLibc()).value();
+  size_t app_idx = machine.Load(sso::FromCodeUnit("app.so", b.Finish())).value();
   CoverageTracker* tracker = machine.EnableCoverage();
   test::RunEntry(machine, "main");
   const CoverageBitmap& executed = tracker->executed(app_idx);
@@ -378,8 +425,8 @@ TEST(AddressSpace, RejectsWrappingAddressRange) {
 TEST(Process, AllocHeapRejectsOverflowingSize) {
   auto app = OneFn("main", [](CodeBuilder& b) { b.mov_ri(Reg::R0, 0); });
   Machine machine;
-  machine.Load(libc::BuildLibc());
-  machine.Load(std::move(app));
+  machine.Load(libc::BuildLibc()).value();
+  machine.Load(std::move(app)).value();
   auto pid = machine.CreateProcess("main", /*heap_cap_bytes=*/1 << 16);
   ASSERT_TRUE(pid.ok());
   Process* proc = machine.process(pid.value());
@@ -406,7 +453,7 @@ TEST(Process, NativeFrameArgFaultSurfaces) {
   b.leave_ret();
   b.end_function();
   Machine machine;
-  machine.Load(sso::FromCodeUnit("app.so", b.Finish()));
+  machine.Load(sso::FromCodeUnit("app.so", b.Finish())).value();
   int64_t seen = -1;
   machine.loader().RegisterNative("probe", [&](NativeFrame& frame) {
     seen = frame.arg(0);
@@ -442,29 +489,27 @@ TEST(DirtyMap, ReEnableSameSizePreservesMarks) {
   EXPECT_EQ(dm.DirtyCount(), 0u);
 }
 
-// A pool miss hands out fresh storage with no fill of its own: it must
-// still read all zero, at stack size (a large, page-backed allocation),
-// at TLS size and at an odd size.
-TEST(SegmentPool, MissSegmentReadsAllZero) {
-  SegmentPool pool;
+// A fresh segment has no fill of its own: it must still read all zero, at
+// stack size (a large, page-backed allocation), at TLS size and at an odd
+// size, also when dirty storage was just freed and can come back from the
+// allocator.
+TEST(Segment, FreshSegmentReadsAllZero) {
   for (uint64_t bytes : {kStackSize, kTlsSize, uint64_t{3}}) {
-    Segment fresh = pool.Acquire(bytes);
+    Segment fresh(bytes);
     ASSERT_EQ(fresh.size(), bytes);
     EXPECT_EQ(std::count(fresh.begin(), fresh.end(), 0), ptrdiff_t(bytes))
         << bytes << " bytes";
   }
-  // Storage freed while dirty (dropped, not released to the pool) can come
-  // back from the allocator; the next miss must still read zero.
   for (uint64_t bytes : {kStackSize, kTlsSize}) {
     {
-      Segment dirty = pool.Acquire(bytes);
+      Segment dirty(bytes);
       std::fill(dirty.begin(), dirty.end(), 0xCD);
     }
-    Segment again = pool.Acquire(bytes);
+    Segment again(bytes);
     EXPECT_EQ(std::count(again.begin(), again.end(), 0), ptrdiff_t(bytes))
         << bytes << " bytes";
   }
-  EXPECT_TRUE(pool.Acquire(0).empty());
+  EXPECT_TRUE(Segment(0).empty());
 }
 
 TEST(AddressSpace, WriteMarksRegionDirtyJournal) {
@@ -507,7 +552,7 @@ size_t NonZeroBytes(Process& proc, uint64_t base, uint64_t len) {
 
 TEST(MachineSnapshotTree, RestoreTelemetryAccumulates) {
   Machine machine;
-  machine.Load(CounterApp());
+  machine.Load(CounterApp()).value();
   EXPECT_FALSE(machine.RestoreSnapshot());  // nothing captured yet
   EXPECT_FALSE(machine.RestoreTo(0));
   auto pid = machine.CreateProcess("main");
@@ -568,7 +613,7 @@ TEST(SegmentRecycling, RestorePageCopiesAreZeroedOnRelease) {
   // image copy) and RestoreTo(1) copies page 9 in place: both copies put
   // bytes no guest write produced into the buffer.
   Machine machine;
-  machine.Load(IdleApp());
+  machine.Load(IdleApp()).value();
   auto pid = machine.CreateProcess("idle");
   ASSERT_TRUE(pid.ok());
   const uint64_t v = 0x7777;
@@ -586,6 +631,24 @@ TEST(SegmentRecycling, RestorePageCopiesAreZeroedOnRelease) {
   EXPECT_EQ(NonZeroBytes(proc, kHeapBase + 9 * DirtyMap::kPageSize, 8), 2u);
   EXPECT_EQ(NonZeroBytes(proc, kHeapBase + 2 * DirtyMap::kPageSize, 8), 2u);
   ExpectNextSpawnZeroed(machine);
+}
+
+// A pooled process comes back as a just-constructed one: registers and
+// shadow stack reset, segments zero, and no live snapshot journal — a
+// journal left on would let the next tree capture or restore treat the
+// new process as the one the tree recorded.
+TEST(SegmentRecycling, RecycledProcessStartsWithoutAJournal) {
+  Machine machine;
+  machine.Load(IdleApp()).value();
+  ASSERT_TRUE(machine.CreateProcess("idle").ok());
+  machine.Snapshot();
+  ASSERT_TRUE(machine.process(1)->dirty_tracking_enabled());
+  machine.Reset();
+  ASSERT_TRUE(machine.CreateProcess("idle").ok());
+  const Process& proc = *machine.process(1);
+  EXPECT_FALSE(proc.dirty_tracking_enabled());
+  EXPECT_EQ(proc.instructions(), 0u);
+  EXPECT_EQ(proc.shadow_stack().size(), 1u);  // Start's entry frame
 }
 
 TEST(Process, UnknownSyscallNumberReturnsNosys) {
@@ -634,8 +697,8 @@ struct MemRig {
   Process* proc = nullptr;
 
   explicit MemRig(uint64_t heap_cap) {
-    machine.Load(libc::BuildLibc());
-    machine.Load(ModuleWithData("app.so", "main", 5000));
+    machine.Load(libc::BuildLibc()).value();
+    machine.Load(ModuleWithData("app.so", "main", 5000)).value();
     auto pid = machine.CreateProcess("main", heap_cap);
     EXPECT_TRUE(pid.ok());
     proc = machine.process(pid.value());
@@ -757,8 +820,8 @@ TEST(FastMemAgreement, MatchesAddressSpaceForModuleLoadedSinceRemap) {
   // module is not in it yet; the fast path must defer to that verdict
   // for the whole module band rather than reach the new module early.
   MemRig fast(1 << 16), oracle(1 << 16);
-  fast.machine.Load(ModuleWithData("late.so", "late", 100));
-  oracle.machine.Load(ModuleWithData("late.so", "late", 100));
+  fast.machine.Load(ModuleWithData("late.so", "late", 100)).value();
+  oracle.machine.Load(ModuleWithData("late.so", "late", 100)).value();
   ExpectFastMemAgrees(fast, oracle);
 }
 

@@ -141,6 +141,9 @@ sso::SharedObject BuildDemoApp() {
 int CmdDemoAssets(const std::vector<std::string>& args) {
   if (args.empty()) return Fail("demo-assets: missing output directory");
   const std::string dir = args[0];
+  std::error_code ec;
+  std::filesystem::create_directories(dir, ec);
+  if (ec) return Fail("cannot create " + dir + ": " + ec.message());
   struct Asset {
     std::string file;
     sso::SharedObject object;
@@ -177,7 +180,7 @@ struct TargetImage {
 
   campaign::MachineSetup setup() const {
     return [modules = modules, files = files](vm::Machine& machine) {
-      for (const sso::SharedObject& so : *modules) machine.Load(so);
+      for (const sso::SharedObject& so : *modules) machine.Load(so).value();
       for (const std::string& path : *files) {
         machine.kernel().add_file(path, std::vector<uint8_t>(256, 'x'));
       }
