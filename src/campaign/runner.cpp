@@ -79,16 +79,11 @@ ScenarioResult PlanRunner::Run(const Scenario& scenario) {
   // configuration, rooted at the campaign-wide window; scenarios that
   // deviate from the configuration — or whose window opens before the root
   // (no window at-or-below theirs) — run cold.
-  // One comparison of the plan's trigger list with the registered one
-  // decides both the install (re-arm in place or rebuild) and, for a
-  // re-armed list, whether the plan names the entry.
-  const bool rearm = controller_->Rearms(scenario.plan);
   auto window = windows_.upper_bound(warmup);
   bool use_snapshot = options_.snapshot && window != windows_.begin() &&
                       entry == options_.entry &&
                       heap_cap == options_.default_heap_cap &&
-                      !(rearm ? controller_->Interposes(entry)
-                              : PlanNamesEntry(scenario.plan, entry));
+                      !PlanNamesEntry(scenario.plan, entry);
 
   auto begin = Clock::now();
   bool setup_failed = false;
@@ -98,10 +93,7 @@ ScenarioResult PlanRunner::Run(const Scenario& scenario) {
     setup_failed = true;
   };
   auto install = [&]() {
-    if (rearm) {
-      controller_->Rearm(scenario.plan);
-    } else if (auto st = controller_->Install(scenario.plan, profiles_);
-               !st.ok()) {
+    if (auto st = controller_->Install(scenario.plan, profiles_); !st.ok()) {
       setup_fail(st.error());
     }
   };

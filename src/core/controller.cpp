@@ -76,7 +76,8 @@ Status Controller::Install(
   static const auto kNoProfiles =
       std::make_shared<const std::vector<FaultProfile>>();
   if (!profiles) profiles = kNoProfiles;
-  if (profiles == profiles_ && Rearms(plan)) {
+  // registered_ implies engine_: a profile set change clears both.
+  if (registered_ && profiles == profiles_ && engine_->SameTriggers(plan)) {
     Rearm(plan);
     return Status::Ok();
   }
@@ -140,18 +141,6 @@ void Controller::Rearm(const Plan& plan) {
   machine_.loader().SetInterpositionEnabled(true);
   installed_ = armed_ = true;
   ArmSeus(plan);
-}
-
-bool Controller::Rearms(const Plan& plan) const {
-  return registered_ && engine_ && engine_->SameTriggers(plan);
-}
-
-bool Controller::Interposes(std::string_view function) const {
-  const util::SymbolId id = machine_.symbols().Find(function);
-  for (const StubState& stub : stubs_) {
-    if (stub.symbol == id) return true;
-  }
-  return false;
 }
 
 vm::NativeAction Controller::OnStubCall(StubState& state,

@@ -15,7 +15,6 @@
 
 #include <memory>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "core/injection_log.hpp"
@@ -53,12 +52,12 @@ class Controller {
   /// Synthesize and install interposition stubs for `plan`.
   /// Call before creating the process under test (like LD_PRELOAD, the shim
   /// must be in place when the program starts — though re-resolution makes
-  /// late installs work too). When the plan's trigger list equals the
-  /// registered one field for field (Rearms), Install re-arms in place:
-  /// it reseeds the engine, zeroes its counts and cursors, re-arms the
-  /// plan's SEUs and switches the registered stubs back on, and copies,
-  /// interns and registers nothing. Either way the result is the state a
-  /// fresh controller would reach.
+  /// late installs work too). When the profile set is the last Install's
+  /// and the plan's trigger list equals the registered one field for
+  /// field, Install re-arms in place: it reseeds the engine, zeroes its
+  /// counts and cursors, re-arms the plan's SEUs and switches the
+  /// registered stubs back on, and copies, interns and registers nothing.
+  /// Either way the result is the state a fresh controller would reach.
   Status Install(const Plan& plan, std::vector<FaultProfile> profiles);
 
   /// Same, sharing an immutable profile set instead of copying it — the
@@ -66,16 +65,6 @@ class Controller {
   /// per-install deep copy matters there.
   Status Install(const Plan& plan,
                  std::shared_ptr<const std::vector<FaultProfile>> profiles);
-
-  /// Whether Install(plan) with the profile set of the last Install
-  /// re-arms in place.
-  bool Rearms(const Plan& plan) const;
-  /// Install(plan) with the last Install's profile set, for a caller that
-  /// already knows Rearms(plan) holds: skips the trigger comparison.
-  void Rearm(const Plan& plan);
-  /// Whether the registered stubs interpose `function`. Exact for a plan
-  /// that Rearms: its trigger list names the registered functions.
-  bool Interposes(std::string_view function) const;
 
   /// Remove all stubs (the loader then resolves to the originals again).
   void Uninstall();
@@ -125,6 +114,9 @@ class Controller {
  private:
   struct StubState;
 
+  /// Install for a plan whose trigger list the registered stubs serve:
+  /// restart the engine and switch the stubs back on.
+  void Rearm(const Plan& plan);
   /// Switch the stubs off and drop the armed SEU stops; a no-op when
   /// nothing was installed since.
   void Disarm();

@@ -41,10 +41,6 @@ void TriggerEngine::Restart(uint64_t seed) {
 }
 
 void TriggerEngine::Rearm(const Plan& plan) {
-  if (SameTriggers(plan)) {
-    Restart(plan.seed);
-    return;
-  }
   rng_ = Rng(plan.seed);
   // One intern per trigger, skipped where the previous plan's trigger at
   // the same index named the same function (triggers_ is still that list).

@@ -80,20 +80,17 @@ class TriggerEngine {
 
   /// Arm the engine for `plan` against the same table and index, exactly as
   /// if it had been constructed for it: the RNG is reseeded and every count
-  /// starts at zero. When the plan's trigger list equals the armed one
-  /// field for field (a random faultload's plans differ only in their
-  /// seed), this is Restart: nothing is copied and every FunctionState
-  /// handle stays valid. Otherwise the list is copied into the previous
-  /// plan's storage, trigger i keeps its symbol id when it names the same
-  /// function as the previous plan's trigger i, and every handle is
+  /// starts at zero. The list is copied into the previous plan's storage,
+  /// trigger i keeps its symbol id when it names the same function as the
+  /// previous plan's trigger i, and every FunctionState handle is
   /// invalidated.
   void Rearm(const Plan& plan);
-  /// Whether Rearm(plan) would keep every handle: the armed trigger list
-  /// equals `plan`'s.
+  /// Whether the armed trigger list equals `plan`'s field for field (a
+  /// random faultload's plans differ only in their seed).
   bool SameTriggers(const Plan& plan) const { return plan.triggers == triggers_; }
-  /// Rearm for a plan known to have the armed trigger list: reseed the
-  /// RNG with `seed` and zero every count, fire count and cursor. This is
-  /// the Controller's re-arm path.
+  /// Rearm for a plan with the armed trigger list: reseed the RNG with
+  /// `seed` and zero every count, fire count and cursor; every handle
+  /// stays valid. This is the Controller's re-arm path.
   void Restart(uint64_t seed);
 
   /// Opaque per-function handle; lets a stub skip the name lookup on the

@@ -98,6 +98,8 @@ class Slots {
     size_ = other.size_;
     return *this;
   }
+  Slots(Slots&&) noexcept = default;
+  Slots& operator=(Slots&&) noexcept = default;
 
   size_t size() const { return size_; }
   T& operator[](size_t i) { return items_[i]; }

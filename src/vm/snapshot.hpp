@@ -22,6 +22,7 @@
 
 #include <cstdint>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "isa/isa.hpp"
@@ -81,6 +82,9 @@ struct SnapshotNode {
   /// was off.
   CoverageTracker coverage;
 };
+// The tree's node vector moves its nodes when it grows; a copying member
+// would deep-copy every page delta and kernel state instead.
+static_assert(std::is_nothrow_move_constructible_v<SnapshotNode>);
 
 /// Cumulative Machine::RestoreTo cost counters: how much work restores
 /// actually did. `pages_restored` counts 4 KiB pages copied into live

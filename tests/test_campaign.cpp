@@ -152,9 +152,6 @@ TEST(Campaign, PlanRunnerLogHoldsOnlyTheLastRun) {
   EXPECT_EQ(warm.log().ToText(), fresh.log().ToText());
 }
 
-// A worker reuses one machine across all its scenarios; the kernel
-// checkpoint must restore the filesystem between scenarios, or the
-// appender would see its own previous output and exit with 16, 24, ...
 /// Every ScenarioResult field but wall time and the restore telemetry
 /// (which depends on what the previous scenario dirtied).
 void ExpectSameResult(const ScenarioResult& a, const ScenarioResult& b) {
@@ -228,6 +225,9 @@ TEST(Campaign, RearmedPlansMatchAFreshRunner) {
   EXPECT_GT(injections, order.size());
 }
 
+// A worker reuses one machine across all its scenarios; the kernel
+// checkpoint must restore the filesystem between scenarios, or the
+// appender would see its own previous output and exit with 16, 24, ...
 TEST(Campaign, MachineResetIsolatesScenarios) {
   auto libc_so = std::make_shared<const sso::SharedObject>(libc::BuildLibc());
   auto app = std::make_shared<const sso::SharedObject>(BuildAppenderApp());

@@ -370,6 +370,47 @@ TEST(Controller, RotatePlanDrawsFromProfiles) {
   EXPECT_EQ(r.exit_code, -1 * 1000 + E_INTR);
 }
 
+// Install re-arms the registered stubs only for the profile set they were
+// built against: the same plan under a new profile set draws from the new
+// set, as a fresh controller would.
+TEST(Controller, SamePlanUnderANewProfileSetDrawsFromIt) {
+  auto profile_with = [](int32_t err) {
+    FaultProfile profile;
+    profile.library = "libc.so";
+    FunctionProfile fn;
+    fn.name = "getpid";
+    ProfileErrorCode ec;
+    ec.retval = -1;
+    ProfileSideEffect se;
+    se.type = ProfileSideEffect::Type::Tls;
+    se.module = "libc.so";
+    se.offset = 0;
+    se.values = {err};
+    ec.side_effects.push_back(se);
+    fn.error_codes.push_back(ec);
+    profile.functions.push_back(fn);
+    return std::make_shared<const std::vector<FaultProfile>>(
+        std::vector<FaultProfile>{profile});
+  };
+  vm::Machine machine;
+  machine.Load(libc::BuildLibc()).value();
+  machine.Load(TwoCallApp()).value();
+  Controller controller(machine);
+  Plan plan;
+  FunctionTrigger t;
+  t.function = "getpid";
+  t.mode = FunctionTrigger::Mode::Rotate;
+  plan.triggers.push_back(t);
+  for (int32_t err : {E_INTR, E_IO}) {
+    SCOPED_TRACE(err);
+    machine.Reset();
+    controller.Reset();
+    ASSERT_TRUE(controller.Install(plan, profile_with(err)));
+    auto r = test::RunEntry(machine, "main");
+    EXPECT_EQ(r.exit_code, -1 * 1000 + err);
+  }
+}
+
 // A campaign installs one plan per scenario against one shared profile
 // set, so Install must cost O(plan): the profile index is built once per
 // controller and profile set, each install does at most two string-table
