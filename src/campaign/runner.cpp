@@ -36,7 +36,7 @@ bool PrepareMachineSnapshot(vm::Machine& machine,
   if (options.warmup_instructions > 0) {
     machine.Run(options.warmup_instructions);
   }
-  machine.Snapshot();  // fresh tree, root at the campaign-wide window
+  machine.Snapshot();  // the checkpoint's child, at the campaign-wide window
   return true;
 }
 

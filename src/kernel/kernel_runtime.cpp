@@ -30,22 +30,6 @@ void ByteQueue::Reserve(uint64_t bytes) {
 
 KernelRuntime::KernelRuntime() = default;
 
-void KernelRuntime::Checkpoint() { checkpoint_ = CaptureState(); }
-
-void KernelRuntime::Reset() {
-  if (checkpoint_) {
-    RestoreState(*checkpoint_);
-    return;
-  }
-  // No checkpoint: drop per-run state but keep the configured filesystem
-  // and listening ports (the historical contract — configuration done
-  // before the implicit first-CreateProcess checkpoint must survive).
-  state_.procs.clear();
-  state_.pipes.clear();
-  state_.sockets.clear();
-  state_.kcalls = 0;
-}
-
 KernelRuntime::State KernelRuntime::CaptureState() const { return state_; }
 
 void KernelRuntime::RestoreState(const State& state) { state_ = state; }

@@ -184,8 +184,8 @@ class KernelRuntime {
 
   /// The kernel's complete mutable state: filesystem, listening ports,
   /// per-pid tables, pipes, sockets and the kcall counter. One
-  /// representation serves the live kernel, Checkpoint() and every
-  /// vm::Machine snapshot node: a restored machine resumes mid-run with
+  /// representation serves the live kernel and every vm::Machine snapshot
+  /// node, the checkpoint root included: a restored machine resumes with
   /// its descriptors and counters exactly as they were, and restoring
   /// into a warm kernel reuses its storage.
   struct State {
@@ -204,23 +204,13 @@ class KernelRuntime {
   /// Execute KCALL `number` on behalf of `ctx`. Arguments are in R1..R5.
   KResult Invoke(uint16_t number, KernelContext& ctx);
 
-  // -- host-side configuration ---------------------------------------------
-  /// Snapshot the full host-side state — filesystem and listening ports,
-  /// but also fd tables, pipes, sockets, the exit table and the kcall
-  /// counter — so a later Reset() restores exactly this point. Typically
-  /// taken at setup time (no descriptors yet), which degenerates to the
-  /// historical filesystem+ports checkpoint.
-  void Checkpoint();
-  bool has_checkpoint() const { return checkpoint_.has_value(); }
-  /// Return to the Checkpoint()ed state (or to a pristine kernel when no
-  /// checkpoint was taken). Cheap: this is what makes a kernel reusable
-  /// across campaign scenarios.
-  void Reset();
-
-  /// Copy out / reinstate the complete mutable state (snapshot support).
+  /// Copy out / reinstate the complete mutable state. vm::Machine's
+  /// checkpoint and snapshot nodes hold these; restoring one is what makes
+  /// a kernel reusable across campaign scenarios.
   State CaptureState() const;
   void RestoreState(const State& state);
 
+  // -- host-side configuration ---------------------------------------------
   /// Create / overwrite a file in the in-memory FS.
   void add_file(const std::string& path, std::vector<uint8_t> contents);
   bool has_file(const std::string& path) const;
@@ -297,8 +287,6 @@ class KernelRuntime {
   void Release(const OpenFile& f);
 
   State state_;
-  /// Full state captured by Checkpoint().
-  std::optional<State> checkpoint_;
   SpawnHook spawn_;
   std::string path_;  // ReadPath scratch
 

@@ -123,6 +123,19 @@ struct FabricCoordinator::RunState {
     batches.push_back(batch);
     return batches.size() - 1;
   }
+
+  /// Claim a batch for a connection and count it out: kNone when there is
+  /// nothing to do.
+  size_t Dispatch(FabricStats& stats) {
+    size_t b = Claim();
+    if (b == kNone) return b;
+    Batch& batch = batches[b];
+    if (batch.attempts > 0) ++stats.batches_retried;
+    ++batch.attempts;
+    ++in_flight;
+    ++stats.batches_dispatched;
+    return b;
+  }
 };
 
 FabricCoordinator::FabricCoordinator(TargetSpec target,
@@ -248,10 +261,14 @@ campaign::CampaignRunner& FabricCoordinator::LocalRunner() {
   return *local_runner_;
 }
 
-void FabricCoordinator::WorkerLoop(size_t conn_index, RunState& state) {
+void FabricCoordinator::WorkerLoop(size_t conn_index, size_t first_batch,
+                                   RunState& state) {
   Connection& conn = connections_[conn_index];
-  // Batches in flight on this connection, oldest first.
+  // Batches in flight on this connection, oldest first; the last `fresh`
+  // are not framed yet.
   std::deque<size_t> owed;
+  if (first_batch != kNone) owed.push_back(first_batch);
+  size_t fresh = owed.size();
   // RunBatch frames not yet fully written. Writes never block: the loop
   // keeps reading replies while a frame drains, so a worker blocked on
   // writing a large reply can never wait on a coordinator blocked on
@@ -265,15 +282,10 @@ void FabricCoordinator::WorkerLoop(size_t conn_index, RunState& state) {
       std::unique_lock<std::mutex> lock(state.mu);
       for (;;) {
         while (owed.size() < kPipelineDepth) {
-          size_t b = state.Claim();
+          size_t b = state.Dispatch(stats_);
           if (b == kNone) break;
-          RunState::Batch& batch = state.batches[b];
-          if (batch.attempts > 0) ++stats_.batches_retried;
-          ++batch.attempts;
-          ++state.in_flight;
-          ++stats_.batches_dispatched;
           owed.push_back(b);
-          claimed.emplace_back(batch.start, batch.count);
+          ++fresh;
         }
         if (!owed.empty()) break;
         // Idle: a batch still in flight elsewhere may yet be requeued
@@ -281,6 +293,11 @@ void FabricCoordinator::WorkerLoop(size_t conn_index, RunState& state) {
         if (state.in_flight == 0) return;
         state.changed.wait(lock);
       }
+      for (size_t i = owed.size() - fresh; i < owed.size(); ++i) {
+        claimed.emplace_back(state.batches[owed[i]].start,
+                             state.batches[owed[i]].count);
+      }
+      fresh = 0;
     }
     for (const auto& [start, count] : claimed) {
       BatchMsg msg;
@@ -376,12 +393,17 @@ campaign::CampaignReport FabricCoordinator::Run(
 
   size_t live = live_workers();
   if (live > 0) {
-    // Contiguous index-range batches, cut as connections claim them.
+    // Contiguous index-range batches, cut as connections claim them. Each
+    // connection's first batch is claimed here, before any thread runs,
+    // so a connection scheduled late still gets its share of the round.
     state.live = live;
-    std::vector<std::thread> threads;
+    std::vector<std::pair<size_t, size_t>> firsts;  // (connection, batch)
     for (size_t c = 0; c < connections_.size(); ++c) {
-      if (!connections_[c].alive) continue;
-      threads.emplace_back([this, c, &state] { WorkerLoop(c, state); });
+      if (connections_[c].alive) firsts.emplace_back(c, state.Dispatch(stats_));
+    }
+    std::vector<std::thread> threads;
+    for (const auto& [c, b] : firsts) {
+      threads.emplace_back([this, c, b, &state] { WorkerLoop(c, b, state); });
     }
     for (std::thread& t : threads) t.join();
   }

@@ -106,10 +106,12 @@ class FabricCoordinator : public campaign::ScenarioDispatch {
 
   Status Handshake(Connection& conn);
   /// One connection's dispatch loop for one Run (executes on its own
-  /// thread): claim up to two batches, ship them, apply replies; on any
-  /// socket failure mark the connection dead, requeue its batches, and
-  /// exit. Idle, it waits for requeued work until the round completes.
-  void WorkerLoop(size_t conn_index, RunState& state);
+  /// thread): starting from `first_batch` (claimed by Run; kNone when
+  /// there was none), keep up to two batches out, ship them, apply
+  /// replies; on any socket failure mark the connection dead, requeue its
+  /// batches, and exit. Idle, it waits for requeued work until the round
+  /// completes.
+  void WorkerLoop(size_t conn_index, size_t first_batch, RunState& state);
   /// The in-process safety net, built lazily from the same TargetSpec.
   campaign::CampaignRunner& LocalRunner();
 

@@ -31,7 +31,6 @@ Result<size_t> Loader::Load(sso::SharedObject object) {
           static_cast<uint8_t>(addr >> (8 * i));
     }
   }
-  mod->data_pristine = mod->data_runtime;
   mod->plt.assign(mod->object.imports.size(), std::nullopt);
   mod->plt_generation = 0;
   // Intern every export into the machine symbol table and fill the dense
@@ -52,17 +51,6 @@ Result<size_t> Loader::Load(sso::SharedObject object) {
   ++generation_;
   ++module_generation_;
   return modules_.size() - 1;
-}
-
-void Loader::ResetData() {
-  for (auto& mod : modules_) {
-    // Keep the buffer (processes map its pointer); overwrite contents only.
-    std::copy(mod->data_pristine.begin(), mod->data_pristine.end(),
-              mod->data_runtime.begin());
-    // This wholesale rewrite bypasses the per-write journal: every page may
-    // now differ from a snapshot image, so the next restore must copy all.
-    mod->data_dirty.MarkAll();
-  }
 }
 
 uint64_t Loader::RegisterNative(std::string_view name, NativeFn fn) {

@@ -86,14 +86,13 @@ struct LoadedModule {
   uint64_t code_base = 0;
   uint64_t data_base = 0;
   std::vector<uint8_t> data_runtime;  // relocated copy of the data section
-  std::vector<uint8_t> data_pristine; // post-relocation snapshot for resets
   uint32_t tls_base = 0;              // module's slice of the TLS segment
   std::vector<SymbolId> import_ids;   // imports pre-interned at load
   // Lazily-bound PLT cache, invalidated when interposition changes.
   mutable std::vector<std::optional<Target>> plt;
   mutable uint64_t plt_generation = 0;
-  /// Dirty-page journal over data_runtime, enabled while a machine
-  /// snapshot exists. Module data is shared by all processes, so the
+  /// Dirty-page journal over data_runtime, enabled from the machine's
+  /// checkpoint on. Module data is shared by all processes, so the
   /// journal lives with the module, not with a process.
   DirtyMap data_dirty;
 };
@@ -104,11 +103,6 @@ class Loader {
   /// Returns the module index, or sso::CheckLimits' error for an object
   /// that does not fit the module layout (nothing is mapped then).
   Result<size_t> Load(sso::SharedObject object);
-
-  /// Restore every module's data section to its freshly-loaded (relocated)
-  /// state. Module data is mapped writable into all processes, so this is
-  /// required when reusing a loaded machine for another independent run.
-  void ResetData();
 
   /// Register an interposition stub for `name`. Returns its stub address
   /// (usable as a function pointer). Re-registering replaces the stub.

@@ -34,126 +34,111 @@ void Machine::SetExecMode(ExecMode mode) {
   for (auto& p : procs_) p->set_exec_mode(mode);
 }
 
+Result<size_t> Machine::Load(sso::SharedObject object) {
+  Result<size_t> index = loader_.Load(std::move(object));
+  if (index.ok() && !tree_.nodes.empty()) {
+    // The checkpoint never saw this module: it joins the root as loaded,
+    // and every later node inherits that page for page.
+    LoadedModule& mod = *loader_.modules()[index.value()];
+    for (SnapshotNode& node : tree_.nodes) node.module_data.emplace_back();
+    tree_.nodes[0].module_data.back() =
+        CaptureAllPages(mod.data_runtime.data(), mod.data_runtime.size());
+    mod.data_dirty.Enable(mod.data_runtime.size());
+  }
+  SyncCoverageModules();
+  return index;
+}
+
+void Machine::Checkpoint() {
+  SnapshotNode root = CaptureNode(kNoSnapshot);
+  tree_.nodes.clear();
+  AddNode(std::move(root));
+}
+
 void Machine::Reset() {
-  RetireFrom(0);
-  exit_reported_.clear();
-  total_instructions_ = 0;
-  loader_.ResetData();
-  kernel_.Reset();
-  if (coverage_) coverage_->Clear();
+  if (!tree_.nodes.empty()) RestoreTo(0);
   stops_.clear();
-  // tree_ (if any) stays valid: node contents are self-contained, and
-  // ResetData marked every data page dirty, so the next RestoreTo copies
-  // all module pages and reconstructs processes from materialized images.
-  // The live state no longer extends any node, though — a PushSnapshot
-  // from here must start a fresh tree.
-  current_node_ = kNoSnapshot;
 }
 
-bool Machine::ModuleSetMatches(const SnapshotTree& tree) const {
-  // Stubs/natives may differ — the controller owns those — but the module
-  // count and data section sizes are load-time constants.
-  if (loader_.modules().size() != tree.module_count) return false;
-  for (size_t m = 0; m < tree.module_count; ++m) {
-    if (loader_.modules()[m]->data_runtime.size() !=
-        tree.module_data_bytes[m]) {
-      return false;
-    }
-  }
-  return true;
-}
-
-SnapshotId Machine::PushSnapshot() {
-  // A push with no current position (first capture, or first after
-  // Reset()) — or with a module set the tree's deltas don't describe —
-  // starts a fresh tree: old nodes are relative to machine states that no
-  // longer exist.
-  bool fresh =
-      !tree_ || current_node_ == kNoSnapshot || !ModuleSetMatches(*tree_);
-  if (fresh) {
-    tree_ = std::make_unique<SnapshotTree>();
-    current_node_ = kNoSnapshot;
-    tree_->module_count = loader_.modules().size();
-    tree_->module_data_bytes.reserve(tree_->module_count);
-    for (const auto& mod : loader_.modules()) {
-      tree_->module_data_bytes.push_back(mod->data_runtime.size());
-    }
-  }
-  SnapshotTree& tree = *tree_;
+SnapshotNode Machine::CaptureNode(SnapshotId parent) {
   SnapshotNode node;
-  node.parent = current_node_;
-  node.depth = fresh ? 0 : tree.nodes[current_node_].depth + 1;
+  node.parent = parent;
+  node.kernel = kernel_.CaptureState();
+  // The journals hold the writes since the current node, so only a child
+  // of that node can be a delta; any other node holds every page.
+  const bool delta = parent != kNoSnapshot && parent == current_node_;
+  node.module_data.reserve(loader_.modules().size());
+  for (const auto& mod : loader_.modules()) {
+    node.module_data.push_back(
+        delta ? CaptureDirtyPages(mod->data_dirty, mod->data_runtime.data(),
+                                  mod->data_runtime.size())
+              : CaptureAllPages(mod->data_runtime.data(),
+                                mod->data_runtime.size()));
+    mod->data_dirty.Enable(mod->data_runtime.size());
+    mod->data_dirty.ClearAll();
+  }
+  // The root holds no processes, zero counters and no coverage (a restore
+  // clears the tracker for it).
+  if (parent == kNoSnapshot) return node;
+  node.depth = tree_.nodes[parent].depth + 1;
   node.total_instructions = total_instructions_;
   node.exit_reported = exit_reported_;
-  node.kernel = kernel_.CaptureState();
   if (coverage_) node.coverage = *coverage_;
-  node.module_data.resize(tree.module_count);
-  for (size_t m = 0; m < tree.module_count; ++m) {
-    LoadedModule& mod = *loader_.modules()[m];
-    // The root captures every page; children capture the journal's dirty
-    // set (which a journal enabled mid-window over-approximates safely —
-    // ResetData's MarkAll is the extreme case).
-    node.module_data[m] =
-        fresh || !mod.data_dirty.enabled()
-            ? CaptureAllPages(mod.data_runtime.data(), mod.data_runtime.size())
-            : CaptureDirtyPages(mod.data_dirty, mod.data_runtime.data(),
-                                mod.data_runtime.size());
-    mod.data_dirty.Enable(mod.data_runtime.size());
-    mod.data_dirty.ClearAll();
-  }
+  const std::vector<ProcessNodeState>& parent_procs =
+      tree_.nodes[parent].procs;
   node.procs.resize(procs_.size());
   for (size_t i = 0; i < procs_.size(); ++i) {
     // A process delta is only meaningful if the parent node captured this
     // same process (index, pid, segment sizes) and its journal was live
-    // across the whole window; anything else — root, spawned since the
-    // parent, realigned — is captured in full so the ancestor walk for
-    // its pages always terminates.
-    bool aligned = false;
-    if (!fresh && i < tree.nodes[current_node_].procs.size()) {
-      const ProcessNodeState& pps = tree.nodes[current_node_].procs[i];
-      aligned = pps.core.pid == procs_[i]->pid() &&
-                pps.heap_bytes == procs_[i]->heap_bytes() &&
-                procs_[i]->dirty_tracking_enabled();
-    }
+    // across the whole window; anything else — spawned since the parent,
+    // realigned — is captured in full so the ancestor walk for its pages
+    // always terminates.
+    const bool aligned =
+        delta && i < parent_procs.size() &&
+        parent_procs[i].core.pid == procs_[i]->pid() &&
+        parent_procs[i].heap_bytes == procs_[i]->heap_bytes() &&
+        procs_[i]->dirty_tracking_enabled();
     procs_[i]->CaptureNode(&node.procs[i], /*full=*/!aligned);
   }
-  tree.nodes.push_back(std::move(node));
-  current_node_ = static_cast<SnapshotId>(tree.nodes.size() - 1);
+  return node;
+}
+
+SnapshotId Machine::AddNode(SnapshotNode node) {
+  tree_.nodes.push_back(std::move(node));
+  current_node_ = static_cast<SnapshotId>(tree_.nodes.size() - 1);
   return current_node_;
 }
 
+SnapshotId Machine::PushSnapshot() {
+  if (tree_.nodes.empty()) Checkpoint();
+  return AddNode(CaptureNode(current_node_));
+}
+
+void Machine::Snapshot() {
+  if (tree_.nodes.empty()) Checkpoint();
+  SnapshotNode node = CaptureNode(0);
+  tree_.nodes.erase(tree_.nodes.begin() + 1, tree_.nodes.end());
+  AddNode(std::move(node));
+}
+
 bool Machine::RestoreTo(SnapshotId target) {
-  if (!tree_ || target >= tree_->nodes.size()) return false;
-  SnapshotTree& tree = *tree_;
-  // Validate before mutating anything.
-  if (!ModuleSetMatches(tree)) return false;
+  if (target >= tree_.nodes.size()) return false;
+  const SnapshotTree& tree = tree_;
   const SnapshotNode& node = tree.nodes[target];
   ++restore_stats_.restores;
   // Nodes whose deltas can make the current state differ from the target:
-  // both sides of the tree path to their common ancestor. With no current
-  // position (after Reset()) this is the target's whole ancestor chain —
-  // everything may differ.
+  // both sides of the tree path to their common ancestor.
   std::vector<SnapshotId>& path = restore_path_;
   TreePathBetween(tree, current_node_, target, &path);
   restore_stats_.nodes_walked += path.size();
   std::vector<uint32_t>& pages = restore_pages_;
 
-  for (size_t m = 0; m < tree.module_count; ++m) {
+  for (size_t m = 0; m < loader_.modules().size(); ++m) {
     LoadedModule& mod = *loader_.modules()[m];
     if (mod.data_runtime.empty()) continue;
     pages.clear();
-    if (mod.data_dirty.enabled()) {
-      mod.data_dirty.ForEachDirtyPage(
-          [&](uint64_t p) { pages.push_back(static_cast<uint32_t>(p)); });
-    } else {
-      // Journal lost (defensive — DropSnapshot also drops the tree): every
-      // page may differ.
-      uint64_t count = (mod.data_runtime.size() + DirtyMap::kPageSize - 1) >>
-                       DirtyMap::kPageBits;
-      for (uint64_t p = 0; p < count; ++p) {
-        pages.push_back(static_cast<uint32_t>(p));
-      }
-    }
+    mod.data_dirty.ForEachDirtyPage(
+        [&](uint64_t p) { pages.push_back(static_cast<uint32_t>(p)); });
     for (SnapshotId id : path) {
       const PageDelta& d = tree.nodes[id].module_data[m];
       pages.insert(pages.end(), d.pages.begin(), d.pages.end());
@@ -169,7 +154,6 @@ bool Machine::RestoreTo(SnapshotId target) {
                   std::min(DirtyMap::kPageSize, mod.data_runtime.size() - off));
       ++restore_stats_.pages_restored;
     }
-    mod.data_dirty.Enable(mod.data_runtime.size());
     mod.data_dirty.ClearAll();
   }
 
@@ -209,33 +193,25 @@ bool Machine::RestoreTo(SnapshotId target) {
   total_instructions_ = node.total_instructions;
   kernel_.RestoreState(node.kernel);
   if (coverage_) {
-    *coverage_ = node.coverage;
-    SyncCoverageModules();  // coverage may have been enabled post-capture
+    // A node captured without coverage (the root among them) holds none:
+    // clear the bitmaps in place rather than reallocate them.
+    if (node.coverage.module_count() == 0) {
+      coverage_->Clear();
+    } else {
+      *coverage_ = node.coverage;
+      SyncCoverageModules();  // modules loaded since the capture
+    }
   }
   current_node_ = target;
   return true;
 }
 
-void Machine::Snapshot() {
-  DropSnapshot();
-  PushSnapshot();
-}
-
-bool Machine::RestoreSnapshot() { return has_snapshot() && RestoreTo(0); }
-
-void Machine::DropSnapshot() {
-  tree_.reset();
-  current_node_ = kNoSnapshot;
-  for (const auto& mod : loader_.modules()) mod->data_dirty.Disable();
-  for (const auto& proc : procs_) proc->DisableDirtyTracking();
-}
-
 Result<int> Machine::CreateProcess(const std::string& entry,
                                    uint64_t heap_cap_bytes) {
-  // Setup is everything before the first process: snapshot it so Reset()
-  // restores the configured filesystem even without an explicit
+  // Setup is everything before the first process: checkpoint it so
+  // Reset() restores the configured machine even without an explicit
   // Checkpoint() call.
-  if (!kernel_.has_checkpoint()) kernel_.Checkpoint();
+  if (tree_.nodes.empty()) Checkpoint();
   Target target = loader_.ResolveName(entry);
   if (target.kind != Target::Kind::Code) {
     return Err("machine: cannot resolve entry symbol: " + entry);
@@ -396,35 +372,12 @@ void Machine::FireDueStops(uint64_t now) {
   }
 }
 
-namespace {
-/// FNV-1a over u64-sized chunks (byte tail) — fast enough to hash whole
-/// stack/heap segments per scenario. Chunked mixing is endian-dependent,
-/// which is fine: digests are only ever compared between runs on hosts of
-/// the same byte order (the fabric ships work, not digests of reference).
-inline void FnvMix(uint64_t& h, uint64_t value) {
-  h ^= value;
-  h *= 1099511628211ull;
-}
-
-inline void FnvMixBytes(uint64_t& h, const uint8_t* data, size_t size) {
-  size_t i = 0;
-  for (; i + 8 <= size; i += 8) {
-    uint64_t chunk;
-    std::memcpy(&chunk, data + i, 8);
-    FnvMix(h, chunk);
-  }
-  uint64_t tail = 0;
-  for (; i < size; ++i) tail = (tail << 8) | data[i];
-  FnvMix(h, tail);
-}
-}  // namespace
-
 uint64_t Machine::StateDigest() const {
-  uint64_t h = 14695981039346656037ull;
-  FnvMix(h, procs_.size());
-  for (const auto& p : procs_) FnvMix(h, p->StateDigest());
+  uint64_t h = kDigestBasis;
+  DigestMix(h, procs_.size());
+  for (const auto& p : procs_) DigestMix(h, p->StateDigest());
   for (const auto& mod : loader_.modules()) {
-    FnvMixBytes(h, mod->data_runtime.data(), mod->data_runtime.size());
+    DigestMixBytes(h, mod->data_runtime.data(), mod->data_runtime.size());
   }
   return h;
 }

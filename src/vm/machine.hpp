@@ -43,12 +43,10 @@ class Machine {
   const SymbolTable& symbols() const { return loader_.symbols(); }
 
   /// Load a shared object (order defines symbol search order). Fails,
-  /// loading nothing, for an object beyond sso::CheckLimits.
-  Result<size_t> Load(sso::SharedObject object) {
-    Result<size_t> index = loader_.Load(std::move(object));
-    SyncCoverageModules();
-    return index;
-  }
+  /// loading nothing, for an object beyond sso::CheckLimits. A module
+  /// loaded after the checkpoint joins it at its loaded data, so Reset()
+  /// and every snapshot node see it as freshly loaded.
+  Result<size_t> Load(sso::SharedObject object);
 
   /// Create a process whose entry is the exported symbol `entry`.
   /// Returns the pid, or an error if the symbol does not resolve.
@@ -60,60 +58,54 @@ class Machine {
     return procs_;
   }
 
-  /// Snapshot the current host-side configuration (in-memory filesystem,
-  /// listening ports) so Reset() restores it. Taken implicitly at the
-  /// first CreateProcess; call explicitly to snapshot later changes.
-  void Checkpoint() { kernel_.Checkpoint(); }
+  /// Capture the snapshot tree's root — every module's data and the
+  /// kernel's complete state (in-memory files, listening ports), with no
+  /// processes, zero counters and clear coverage — dropping any earlier
+  /// tree. Taken implicitly at the first CreateProcess; call explicitly
+  /// to pin later setup changes.
+  void Checkpoint();
 
-  /// Return the machine to its Checkpoint()ed state without reloading
-  /// modules: destroys all processes, restores module data sections and the
-  /// kernel filesystem, zeroes counters, and clears coverage. Interposition
-  /// stubs are kept (the controller manages those). This is what makes a
-  /// Machine reusable across campaign scenarios — reset, not rebuild.
-  /// An existing snapshot tree survives a Reset (the machine's current
-  /// position becomes "nowhere", so the next restore materializes full
-  /// images), but the next PushSnapshot starts a fresh tree.
+  /// Return the machine to its checkpoint without reloading modules:
+  /// RestoreTo(0), which destroys all processes, restores the module data
+  /// pages and kernel state that differ, zeroes counters and clears
+  /// coverage; the instruction stops are dropped too. Interposition stubs
+  /// are kept (the controller manages those). This is what makes a Machine
+  /// reusable across campaign scenarios — reset, not rebuild. Before the
+  /// checkpoint the machine has run nothing, so only the stops go.
   void Reset();
 
   // -- snapshot tree ---------------------------------------------------------
   /// Capture a new snapshot node as a child of the machine's current
-  /// position: the scalar machine state in full (registers, shadow
-  /// stacks, kernel host-side state, coverage, accounting) plus only the
-  /// memory pages written since the current node — O(dirty pages). The
-  /// first push (or the first after Reset(), or after the module set
-  /// changed) captures a full root and starts a fresh tree. Returns the
-  /// new node's id; the machine's current position becomes that node.
+  /// node: the scalar machine state in full (registers, shadow stacks,
+  /// kernel host-side state, coverage, accounting) plus only the memory
+  /// pages written since the current node — O(dirty pages). Checkpoints
+  /// first when there is no tree. Returns the new node's id; the
+  /// machine's current node becomes that node.
   SnapshotId PushSnapshot();
-  /// Return to any live node of the tree. Cost is O(pages that differ
-  /// from the target): the pages in the current dirty journals plus those
-  /// captured by nodes on the tree path between the current node and the
-  /// target, each sourced from its newest writer at-or-above the target.
-  /// Processes that no longer exist (truncated by an earlier restore, or
-  /// destroyed by Reset()) are rebuilt from materialized full images.
-  /// Returns false — machine untouched — for an invalid id or when the
-  /// loaded module set changed since the tree's root.
+  /// Return to any node of the tree. Cost is O(pages that differ from the
+  /// target): the pages in the current dirty journals plus those captured
+  /// by nodes on the tree path between the current node and the target,
+  /// each sourced from its newest writer at-or-above the target.
+  /// Processes that no longer exist (destroyed by an earlier restore or
+  /// Reset()) are rebuilt from materialized images. Returns false —
+  /// machine untouched — for an id the tree does not hold.
   bool RestoreTo(SnapshotId id);
   /// The node the machine last captured or restored: the parent of the
-  /// next PushSnapshot. kNoSnapshot before any capture or after Reset().
+  /// next PushSnapshot. kNoSnapshot before the checkpoint.
   SnapshotId current_snapshot() const { return current_node_; }
-  size_t snapshot_node_count() const {
-    return tree_ ? tree_->nodes.size() : 0;
-  }
+  size_t snapshot_node_count() const { return tree_.nodes.size(); }
   /// Cumulative restore-cost counters (bench telemetry).
   const SnapshotRestoreStats& restore_stats() const { return restore_stats_; }
 
-  // -- flat snapshot (a one-node tree) ---------------------------------------
-  /// Capture the complete machine state as the root of a fresh tree and
-  /// enable page-granular dirty tracking on all writable segments. A
-  /// campaign warms the target to its fault-window entry point once,
-  /// snapshots, and then restores per scenario instead of re-running
-  /// setup.
+  // -- flat snapshot (the root's one child) ----------------------------------
+  /// Capture the complete machine state as node 1, the root's only child,
+  /// dropping every other node but the root. A campaign warms the target
+  /// to its fault-window entry point once, snapshots, and then restores
+  /// per scenario instead of re-running setup.
   void Snapshot();
-  bool has_snapshot() const { return tree_ && !tree_->nodes.empty(); }
-  /// Return to the tree's root (the flat Snapshot() point).
-  bool RestoreSnapshot();
-  /// Forget the whole tree and stop journaling writes.
-  void DropSnapshot();
+  bool has_snapshot() const { return tree_.nodes.size() > 1; }
+  /// Return to node 1 (the flat Snapshot() point).
+  bool RestoreSnapshot() { return RestoreTo(1); }
 
   /// Round-robin scheduling until every process terminates, deadlock, or
   /// `max_instructions` total were executed.
@@ -196,10 +188,10 @@ class Machine {
   std::vector<bool> exit_reported_;
   uint64_t total_instructions_ = 0;
   std::unique_ptr<CoverageTracker> coverage_;
-  std::unique_ptr<SnapshotTree> tree_;
+  /// Empty until the checkpoint captures its root.
+  SnapshotTree tree_;
   /// The tree node the live machine state extends (journals record writes
-  /// since its capture); kNoSnapshot when the state is anchored nowhere
-  /// (no tree yet, or after Reset()).
+  /// since its capture); kNoSnapshot only before the checkpoint.
   SnapshotId current_node_ = kNoSnapshot;
   SnapshotRestoreStats restore_stats_;
   /// RestoreTo's scratch (tree path, page sets), kept so warm restores
@@ -217,9 +209,12 @@ class Machine {
   /// Fire (and remove) every stop with at <= now.
   void FireDueStops(uint64_t now);
 
-  /// Whether the loaded module set still matches the tree's root capture
-  /// (count and data-section sizes — load-time constants).
-  bool ModuleSetMatches(const SnapshotTree& tree) const;
+  /// A node capturing the live state as a child of `parent` (the root
+  /// when kNoSnapshot); restarts every journal. Memory is a delta against
+  /// the current node when that is the parent, else every page.
+  SnapshotNode CaptureNode(SnapshotId parent);
+  /// Append `node` to the tree and make it the current node.
+  SnapshotId AddNode(SnapshotNode node);
 };
 
 }  // namespace lfi::vm

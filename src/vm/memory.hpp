@@ -111,13 +111,6 @@ class DirtyMap {
     }
   }
 
-  /// Mark every page dirty (e.g. after a wholesale rewrite like
-  /// Loader::ResetData, which bypasses the per-write journal).
-  void MarkAll() {
-    FillAll(words_, pages_);
-    FillAll(written_, written_pages_);
-  }
-
   /// Clear the journal.
   void ClearAll() { std::fill(words_.begin(), words_.end(), 0); }
   /// Forget the written set, once the caller has zeroed every page in it
@@ -140,13 +133,6 @@ class DirtyMap {
  private:
   static uint64_t PageCount(uint64_t bytes) {
     return (bytes + kPageSize - 1) >> kPageBits;
-  }
-  static void FillAll(std::vector<uint64_t>& words, uint64_t pages) {
-    if (words.empty()) return;
-    std::fill(words.begin(), words.end(), ~uint64_t{0});
-    if (uint64_t tail = pages & 63) {  // keep padding bits clean
-      words.back() = (uint64_t{1} << tail) - 1;
-    }
   }
   template <typename Fn>
   static void ForEachSet(const std::vector<uint64_t>& words, uint64_t pages,

@@ -136,8 +136,8 @@ LFI_ALWAYS_INLINE uint8_t* Process::FastMemPtr(uint64_t addr, uint64_t len,
   // The synthetic layout is arithmetic (vm/memory.hpp), so the containing
   // segment of almost every access is computable without the AddressSpace
   // region search. Order by access frequency: stack, heap, TLS, modules.
-  // Writes mark the segment's dirty journal (a no-op until a machine
-  // snapshot enables it) so RestoreSnapshot can be O(dirty pages).
+  // Writes mark the segment's dirty journal (a no-op until a snapshot
+  // capture enables it) so a restore can be O(dirty pages).
   uint64_t off = addr - kStackBase;
   if (off < kStackSize && kStackSize - off >= len) {
     if (for_write) stack_dirty_.Mark(off, len);
@@ -501,27 +501,8 @@ uint64_t Process::Run(uint64_t budget) {
   return RunSuperblock(budget);
 }
 
-namespace {
-inline void DigestMix(uint64_t& h, uint64_t value) {
-  h ^= value;
-  h *= 1099511628211ull;
-}
-
-inline void DigestMixBytes(uint64_t& h, const uint8_t* data, size_t size) {
-  size_t i = 0;
-  for (; i + 8 <= size; i += 8) {
-    uint64_t chunk;
-    std::memcpy(&chunk, data + i, 8);
-    DigestMix(h, chunk);
-  }
-  uint64_t tail = 0;
-  for (; i < size; ++i) tail = (tail << 8) | data[i];
-  DigestMix(h, tail);
-}
-}  // namespace
-
 uint64_t Process::StateDigest() const {
-  uint64_t h = 14695981039346656037ull;
+  uint64_t h = kDigestBasis;
   DigestMix(h, static_cast<uint64_t>(pid_));
   for (int64_t r : regs_) DigestMix(h, static_cast<uint64_t>(r));
   DigestMix(h, static_cast<uint64_t>(flags_));

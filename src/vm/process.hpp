@@ -21,6 +21,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <optional>
 #include <string>
@@ -39,6 +40,28 @@ struct ProcessCore;
 struct ProcessNodeState;
 struct SnapshotTree;
 struct SnapshotRestoreStats;
+
+/// The FNV-1a state digests (Process/Machine::StateDigest) mix u64 values
+/// and memory in u64-sized chunks (byte tail) — fast enough to hash whole
+/// segments per scenario. Chunked mixing is endian-dependent, which is
+/// fine: digests are only compared between runs on hosts of the same byte
+/// order (the fabric ships work, not digests of reference).
+inline constexpr uint64_t kDigestBasis = 14695981039346656037ull;
+inline void DigestMix(uint64_t& h, uint64_t value) {
+  h ^= value;
+  h *= 1099511628211ull;
+}
+inline void DigestMixBytes(uint64_t& h, const uint8_t* data, size_t size) {
+  size_t i = 0;
+  for (; i + 8 <= size; i += 8) {
+    uint64_t chunk;
+    std::memcpy(&chunk, data + i, 8);
+    DigestMix(h, chunk);
+  }
+  uint64_t tail = 0;
+  for (; i < size; ++i) tail = (tail << 8) | data[i];
+  DigestMix(h, tail);
+}
 
 enum class ProcState { Runnable, Blocked, Exited, Faulted };
 
@@ -155,12 +178,6 @@ class Process final : public kernel::KernelContext {
   const Loader& loader() const { return loader_; }
 
   // -- snapshot support ------------------------------------------------------
-  /// Stop journaling writes (the owning machine dropped its snapshot).
-  void DisableDirtyTracking() {
-    stack_dirty_.Disable();
-    heap_dirty_.Disable();
-    tls_dirty_.Disable();
-  }
   /// Whether all three segment journals are live. A process spawned after
   /// the machine's last capture has no journals yet, so a tree node must
   /// capture it in full (no parent delta covers its pages).
@@ -172,9 +189,9 @@ class Process final : public kernel::KernelContext {
   // -- snapshot tree support -------------------------------------------------
   /// Capture one tree node's slice of this process: the scalar core in
   /// full, the segments as page deltas from the journals — or every page
-  /// when `full` is set (root node, or the journals were not live across
-  /// the whole parent window). Clears the journals and (re)enables them,
-  /// starting the next capture window.
+  /// when `full` is set (the parent node lacks this process, or the
+  /// journals were not live across the whole parent window). Clears the
+  /// journals and (re)enables them, starting the next capture window.
   void CaptureNode(ProcessNodeState* out, bool full);
   /// In-place tree restore: bring this process to exactly
   /// `tree.nodes[target].procs[proc_index]`'s capture point. `path` lists

@@ -10,24 +10,13 @@ void TreePathBetween(const SnapshotTree& tree, SnapshotId a, SnapshotId b,
                      std::vector<SnapshotId>* out) {
   std::vector<SnapshotId>& path = *out;
   path.clear();
-  if (a == b) return;
-  auto depth = [&](SnapshotId id) {
-    return id == kNoSnapshot ? ~uint32_t{0} : tree.nodes[id].depth;
-  };
   // Walk the deeper side up until both sit at the same depth, then climb
-  // in lockstep to the common ancestor. kNoSnapshot acts as a virtual
-  // node above the root (depth underflows to max, so the other side
-  // climbs all the way out).
+  // in lockstep to the common ancestor (at worst the root).
   while (a != b) {
-    if (a != kNoSnapshot && (b == kNoSnapshot || depth(a) >= depth(b))) {
-      path.push_back(a);
-      a = tree.nodes[a].parent;
-    } else if (b != kNoSnapshot) {
-      path.push_back(b);
-      b = tree.nodes[b].parent;
-    } else {
-      break;  // both kNoSnapshot
-    }
+    SnapshotId& deeper =
+        tree.nodes[a].depth >= tree.nodes[b].depth ? a : b;
+    path.push_back(deeper);
+    deeper = tree.nodes[deeper].parent;
   }
 }
 

@@ -1,23 +1,26 @@
-// Snapshot tree (vm::Machine::PushSnapshot / RestoreTo).
+// Snapshot tree (vm::Machine::Checkpoint / PushSnapshot / RestoreTo).
 //
-// A SnapshotTree pins a *family* of moments of a warmed-up machine —
-// typically the post-warmup fault-window entry points of a campaign
-// target, one node per window depth. Each node stores the cheap machine
-// state in full (registers, shadow stacks, kernel host-side state,
-// coverage, instruction accounting — kilobytes) but stores memory as a
-// PageDelta: only the pages written between its parent's capture and its
-// own. The root node captures every page, so the content of page p at any
-// node N is defined by the first delta containing p on the walk N -> root
-// (the per-page newest-writer rule).
+// A SnapshotTree pins a *family* of moments of one machine. Its root is
+// the machine's checkpoint: module data and kernel state at setup, no
+// processes, zero counters, clear coverage. Machine::Reset is a restore
+// to the root. Every other node is a moment of a warmed-up machine —
+// typically a campaign target's fault-window entry points, one node per
+// window depth. Each node stores the cheap machine state in full
+// (registers, shadow stacks, kernel host-side state, coverage,
+// instruction accounting — kilobytes) but stores memory as a PageDelta:
+// only the pages written between its parent's capture and its own. The
+// root captures every module page, so the content of page p at any node N
+// is defined by the first delta containing p on the walk N -> root (the
+// per-page newest-writer rule).
 //
 // Capture is O(pages dirtied since the parent); restoring from the
-// machine's current position to any live node is O(pages that differ
-// between them): the current dirty journals, plus the deltas on the tree
-// path between the two nodes. Restoring after Machine::Reset (or to a
-// process that no longer exists) falls back to materializing full images
-// by replaying deltas root -> node.
+// machine's current node to any node is O(pages that differ between
+// them): the current dirty journals, plus the deltas on the tree path
+// between the two nodes. A process the target holds but the machine lacks
+// (destroyed by a Reset or an earlier restore) is rebuilt by replaying
+// its deltas from its last full capture down to the target.
 //
-// The flat Machine::Snapshot/RestoreSnapshot API is a one-node tree.
+// The flat Machine::Snapshot/RestoreSnapshot API is the root's one child.
 #pragma once
 
 #include <cstdint>
@@ -60,9 +63,9 @@ struct ProcessNodeState {
   PageDelta stack;
   PageDelta heap;
   PageDelta tls;
-  /// The deltas hold every page: root nodes, and processes whose journal
-  /// was not live across the whole parent->child window (spawned since the
-  /// parent's capture, or realigned). The ancestor walk for this process
+  /// The deltas hold every page: processes whose journal was not live
+  /// across the whole parent->child window (absent from the parent,
+  /// spawned since its capture, or realigned). The ancestor walk for this process
   /// never continues past a full node.
   bool full = false;
 };
@@ -79,7 +82,7 @@ struct SnapshotNode {
   std::vector<PageDelta> module_data;
   kernel::KernelRuntime::State kernel;
   /// Coverage tracker contents at the capture point; empty when coverage
-  /// was off.
+  /// was off, and in the root.
   CoverageTracker coverage;
 };
 // The tree's node vector moves its nodes when it grows; a copying member
@@ -98,24 +101,23 @@ struct SnapshotRestoreStats {
   uint64_t nodes_walked = 0;
 };
 
+/// Node 0 is the root. Every node holds one module_data delta per loaded
+/// module: a module loaded after the root's capture joins the root in
+/// full and every other node with an empty delta.
 struct SnapshotTree {
   std::vector<SnapshotNode> nodes;
-  /// Module set at root capture; RestoreTo refuses to apply the tree to a
-  /// machine whose module count or data-section sizes changed.
-  size_t module_count = 0;
-  std::vector<uint64_t> module_data_bytes;
 };
 
 /// Tree path between nodes `a` and `b`: every node strictly below their
 /// lowest common ancestor on either side, i.e. exactly the nodes whose
-/// deltas can make the two states differ. Either id may be kNoSnapshot
-/// (empty path). Overwrites `*path`, reusing its storage.
+/// deltas can make the two states differ. Overwrites `*path`, reusing its
+/// storage.
 void TreePathBetween(const SnapshotTree& tree, SnapshotId a, SnapshotId b,
                      std::vector<SnapshotId>* path);
 
 /// Content of module `m`'s data page `page` at node `target`: newest
-/// writer at-or-above target. Never nullptr for a live tree (the root is
-/// full). `nodes_walked` (optional) accumulates ancestor steps taken.
+/// writer at-or-above target. Never nullptr (the root is full).
+/// `nodes_walked` (optional) accumulates ancestor steps taken.
 const uint8_t* FindModulePage(const SnapshotTree& tree, SnapshotId target,
                               size_t m, uint32_t page,
                               uint64_t* nodes_walked);

@@ -72,5 +72,25 @@ TEST(WarmScenario, RandomPlansAllocateAtMostEightPerScenario) {
   EXPECT_LE(CountWarmAllocations(0.1).per_scenario, 8.0);
 }
 
+// A cold Reset is a restore to the checkpoint: once the machine is warm it
+// restores kernel tables, module pages and coverage into their own storage
+// and pools the processes. The checkpoint precedes EnableCoverage, as in
+// PlanRunner, so the root holds no bitmaps to copy.
+TEST(WarmScenario, ColdResetAllocatesNothing) {
+  vm::Machine machine;
+  apps::PidginMachineSetup()(machine);
+  machine.Checkpoint();
+  machine.EnableCoverage();
+  for (int i = 0; i < 3; ++i) {
+    machine.Reset();
+    ASSERT_TRUE(machine.CreateProcess(apps::kPidginEntry).ok());
+    machine.Run(100'000);
+  }
+  const uint64_t before = g_allocations;
+  machine.Reset();
+  EXPECT_EQ(g_allocations - before, 0u);
+  EXPECT_TRUE(machine.processes().empty());
+}
+
 }  // namespace
 }  // namespace lfi::campaign

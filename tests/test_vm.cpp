@@ -557,10 +557,16 @@ TEST(MachineSnapshotTree, RestoreTelemetryAccumulates) {
   EXPECT_FALSE(machine.RestoreTo(0));
   auto pid = machine.CreateProcess("main");
   ASSERT_TRUE(pid.ok());
-  SnapshotId root = machine.PushSnapshot();
+  // The first process checkpointed: the tree is its root alone, so there
+  // is still no flat snapshot to return to.
+  EXPECT_EQ(machine.snapshot_node_count(), 1u);
+  EXPECT_EQ(machine.current_snapshot(), 0u);
+  EXPECT_FALSE(machine.RestoreSnapshot());
+  SnapshotId window = machine.PushSnapshot();
+  EXPECT_EQ(window, 1u);
   EXPECT_EQ(machine.restore_stats().restores, 0u);
-  // A module-data page and a heap page written only between the root and
-  // a child: restoring child to root with clean journals must undo both
+  // A module-data page and a heap page written only between `window` and
+  // a child: restoring child to `window` with clean journals must undo both
   // through the child's deltas on the tree path.
   Process& proc = *machine.process(pid.value());
   const uint64_t data = machine.loader().module_named("counter.so")->data_base;
@@ -569,18 +575,123 @@ TEST(MachineSnapshotTree, RestoreTelemetryAccumulates) {
   ASSERT_TRUE(proc.write_mem(data, &v, 8));
   ASSERT_TRUE(proc.write_mem(heap, &v, 8));
   SnapshotId child = machine.PushSnapshot();
-  ASSERT_TRUE(machine.RestoreTo(root));
+  ASSERT_TRUE(machine.RestoreTo(window));
   EXPECT_EQ(NonZeroBytes(proc, data, 8), 0u);
   EXPECT_EQ(NonZeroBytes(proc, heap, 8), 0u);
   machine.RunToCompletion(pid.value());
-  ASSERT_TRUE(machine.RestoreTo(root));
+  ASSERT_TRUE(machine.RestoreTo(window));
   EXPECT_FALSE(machine.RestoreTo(child + 1));  // past the last node
   const SnapshotRestoreStats& stats = machine.restore_stats();
   EXPECT_EQ(stats.restores, 2u);
   EXPECT_GT(stats.pages_restored, 0u);  // the run dirtied at least 1 page
   EXPECT_GT(stats.nodes_walked, 0u);
-  machine.Snapshot();  // the flat API starts a fresh one-node tree
-  EXPECT_EQ(machine.snapshot_node_count(), 1u);
+  // The flat API keeps the checkpoint and replaces every other node with
+  // one child of it.
+  machine.Snapshot();
+  EXPECT_EQ(machine.snapshot_node_count(), 2u);
+  EXPECT_EQ(machine.current_snapshot(), 1u);
+  EXPECT_FALSE(machine.RestoreTo(child));
+  ASSERT_TRUE(machine.RestoreTo(0));
+  EXPECT_TRUE(machine.processes().empty());
+  ASSERT_TRUE(machine.RestoreSnapshot());
+  EXPECT_EQ(machine.RunToCompletion(pid.value()).exit_code, 1);
+}
+
+// Snapshot() replaces every node below the checkpoint, so a flat snapshot
+// taken at a deeper node must hold the pages that node's delta held.
+TEST(MachineSnapshotTree, FlatSnapshotAtADeeperNodeKeepsItsPages) {
+  Machine machine;
+  machine.Load(CounterApp()).value();
+  auto pid = machine.CreateProcess("main");
+  ASSERT_TRUE(pid.ok());
+  EXPECT_EQ(machine.RunToCompletion(pid.value()).exit_code, 1);
+  machine.PushSnapshot();  // the counter's page is in this node's delta
+  machine.Snapshot();
+  machine.Reset();
+  auto cold = machine.CreateProcess("main");
+  ASSERT_TRUE(cold.ok());
+  EXPECT_EQ(machine.RunToCompletion(cold.value()).exit_code, 1);
+  ASSERT_TRUE(machine.RestoreSnapshot());
+  auto again = machine.CreateProcess("main");
+  ASSERT_TRUE(again.ok());
+  EXPECT_EQ(machine.RunToCompletion(again.value()).exit_code, 2);
+}
+
+// Machine::StateDigest of a fixed cold run, pinned: campaign state digests
+// and SEU verdicts compare digests across runs and builds, so the digest
+// helpers must keep producing these values.
+TEST(MachineDigest, FixedColdRunIsPinned) {
+  Machine machine;
+  machine.Load(CounterApp()).value();
+  auto pid = machine.CreateProcess("main");
+  ASSERT_TRUE(pid.ok());
+  EXPECT_EQ(machine.StateDigest(), 0x9090f646fe55e5d1ull);
+  EXPECT_EQ(machine.RunToCompletion(pid.value()).exit_code, 1);
+  EXPECT_EQ(machine.StateDigest(), 0xd9025c72cb1eb62bull);
+}
+
+/// "scribble" counts its runs in its own data slot (exiting with the new
+/// count) and creates "/s" through libc: a run changes module data and the
+/// kernel's files.
+sso::SharedObject ScribbleApp() {
+  CodeBuilder b;
+  uint32_t path = b.emit_data({'/', 's', 0});
+  uint32_t slot = b.reserve_data(8);
+  b.begin_function("scribble");
+  b.mov_ri(Reg::R2, libc::O_WRONLY | libc::O_CREAT);
+  b.lea_data(Reg::R1, static_cast<int32_t>(path));
+  b.push(Reg::R2);
+  b.push(Reg::R1);
+  b.call_sym("open");
+  b.add_ri(Reg::SP, 16);
+  b.lea_data(Reg::R1, static_cast<int32_t>(slot));
+  b.load(Reg::R0, Reg::R1, 0);
+  b.add_ri(Reg::R0, 1);
+  b.store(Reg::R1, 0, Reg::R0);
+  b.leave_ret();
+  b.end_function();
+  return sso::FromCodeUnit("scribble.so", b.Finish(), {"libc.so"});
+}
+
+// A module loaded after the checkpoint joins it as loaded: Reset after a
+// run that wrote the module's data and the kernel's files reaches the
+// state of a machine that loaded everything up front and ran nothing —
+// whether the first process took the checkpoint or setup did.
+TEST(MachineCheckpoint, ResetRestoresModulesLoadedSinceTheCheckpoint) {
+  auto setup = [](Machine& machine) {
+    machine.Load(libc::BuildLibc()).value();
+    machine.kernel().add_file("/cfg", {1, 2, 3});
+  };
+  Machine fresh;
+  setup(fresh);
+  fresh.Load(ScribbleApp()).value();
+
+  for (bool explicit_checkpoint : {false, true}) {
+    SCOPED_TRACE(explicit_checkpoint ? "explicit" : "implicit");
+    Machine machine;
+    setup(machine);
+    if (explicit_checkpoint) {
+      machine.Checkpoint();
+    } else {
+      ASSERT_TRUE(machine.CreateProcess("getpid").ok());
+      machine.Run();
+    }
+    ASSERT_EQ(machine.snapshot_node_count(), 1u);
+    machine.Load(ScribbleApp()).value();
+    for (int run = 0; run < 2; ++run) {
+      auto pid = machine.CreateProcess("scribble");
+      ASSERT_TRUE(pid.ok());
+      EXPECT_EQ(machine.RunToCompletion(pid.value()).exit_code, 1);
+      EXPECT_TRUE(machine.kernel().has_file("/s"));
+      machine.Reset();
+      EXPECT_TRUE(machine.processes().empty());
+      EXPECT_EQ(machine.StateDigest(), fresh.StateDigest());
+      EXPECT_FALSE(machine.kernel().has_file("/s"));
+      EXPECT_EQ(machine.kernel().file_contents("/cfg"),
+                fresh.kernel().file_contents("/cfg"));
+      EXPECT_EQ(machine.kernel().kcall_count(), 0u);
+    }
+  }
 }
 
 // ---- segment recycling --------------------------------------------------------
@@ -608,10 +719,10 @@ void ExpectNextSpawnZeroed(Machine& machine) {
 }
 
 TEST(SegmentRecycling, RestorePageCopiesAreZeroedOnRelease) {
-  // Root: heap page 2 written. Node 1: heap page 9 written on top. After
-  // Reset, RestoreTo(0) rebuilds the process on recycled buffers (a full
-  // image copy) and RestoreTo(1) copies page 9 in place: both copies put
-  // bytes no guest write produced into the buffer.
+  // Snapshot: heap page 2 written. A child: heap page 9 written on top.
+  // After Reset, RestoreSnapshot rebuilds the process on recycled buffers
+  // (a full image copy) and RestoreTo(child) copies page 9 in place: both
+  // copies put bytes no guest write produced into the buffer.
   Machine machine;
   machine.Load(IdleApp()).value();
   auto pid = machine.CreateProcess("idle");
@@ -625,7 +736,7 @@ TEST(SegmentRecycling, RestorePageCopiesAreZeroedOnRelease) {
   SnapshotId node = machine.PushSnapshot();
 
   machine.Reset();
-  ASSERT_TRUE(machine.RestoreTo(0));  // rebuild from the materialized root
+  ASSERT_TRUE(machine.RestoreSnapshot());  // rebuild from a materialized image
   ASSERT_TRUE(machine.RestoreTo(node));  // in place: copies heap page 9
   Process& proc = *machine.process(pid.value());
   EXPECT_EQ(NonZeroBytes(proc, kHeapBase + 9 * DirtyMap::kPageSize, 8), 2u);
